@@ -23,20 +23,20 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .construction import run_prescription
-from .dynamics import berry_holonomy, propagate
-from .operators import eigh
-from .suites import run_suites
+from .construction import closed_form_osc_R, closed_form_spin_R
+from .dynamics import StepSizeError, berry_holonomy, propagate
+from .operators import chunks, eigh, hermiticity_defect, over_chunks
+from .suites import build_system, run_suites
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
+    """One row per line of a 2-D table, every number as %.17g."""
+    row = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [row % tuple(r) for r in np.asarray(table).tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -49,49 +49,36 @@ def _complex_payload(m: np.ndarray) -> dict:
             "imag": [[_fmt(v) for v in row] for row in m.imag]}
 
 
-def _setup(cfg: RunConfig, out_override: str | None):
+def _out_dir(cfg: RunConfig, out_override: str | None) -> Path:
     out_dir = Path(out_override or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rep = cfg.make_rep()
-    d0 = cfg.d0_for(rep)
-    from .construction import oscillator_supersystem, spin_supersystem
-    if cfg.family == "spin":
-        system = spin_supersystem(rep, cfg.theta, cfg.phi, cfg.f, cfg.g, b=cfg.b, d0=d0)
-    else:
-        system = oscillator_supersystem(rep, cfg.theta, cfg.phi, cfg.f, d0=d0)
-    return out_dir, rep, run_prescription(system)
+    return out_dir
 
 
 def cmd_build(cfg: RunConfig, out_override: str | None) -> int:
     """Write H_minus.csv, U_minus.json, invariant_spectrum.csv."""
-    out_dir, rep, out = _setup(cfg, out_override)
-    from .construction import closed_form_osc_R, closed_form_spin_R
+    out_dir = _out_dir(cfg, out_override)
+    rep, out = build_system(cfg)
     closed_form = closed_form_spin_R if cfg.family == "spin" else closed_form_osc_R
 
     grid = cfg.grid()
     if "csv" in cfg.formats:
-        rows = []
-        for t in grid:
-            h = out.h_minus(t)
-            r = closed_form(cfg.f, cfg.theta, cfg.phi, t)
-            rows.append((t, r[0], r[1], r[2], h.hermiticity_defect()))
+        defects = over_chunks(grid, rep.dim, lambda ts: hermiticity_defect(out.h_minus(ts)))
+        r = closed_form(cfg.f, cfg.theta, cfg.phi, grid)
         _write_csv(out_dir / "H_minus.csv",
-                   ["t", "R1", "R2", "R3", "hermiticity_defect"], rows)
+                   ["t", "R1", "R2", "R3", "hermiticity_defect"],
+                   np.column_stack([grid, *r, defects]))
 
-        spec_rows = []
-        for t in grid:
-            values = eigh(out.i_minus(t)).values
-            spec_rows.append((t, *values))
+        spectra = over_chunks(grid, rep.dim, lambda ts: eigh(out.i_minus(ts)).values)
         _write_csv(out_dir / "invariant_spectrum.csv",
                    ["t"] + [f"lambda_{i}" for i in range(out.iminus_ref.dim)],
-                   spec_rows)
+                   np.column_stack([grid, spectra]))
 
     if "json" in cfg.formats:
-        stride = max(1, (grid.size - 1) // 100)
-        samples = []
-        for k in range(0, grid.size, stride):
-            samples.append({"t": _fmt(grid[k]),
-                            "U": _complex_payload(out.u_minus(grid[k]).entries)})
+        times = grid[::max(1, (grid.size - 1) // 100)]
+        samples = [{"t": _fmt(t), "U": _complex_payload(u)}
+                   for sl in chunks(times.size, rep.dim)
+                   for t, u in zip(times[sl], out.u_minus(times[sl]))]
         _write_json(out_dir / "U_minus.json",
                     {"family": cfg.family, "samples": samples})
     print(f"wrote build outputs to {out_dir}")
@@ -103,8 +90,7 @@ def cmd_verify(cfg: RunConfig, out_override: str | None,
     """Run the configured residual suites; exit 0 iff all pass."""
     if wrong_h_flag:
         cfg = replace(cfg, cross_check_wrong_h=True)
-    out_dir = Path(out_override or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg, out_override)
     results = run_suites(cfg, tolerance_scale)
     width = max(len(r.name) for r in results)
     print(f"{'check'.ljust(width)}  {'max residual':>14}  {'tolerance':>12}  status")
@@ -145,7 +131,8 @@ def _resolve_level(cfg: RunConfig, out) -> tuple[int | None, str]:
 
 def cmd_propagate(cfg: RunConfig, out_override: str | None) -> int:
     """Compare numerical propagation with the closed-form solution."""
-    out_dir, rep, out = _setup(cfg, out_override)
+    out_dir = _out_dir(cfg, out_override)
+    rep, out = build_system(cfg)
     grid = cfg.grid()
     try:
         level, label = _resolve_level(cfg, out)
@@ -158,39 +145,34 @@ def cmd_propagate(cfg: RunConfig, out_override: str | None) -> int:
         print(f"warning: {label} has no superpartner; writing numeric-only columns")
         i0 = eigh(out.i_minus(0.0))
         psi0 = i0.vectors[:, 0]
-        traj = propagate(out.h_minus, psi0, grid)
-        rows = []
-        for k, t in enumerate(grid):
-            rows.append((t, *traj.states[k].real, *traj.states[k].imag))
+        numeric = propagate(out.h_minus, psi0, grid).states
         dim = psi0.size
         header = ["t"] + [f"re_num_{i}" for i in range(dim)] + \
             [f"im_num_{i}" for i in range(dim)]
-        _write_csv(out_dir / "solution.csv", header, rows)
+        _write_csv(out_dir / "solution.csv", header,
+                   np.column_stack([grid, numeric.real, numeric.imag]))
         return 0
 
     psi0 = out.mapped_solution(level, 0.0)
-    traj = propagate(out.h_minus, psi0, grid)
-    rows = []
-    worst = 0.0
-    for k, t in enumerate(grid):
-        closed = out.mapped_solution(level, t)
-        numeric = traj.states[k]
-        infid = 1.0 - abs(np.vdot(closed, numeric))
-        worst = max(worst, infid)
-        rows.append((t, *numeric.real, *numeric.imag, *closed.real, *closed.imag, infid))
+    numeric = propagate(out.h_minus, psi0, grid).states
+    closed = over_chunks(grid, rep.dim, lambda ts: out.mapped_solution(level, ts))
+    infid = 1.0 - np.abs(np.sum(closed.conj() * numeric, axis=1))
     dim = psi0.size
     header = (["t"] + [f"re_num_{i}" for i in range(dim)]
               + [f"im_num_{i}" for i in range(dim)]
               + [f"re_closed_{i}" for i in range(dim)]
               + [f"im_closed_{i}" for i in range(dim)] + ["infidelity"])
-    _write_csv(out_dir / "solution.csv", header, rows)
-    print(f"propagated {label}: max infidelity {worst:.3e}")
+    _write_csv(out_dir / "solution.csv", header,
+               np.column_stack([grid, numeric.real, numeric.imag,
+                                closed.real, closed.imag, infid]))
+    print(f"propagated {label}: max infidelity {np.max(infid):.3e}")
     return 0
 
 
 def cmd_phase(cfg: RunConfig, out_override: str | None, reverse_flag: bool) -> int:
     """Holonomies of the transported invariant eigenframes over the closed loop."""
-    out_dir, rep, out = _setup(cfg, out_override)
+    out_dir = _out_dir(cfg, out_override)
+    rep, out = build_system(cfg)
     T = cfg.t_final
     d_theta = abs(cfg.theta(T) - cfg.theta(0.0))
     d_phi = cfg.phi(T) - cfg.phi(0.0)
@@ -209,7 +191,7 @@ def cmd_phase(cfg: RunConfig, out_override: str | None, reverse_flag: bool) -> i
 
         def frame(s, v0=v0):
             time = T - s if reverse else s
-            return out.system.w_minus.value(time).entries @ v0
+            return out.system.w_minus.value(time) @ v0
 
         res = berry_holonomy(frame, steps, period=T, label=f"level_{gi}")
         res2 = berry_holonomy(frame, 2 * steps, period=T, label=f"level_{gi}")
@@ -296,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["build", "verify", "propagate", "phase", "sweep"])
     parser.add_argument("--config", required=True, help="path to an INI run config")
     parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--seed", type=int, default=20240901,
-                        help="seed for randomized property suites")
     parser.add_argument("--tolerance-scale", type=float, default=1.0,
                         help="multiply all suite tolerances")
     parser.add_argument("--cross-check-wrong-H", action="store_true",
@@ -310,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    np.random.seed(args.seed % (2 ** 32))
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
@@ -327,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_phase(cfg, args.out, args.reverse)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.config, args.out, args.tolerance_scale)
-    except ConfigError as exc:
+    except (ConfigError, StepSizeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

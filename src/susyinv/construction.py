@@ -5,6 +5,11 @@ Closed-form gauge kinds differentiate W exactly through the chain rule on the
 three-exponential product, so the closed-form coefficient formulas can be
 cross-checked against an independent matrix route with no finite-difference
 error in either side.
+
+Every map of t takes a scalar or an array of times. An array gives an
+(n, d, d) stack built with broadcasting and stacked matmul from one evaluation
+of theta, phi, f, g and their derivatives and antiderivatives; a scalar gives
+the same numbers as an Operator.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import Operator, NonHermitianError, eigh, unitarity_defect
+from .operators import (Operator, NonHermitianError, dagger, diag_stack, eigh, first_true,
+                        frobenius, hermiticity_defect, per_time, unitarity_defect)
 from .representations import OscillatorRep, SpinRep
 from .susy import ZERO_MODE_SCALE
 from .timefunc import TimeFunction
@@ -33,6 +39,16 @@ def _diag_or_none(m: np.ndarray) -> np.ndarray | None:
     if np.any(off != 0):
         return None
     return np.real(np.diag(m)).copy()
+
+
+def _stack_of(fn: Callable[[float], np.ndarray], ts: np.ndarray) -> np.ndarray:
+    """A caller's matrix function of one time, evaluated at each of ts."""
+    return np.stack([np.asarray(fn(s), dtype=complex) for s in ts])
+
+
+def _sandwich(e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """diag(e) M diag(e)^* for (n, d) diagonals and an (n, d, d) stack."""
+    return e[:, :, None] * m * np.conj(e)[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -86,36 +102,43 @@ class GaugeCurve:
             return np.asarray(self.fn(0.0)).shape[0]
         return self.d3.dim
 
-    def _factors(self, t: float):
-        th, ph = self.theta(t), self.phi(t)
-        e1 = np.exp(-1j * ph * self._d3_diag)
-        w2, v2 = self._d2_eig
-        e2 = (v2 * np.exp(-1j * th * w2)) @ v2.conj().T
-        return e1, e2
+    def _factors(self, t: np.ndarray):
+        """e^{-i phi D3} diagonals and e^{-i theta D2} eigenphases, each (n, d)."""
+        e1 = np.exp(-1j * self.phi(t)[:, None] * self._d3_diag)
+        e2_phases = np.exp(-1j * self.theta(t)[:, None] * self._d2_eig[0])
+        return e1, e2_phases
 
-    def value(self, t: float) -> Operator:
-        if self.kind == "explicit":
-            return Operator(np.asarray(self.fn(t), dtype=complex))
-        e1, e2 = self._factors(t)
-        return Operator(e1[:, None] * e2 * np.conj(e1)[None, :])
+    def _in_d2_basis(self, diagonals: np.ndarray) -> np.ndarray:
+        """V2 diag(x) V2^dag for each row x of an (n, d) array."""
+        v2 = self._d2_eig[1]
+        return (v2 * diagonals[:, None, :]) @ v2.conj().T
 
-    def derivative(self, t: float) -> Operator:
-        """dW/dt; exact chain rule for closed-form kinds, central FD for explicit."""
+    def _values(self, t: np.ndarray) -> np.ndarray:
         if self.kind == "explicit":
-            h = self.fd_step * max(1.0, abs(t))
-            wp = np.asarray(self.fn(t + h), dtype=complex)
-            wm = np.asarray(self.fn(t - h), dtype=complex)
-            return Operator((wp - wm) / (2 * h))
-        e1, e2 = self._factors(t)
+            return _stack_of(self.fn, t)
+        e1, e2_phases = self._factors(t)
+        return _sandwich(e1, self._in_d2_basis(e2_phases))
+
+    def value(self, t):
+        """W(t): an Operator for a scalar t, an (n, d, d) stack for an array."""
+        return per_time(t, self._values)
+
+    def _derivatives(self, t: np.ndarray) -> np.ndarray:
+        if self.kind == "explicit":
+            h = self.fd_step * np.maximum(1.0, np.abs(t))
+            return (self._values(t + h) - self._values(t - h)) / (2 * h)[:, None, None]
+        e1, e2_phases = self._factors(t)
         d3 = self._d3_diag
-        th_dot, ph_dot = self._theta_dot(t), self._phi_dot(t)
-        w2, v2 = self._d2_eig
-        w = e1[:, None] * e2 * np.conj(e1)[None, :]
+        w = _sandwich(e1, self._in_d2_basis(e2_phases))
         # d/dt of each factor, assembled by the product rule.
-        d2e2 = (v2 * (w2 * np.exp(-1j * self.theta(t) * w2))) @ v2.conj().T
-        term_phi = -1j * ph_dot * (d3[:, None] * w - w * d3[None, :])
-        term_theta = -1j * th_dot * (e1[:, None] * d2e2 * np.conj(e1)[None, :])
-        return Operator(term_phi + term_theta)
+        d2e2 = self._in_d2_basis(self._d2_eig[0] * e2_phases)
+        term_phi = -1j * self._phi_dot(t)[:, None, None] * (d3[:, None] * w - w * d3[None, :])
+        term_theta = -1j * self._theta_dot(t)[:, None, None] * _sandwich(e1, d2e2)
+        return term_phi + term_theta
+
+    def derivative(self, t):
+        """dW/dt; exact chain rule for closed-form kinds, central FD for explicit."""
+        return per_time(t, self._derivatives)
 
     def identity_start_defect(self) -> float:
         """||W(0) - 1||; zero is required by the pairing prescription but the
@@ -156,35 +179,36 @@ class YSpec:
     def dim(self) -> int:
         return self.D.dim
 
-    def diagonal(self, t: float) -> np.ndarray:
-        d = self._d_diag
-        out = self.f(t) * d
-        if self.g is not None:
-            out = out + self.g(t) * d * d
-        return out
+    def diagonal(self, t) -> np.ndarray:
+        """Diagonal of Y(t): shape (d,) for a scalar t, (n, d) for an array."""
+        return self._combine(self.f(t), None if self.g is None else self.g(t))
 
-    def value(self, t: float) -> Operator:
-        return Operator(np.diag(self.diagonal(t)).astype(complex))
+    def value(self, t):
+        return per_time(t, lambda ts: diag_stack(self.diagonal(ts)))
 
-    def integral_diagonal(self, t: float) -> np.ndarray:
+    def integral_diagonal(self, t) -> np.ndarray:
         """Diagonal of int_0^t Y(s) ds, exact through the antiderivatives."""
+        return self._combine(self._f_anti(t),
+                             None if self._g_anti is None else self._g_anti(t))
+
+    def _combine(self, f_part, g_part) -> np.ndarray:
         d = self._d_diag
-        out = self._f_anti(t) * d
-        if self._g_anti is not None:
-            out = out + self._g_anti(t) * d * d
+        out = np.multiply.outer(f_part, d)
+        if g_part is not None:
+            out = out + np.multiply.outer(g_part, d) * d
         return out
 
-    def eigen_phase(self, mu: float, t: float) -> float:
-        """int_0^t y(s) ds on a D-eigenvector with eigenvalue mu."""
+    def eigen_phase(self, mu, t):
+        """int_0^t y(s) ds on a D-eigenvector with eigenvalue mu (broadcast over arrays)."""
         out = self._f_anti(t) * mu
         if self._g_anti is not None:
-            out += self._g_anti(t) * mu * mu
-        return float(out)
+            out = out + self._g_anti(t) * mu * mu
+        return float(out) if np.ndim(out) == 0 else out
 
     def commutation_defect(self, i0: Operator, ts=(0.0, 0.7, 1.3)) -> float:
         m0 = i0.entries
-        return max(float(np.linalg.norm(self.value(t).entries @ m0
-                                        - m0 @ self.value(t).entries)) for t in ts)
+        y = self.value(np.asarray(ts, dtype=float))
+        return float(np.max(frobenius(y @ m0 - m0 @ y)))
 
 
 @dataclass(frozen=True)
@@ -193,33 +217,41 @@ class ExplicitY:
 
     fn: Callable[[float], np.ndarray]
 
-    def value(self, t: float) -> Operator:
-        return Operator(np.asarray(self.fn(t), dtype=complex))
+    def value(self, t):
+        return per_time(t, lambda ts: _stack_of(self.fn, ts))
 
 
-def hamiltonian_from_gauge(w: GaugeCurve, y: YSpec | ExplicitY, t: float) -> Operator:
-    """H(t) = W Y W^dag - i W dW^dag/dt; Hermitian up to the kind's tolerance."""
-    wm = w.value(t).entries
-    u_defect = unitarity_defect(wm)
-    if u_defect > GAUGE_UNITARITY_TOL * max(1.0, np.linalg.norm(wm)):
-        raise ValueError(f"gauge curve is not unitary at t={t}: defect {u_defect:.3e}")
-    wd = w.derivative(t).entries
-    ym = y.value(t).entries
-    h = wm @ ym @ wm.conj().T - 1j * (wm @ wd.conj().T)
-    defect = float(np.linalg.norm(h - h.conj().T))
-    tol = HERMITICITY_TOL[w.kind]
-    if defect > tol * max(1.0, np.linalg.norm(h)):
-        raise NonHermitianError(defect)
-    return Operator(h)
+def hamiltonian_from_gauge(w: GaugeCurve, y: YSpec | ExplicitY, t):
+    """H(t) = W Y W^dag - i W dW^dag/dt; Hermitian up to the kind's tolerance.
+
+    The unitarity and Hermiticity guards hold at every time of an array; the
+    first time that breaks one raises.
+    """
+    def stack(ts: np.ndarray) -> np.ndarray:
+        wm = w.value(ts)
+        u_defect = unitarity_defect(wm)
+        k = first_true(u_defect > GAUGE_UNITARITY_TOL * np.maximum(1.0, frobenius(wm)))
+        if k is not None:
+            raise ValueError(f"gauge curve is not unitary at t={float(ts[k])}: "
+                             f"defect {u_defect[k]:.3e}")
+        wd = w.derivative(ts)
+        wy = wm * y.diagonal(ts)[:, None, :] if isinstance(y, YSpec) else wm @ y.value(ts)
+        h = wy @ dagger(wm) - 1j * (wm @ dagger(wd))
+        defect = hermiticity_defect(h)
+        k = first_true(defect > HERMITICITY_TOL[w.kind] * np.maximum(1.0, frobenius(h)))
+        if k is not None:
+            raise NonHermitianError(float(defect[k]))
+        return h
+    return per_time(t, stack)
 
 
-def evolution_from_gauge(w: GaugeCurve, y: YSpec, t: float) -> Operator:
+def evolution_from_gauge(w: GaugeCurve, y: YSpec, t):
     """U(t) = W(t) exp(-i int_0^t Y); valid because Y(t) at different t commute."""
     if not isinstance(y, YSpec):
         raise NonCommutingYError(
             "evolution requires a commuting YSpec; time-ordered products are not implemented")
-    phases = np.exp(-1j * y.integral_diagonal(t))
-    return Operator(w.value(t).entries * phases[None, :])
+    return per_time(t, lambda ts: w.value(ts)
+                    * np.exp(-1j * y.integral_diagonal(ts))[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -236,12 +268,10 @@ class SuperSystem:
     def plus_sector_defect(self, ts=(0.3, 1.1), h: float = 1e-5) -> float:
         """Finite-difference residual of i dU+/dt = H+ U+ plus ||U+(0) - 1||."""
         u0 = self.u_plus(0.0).entries
-        worst = float(np.linalg.norm(u0 - np.eye(u0.shape[0])))
-        for t in ts:
-            du = (self.u_plus(t + h).entries - self.u_plus(t - h).entries) / (2 * h)
-            res = 1j * du - self.h_plus(t).entries @ self.u_plus(t).entries
-            worst = max(worst, float(np.linalg.norm(res)))
-        return worst
+        ts = np.asarray(ts, dtype=float)
+        du = (self.u_plus(ts + h) - self.u_plus(ts - h)) / (2 * h)
+        res = 1j * du - self.h_plus(ts) @ self.u_plus(ts)
+        return max(frobenius(u0 - np.eye(u0.shape[0])), float(np.max(frobenius(res))))
 
 
 @dataclass(frozen=True)
@@ -265,40 +295,53 @@ class PartnerOutput:
     kernel_dim_plus: int
     kernel_dim_minus: int
 
-    def h_minus(self, t: float) -> Operator:
+    def h_minus(self, t):
         return hamiltonian_from_gauge(self.system.w_minus, self.system.y_minus, t)
 
-    def u_minus(self, t: float) -> Operator:
+    def u_minus(self, t):
         return evolution_from_gauge(self.system.w_minus, self.system.y_minus, t)
 
-    def propagator_minus(self, t: float) -> Operator:
+    def propagator_minus(self, t):
         """U(t) U(0)^dag: the evolution operator normalized to 1 at t = 0.
 
         Identical to u_minus when the gauge starts at the identity; for offset
         starts (theta(0) != 0) only this combination transports I-(0) to I-(t).
         """
-        u = self.u_minus(t).entries
         u0 = self.u_minus(0.0).entries
-        return Operator(u @ u0.conj().T)
+        return per_time(t, lambda ts: self.u_minus(ts) @ u0.conj().T)
 
-    def i_plus(self, t: float) -> Operator:
-        u = self.system.u_plus(t).entries
-        return Operator(u @ self.iplus_ref.entries @ u.conj().T)
+    def i_plus(self, t):
+        def stack(ts):
+            u = self.system.u_plus(ts)
+            return u @ self.iplus_ref.entries @ dagger(u)
+        return per_time(t, stack)
 
-    def i_minus(self, t: float) -> Operator:
-        w = self.system.w_minus.value(t).entries
-        return Operator(w @ self.iminus_ref.entries @ w.conj().T)
+    def i_minus(self, t):
+        def stack(ts):
+            w = self.system.w_minus.value(ts)
+            return w @ self.iminus_ref.entries @ dagger(w)
+        return per_time(t, stack)
 
-    def d(self, t: float) -> Operator:
-        w = self.system.w_minus.value(t).entries
-        u = self.system.u_plus(t).entries
-        return Operator(w @ self.system.d0.entries @ u.conj().T)
+    def d(self, t):
+        def stack(ts):
+            w = self.system.w_minus.value(ts)
+            return w @ self.system.d0.entries @ dagger(self.system.u_plus(ts))
+        return per_time(t, stack)
 
-    def mapped_solution(self, level: int, t: float) -> np.ndarray:
-        """Exact minus-sector solution e^{-i int y} W(t) d0 |lam,+;0> / sqrt(2 lam)."""
-        lv = self.levels[level]
-        phase = np.exp(-1j * self.system.y_minus.eigen_phase(lv.mu, t))
-        return phase * (self.system.w_minus.value(t).entries @ lv.v_minus)
+    def mapped_solution(self, level, t) -> np.ndarray:
+        """Exact minus-sector solution e^{-i int y} W(t) d0 |lam,+;0> / sqrt(2 lam).
+
+        ``level`` is one index or a sequence of them, ``t`` a scalar or a 1-D
+        array of times; the result has shape ``t.shape + (dim,) + level.shape``.
+        """
+        index = np.asarray(level)
+        levels = [self.levels[i] for i in np.atleast_1d(index)]
+        vm = np.stack([lv.v_minus for lv in levels], axis=1)
+        mus = np.array([lv.mu for lv in levels])
+        ts = np.asarray(t, dtype=float)
+        phases = np.exp(-1j * self.system.y_minus.eigen_phase(mus, ts[..., None]))
+        psi = (self.system.w_minus.value(ts) @ vm) * phases[..., None, :]
+        return psi if index.ndim else psi[..., 0]
 
     def level_for_label(self, mu: float) -> int:
         """Locate a level by its commuting-generator eigenvalue mu."""
@@ -309,14 +352,10 @@ class PartnerOutput:
 
     def identity_defects(self, ts=(0.4, 1.7)) -> dict[str, float]:
         """Residuals of I+(t) = d^dag d / 2 and I-(t) = d d^dag / 2 at samples."""
-        worst_p = worst_m = 0.0
-        for t in ts:
-            dm = self.d(t).entries
-            worst_p = max(worst_p, float(np.linalg.norm(
-                dm.conj().T @ dm / 2 - self.i_plus(t).entries)))
-            worst_m = max(worst_m, float(np.linalg.norm(
-                dm @ dm.conj().T / 2 - self.i_minus(t).entries)))
-        return {"iplus": worst_p, "iminus": worst_m}
+        ts = np.asarray(ts, dtype=float)
+        dm = self.d(ts)
+        return {"iplus": float(np.max(frobenius(dagger(dm) @ dm / 2 - self.i_plus(ts)))),
+                "iminus": float(np.max(frobenius(dm @ dagger(dm) / 2 - self.i_minus(ts))))}
 
 
 def run_prescription(system: SuperSystem) -> PartnerOutput:
@@ -364,6 +403,11 @@ def run_prescription(system: SuperSystem) -> PartnerOutput:
                          kernel_plus, kernel_minus)
 
 
+def _phases_map(phases: Callable[[np.ndarray], np.ndarray]):
+    """Diagonal evolution t -> diag(phases(t)) from (n,) times -> (n, d) phases."""
+    return lambda t: per_time(t, lambda ts: diag_stack(phases(ts)))
+
+
 def spin_supersystem(rep: SpinRep, theta: TimeFunction, phi: TimeFunction,
                      f: TimeFunction, g: TimeFunction | None = None,
                      b: float = 1.0, d0: Operator | None = None) -> SuperSystem:
@@ -377,7 +421,7 @@ def spin_supersystem(rep: SpinRep, theta: TimeFunction, phi: TimeFunction,
     return SuperSystem(
         rep, d0, gauge, y,
         h_plus=lambda t: h_plus_mat,
-        u_plus=lambda t: Operator(np.diag(np.exp(-1j * b * t * m))),
+        u_plus=_phases_map(lambda ts: np.exp(-1j * b * ts[:, None] * m)),
     )
 
 
@@ -394,32 +438,38 @@ def oscillator_supersystem(rep: OscillatorRep, theta: TimeFunction,
     return SuperSystem(
         rep, d0, gauge, y,
         h_plus=lambda t: h_plus_mat,
-        u_plus=lambda t: Operator(np.diag(np.exp(-1j * t * energies))),
+        u_plus=_phases_map(lambda ts: np.exp(-1j * ts[:, None] * energies)),
     )
 
 
-def closed_form_spin_R(f: TimeFunction, theta: TimeFunction, phi: TimeFunction,
-                       t: float) -> tuple[float, float, float]:
-    """Coefficients of H_-(t) over (J1, J2, J3) for Y = f J3 and the su(2) gauge."""
+def _closed_form_R(sin_th, cos_th, f, theta, phi, t):
     th, ph = theta(t), phi(t)
     th_dot, ph_dot = theta.derivative()(t), phi.derivative()(t)
     ft = f(t)
-    r1 = np.sin(th) * np.cos(ph) * (ft - ph_dot) - np.sin(ph) * th_dot
-    r2 = np.sin(th) * np.sin(ph) * (ft - ph_dot) + np.cos(ph) * th_dot
-    r3 = np.cos(th) * (ft - ph_dot) + ph_dot
-    return float(r1), float(r2), float(r3)
+    r1 = sin_th(th) * np.cos(ph) * (ft - ph_dot) - np.sin(ph) * th_dot
+    r2 = sin_th(th) * np.sin(ph) * (ft - ph_dot) + np.cos(ph) * th_dot
+    r3 = cos_th(th) * (ft - ph_dot) + ph_dot
+    if np.ndim(t) == 0:
+        return float(r1), float(r2), float(r3)
+    return r1, r2, r3
 
 
-def closed_form_osc_R(f: TimeFunction, theta: TimeFunction, phi: TimeFunction,
-                      t: float) -> tuple[float, float, float]:
+def closed_form_spin_R(f: TimeFunction, theta: TimeFunction, phi: TimeFunction, t):
+    """Coefficients of H_-(t) over (J1, J2, J3) for Y = f J3 and the su(2) gauge.
+
+    Floats for a scalar t, arrays for an array of times.
+    """
+    return _closed_form_R(np.sin, np.cos, f, theta, phi, t)
+
+
+def closed_form_osc_R(f: TimeFunction, theta: TimeFunction, phi: TimeFunction, t):
     """Coefficients of H_-(t) over (K1, K2, K3); hyperbolic analog of the spin case."""
-    th, ph = theta(t), phi(t)
-    th_dot, ph_dot = theta.derivative()(t), phi.derivative()(t)
-    ft = f(t)
-    r1 = np.sinh(th) * np.cos(ph) * (ft - ph_dot) - np.sin(ph) * th_dot
-    r2 = np.sinh(th) * np.sin(ph) * (ft - ph_dot) + np.cos(ph) * th_dot
-    r3 = np.cosh(th) * (ft - ph_dot) + ph_dot
-    return float(r1), float(r2), float(r3)
+    return _closed_form_R(np.sinh, np.cosh, f, theta, phi, t)
+
+
+def closed_form_operator(r, generators) -> np.ndarray:
+    """sum_i R^i G_i: one matrix for scalar coefficients, a stack for arrays."""
+    return sum(np.multiply.outer(ri, g.entries) for ri, g in zip(r, generators))
 
 
 def precessing_special_case(f: TimeFunction, theta: float, omega: float,
@@ -439,32 +489,13 @@ def precessing_special_case(f: TimeFunction, theta: float, omega: float,
 
 
 def quadrupole_partner(spin: SpinRep, f: TimeFunction, g: TimeFunction,
-                       theta: TimeFunction, phi: TimeFunction, t: float) -> Operator:
+                       theta: TimeFunction, phi: TimeFunction, t):
     """H'_-(t) = sum_i R^i J_i + g(t) (sum_i Rtilde^i J_i)^2 for Y = f J3 + g J3^2."""
-    r1, r2, r3 = closed_form_spin_R(f, theta, phi, t)
-    linear = (r1 * spin.J1.entries + r2 * spin.J2.entries + r3 * spin.J3.entries)
-    th, ph = theta(t), phi(t)
-    tilde = (np.sin(th) * np.cos(ph) * spin.J1.entries
-             + np.sin(th) * np.sin(ph) * spin.J2.entries
-             + np.cos(th) * spin.J3.entries)
-    return Operator(linear + g(t) * (tilde @ tilde))
-
-
-def spin_hamiltonian(rep: SpinRep, f: TimeFunction, theta: TimeFunction,
-                     phi: TimeFunction) -> Callable[[float], Operator]:
-    """Closed-form H_-(t) map over the spin generators."""
-    def h(t: float) -> Operator:
-        r1, r2, r3 = closed_form_spin_R(f, theta, phi, t)
-        return Operator(r1 * rep.J1.entries + r2 * rep.J2.entries
-                        + r3 * rep.J3.entries)
-    return h
-
-
-def oscillator_hamiltonian(rep: OscillatorRep, f: TimeFunction, theta: TimeFunction,
-                           phi: TimeFunction) -> Callable[[float], Operator]:
-    """Closed-form H_-(t) map over the su(1,1) generators."""
-    def h(t: float) -> Operator:
-        r1, r2, r3 = closed_form_osc_R(f, theta, phi, t)
-        return Operator(r1 * rep.K1.entries + r2 * rep.K2.entries
-                        + r3 * rep.K3.entries)
-    return h
+    def stack(ts):
+        generators = (spin.J1, spin.J2, spin.J3)
+        linear = closed_form_operator(closed_form_spin_R(f, theta, phi, ts), generators)
+        th, ph = theta(ts), phi(ts)
+        tilde = closed_form_operator((np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                                      np.cos(th)), generators)
+        return linear + g(ts)[:, None, None] * (tilde @ tilde)
+    return per_time(t, stack)

@@ -6,6 +6,11 @@ The propagator applies the exact exponential of the midpoint Hamiltonian on
 each step: second order in the step, unitary to rounding by construction.
 Unitarity matters more than order here because unitarity defects would
 masquerade as superalgebra violations.
+
+Maps of t (Hamiltonians, invariants, frames) are called with arrays of times
+and return (n, d, d) stacks, or one matrix when they are constant. Grids are
+evaluated chunk by chunk (:func:`susyinv.operators.chunks`); only the product
+of step unitaries runs step by step.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import Operator, expm_i_hermitian, polar_unitary
+from .operators import (Operator, chunks, dagger, expm_i_hermitian, first_true,
+                        frobenius, over_chunks, polar_unitary, unitarity_defect)
 
 FD_STEP = 1e-5
 STEP_NORM_LIMIT = 0.5
@@ -44,6 +50,11 @@ def _mat(x) -> np.ndarray:
     return x.entries if isinstance(x, Operator) else np.asarray(x, dtype=complex)
 
 
+def _stack(m_map: Callable, ts: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """m_map at an array of times as a stack; a constant map's one matrix is broadcast."""
+    return np.broadcast_to(_mat(m_map(ts)).reshape(-1, *shape), (ts.size, *shape))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled states or operators on a time grid, with per-point diagnostics."""
@@ -62,14 +73,20 @@ def _check_grid(times: np.ndarray) -> np.ndarray:
     return times
 
 
-def _step_unitaries(h: Callable[[float], Operator], times: np.ndarray):
-    for k in range(times.size - 1):
-        dt = times[k + 1] - times[k]
-        hm = _mat(h(times[k] + dt / 2))
-        h_norm = float(np.linalg.norm(hm))
-        if h_norm * dt >= STEP_NORM_LIMIT:
-            raise StepSizeError(h_norm, dt)
-        yield expm_i_hermitian(hm, dt)
+def _step_unitaries(h: Callable[[float], Operator], times: np.ndarray, dim: int):
+    """Midpoint step unitaries in order, computed as stacks one chunk at a time.
+
+    Every step is checked; the first with ||H|| dt >= STEP_NORM_LIMIT raises.
+    """
+    dts = np.diff(times)
+    mids = times[:-1] + dts / 2
+    for sl in chunks(mids.size, dim):
+        hm = _stack(h, mids[sl], (dim, dim))
+        h_norms = frobenius(hm)
+        k = first_true(h_norms * dts[sl] >= STEP_NORM_LIMIT)
+        if k is not None:
+            raise StepSizeError(float(h_norms[k]), float(dts[sl][k]))
+        yield from expm_i_hermitian(hm, dts[sl])
 
 
 def propagate(h: Callable[[float], Operator], psi0: np.ndarray,
@@ -81,12 +98,12 @@ def propagate(h: Callable[[float], Operator], psi0: np.ndarray,
     if abs(norm0 - 1.0) > 1e-9:
         raise ValueError(f"initial state must be normalized, got norm {norm0}")
     states = np.empty((times.size, psi.size), dtype=complex)
-    drift = np.empty(times.size)
-    states[0], drift[0] = psi, 0.0
-    for k, u in enumerate(_step_unitaries(h, times)):
+    states[0] = psi
+    for k, u in enumerate(_step_unitaries(h, times, psi.size)):
         psi = u @ psi
         states[k + 1] = psi
-        drift[k + 1] = abs(np.linalg.norm(psi) - norm0)
+    drift = np.abs(np.linalg.norm(states, axis=1) - norm0)
+    drift[0] = 0.0
     return Trajectory(times, states=states, norm_drift=drift)
 
 
@@ -96,46 +113,46 @@ def propagate_unitary(h: Callable[[float], Operator], dim: int,
     times = _check_grid(times)
     u = np.eye(dim, dtype=complex)
     ops = np.empty((times.size, dim, dim), dtype=complex)
-    defects = np.empty(times.size)
-    ops[0], defects[0] = u, 0.0
-    for k, step in enumerate(_step_unitaries(h, times)):
+    ops[0] = u
+    for k, step in enumerate(_step_unitaries(h, times, dim)):
         u = step @ u
         ops[k + 1] = u
-        defects[k + 1] = float(np.linalg.norm(u.conj().T @ u - np.eye(dim)))
+    defects = over_chunks(np.arange(times.size), dim, lambda k: unitarity_defect(ops[k]))
     return Trajectory(times, operators=ops, unitarity_defect=defects)
 
 
+def _project(residual: np.ndarray, projector) -> np.ndarray:
+    if projector is None:
+        return residual
+    p = _mat(projector)
+    return p @ residual @ p
+
+
 def lvn_residual(i_map: Callable[[float], Operator], h_map: Callable[[float], Operator],
-                 t: float, h: float = FD_STEP, i_dot: np.ndarray | None = None,
-                 projector: np.ndarray | None = None) -> float:
+                 t, h: float = FD_STEP, i_dot: np.ndarray | None = None,
+                 projector: np.ndarray | None = None):
     """|| dI/dt - i [I, H] ||, the defining residual of a dynamical invariant.
 
     dI/dt by central difference unless an exact derivative is supplied; pass a
-    projector to restrict the residual to a trusted subspace.
+    projector to restrict the residual to a trusted subspace. A float for a
+    scalar t, one residual per time for an array.
     """
     im, hm = _mat(i_map(t)), _mat(h_map(t))
     if i_dot is None:
         i_dot = (_mat(i_map(t + h)) - _mat(i_map(t - h))) / (2 * h)
-    residual = i_dot - 1j * (im @ hm - hm @ im)
-    if projector is not None:
-        p = _mat(projector)
-        residual = p @ residual @ p
-    return float(np.linalg.norm(residual))
+    return frobenius(_project(i_dot - 1j * (im @ hm - hm @ im), projector))
 
 
 def intertwining_residual(d_map: Callable[[float], Operator],
                           h_plus: Callable[[float], Operator],
                           h_minus: Callable[[float], Operator],
-                          t: float, h: float = FD_STEP,
-                          projector: np.ndarray | None = None) -> float:
+                          t, h: float = FD_STEP,
+                          projector: np.ndarray | None = None):
     """|| i dd/dt - H_- d + d H_+ ||, the operator form of the intertwining relation."""
     d_dot = (_mat(d_map(t + h)) - _mat(d_map(t - h))) / (2 * h)
     dm = _mat(d_map(t))
     residual = 1j * d_dot - _mat(h_minus(t)) @ dm + dm @ _mat(h_plus(t))
-    if projector is not None:
-        p = _mat(projector)
-        residual = p @ residual @ p
-    return float(np.linalg.norm(residual))
+    return frobenius(_project(residual, projector))
 
 
 def _align_frame(raw: np.ndarray, previous: np.ndarray) -> np.ndarray:
@@ -157,9 +174,7 @@ class LevelEvolution:
         return self.u.shape[1]
 
     def unitarity_defect(self) -> float:
-        d = self.degeneracy
-        return max(float(np.linalg.norm(uk.conj().T @ uk - np.eye(d)))
-                   for uk in self.u)
+        return float(np.max(unitarity_defect(self.u)))
 
     def solution(self, a: int) -> np.ndarray:
         """Reconstructed Schrodinger solution sum_b u_ba |lam,b;t> as (nt, dim)."""
@@ -247,7 +262,9 @@ def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int,
 
     ``frame(s)`` must return orthonormal columns spanning the tracked level and
     satisfy frame(period) = frame(0); the discrete product of unitarized
-    overlaps converges to the continuum holonomy as steps grow.
+    overlaps converges to the continuum holonomy as steps grow. It is called
+    with arrays of loop parameters and returns one frame per parameter, or a
+    single frame when it is constant.
     """
     if steps < 2:
         raise ValueError("at least two steps are required")
@@ -260,13 +277,15 @@ def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int,
         raise NonClosedLoopError(
             f"frame is not closed over the loop: ||frame(T) - frame(0)|| = {closure:.3e}")
 
-    d = v0.shape[1]
-    gamma = np.eye(d, dtype=complex)
+    gamma = np.eye(v0.shape[1], dtype=complex)
     prev = v0
-    for k in range(1, steps + 1):
-        cur = v0 if k == steps else np.asarray(frame(period * k / steps),
-                                               dtype=complex).reshape(v0.shape)
+    interior = period * np.arange(1, steps) / steps
+    for sl in chunks(interior.size, v0.shape[0]):
+        cur = _stack(frame, interior[sl], v0.shape)
+        overlaps = polar_unitary(dagger(cur) @ np.concatenate([prev[None], cur[:-1]]))
         # Later times multiply from the left: Gamma = M_{N-1} ... M_0.
-        gamma = polar_unitary(cur.conj().T @ prev) @ gamma
-        prev = cur
+        for m in overlaps:
+            gamma = m @ gamma
+        prev = cur[-1]
+    gamma = polar_unitary(v0.conj().T @ prev) @ gamma
     return HolonomyResult(gamma, steps, label)

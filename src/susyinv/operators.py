@@ -2,6 +2,11 @@
 
 Conventions: the unqualified norm is Frobenius everywhere; eigenvalue
 degeneracies are clustered with an absolute gap of ``1e-8 * max(1, ||A||)``.
+
+Functions of time evaluate on arrays of times as ``(n, d, d)`` stacks, and
+grids are worked through in chunks whose stacks fit in ``CHUNK_BYTES``
+(:func:`chunks`). A scalar time still gives an :class:`Operator`
+(:func:`per_time`).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import scipy.linalg
 
 HERMITICITY_RTOL = 1e-10
 CLUSTER_GAP_SCALE = 1e-8
+CHUNK_BYTES = 256 * 1024   # one complex (n, d, d) stack: 135 points at d = 11, 1 at d = 128
 
 
 class DimensionMismatchError(ValueError):
@@ -132,6 +138,53 @@ def identity(dim: int, grading: tuple[int, int] | None = None) -> Operator:
     return Operator(np.eye(dim, dtype=complex), grading)
 
 
+def chunks(n: int, dim: int) -> list[slice]:
+    """Consecutive slices of range(n) whose (k, dim, dim) complex stacks fit CHUNK_BYTES."""
+    step = max(1, CHUNK_BYTES // (16 * dim * dim))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def over_chunks(times: np.ndarray, dim: int, per_chunk) -> np.ndarray:
+    """Concatenate ``per_chunk(times[chunk])`` over the chunks of ``times``."""
+    return np.concatenate([per_chunk(times[sl]) for sl in chunks(times.size, dim)])
+
+
+def per_time(t, stack):
+    """Evaluate ``stack`` (1-D times -> (n, d, d)) at ``t``.
+
+    A scalar ``t`` gives an :class:`Operator`, an array of times the stack.
+    """
+    ts = np.asarray(t, dtype=float)
+    out = stack(np.atleast_1d(ts))
+    return Operator(out[0]) if ts.ndim == 0 else out
+
+
+def first_true(mask: np.ndarray) -> int | None:
+    """Index of the first True entry of a 1-D mask, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def diag_stack(diagonals: np.ndarray) -> np.ndarray:
+    """(n, d) diagonals -> (n, d, d) complex diagonal matrices."""
+    n, d = diagonals.shape
+    out = np.zeros((n, d, d), dtype=complex)
+    idx = np.arange(d)
+    out[:, idx, idx] = diagonals
+    return out
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def frobenius(m: np.ndarray):
+    """Frobenius norm of a matrix (a float) or of every matrix in a stack."""
+    norms = np.linalg.norm(m, axis=(-2, -1))
+    return float(norms) if np.ndim(norms) == 0 else norms
+
+
 def _mat(a) -> np.ndarray:
     """Accept an Operator or a raw array; return the ndarray."""
     return a.entries if isinstance(a, Operator) else np.asarray(a, dtype=complex)
@@ -162,10 +215,15 @@ def expm(a: Operator) -> Operator:
                     a.grading if isinstance(a, Operator) else None)
 
 
-def unitarity_defect(u: Operator) -> float:
-    """Frobenius norm of U^dag U - 1."""
+def unitarity_defect(u: Operator):
+    """Frobenius norm of U^dag U - 1, per matrix for a stack."""
     m = _mat(u)
-    return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
+    return frobenius(dagger(m) @ m - np.eye(m.shape[-1]))
+
+
+def hermiticity_defect(h: np.ndarray):
+    """Frobenius norm of H - H^dag, per matrix for a stack."""
+    return frobenius(h - dagger(h))
 
 
 def cluster_indices(values: np.ndarray, gap: float) -> tuple[tuple[int, ...], ...]:
@@ -193,7 +251,7 @@ class EigenSystem:
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def group_values(self) -> np.ndarray:
         """Representative (mean) eigenvalue per degeneracy group."""
@@ -203,31 +261,42 @@ class EigenSystem:
 def eigh(a: Operator, cluster_scale: float = CLUSTER_GAP_SCALE) -> EigenSystem:
     """Hermitian eigendecomposition with degeneracy clustering.
 
-    Rejects inputs whose relative Hermiticity defect exceeds ``1e-10``.
+    Rejects inputs whose relative Hermiticity defect exceeds ``1e-10``. An
+    (n, d, d) stack is checked matrix by matrix and gives stacked values and
+    vectors with no degeneracy groups.
     """
     m = _mat(a)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    defect = float(np.linalg.norm(m - m.conj().T))
-    if defect > HERMITICITY_RTOL * scale:
-        raise NonHermitianError(defect / scale)
+    scale = np.maximum(1.0, frobenius(m))
+    relative = np.atleast_1d(hermiticity_defect(m) / scale)
+    k = first_true(relative > HERMITICITY_RTOL)
+    if k is not None:
+        raise NonHermitianError(float(relative[k]))
     values, vectors = np.linalg.eigh(m)
-    groups = cluster_indices(values, cluster_scale * scale)
+    groups = cluster_indices(values, cluster_scale * scale) if m.ndim == 2 else ()
     return EigenSystem(values, vectors, groups)
 
 
 def polar_unitary(m: np.ndarray) -> np.ndarray:
-    """Unitary factor of the polar decomposition M = U P (via SVD)."""
+    """Unitary factor of the polar decomposition M = U P (via SVD), per matrix for a stack."""
     u, _, vh = np.linalg.svd(np.asarray(m, dtype=complex))
     return u @ vh
 
 
-def expm_i_hermitian(h: np.ndarray, tau: float) -> np.ndarray:
+def expm_i_hermitian(h: np.ndarray, tau) -> np.ndarray:
     """exp(-1j * tau * H) for Hermitian H, unitary to rounding.
 
-    Uses the spectral decomposition; diagonal H short-circuits to phases.
+    ``h`` is one matrix or an (n, d, d) stack with one ``tau`` per matrix.
+    Uses the spectral decomposition; diagonal matrices short-circuit to phases.
     """
     h = np.asarray(h, dtype=complex)
-    if not np.any(h[~np.eye(h.shape[0], dtype=bool)]):
-        return np.diag(np.exp(-1j * tau * np.real(np.diag(h))))
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * tau * w)) @ v.conj().T
+    stack = h.reshape(-1, *h.shape[-2:])
+    taus = np.broadcast_to(np.asarray(tau, dtype=float), stack.shape[:1])[:, None]
+    diagonal = ~np.any(stack[:, ~np.eye(h.shape[-1], dtype=bool)], axis=1)
+    if diagonal.all():
+        out = diag_stack(np.exp(-1j * taus * np.real(np.diagonal(stack, axis1=1, axis2=2))))
+    else:
+        w, v = np.linalg.eigh(stack)
+        out = (v * np.exp(-1j * taus * w)[:, None, :]) @ dagger(v)
+        if diagonal.any():
+            out[diagonal] = expm_i_hermitian(stack[diagonal], taus[diagonal, 0])
+    return out.reshape(h.shape)

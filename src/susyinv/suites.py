@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .construction import (closed_form_osc_R, closed_form_spin_R,
-                           hamiltonian_from_gauge, oscillator_supersystem,
-                           quadrupole_partner, run_prescription,
+from .construction import (PartnerOutput, closed_form_operator, closed_form_osc_R,
+                           closed_form_spin_R, hamiltonian_from_gauge,
+                           oscillator_supersystem, quadrupole_partner, run_prescription,
                            spin_supersystem)
 from .dynamics import intertwining_residual, lvn_residual, propagate_unitary
-from .operators import unitarity_defect
+from .operators import dagger, frobenius, over_chunks, unitarity_defect
 from .representations import OscillatorRep, SpinRep
 from .susy import build_invariant, build_supercharge, check_superalgebra, pair_spectra
 
@@ -43,7 +43,8 @@ def _sample_times(cfg: RunConfig, count: int = 9) -> np.ndarray:
     return np.linspace(0.0, cfg.t_final, count + 1)[1:]
 
 
-def _build_system(cfg: RunConfig):
+def build_system(cfg: RunConfig) -> tuple[SpinRep | OscillatorRep, PartnerOutput]:
+    """The configured representation and the prescription's output on it."""
     rep = cfg.make_rep()
     d0 = cfg.d0_for(rep)
     if cfg.family == "spin":
@@ -51,6 +52,11 @@ def _build_system(cfg: RunConfig):
     else:
         system = oscillator_supersystem(rep, cfg.theta, cfg.phi, cfg.f, d0=d0)
     return rep, run_prescription(system)
+
+
+def _worst(times: np.ndarray, dim: int, residuals) -> float:
+    """Largest of ``residuals`` evaluated over the chunks of ``times``."""
+    return float(np.max(over_chunks(times, dim, residuals)))
 
 
 def _tols(cfg: RunConfig, scale: float) -> dict[str, float]:
@@ -62,6 +68,10 @@ def _projector(rep) -> np.ndarray | None:
     if isinstance(rep, OscillatorRep):
         return rep.projector_interior.entries
     return None
+
+
+def _project(m: np.ndarray, proj: np.ndarray | None) -> np.ndarray:
+    return m if proj is None else proj @ m @ proj
 
 
 def _suite_superalgebra(cfg, rep, out, tol) -> CheckResult:
@@ -98,31 +108,30 @@ def _suite_pairing(cfg, rep, out, tol) -> CheckResult:
 def _suite_gauge(cfg, rep, out, tol) -> CheckResult:
     """Closed-form coefficients against the independent matrix gauge route."""
     proj = _projector(rep)
-    worst = 0.0
-    for t in _sample_times(cfg):
-        h_gauge = hamiltonian_from_gauge(out.system.w_minus, out.system.y_minus, t)
+
+    def residuals(ts):
+        h_gauge = hamiltonian_from_gauge(out.system.w_minus, out.system.y_minus, ts)
         if isinstance(rep, SpinRep):
             if cfg.g is not None:
-                h_closed = quadrupole_partner(rep, cfg.f, cfg.g, cfg.theta, cfg.phi, t)
+                h_closed = quadrupole_partner(rep, cfg.f, cfg.g, cfg.theta, cfg.phi, ts)
             else:
-                r = closed_form_spin_R(cfg.f, cfg.theta, cfg.phi, t)
-                h_closed = r[0] * rep.J1 + r[1] * rep.J2 + r[2] * rep.J3
+                h_closed = closed_form_operator(
+                    closed_form_spin_R(cfg.f, cfg.theta, cfg.phi, ts),
+                    (rep.J1, rep.J2, rep.J3))
         else:
-            r = closed_form_osc_R(cfg.f, cfg.theta, cfg.phi, t)
-            h_closed = r[0] * rep.K1 + r[1] * rep.K2 + r[2] * rep.K3
-        diff = h_gauge.entries - h_closed.entries
-        if proj is not None:
-            diff = proj @ diff @ proj
-        worst = max(worst, float(np.linalg.norm(diff)))
+            h_closed = closed_form_operator(
+                closed_form_osc_R(cfg.f, cfg.theta, cfg.phi, ts), (rep.K1, rep.K2, rep.K3))
+        return frobenius(_project(h_gauge - h_closed, proj))
+
+    worst = _worst(_sample_times(cfg), rep.dim, residuals)
     return CheckResult("gauge", worst, tol, worst < tol)
 
 
 def _suite_lvn(cfg, rep, out, tol, wrong_h: bool = False) -> CheckResult:
     proj = _projector(rep)
     h_map = out.system.h_plus if wrong_h else out.h_minus
-    worst = 0.0
-    for t in _sample_times(cfg):
-        worst = max(worst, lvn_residual(out.i_minus, h_map, t, projector=proj))
+    worst = _worst(_sample_times(cfg), rep.dim,
+                       lambda ts: lvn_residual(out.i_minus, h_map, ts, projector=proj))
     name = "lvn_wrong_h" if wrong_h else "lvn"
     return CheckResult(name, worst, tol, worst < tol)
 
@@ -131,14 +140,13 @@ def _suite_unitarity(cfg, rep, out, tol) -> CheckResult:
     """U_-(t) unitarity and the invariant transport U I(0) U^dag = I(t)."""
     proj = _projector(rep)
     i0 = out.i_minus(0.0).entries
-    worst = 0.0
-    for t in _sample_times(cfg):
-        worst = max(worst, unitarity_defect(out.u_minus(t).entries))
-        u = out.propagator_minus(t).entries
-        diff = u @ i0 @ u.conj().T - out.i_minus(t).entries
-        if proj is not None:
-            diff = proj @ diff @ proj
-        worst = max(worst, float(np.linalg.norm(diff)))
+
+    def residuals(ts):
+        u = out.propagator_minus(ts)
+        transport = frobenius(_project(u @ i0 @ dagger(u) - out.i_minus(ts), proj))
+        return np.maximum(unitarity_defect(out.u_minus(ts)), transport)
+
+    worst = _worst(_sample_times(cfg), rep.dim, residuals)
     return CheckResult("unitarity", worst, tol, worst < tol)
 
 
@@ -164,54 +172,52 @@ def _suite_intertwining(cfg, rep, out, lvn_tol) -> CheckResult:
 
 def _suite_solutions(cfg, rep, out, tol) -> CheckResult:
     """Mapped solutions satisfy the minus-sector Schrodinger equation and match
-    numerical propagation from the same initial states."""
-    proj = _projector(rep)
+    numerical propagation from the same initial states.
+
+    Each check time is evaluated once for all levels, as one (dim, levels) matrix.
+    """
+    levels = [k for k, lv in enumerate(out.levels) if not isinstance(rep, OscillatorRep)
+              or 0 <= round(2 * lv.mu - 1.5) <= rep.N - rep.buffer - 2]
     grid = cfg.grid()
     traj = propagate_unitary(out.h_minus, out.system.d0.dim, grid)
-    worst = 0.0
+    if not levels:
+        return CheckResult("solutions", 0.0, tol, True)
+    proj = _projector(rep)
     h_fd = 1e-6
-    check_times = _sample_times(cfg, count=5)
-    for level in range(len(out.levels)):
-        if isinstance(rep, OscillatorRep):
-            n = round(2 * out.levels[level].mu - 1.5)
-            if not 0 <= n <= rep.N - rep.buffer - 2:
-                continue
-        psi0 = out.mapped_solution(level, 0.0)
-        # Finite-difference Schrodinger residual of the closed form.
-        for t in check_times:
-            dpsi = (out.mapped_solution(level, t + h_fd)
-                    - out.mapped_solution(level, t - h_fd)) / (2 * h_fd)
-            res = 1j * dpsi - out.h_minus(t).entries @ out.mapped_solution(level, t)
-            if proj is not None:
-                res = proj @ res
-            worst = max(worst, float(np.linalg.norm(res)))
-        # Infidelity against midpoint-exponential propagation.
-        for k in (grid.size // 2, grid.size - 1):
-            numeric = traj.operators[k] @ psi0
-            infid = 1.0 - abs(np.vdot(out.mapped_solution(level, grid[k]), numeric))
-            worst = max(worst, float(infid))
+
+    def schrodinger_residuals(ts):
+        # Finite-difference Schrodinger residual of the closed form, per level.
+        dpsi = (out.mapped_solution(levels, ts + h_fd)
+                - out.mapped_solution(levels, ts - h_fd)) / (2 * h_fd)
+        res = 1j * dpsi - out.h_minus(ts) @ out.mapped_solution(levels, ts)
+        return np.linalg.norm(res if proj is None else proj @ res, axis=-2)
+
+    worst = _worst(_sample_times(cfg, count=5), rep.dim, schrodinger_residuals)
+    # Infidelity against midpoint-exponential propagation.
+    ks = [grid.size // 2, grid.size - 1]
+    numeric = traj.operators[ks] @ out.mapped_solution(levels, 0.0)
+    overlaps = np.sum(out.mapped_solution(levels, grid[ks]).conj() * numeric, axis=1)
+    worst = max(worst, float(np.max(1.0 - np.abs(overlaps))))
     return CheckResult("solutions", worst, tol, worst < tol)
 
 
+# Suite name -> (suite, key of its tolerance).
+SUITES = {
+    "superalgebra": (_suite_superalgebra, "superalgebra"),
+    "pairing": (_suite_pairing, "pairing"),
+    "gauge": (_suite_gauge, "gauge"),
+    "lvn": (_suite_lvn, "lvn"),
+    "unitarity": (_suite_unitarity, "unitarity"),
+    "intertwining": (_suite_intertwining, "lvn"),
+    "solutions": (_suite_solutions, "solutions"),
+}
+
+
 def run_suites(cfg: RunConfig, tolerance_scale: float = 1.0) -> list[CheckResult]:
-    rep, out = _build_system(cfg)
+    rep, out = build_system(cfg)
     tols = _tols(cfg, tolerance_scale)
-    results: list[CheckResult] = []
-    for name in cfg.suites:
-        if name == "superalgebra":
-            results.append(_suite_superalgebra(cfg, rep, out, tols["superalgebra"]))
-        elif name == "pairing":
-            results.append(_suite_pairing(cfg, rep, out, tols["pairing"]))
-        elif name == "gauge":
-            results.append(_suite_gauge(cfg, rep, out, tols["gauge"]))
-        elif name == "lvn":
-            results.append(_suite_lvn(cfg, rep, out, tols["lvn"]))
-        elif name == "unitarity":
-            results.append(_suite_unitarity(cfg, rep, out, tols["unitarity"]))
-        elif name == "intertwining":
-            results.append(_suite_intertwining(cfg, rep, out, tols["lvn"]))
-        elif name == "solutions":
-            results.append(_suite_solutions(cfg, rep, out, tols["solutions"]))
+    results = [suite(cfg, rep, out, tols[key])
+               for suite, key in (SUITES[name] for name in cfg.suites)]
     if cfg.cross_check_wrong_h:
         results.append(_suite_lvn(cfg, rep, out, tols["lvn"], wrong_h=True))
     return results

@@ -251,7 +251,7 @@ def test_criterion_9_holonomy():
     worst_delta = worst_unit = 0.0
     for group in es0.degeneracy_groups:
         v0 = es0.vectors[:, list(group)]
-        frame = lambda s, v0=v0: out.system.w_minus.value(s).entries @ v0
+        frame = lambda s, v0=v0: out.system.w_minus.value(s) @ v0
         coarse = berry_holonomy(frame, 2000)
         fine = berry_holonomy(frame, 4000)
         worst_delta = max(worst_delta,

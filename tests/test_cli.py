@@ -262,6 +262,18 @@ class TestD0File:
         assert worst < 1e-6
 
 
+class TestStepTooLarge:
+    @pytest.mark.parametrize("command", ["propagate", "verify"])
+    def test_exit_2_with_one_line(self, tmp_path, config_dir, capsys, command):
+        text = (config_dir / "spin_default.ini").read_text()
+        cfg = tmp_path / "coarse.ini"
+        cfg.write_text(text.replace("dt = 0.001", "dt = 1.0"))
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: step too large: ||H||*dt = 1 >= 0.5")
+        assert err.count("\n") == 1
+
+
 class TestLevelAndFamilyGuards:
     def test_oscillator_quadratic_y_rejected(self, tmp_path, config_dir):
         text = (config_dir / "oscillator_default.ini").read_text()

@@ -8,7 +8,7 @@ from susyinv.construction import (ExplicitY, GaugeCurve, NonCommutingYError, YSp
                                   oscillator_supersystem, precessing_special_case,
                                   quadrupole_partner, run_prescription,
                                   spin_supersystem)
-from susyinv.operators import unitarity_defect
+from susyinv.operators import NonHermitianError, unitarity_defect
 from susyinv.representations import make_oscillator, make_spin
 
 
@@ -118,6 +118,37 @@ class TestHamiltonianFromGauge:
         y = YSpec(make_spin(0.5).J3, tf.const(1.0))
         with pytest.raises(ValueError):
             hamiltonian_from_gauge(gauge, y, 0.5)
+
+    def test_non_unitary_at_one_interior_grid_point_rejected(self):
+        # The guard holds at every point of a stacked grid, not at samples.
+        times = np.linspace(0.0, 2.0, 2001)
+        bad = times[1234]
+        gauge = GaugeCurve.explicit(lambda t: 2.0 * np.eye(2) if t == bad else np.eye(2))
+        y = YSpec(make_spin(0.5).J3, tf.const(1.0))
+        assert hamiltonian_from_gauge(gauge, y, np.delete(times, 1234)).shape == (2000, 2, 2)
+        with pytest.raises(ValueError, match=f"not unitary at t={bad}:"):
+            hamiltonian_from_gauge(gauge, y, times)
+
+    def test_non_hermitian_at_one_grid_point_rejected(self, spin_setup):
+        spin, theta, phi, f = spin_setup
+        gauge = GaugeCurve.spin(spin, theta, phi)
+        times = np.linspace(0.0, 2.0, 2001)
+        bad = times[777]
+        skew = np.triu(np.ones((3, 3)), 1)
+        y = ExplicitY(lambda t: spin.J3.entries + (1e-3 * skew if t == bad else 0.0))
+        with pytest.raises(NonHermitianError):
+            hamiltonian_from_gauge(gauge, y, times)
+        assert hamiltonian_from_gauge(gauge, y, np.delete(times, 777)).shape == (2000, 3, 3)
+
+    def test_array_matches_scalar_calls(self, spin_setup):
+        spin, theta, phi, f = spin_setup
+        gauge = GaugeCurve.spin(spin, theta, phi)
+        y = YSpec(spin.J3, f, tf.parse("0.2*t"))
+        times = np.linspace(0.0, 3.0, 7)
+        stack = hamiltonian_from_gauge(gauge, y, times)
+        for t, h in zip(times, stack):
+            assert np.allclose(h, hamiltonian_from_gauge(gauge, y, t).entries,
+                               rtol=0, atol=1e-14)
 
     def test_explicit_y(self, spin_setup):
         spin, theta, phi, f = spin_setup

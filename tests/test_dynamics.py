@@ -76,6 +76,19 @@ class TestPropagate:
             propagate(lambda t: h, spin.basis_state(0.5), grid(1.0, 0.1))
         assert err.value.suggested_dt < 0.01
 
+    def test_step_size_first_offending_step(self):
+        # Dim 32 splits the 2 001-point grid into chunks of 16 steps; ||H|| dt
+        # first reaches the limit at the midpoint 1.2005 and keeps growing.
+        spin = make_spin(15.5)
+        j3 = spin.J3.entries
+        h = lambda t: np.multiply.outer(np.where(t > 1.2, 10.0 * t, 1.0), j3)
+        with pytest.raises(StepSizeError) as err:
+            propagate(h, spin.basis_state(0.5), grid(2.0, 1e-3))
+        expected = StepSizeError(float(np.linalg.norm(12.005 * j3)), 1e-3)
+        assert str(err.value) == str(expected)
+        assert str(err.value).startswith("step too large: ||H||*dt = 0.627 >= 0.5 (try dt <=")
+        assert err.value.suggested_dt == pytest.approx(expected.suggested_dt, rel=1e-12)
+
     def test_unnormalized_state_rejected(self):
         spin = make_spin(0.5)
         with pytest.raises(ValueError):
@@ -204,7 +217,7 @@ class TestBerryHolonomy:
             spin, tf.const(theta0), tf.linear(2 * np.pi), tf.const(0.5)))
         es0 = eigh(out.iminus_ref)
         v0 = es0.vectors[:, list(es0.degeneracy_groups[1])]
-        frame = lambda s: out.system.w_minus.value(s).entries @ v0
+        frame = lambda s: out.system.w_minus.value(s) @ v0
         res = berry_holonomy(frame, 400)
         fine = berry_holonomy(frame, 4000)
         expected = np.exp(-1j * np.pi * (1 - np.cos(theta0)))
@@ -218,7 +231,7 @@ class TestBerryHolonomy:
             spin, tf.const(np.pi / 3), tf.linear(2 * np.pi), tf.const(0.5)))
         es0 = eigh(out.iminus_ref)
         v0 = es0.vectors[:, list(es0.degeneracy_groups[-1])]
-        frame = lambda s: out.system.w_minus.value(s).entries @ v0
+        frame = lambda s: out.system.w_minus.value(s) @ v0
         reverse = lambda s: frame(1.0 - s)
         forward = berry_holonomy(frame, 800).gamma
         backward = berry_holonomy(reverse, 800).gamma
@@ -231,7 +244,7 @@ class TestBerryHolonomy:
             spin, tf.const(np.pi / 3), tf.linear(2 * np.pi), tf.const(0.5)))
         es0 = eigh(out.iminus_ref)
         v0 = es0.vectors[:, list(es0.degeneracy_groups[-1])]
-        frame = lambda s: out.system.w_minus.value(s).entries @ v0
+        frame = lambda s: out.system.w_minus.value(s) @ v0
         rng = np.random.default_rng(2)
         g = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
         rotated = lambda s: frame(s) @ g
@@ -246,7 +259,7 @@ class TestBerryHolonomy:
         w = run_prescription(spin_supersystem(
             spin, tf.const(0.4), tf.linear(1.0), tf.const(0.0))).system.w_minus
         v0 = np.eye(2)[:, :1]
-        frame = lambda s: w.value(s).entries @ v0  # phi ends at 1 rad, not 2 pi
+        frame = lambda s: w.value(s) @ v0  # phi ends at 1 rad, not 2 pi
         with pytest.raises(NonClosedLoopError):
             berry_holonomy(frame, 100)
 

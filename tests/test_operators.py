@@ -180,6 +180,14 @@ class TestEigh:
         assert err.value.defect > 0.1
 
 
+def test_eigh_stack_rejects_one_non_hermitian_matrix():
+    stack = np.tile(make_spin(1).J1.entries, (50, 1, 1))
+    assert eigh(stack).values.shape == (50, 3)
+    stack[31, 0, 2] += 1e-3
+    with pytest.raises(NonHermitianError):
+        eigh(stack)
+
+
 class TestUnitarityDefect:
     def test_identity(self):
         assert unitarity_defect(identity(5)) == 0.0
