@@ -48,7 +48,9 @@ def _stack_of(fn: Callable[[float], np.ndarray], ts: np.ndarray) -> np.ndarray:
 
 def _sandwich(e: np.ndarray, m: np.ndarray) -> np.ndarray:
     """diag(e) M diag(e)^* for (n, d) diagonals and an (n, d, d) stack."""
-    return e[:, :, None] * m * np.conj(e)[:, None, :]
+    out = e[:, :, None] * m
+    out *= np.conj(e)[:, None, :]
+    return out
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .operators import (Operator, chunks, dagger, expm_i_hermitian, first_true,
-                        frobenius, over_chunks, polar_unitary, unitarity_defect)
+                        frobenius, over_chunks, polar_unitary, project, unitarity_defect)
 
 FD_STEP = 1e-5
 STEP_NORM_LIMIT = 0.5
@@ -121,13 +121,6 @@ def propagate_unitary(h: Callable[[float], Operator], dim: int,
     return Trajectory(times, operators=ops, unitarity_defect=defects)
 
 
-def _project(residual: np.ndarray, projector) -> np.ndarray:
-    if projector is None:
-        return residual
-    p = _mat(projector)
-    return p @ residual @ p
-
-
 def lvn_residual(i_map: Callable[[float], Operator], h_map: Callable[[float], Operator],
                  t, h: float = FD_STEP, i_dot: np.ndarray | None = None,
                  projector: np.ndarray | None = None):
@@ -140,7 +133,7 @@ def lvn_residual(i_map: Callable[[float], Operator], h_map: Callable[[float], Op
     im, hm = _mat(i_map(t)), _mat(h_map(t))
     if i_dot is None:
         i_dot = (_mat(i_map(t + h)) - _mat(i_map(t - h))) / (2 * h)
-    return frobenius(_project(i_dot - 1j * (im @ hm - hm @ im), projector))
+    return frobenius(project(i_dot - 1j * (im @ hm - hm @ im), projector))
 
 
 def intertwining_residual(d_map: Callable[[float], Operator],
@@ -152,7 +145,7 @@ def intertwining_residual(d_map: Callable[[float], Operator],
     d_dot = (_mat(d_map(t + h)) - _mat(d_map(t - h))) / (2 * h)
     dm = _mat(d_map(t))
     residual = 1j * d_dot - _mat(h_minus(t)) @ dm + dm @ _mat(h_plus(t))
-    return frobenius(_project(residual, projector))
+    return frobenius(project(residual, projector))
 
 
 def _align_frame(raw: np.ndarray, previous: np.ndarray) -> np.ndarray:

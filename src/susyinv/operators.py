@@ -221,6 +221,14 @@ def unitarity_defect(u: Operator):
     return frobenius(dagger(m) @ m - np.eye(m.shape[-1]))
 
 
+def project(m: np.ndarray, projector) -> np.ndarray:
+    """P M P for a projector (an Operator or an array), or M when it is None."""
+    if projector is None:
+        return m
+    p = _mat(projector)
+    return p @ m @ p
+
+
 def hermiticity_defect(h: np.ndarray):
     """Frobenius norm of H - H^dag, per matrix for a stack."""
     return frobenius(h - dagger(h))

@@ -18,7 +18,7 @@ from .construction import (PartnerOutput, closed_form_operator, closed_form_osc_
                            oscillator_supersystem, quadrupole_partner, run_prescription,
                            spin_supersystem)
 from .dynamics import intertwining_residual, lvn_residual, propagate_unitary
-from .operators import dagger, frobenius, over_chunks, unitarity_defect
+from .operators import dagger, frobenius, over_chunks, project, unitarity_defect
 from .representations import OscillatorRep, SpinRep
 from .susy import build_invariant, build_supercharge, check_superalgebra, pair_spectra
 
@@ -70,10 +70,6 @@ def _projector(rep) -> np.ndarray | None:
     return None
 
 
-def _project(m: np.ndarray, proj: np.ndarray | None) -> np.ndarray:
-    return m if proj is None else proj @ m @ proj
-
-
 def _suite_superalgebra(cfg, rep, out, tol) -> CheckResult:
     q = build_supercharge(out.system.d0)
     inv = build_invariant(q)
@@ -121,7 +117,7 @@ def _suite_gauge(cfg, rep, out, tol) -> CheckResult:
         else:
             h_closed = closed_form_operator(
                 closed_form_osc_R(cfg.f, cfg.theta, cfg.phi, ts), (rep.K1, rep.K2, rep.K3))
-        return frobenius(_project(h_gauge - h_closed, proj))
+        return frobenius(project(h_gauge - h_closed, proj))
 
     worst = _worst(_sample_times(cfg), rep.dim, residuals)
     return CheckResult("gauge", worst, tol, worst < tol)
@@ -143,7 +139,7 @@ def _suite_unitarity(cfg, rep, out, tol) -> CheckResult:
 
     def residuals(ts):
         u = out.propagator_minus(ts)
-        transport = frobenius(_project(u @ i0 @ dagger(u) - out.i_minus(ts), proj))
+        transport = frobenius(project(u @ i0 @ dagger(u) - out.i_minus(ts), proj))
         return np.maximum(unitarity_defect(out.u_minus(ts)), transport)
 
     worst = _worst(_sample_times(cfg), rep.dim, residuals)
