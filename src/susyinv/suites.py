@@ -127,7 +127,7 @@ def _suite_lvn(cfg, rep, out, tol, wrong_h: bool = False) -> CheckResult:
     proj = _projector(rep)
     h_map = out.system.h_plus if wrong_h else out.h_minus
     worst = _worst(_sample_times(cfg), rep.dim,
-                       lambda ts: lvn_residual(out.i_minus, h_map, ts, projector=proj))
+                   lambda ts: lvn_residual(out.i_minus, h_map, ts, projector=proj))
     name = "lvn_wrong_h" if wrong_h else "lvn"
     return CheckResult(name, worst, tol, worst < tol)
 
