@@ -41,7 +41,8 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Compact, key-sorted JSON: without ``indent`` json uses its C encoder."""
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _complex_payload(m: np.ndarray) -> dict:

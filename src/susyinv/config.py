@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import timefunc
 from .operators import Operator
-from .representations import OscillatorRep, SpinRep, default_buffer, make_oscillator, make_spin
+from .representations import (OscillatorRep, SpinRep, check_half_integer, check_truncation,
+                              default_buffer, make_oscillator, make_spin)
 
 KNOWN_SUITES = ("superalgebra", "pairing", "gauge", "lvn", "unitarity",
                 "intertwining", "solutions")
@@ -61,7 +62,6 @@ class RunConfig:
     propagate_level: str
     sweep_key: str | None
     sweep_values: tuple[str, ...]
-    raw: dict = field(default_factory=dict, repr=False)
 
     def make_rep(self) -> SpinRep | OscillatorRep:
         if self.family == "spin":
@@ -92,6 +92,13 @@ def _parse_timefunc(section: str, key: str, text: str) -> timefunc.TimeFunction:
         return timefunc.parse(text)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from exc
+
+
+def _int(section: str, key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {text!r} is not an integer") from exc
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str,
@@ -128,13 +135,18 @@ def load_config(path: str | Path) -> RunConfig:
                 j = float(j_text)
         except Exception as exc:
             raise ConfigError(f"[system] j = {j_text!r} is not a number") from exc
-    else:
         try:
-            n = int(_get(cp, "system", "n", required=True))
-        except ValueError as exc:
-            raise ConfigError("[system] n must be an integer") from exc
+            check_half_integer(j)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"[system] j = {j_text!r}: {exc}") from exc
+    else:
+        n = _int("system", "n", _get(cp, "system", "n", required=True))
         buf_text = _get(cp, "system", "buffer")
-        buffer = int(buf_text) if buf_text else default_buffer(n)
+        buffer = _int("system", "buffer", buf_text) if buf_text else default_buffer(n)
+        try:
+            check_truncation(n, buffer)
+        except ValueError as exc:
+            raise ConfigError(f"[system] n = {n}, buffer = {buffer}: {exc}") from exc
 
     try:
         b = float(_get(cp, "system", "b", default="1.0"))
@@ -180,7 +192,9 @@ def load_config(path: str | Path) -> RunConfig:
     if bad:
         raise ConfigError(f"[output] formats must be within csv, json; got {bad}")
 
-    phase_steps = int(_get(cp, "phase", "steps", default="2000"))
+    phase_steps = _int("phase", "steps", _get(cp, "phase", "steps", default="2000"))
+    if phase_steps < 2:
+        raise ConfigError(f"[phase] steps must be at least 2, got {phase_steps}")
     phase_reverse = (_get(cp, "phase", "reverse", default="false") or "").lower() \
         in ("1", "true", "yes", "on")
     propagate_level = _get(cp, "propagate", "level", default="auto")
@@ -191,7 +205,6 @@ def load_config(path: str | Path) -> RunConfig:
     if sweep_key is not None and "." not in sweep_key:
         raise ConfigError("[sweep] key must look like section.option, e.g. y.f")
 
-    raw = {s: dict(cp.items(s)) for s in cp.sections()}
     return RunConfig(family, j, n, buffer, b, theta, phi, f, g, d0_named, d0_file,
                      t_final, dt, suites, cross, out_dir, formats, phase_steps,
-                     phase_reverse, propagate_level, sweep_key, sweep_values, raw)
+                     phase_reverse, propagate_level, sweep_key, sweep_values)

@@ -125,22 +125,28 @@ class GaugeCurve:
         """W(t): an Operator for a scalar t, an (n, d, d) stack for an array."""
         return per_time(t, self._values)
 
-    def _derivatives(self, t: np.ndarray) -> np.ndarray:
+    def _derivatives(self, t: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
         if self.kind == "explicit":
             h = self.fd_step * np.maximum(1.0, np.abs(t))
             return (self._values(t + h) - self._values(t - h)) / (2 * h)[:, None, None]
         e1, e2_phases = self._factors(t)
         d3 = self._d3_diag
-        w = _sandwich(e1, self._in_d2_basis(e2_phases))
+        if w is None:
+            w = _sandwich(e1, self._in_d2_basis(e2_phases))
         # d/dt of each factor, assembled by the product rule.
         d2e2 = self._in_d2_basis(self._d2_eig[0] * e2_phases)
         term_phi = -1j * self._phi_dot(t)[:, None, None] * (d3[:, None] * w - w * d3[None, :])
         term_theta = -1j * self._theta_dot(t)[:, None, None] * _sandwich(e1, d2e2)
         return term_phi + term_theta
 
-    def derivative(self, t):
-        """dW/dt; exact chain rule for closed-form kinds, central FD for explicit."""
-        return per_time(t, self._derivatives)
+    def derivative(self, t, w: np.ndarray | None = None):
+        """dW/dt; exact chain rule for closed-form kinds, central FD for explicit.
+
+        ``w`` is an optional (n, d, d) stack of W at the times of an array
+        ``t``; a caller that already holds it spares the closed-form kinds
+        rebuilding it.
+        """
+        return per_time(t, lambda ts: self._derivatives(ts, w))
 
     def identity_start_defect(self) -> float:
         """||W(0) - 1||; zero is required by the pairing prescription but the
@@ -227,7 +233,9 @@ def hamiltonian_from_gauge(w: GaugeCurve, y: YSpec | ExplicitY, t):
     """H(t) = W Y W^dag - i W dW^dag/dt; Hermitian up to the kind's tolerance.
 
     The unitarity and Hermiticity guards hold at every time of an array; the
-    first time that breaks one raises.
+    first time that breaks one raises. W is built once per chunk and handed
+    to the exact derivative, and H is assembled as W (Y W^dag - i dW^dag/dt)
+    with one matmul.
     """
     def stack(ts: np.ndarray) -> np.ndarray:
         wm = w.value(ts)
@@ -236,9 +244,11 @@ def hamiltonian_from_gauge(w: GaugeCurve, y: YSpec | ExplicitY, t):
         if k is not None:
             raise ValueError(f"gauge curve is not unitary at t={float(ts[k])}: "
                              f"defect {u_defect[k]:.3e}")
-        wd = w.derivative(ts)
-        wy = wm * y.diagonal(ts)[:, None, :] if isinstance(y, YSpec) else wm @ y.value(ts)
-        h = wy @ dagger(wm) - 1j * (wm @ dagger(wd))
+        wd = w.derivative(ts, wm)
+        wm_dag = dagger(wm)
+        y_wdag = y.diagonal(ts)[:, :, None] * wm_dag if isinstance(y, YSpec) \
+            else y.value(ts) @ wm_dag
+        h = wm @ (y_wdag - 1j * dagger(wd))
         defect = hermiticity_defect(h)
         k = first_true(defect > HERMITICITY_TOL[w.kind] * np.maximum(1.0, frobenius(h)))
         if k is not None:

@@ -15,7 +15,7 @@ import numpy as np
 from .operators import Operator
 
 
-def _check_half_integer(j: float) -> int:
+def check_half_integer(j: float) -> int:
     two_j = round(2 * j)
     if two_j < 0 or abs(2 * j - two_j) > 1e-12:
         raise ValueError(f"j must be a nonnegative half-integer, got {j}")
@@ -54,7 +54,7 @@ class SpinRep:
 def make_spin(j: float) -> SpinRep:
     """Build the spin-j representation; raising acts as
     J+|j,m> = sqrt((j-m)(j+m+1)) |j,m+1>."""
-    two_j = _check_half_integer(j)
+    two_j = check_half_integer(j)
     j = two_j / 2
     dim = two_j + 1
     m = j - np.arange(dim)
@@ -115,14 +115,19 @@ def default_buffer(n: int) -> int:
     return max(4, n // 8)
 
 
-def make_oscillator(N: int, buffer: int | None = None) -> OscillatorRep:
-    """Truncated Fock-space ladder, quadrature, and su(1,1) operators."""
+def check_truncation(N: int, buffer: int) -> None:
+    """Raise ValueError unless N >= 8 and 1 <= buffer <= N/4."""
     if N < 8:
         raise ValueError(f"truncation dimension must be >= 8, got {N}")
-    if buffer is None:
-        buffer = default_buffer(N)
     if not 1 <= buffer <= N // 4:
         raise ValueError(f"buffer must satisfy 1 <= buffer <= N/4, got {buffer}")
+
+
+def make_oscillator(N: int, buffer: int | None = None) -> OscillatorRep:
+    """Truncated Fock-space ladder, quadrature, and su(1,1) operators."""
+    if buffer is None:
+        buffer = default_buffer(N)
+    check_truncation(N, buffer)
     a = np.diag(np.sqrt(np.arange(1, N, dtype=float)), 1).astype(complex)
     adag = a.conj().T
     x = (a + adag) / np.sqrt(2)

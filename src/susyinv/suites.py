@@ -17,7 +17,7 @@ from .construction import (PartnerOutput, closed_form_operator, closed_form_osc_
                            closed_form_spin_R, hamiltonian_from_gauge,
                            oscillator_supersystem, quadrupole_partner, run_prescription,
                            spin_supersystem)
-from .dynamics import intertwining_residual, lvn_residual, propagate_unitary
+from .dynamics import intertwining_residual, lvn_residual, propagate
 from .operators import dagger, frobenius, over_chunks, project, unitarity_defect
 from .representations import OscillatorRep, SpinRep
 from .susy import build_invariant, build_supercharge, check_superalgebra, pair_spectra
@@ -170,12 +170,12 @@ def _suite_solutions(cfg, rep, out, tol) -> CheckResult:
     """Mapped solutions satisfy the minus-sector Schrodinger equation and match
     numerical propagation from the same initial states.
 
-    Each check time is evaluated once for all levels, as one (dim, levels) matrix.
+    Each check time is evaluated once for all levels, as one (dim, levels)
+    matrix, and the checkable levels are propagated together as that block.
+    A config with no checkable level propagates nothing.
     """
     levels = [k for k, lv in enumerate(out.levels) if not isinstance(rep, OscillatorRep)
               or 0 <= round(2 * lv.mu - 1.5) <= rep.N - rep.buffer - 2]
-    grid = cfg.grid()
-    traj = propagate_unitary(out.h_minus, out.system.d0.dim, grid)
     if not levels:
         return CheckResult("solutions", 0.0, tol, True)
     proj = _projector(rep)
@@ -189,9 +189,11 @@ def _suite_solutions(cfg, rep, out, tol) -> CheckResult:
         return np.linalg.norm(res if proj is None else proj @ res, axis=-2)
 
     worst = _worst(_sample_times(cfg, count=5), rep.dim, schrodinger_residuals)
-    # Infidelity against midpoint-exponential propagation.
+    # Infidelity against midpoint-exponential propagation of the level block,
+    # stored only at the two check points.
+    grid = cfg.grid()
     ks = [grid.size // 2, grid.size - 1]
-    numeric = traj.operators[ks] @ out.mapped_solution(levels, 0.0)
+    numeric = propagate(out.h_minus, out.mapped_solution(levels, 0.0), grid, keep=ks).states
     overlaps = np.sum(out.mapped_solution(levels, grid[ks]).conj() * numeric, axis=1)
     worst = max(worst, float(np.max(1.0 - np.abs(overlaps))))
     return CheckResult("solutions", worst, tol, worst < tol)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from susyinv import suites
 from susyinv.cli import main
 from susyinv.config import ConfigError, load_config
 
@@ -50,6 +51,25 @@ class TestConfig:
         bad = tmp_path / "b.ini"
         bad.write_text("[system]\nfamily = neither\n")
         assert run(["verify", "--config", bad]) == 2
+
+    @pytest.mark.parametrize("config, command, old, new, message", [
+        ("spin_default", "verify", "j = 1/2", "j = 0.3",
+         "[system] j = '0.3': j must be a nonnegative half-integer"),
+        ("phase_loop", "phase", "steps = 2000", "steps = lots",
+         "[phase] steps = 'lots' is not an integer"),
+        ("oscillator_default", "verify", "buffer = 8", "buffer = 12",
+         "[system] n = 32, buffer = 12: buffer must satisfy 1 <= buffer <= N/4"),
+    ], ids=["half_integer_j", "integer_phase_steps", "buffer_range"])
+    def test_static_error_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
+                                               config, command, old, new, message):
+        text = (config_dir / f"{config}.ini").read_text()
+        assert old in text
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(old, new))
+        assert run([command, "--config", bad, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert err.count("\n") == 1
 
 
 class TestBuild:
@@ -252,6 +272,27 @@ class TestD0File:
         assert "no positive levels" in capsys.readouterr().out
         payload = json.loads((out / "verify.json").read_text())
         assert payload["all_pass"] is True
+
+    def test_solutions_propagate_only_checkable_levels(self, tmp_path, config_dir,
+                                                      monkeypatch):
+        # The solutions suite propagates nothing when no level is checkable,
+        # and otherwise keeps only its two check points.
+        kept = []
+        real = suites.propagate
+        monkeypatch.setattr(suites, "propagate",
+                            lambda *a, **kw: kept.append(kw["keep"]) or real(*a, **kw))
+        d0 = tmp_path / "zero.json"
+        d0.write_text(json.dumps({"real": [[0.0, 0.0], [0.0, 0.0]]}))
+        text = (config_dir / "spin_default.ini").read_text() \
+            .replace("t_final = 5.0", "t_final = 1.0")
+        for name, cfg_text, expected in (
+                ("zero_d0", text.replace("named = Jplus", f"file = {d0}"), []),
+                ("default", text, [[500, 1000]])):
+            kept.clear()
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text(cfg_text)
+            assert run(["verify", "--config", cfg, "--out", tmp_path / name]) == 0
+            assert kept == expected
 
     def test_oscillator_propagate_level(self, tmp_path, config_dir):
         out = tmp_path / "out"

@@ -105,6 +105,64 @@ class TestPropagate:
         assert overlap > 1 - 1e-8
 
 
+class TestBlockAndKeep:
+    @pytest.fixture(scope="class")
+    def spin_two(self):
+        system = spin_supersystem(make_spin(2), tf.parse("0.7 + 0.2*sin(t)"),
+                                  tf.linear(1.5), tf.const(0.6))
+        return run_prescription(system)
+
+    @staticmethod
+    def block(dim, k, seed):
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+        return psi / np.linalg.norm(psi, axis=0)
+
+    def test_block_equals_single_state_runs(self, spin_two):
+        times = grid(1.0, 1e-3)
+        psi0 = self.block(5, 3, 1)
+        traj = propagate(spin_two.h_minus, psi0, times)
+        assert traj.states.shape == (times.size, 5, 3)
+        for c in range(3):
+            single = propagate(spin_two.h_minus, psi0[:, c], times)
+            assert np.max(np.abs(traj.states[:, :, c] - single.states)) < 1e-13
+        assert traj.norm_drift.shape == (times.size,)
+        assert traj.norm_drift.max() < 1e-12
+
+    def test_kept_indices_equal_rows_of_full_trajectory(self, spin_two):
+        times = grid(1.0, 1e-3)
+        psi0 = self.block(5, 2, 2)
+        full = propagate(spin_two.h_minus, psi0, times)
+        keep = [700, 0, 350, 350, times.size - 1]
+        kept = propagate(spin_two.h_minus, psi0, times, keep=keep)
+        assert np.array_equal(kept.times, times[keep])
+        assert np.array_equal(kept.states, full.states[keep])
+        assert np.array_equal(kept.norm_drift, full.norm_drift[keep])
+
+    def test_steps_stop_at_last_kept_index(self):
+        # The step at t > 0.5 would exceed the step-size limit.
+        spin = make_spin(0.5)
+        h = lambda t: np.multiply.outer(np.where(t > 0.5, 1e4, 1.0), spin.J3.entries)
+        times = grid(1.0, 0.01)
+        kept = propagate(h, spin.basis_state(0.5), times, keep=[10, 40])
+        assert kept.states.shape == (2, 2)
+        with pytest.raises(StepSizeError):
+            propagate(h, spin.basis_state(0.5), times, keep=[10, 60])
+
+    @pytest.mark.parametrize("keep", [[], [-1], [11], [[1, 2]]])
+    def test_bad_kept_indices_rejected(self, keep):
+        spin = make_spin(0.5)
+        with pytest.raises(ValueError, match="kept indices"):
+            propagate(lambda t: spin.J3, spin.basis_state(0.5), grid(0.1, 0.01), keep=keep)
+
+    def test_unitary_is_identity_block(self, spin_two):
+        times = grid(0.5, 1e-3)
+        traj = propagate_unitary(spin_two.h_minus, 5, times)
+        block = propagate(spin_two.h_minus, np.eye(5), times)
+        assert np.array_equal(traj.operators, block.states)
+        assert traj.unitarity_defect.shape == (times.size,)
+
+
 class TestLvnResidual:
     def test_commuting_constants_vanish(self):
         spin = make_spin(1)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyinv.operators import (DimensionMismatchError, NonHermitianError, Operator,
-                               anticommutator, commutator, eigh, expm, identity,
-                               unitarity_defect)
+from susyinv.operators import (PADE_THETA, DimensionMismatchError, NonHermitianError,
+                               Operator, anticommutator, commutator, eigh, expm,
+                               expm_i_hermitian, identity, unitarity_defect)
 from susyinv.representations import make_spin
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -133,6 +134,64 @@ class TestExpm:
         bad[0, 1] = np.nan
         with pytest.raises(ValueError):
             expm(Operator(bad))
+
+
+def random_hermitian_stack(rng, n, d):
+    x = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return (x + x.conj().swapaxes(-1, -2)) / 2
+
+
+def one_norms(a):
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+class TestExpmIHermitian:
+    # Largest tau * ||H||_1 of a stack and its band: 0-3 select m = 3, 5, 7, 9;
+    # band 4 lies above theta_9 and takes the scaling-and-squaring branch.
+    @pytest.mark.parametrize("largest, band", [(0.01, 0), (0.2, 1), (0.9, 2), (2.0, 3),
+                                               (8.0, 4), (50.0, 4)])
+    @pytest.mark.parametrize("d", [2, 7])
+    def test_matches_scipy_and_is_unitary(self, largest, band, d):
+        assert np.searchsorted(list(PADE_THETA.values()), largest) == band
+        rng = np.random.default_rng(int(100 * largest) + d)
+        h = random_hermitian_stack(rng, 6, d)
+        taus = largest * np.linspace(0.25, 1.0, 6) / one_norms(h)
+        assert np.max(taus * one_norms(h)) == pytest.approx(largest, rel=1e-12)
+        got = expm_i_hermitian(h, taus)
+        expected = np.stack([scipy.linalg.expm(-1j * t * m) for t, m in zip(taus, h)])
+        assert got.shape == h.shape
+        assert np.max(np.abs(got - expected)) < 1e-13
+        assert np.max(unitarity_defect(got)) < 1e-13
+
+    def test_all_diagonal_stack_is_exact_phases(self):
+        values = np.array([[1.5, -0.5, 0.0], [2.0, 0.25, -3.0]])
+        taus = np.array([0.1, 0.7])
+        got = expm_i_hermitian(np.stack([np.diag(v) for v in values]), taus)
+        expected = np.stack([np.diag(np.exp(-1j * t * v)) for t, v in zip(taus, values)])
+        assert np.array_equal(got, expected)
+
+    def test_mixed_diagonal_and_dense_stack(self):
+        rng = np.random.default_rng(4)
+        h = random_hermitian_stack(rng, 4, 5)
+        h[1] = np.diag(rng.normal(size=5))
+        h[3] = np.diag(rng.normal(size=5))
+        taus = np.array([0.3, 0.4, 0.05, 1.1])
+        got = expm_i_hermitian(h, taus)
+        for k in (1, 3):
+            assert np.array_equal(got[k], np.diag(np.exp(-1j * taus[k] * np.diag(h[k]).real)))
+        for k in range(4):
+            assert np.max(np.abs(got[k] - scipy.linalg.expm(-1j * taus[k] * h[k]))) < 1e-13
+        assert np.max(unitarity_defect(got)) < 1e-13
+
+    def test_single_matrix_and_stack_keep_their_shapes(self):
+        rng = np.random.default_rng(9)
+        h = random_hermitian_stack(rng, 3, 4)
+        single = expm_i_hermitian(h[0], 0.2)
+        assert single.shape == (4, 4)
+        stacked = expm_i_hermitian(h, 0.2)
+        assert stacked.shape == (3, 4, 4)
+        assert np.max(np.abs(stacked[0] - single)) < 1e-15
+        assert expm_i_hermitian(np.diag([1.0, 2.0]), 0.5).shape == (2, 2)
 
 
 class TestEigh:
