@@ -176,6 +176,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("[grid] t_final and dt must be positive")
     if t_final / dt > MAX_STEPS:
         raise ConfigError(f"[grid] t_final/dt exceeds {MAX_STEPS}")
+    if round(t_final / dt) < 1:
+        raise ConfigError(f"[grid] t_final = {t_final:g} is below dt/2 = {dt / 2:g}: "
+                          "the grid has no step")
 
     suites_text = _get(cp, "checks", "suites", default="")
     suites = tuple(s.strip() for s in suites_text.split(",") if s.strip()) or DEFAULT_SUITES

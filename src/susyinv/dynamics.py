@@ -5,12 +5,11 @@ discretized Berry holonomies.
 The propagator applies the exponential of the midpoint Hamiltonian on each
 step: second order in the step, unitary to rounding by construction.
 Unitarity matters more than order here because unitarity defects would
-masquerade as superalgebra violations. The step exponential is the diagonal
-Pade approximant of :func:`susyinv.operators.expm_i_hermitian`, whose degree
+masquerade as superalgebra violations. The step exponential is the truncated
+Taylor series of :func:`susyinv.operators.expm_i_hermitian`, whose degree
 keeps the backward error below the unit roundoff (the theta_m bounds of
-Al-Mohy & Higham 2009) and which is unitary in exact arithmetic for the
-skew-Hermitian -i dt H. States are stepped as a block and only the kept grid
-points are stored.
+Al-Mohy & Higham 2011), so each step is unitary to rounding. States are
+stepped as a block and only the kept grid points are stored.
 
 Maps of t (Hamiltonians, invariants, frames) are called with arrays of times
 and return (n, d, d) stacks, or one matrix when they are constant. Grids are

@@ -8,17 +8,19 @@ grids are worked through in chunks whose stacks fit in ``CHUNK_BYTES``
 (:func:`chunks`). A scalar time still gives an :class:`Operator`
 (:func:`per_time`).
 
+There is one matrix exponential, a truncated Taylor series evaluated by
+Paterson-Stockmeyer with 1-norm degree selection (:func:`_taylor_expm`): its
+backward error stays below the unit roundoff and it needs no linear solve.
 Step exponentials exp(-i tau H) of Hermitian stacks (:func:`expm_i_hermitian`)
-use the diagonal Pade approximant with 1-norm degree selection, which is
-unitary in exact arithmetic for the skew-Hermitian -i tau H.
+are therefore unitary to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 HERMITICITY_RTOL = 1e-10
 CLUSTER_GAP_SCALE = 1e-8
@@ -211,11 +213,11 @@ def anticommutator(a: Operator, b: Operator) -> Operator:
 
 
 def expm(a: Operator) -> Operator:
-    """Matrix exponential (scaling-and-squaring via scipy)."""
+    """Matrix exponential: the truncated Taylor series of :func:`_taylor_expm`."""
     m = _mat(a)
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix exponential of non-finite entries")
-    return Operator(scipy.linalg.expm(m),
+    return Operator(_taylor_expm(m[None])[0],
                     a.grading if isinstance(a, Operator) else None)
 
 
@@ -294,46 +296,51 @@ def polar_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-# Diagonal Pade exponential (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31
-# (2009) 970, Table 3.1): below PADE_THETA[m] in the 1-norm, the [m/m]
-# approximant of e^A has backward error under the double-precision unit
-# roundoff. PADE_COEFFS[m][j] is the coefficient of A^j in the numerator.
-PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-              7: 9.504178996162932e-1, 9: 2.097847961257068e0}
-PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-}
+# Truncated Taylor exponential (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)
+# 488, Table 3.1, u = 2^-53): below TAYLOR_THETA[m] in the 1-norm, the degree-m
+# Taylor polynomial of e^A has backward error under the double-precision unit
+# roundoff. Each m is the largest degree that Paterson-Stockmeyer evaluates
+# with its number of matrix products (1 for m = 2 up to 9 for m = 30).
+TAYLOR_THETA = {2: 2.58e-8, 4: 3.40e-4, 6: 9.07e-3, 9: 8.96e-2, 12: 3.00e-1,
+                16: 7.81e-1, 20: 1.44, 25: 2.43, 30: 3.54}
 
 
-def _pade_expm(a: np.ndarray) -> np.ndarray:
-    """e^A for an (n, d, d) stack by one diagonal Pade approximant for the stack.
+def _taylor_expm(a: np.ndarray) -> np.ndarray:
+    """e^A for an (n, d, d) stack by one truncated Taylor series for the stack.
 
-    The degree is the lowest m whose theta bounds the stack's largest 1-norm;
-    above theta_9 the stack is scaled by 2^-s and the result squared s times.
-    With U the odd and V the even part of the numerator, r = (V - U)^-1 (V + U).
+    Above theta_30 the stack is scaled by 2^-s and the result squared s times;
+    the degree is the lowest m whose theta bounds the (scaled) stack's largest
+    1-norm. Paterson-Stockmeyer with p = ceil(sqrt(m)) and q = m / p evaluates
+    sum_{k<q} B_k (A^p)^k, B_k = sum_{j<p} A^j / (kp + j)! (the last block
+    also takes A^p / m!), in p + q - 2 products and no linear solve.
     """
     norm = float(np.max(np.abs(a).sum(axis=-2)))
-    m = next((m for m, theta in PADE_THETA.items() if norm <= theta), 9)
-    s = int(np.ceil(np.log2(norm / PADE_THETA[9]))) if norm > PADE_THETA[9] else 0
+    theta_top = TAYLOR_THETA[30]
+    s = int(np.ceil(np.log2(norm / theta_top))) if norm > theta_top else 0
     if s:
         a = a / 2.0 ** s
-    b = PADE_COEFFS[m]
-    a2 = a @ a
-    power = a2
-    odd, even = b[3] * a2, b[2] * a2
-    for k in range(2, m // 2 + 1):
-        power = power @ a2
-        odd += b[2 * k + 1] * power
-        even += b[2 * k] * power
+        norm /= 2.0 ** s
+    m = next((m for m, theta in TAYLOR_THETA.items() if norm <= theta), 30)
+    p = math.isqrt(m - 1) + 1
+    q = m // p
+    powers = [a]
+    for _ in range(p - 1):
+        powers.append(powers[-1] @ a)
+    c = [1.0 / math.factorial(k) for k in range(m + 1)]
     idx = np.arange(a.shape[-1])
-    odd[:, idx, idx] += b[1]
-    even[:, idx, idx] += b[0]
-    odd = a @ odd
-    r = np.linalg.solve(even - odd, even + odd)
+
+    def block(k: int, top: int) -> np.ndarray:
+        # sum_{j=0}^{top} c[kp + j] A^j
+        out = c[k * p + 1] * powers[0]
+        for j in range(2, top + 1):
+            out += c[k * p + j] * powers[j - 1]
+        out[:, idx, idx] += c[k * p]
+        return out
+
+    r = block(q - 1, p)
+    for k in range(q - 2, -1, -1):
+        r = powers[-1] @ r
+        r += block(k, p - 1)
     for _ in range(s):
         r = r @ r
     return r
@@ -343,12 +350,11 @@ def expm_i_hermitian(h: np.ndarray, tau) -> np.ndarray:
     """exp(-1j * tau * H) for Hermitian H, unitary to rounding.
 
     ``h`` is one matrix or an (n, d, d) stack with one ``tau`` per matrix.
-    Dense matrices go through the diagonal Pade approximant of A = -i tau H
-    (:func:`_pade_expm`). For skew-Hermitian A the odd part U of the numerator
-    is skew-Hermitian and the even part V Hermitian, so r = (V - U)^-1 (V + U)
-    is N^-dag N with N = V + U normal: unitary in exact arithmetic, and to
-    rounding in floating point, like the spectral route it replaces. Diagonal
-    matrices short-circuit to phases.
+    Dense matrices go through the truncated Taylor series of A = -i tau H
+    (:func:`_taylor_expm`), whose backward error stays below the unit roundoff:
+    the result is the exact exponential of a skew-Hermitian matrix perturbed
+    at rounding level, so it is unitary to rounding. Diagonal matrices
+    short-circuit to phases.
     """
     h = np.asarray(h, dtype=complex)
     stack = h.reshape(-1, *h.shape[-2:])
@@ -358,7 +364,7 @@ def expm_i_hermitian(h: np.ndarray, tau) -> np.ndarray:
         out = diag_stack(np.exp(-1j * taus[:, None]
                                 * np.real(np.diagonal(stack, axis1=1, axis2=2))))
     else:
-        out = _pade_expm(-1j * taus[:, None, None] * stack)
+        out = _taylor_expm(-1j * taus[:, None, None] * stack)
         if diagonal.any():
             out[diagonal] = expm_i_hermitian(stack[diagonal], taus[diagonal])
     return out.reshape(h.shape)

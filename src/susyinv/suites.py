@@ -9,6 +9,7 @@ residual is small, which is the whole point of the comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,16 +71,37 @@ def _projector(rep) -> np.ndarray | None:
     return None
 
 
-def _suite_superalgebra(cfg, rep, out, tol) -> CheckResult:
-    q = build_supercharge(out.system.d0)
+@dataclass
+class _Run:
+    """What the suites of one run_suites call share: the configured system,
+    and the LvN residual sweep of H_-, computed by whichever suite needs it first."""
+
+    cfg: RunConfig
+    rep: SpinRep | OscillatorRep
+    out: PartnerOutput
+
+    def worst_lvn(self, h_map) -> float:
+        """Largest LvN residual of I_- under ``h_map`` over the sample times."""
+        proj = _projector(self.rep)
+        return _worst(_sample_times(self.cfg), self.rep.dim,
+                      lambda ts: lvn_residual(self.out.i_minus, h_map, ts, projector=proj))
+
+    @cached_property
+    def lvn(self) -> float:
+        return self.worst_lvn(self.out.h_minus)
+
+
+def _suite_superalgebra(run: _Run, tol) -> CheckResult:
+    q = build_supercharge(run.out.system.d0)
     inv = build_invariant(q)
     report = check_superalgebra(q, inv)
     worst = report.max_residual()
     return CheckResult("superalgebra", worst, tol, worst < tol)
 
 
-def _suite_pairing(cfg, rep, out, tol) -> CheckResult:
-    inv = build_invariant(build_supercharge(out.system.d0))
+def _suite_pairing(run: _Run, tol) -> CheckResult:
+    cfg, rep = run.cfg, run.rep
+    inv = build_invariant(build_supercharge(run.out.system.d0))
     pairing = pair_spectra(inv)
     worst = 0.0
     d = inv.d.entries
@@ -101,8 +123,9 @@ def _suite_pairing(cfg, rep, out, tol) -> CheckResult:
     return CheckResult("pairing", worst, tol, worst < tol, note)
 
 
-def _suite_gauge(cfg, rep, out, tol) -> CheckResult:
+def _suite_gauge(run: _Run, tol) -> CheckResult:
     """Closed-form coefficients against the independent matrix gauge route."""
+    cfg, rep, out = run.cfg, run.rep, run.out
     proj = _projector(rep)
 
     def residuals(ts):
@@ -123,17 +146,18 @@ def _suite_gauge(cfg, rep, out, tol) -> CheckResult:
     return CheckResult("gauge", worst, tol, worst < tol)
 
 
-def _suite_lvn(cfg, rep, out, tol, wrong_h: bool = False) -> CheckResult:
-    proj = _projector(rep)
-    h_map = out.system.h_plus if wrong_h else out.h_minus
-    worst = _worst(_sample_times(cfg), rep.dim,
-                   lambda ts: lvn_residual(out.i_minus, h_map, ts, projector=proj))
-    name = "lvn_wrong_h" if wrong_h else "lvn"
-    return CheckResult(name, worst, tol, worst < tol)
+def _suite_lvn(run: _Run, tol) -> CheckResult:
+    return CheckResult("lvn", run.lvn, tol, run.lvn < tol)
 
 
-def _suite_unitarity(cfg, rep, out, tol) -> CheckResult:
+def _suite_lvn_wrong_h(run: _Run, tol) -> CheckResult:
+    worst = run.worst_lvn(run.out.system.h_plus)
+    return CheckResult("lvn_wrong_h", worst, tol, worst < tol)
+
+
+def _suite_unitarity(run: _Run, tol) -> CheckResult:
     """U_-(t) unitarity and the invariant transport U I(0) U^dag = I(t)."""
+    cfg, rep, out = run.cfg, run.rep, run.out
     proj = _projector(rep)
     i0 = out.i_minus(0.0).entries
 
@@ -146,7 +170,7 @@ def _suite_unitarity(cfg, rep, out, tol) -> CheckResult:
     return CheckResult("unitarity", worst, tol, worst < tol)
 
 
-def _suite_intertwining(cfg, rep, out, lvn_tol) -> CheckResult:
+def _suite_intertwining(run: _Run, lvn_tol) -> CheckResult:
     """Invariance holds while the intertwining relation fails: the generality gap.
 
     Passes when lvn < tol and the intertwining residual at t = 1 exceeds 0.1
@@ -154,9 +178,10 @@ def _suite_intertwining(cfg, rep, out, lvn_tol) -> CheckResult:
     nonzero f J3 d0 breaks it). For identically zero Y- the suite instead
     requires the intertwining residual to vanish.
     """
+    out = run.out
     res_inter = intertwining_residual(out.d, out.system.h_plus, out.h_minus, 1.0,
-                                      projector=_projector(rep))
-    res_lvn = _suite_lvn(cfg, rep, out, lvn_tol).max_residual
+                                      projector=_projector(run.rep))
+    res_lvn = run.lvn
     y_d0 = float(np.linalg.norm(out.system.y_minus.value(1.0).entries
                                 @ out.system.d0.entries))
     if y_d0 < 1e-12:
@@ -166,7 +191,7 @@ def _suite_intertwining(cfg, rep, out, lvn_tol) -> CheckResult:
     return CheckResult("intertwining", res_inter, INTERTWINING_FLOOR, passed)
 
 
-def _suite_solutions(cfg, rep, out, tol) -> CheckResult:
+def _suite_solutions(run: _Run, tol) -> CheckResult:
     """Mapped solutions satisfy the minus-sector Schrodinger equation and match
     numerical propagation from the same initial states.
 
@@ -174,6 +199,7 @@ def _suite_solutions(cfg, rep, out, tol) -> CheckResult:
     matrix, and the checkable levels are propagated together as that block.
     A config with no checkable level propagates nothing.
     """
+    cfg, rep, out = run.cfg, run.rep, run.out
     levels = [k for k, lv in enumerate(out.levels) if not isinstance(rep, OscillatorRep)
               or 0 <= round(2 * lv.mu - 1.5) <= rep.N - rep.buffer - 2]
     if not levels:
@@ -212,10 +238,9 @@ SUITES = {
 
 
 def run_suites(cfg: RunConfig, tolerance_scale: float = 1.0) -> list[CheckResult]:
-    rep, out = build_system(cfg)
+    run = _Run(cfg, *build_system(cfg))
     tols = _tols(cfg, tolerance_scale)
-    results = [suite(cfg, rep, out, tols[key])
-               for suite, key in (SUITES[name] for name in cfg.suites)]
+    results = [suite(run, tols[key]) for suite, key in (SUITES[name] for name in cfg.suites)]
     if cfg.cross_check_wrong_h:
-        results.append(_suite_lvn(cfg, rep, out, tols["lvn"], wrong_h=True))
+        results.append(_suite_lvn_wrong_h(run, tols["lvn"]))
     return results

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +63,9 @@ class TestConfig:
          "[phase] steps = 'lots' is not an integer"),
         ("oscillator_default", "verify", "buffer = 8", "buffer = 12",
          "[system] n = 32, buffer = 12: buffer must satisfy 1 <= buffer <= N/4"),
-    ], ids=["half_integer_j", "integer_phase_steps", "buffer_range"])
+        ("spin_default", "verify", "t_final = 5.0", "t_final = 0.0004",
+         "[grid] t_final = 0.0004 is below dt/2 = 0.0005: the grid has no step"),
+    ], ids=["half_integer_j", "integer_phase_steps", "buffer_range", "zero_step_grid"])
     def test_static_error_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
                                                config, command, old, new, message):
         text = (config_dir / f"{config}.ini").read_text()
@@ -157,6 +163,29 @@ class TestVerify:
     def test_quadrupole_config_passes(self, tmp_path, config_dir):
         assert run(["verify", "--config", config_dir / "quadrupole.ini",
                     "--out", tmp_path / "out"]) == 0
+
+    def test_lvn_sweep_runs_once_per_call(self, tmp_path, config_dir, monkeypatch):
+        # The lvn and intertwining suites share one LvN residual sweep, in
+        # either order; the wrong-H cross-check adds a sweep of its own.
+        calls = []
+        real = suites.lvn_residual
+        monkeypatch.setattr(suites, "lvn_residual",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        text = (config_dir / "spin_default.ini").read_text()
+        all_suites = "suites = superalgebra, pairing, gauge, lvn, unitarity, intertwining, " \
+                     "solutions"
+        assert all_suites in text
+        counts = {}
+        for names in ("lvn", "intertwining", "lvn, intertwining", "intertwining, lvn",
+                      "lvn, intertwining\ncross_check_wrong_h = true"):
+            cfg = tmp_path / "suites.ini"
+            cfg.write_text(text.replace(all_suites, f"suites = {names}"))
+            calls.clear()
+            suites.run_suites(load_config(cfg))
+            counts[names] = len(calls)
+        sweep = counts["lvn"]
+        assert sweep > 0
+        assert list(counts.values()) == [sweep, sweep, sweep, sweep, 2 * sweep]
 
     def test_verify_json_deterministic(self, tmp_path, config_dir):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -333,3 +362,16 @@ class TestLevelAndFamilyGuards:
         bad = tmp_path / "bad.ini"
         bad.write_text(text.replace("level = -1/2", "level = highest"))
         assert run(["propagate", "--config", bad, "--out", tmp_path / "out"]) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # Nothing on the CLI path needs scipy; importing it would cost every call
+    # about 0.2 s of set-up.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, susyinv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

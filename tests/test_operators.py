@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyinv.operators import (PADE_THETA, DimensionMismatchError, NonHermitianError,
+from susyinv.operators import (TAYLOR_THETA, DimensionMismatchError, NonHermitianError,
                                Operator, anticommutator, commutator, eigh, expm,
                                expm_i_hermitian, identity, unitarity_defect)
 from susyinv.representations import make_spin
@@ -128,6 +130,17 @@ class TestExpm:
         prod = expm(Operator(m)) @ expm(Operator(-m))
         assert np.allclose(prod.entries, np.eye(5), atol=1e-12)
 
+    def test_non_normal_jordan_block(self):
+        # Oracle: e^(lam 1 + tN) = e^lam sum_k (tN)^k / k! for the nilpotent
+        # shift N. The block is far from normal, and its 1-norm (about 5.6)
+        # takes the scaling-and-squaring branch.
+        d, t, lam = 6, 5.0, -0.3 + 0.5j
+        shift = np.diag(np.ones(d - 1), 1)
+        expected = np.exp(lam) * sum(np.linalg.matrix_power(t * shift, k) / math.factorial(k)
+                                     for k in range(d))
+        got = expm(Operator(lam * np.eye(d) + t * shift)).entries
+        assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+
     def test_non_finite_rejected(self):
         bad = np.eye(2, dtype=complex)
         bad = bad.copy()
@@ -146,13 +159,15 @@ def one_norms(a):
 
 
 class TestExpmIHermitian:
-    # Largest tau * ||H||_1 of a stack and its band: 0-3 select m = 3, 5, 7, 9;
-    # band 4 lies above theta_9 and takes the scaling-and-squaring branch.
-    @pytest.mark.parametrize("largest, band", [(0.01, 0), (0.2, 1), (0.9, 2), (2.0, 3),
-                                               (8.0, 4), (50.0, 4)])
+    # Largest tau * ||H||_1 of a stack and its band: 0-8 select the Taylor
+    # degrees m = 2, 4, 6, 9, 12, 16, 20, 25, 30; band 9 lies above theta_30
+    # and takes the scaling-and-squaring branch.
+    @pytest.mark.parametrize("largest, band", [(1e-8, 0), (1e-4, 1), (5e-3, 2), (0.01, 3),
+                                               (0.2, 4), (0.5, 5), (0.9, 6), (2.0, 7),
+                                               (3.0, 8), (8.0, 9), (50.0, 9)])
     @pytest.mark.parametrize("d", [2, 7])
     def test_matches_scipy_and_is_unitary(self, largest, band, d):
-        assert np.searchsorted(list(PADE_THETA.values()), largest) == band
+        assert np.searchsorted(list(TAYLOR_THETA.values()), largest) == band
         rng = np.random.default_rng(int(100 * largest) + d)
         h = random_hermitian_stack(rng, 6, d)
         taus = largest * np.linspace(0.25, 1.0, 6) / one_norms(h)
