@@ -158,7 +158,35 @@ def one_norms(a):
     return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
+# Degree bands of the Pade approximant inside the scipy.linalg.expm reference
+# (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179, Table 2.3): theta_m for
+# m = 3, 5, 7, 9; above theta_9 it takes m = 13 with scaling and squaring.
+REFERENCE_PADE_THETA = (1.495585217958292e-2, 2.539398330063230e-1,
+                        9.504178996162932e-1, 2.097847961257068e0)
+
+
+def check_against_scipy(largest, d):
+    rng = np.random.default_rng(int(100 * largest) + d)
+    h = random_hermitian_stack(rng, 6, d)
+    taus = largest * np.linspace(0.25, 1.0, 6) / one_norms(h)
+    assert np.max(taus * one_norms(h)) == pytest.approx(largest, rel=1e-12)
+    got = expm_i_hermitian(h, taus)
+    expected = np.stack([scipy.linalg.expm(-1j * t * m) for t, m in zip(taus, h)])
+    assert got.shape == h.shape
+    assert np.max(np.abs(got - expected)) < 1e-13
+    assert np.max(unitarity_defect(got)) < 1e-13
+
+
 class TestExpmIHermitian:
+    # Largest tau * ||H||_1 of a stack and the band of the reference's Pade
+    # degree it falls in: 0-3 select m = 3, 5, 7, 9, band 4 scales and squares.
+    @pytest.mark.parametrize("largest, band", [(0.01, 0), (0.2, 1), (0.9, 2), (2.0, 3),
+                                               (8.0, 4), (50.0, 4)])
+    @pytest.mark.parametrize("d", [2, 7])
+    def test_matches_scipy_and_is_unitary(self, largest, band, d):
+        assert np.searchsorted(REFERENCE_PADE_THETA, largest) == band
+        check_against_scipy(largest, d)
+
     # Largest tau * ||H||_1 of a stack and its band: 0-8 select the Taylor
     # degrees m = 2, 4, 6, 9, 12, 16, 20, 25, 30; band 9 lies above theta_30
     # and takes the scaling-and-squaring branch.
@@ -166,17 +194,9 @@ class TestExpmIHermitian:
                                                (0.2, 4), (0.5, 5), (0.9, 6), (2.0, 7),
                                                (3.0, 8), (8.0, 9), (50.0, 9)])
     @pytest.mark.parametrize("d", [2, 7])
-    def test_matches_scipy_and_is_unitary(self, largest, band, d):
+    def test_every_taylor_band_matches_scipy(self, largest, band, d):
         assert np.searchsorted(list(TAYLOR_THETA.values()), largest) == band
-        rng = np.random.default_rng(int(100 * largest) + d)
-        h = random_hermitian_stack(rng, 6, d)
-        taus = largest * np.linspace(0.25, 1.0, 6) / one_norms(h)
-        assert np.max(taus * one_norms(h)) == pytest.approx(largest, rel=1e-12)
-        got = expm_i_hermitian(h, taus)
-        expected = np.stack([scipy.linalg.expm(-1j * t * m) for t, m in zip(taus, h)])
-        assert got.shape == h.shape
-        assert np.max(np.abs(got - expected)) < 1e-13
-        assert np.max(unitarity_defect(got)) < 1e-13
+        check_against_scipy(largest, d)
 
     def test_all_diagonal_stack_is_exact_phases(self):
         values = np.array([[1.5, -0.5, 0.0], [2.0, 0.25, -3.0]])
