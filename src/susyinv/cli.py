@@ -13,10 +13,9 @@ arguments, sums, differences, products).
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,9 +23,10 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .construction import closed_form_osc_R, closed_form_spin_R
-from .dynamics import StepSizeError, berry_holonomy, propagate
+from .dynamics import NonClosedLoopError, StepSizeError, berry_holonomy, propagate
 from .operators import chunks, eigh, hermiticity_defect, over_chunks
 from .suites import build_system, run_suites
+from .susy import PairingAmbiguityError
 
 
 def _fmt(x: float) -> str:
@@ -194,8 +194,8 @@ def cmd_phase(cfg: RunConfig, out_override: str | None, reverse_flag: bool) -> i
             time = T - s if reverse else s
             return out.system.w_minus.value(time) @ v0
 
-        res = berry_holonomy(frame, steps, period=T, label=f"level_{gi}")
-        res2 = berry_holonomy(frame, 2 * steps, period=T, label=f"level_{gi}")
+        res = berry_holonomy(frame, steps, period=T)
+        res2 = berry_holonomy(frame, 2 * steps, period=T)
         delta = float(np.linalg.norm(res.gamma - res2.gamma))
         levels_payload.append({
             "level": gi,
@@ -212,20 +212,18 @@ def cmd_phase(cfg: RunConfig, out_override: str | None, reverse_flag: bool) -> i
     return 0
 
 
-def _sweep_cell(args):
-    index, cfg_text, key, value, out_dir, tolerance_scale = args
+def _sweep_cell(index: int, cfg_text: str, key: str, value: str, out_dir: Path,
+                tolerance_scale: float) -> list:
+    """Write and verify one cell config; return its suite results."""
     section, option = key.split(".", 1)
-    import configparser
-    import io
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.read_string(cfg_text)
     if not cp.has_section(section):
         cp.add_section(section)
     cp.set(section, option, value)
-    buf = io.StringIO()
-    cp.write(buf)
     cell_path = out_dir / f"sweep_cell_{index:03d}.ini"
-    cell_path.write_text(buf.getvalue())
+    with cell_path.open("w") as fh:
+        cp.write(fh)
     cell_cfg = load_config(cell_path)
     results = run_suites(cell_cfg, tolerance_scale)
     payload = {"cell": index, "value": value,
@@ -234,32 +232,22 @@ def _sweep_cell(args):
                           for r in results],
                "all_pass": all(r.passed for r in results)}
     _write_json(out_dir / f"sweep_cell_{index:03d}.json", payload)
-    return index, value, results
+    return results
 
 
 def cmd_sweep(cfg: RunConfig, config_path: str, out_override: str | None,
               tolerance_scale: float) -> int:
-    """Re-run the verify suites over a one-parameter family of configs."""
+    """Re-run the verify suites over a one-parameter family of configs, cell by cell."""
     if cfg.sweep_key is None or not cfg.sweep_values:
         print("error: sweep requires [sweep] key and values", file=sys.stderr)
         return 2
-    out_dir = Path(out_override or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg, out_override)
     cfg_text = Path(config_path).read_text()
-    jobs = [(i, cfg_text, cfg.sweep_key, value, out_dir, tolerance_scale)
-            for i, value in enumerate(cfg.sweep_values)]
-    env_cap = os.environ.get("SUSYINV_THREADS")
-    workers = min(len(jobs), int(env_cap) if env_cap else 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_cell, jobs))
-    else:
-        outcomes = [_sweep_cell(j) for j in jobs]
-    outcomes.sort(key=lambda x: x[0])
-
     rows = []
     all_pass = True
-    for index, value, results in outcomes:
+    for index, value in enumerate(cfg.sweep_values):
+        results = _sweep_cell(index, cfg_text, cfg.sweep_key, value, out_dir,
+                              tolerance_scale)
         cell_pass = all(r.passed for r in results)
         all_pass &= cell_pass
         worst = max(r.max_residual for r in results)
@@ -307,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_phase(cfg, args.out, args.reverse)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.config, args.out, args.tolerance_scale)
-    except (ConfigError, StepSizeError) as exc:
+    except (ConfigError, StepSizeError, PairingAmbiguityError, NonClosedLoopError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

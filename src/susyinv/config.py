@@ -70,11 +70,7 @@ class RunConfig:
 
     def d0_for(self, rep: SpinRep | OscillatorRep) -> Operator:
         if self.d0_file is not None:
-            payload = json.loads(Path(self.d0_file).read_text())
-            m = np.array(payload["real"], dtype=float) + \
-                1j * np.array(payload.get("imag", np.zeros_like(payload["real"])),
-                              dtype=float)
-            return Operator(m)
+            return Operator(_read_d0_file(self.d0_file))
         name = self.d0_named or ("Jplus" if self.family == "spin" else "adag")
         if self.family == "spin" and name == "Jplus":
             return rep.Jplus
@@ -85,6 +81,18 @@ class RunConfig:
     def grid(self) -> np.ndarray:
         steps = int(round(self.t_final / self.dt))
         return np.linspace(0.0, steps * self.dt, steps + 1)
+
+
+def _read_d0_file(path: str) -> np.ndarray:
+    """The complex matrix of a ``[d0] file``: JSON ``{"real": rows, "imag": rows}``."""
+    if not Path(path).is_file():
+        raise ConfigError(f"[d0] file = {path!r}: file not found")
+    try:
+        payload = json.loads(Path(path).read_text())
+        real = np.array(payload["real"], dtype=float)
+        return real + 1j * np.array(payload.get("imag", np.zeros_like(real)), dtype=float)
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ConfigError(f"[d0] file = {path!r}: not a JSON matrix: {exc}") from exc
 
 
 def _parse_timefunc(section: str, key: str, text: str) -> timefunc.TimeFunction:
@@ -136,7 +144,7 @@ def load_config(path: str | Path) -> RunConfig:
         except Exception as exc:
             raise ConfigError(f"[system] j = {j_text!r} is not a number") from exc
         try:
-            check_half_integer(j)
+            dim = check_half_integer(j) + 1
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"[system] j = {j_text!r}: {exc}") from exc
     else:
@@ -147,6 +155,7 @@ def load_config(path: str | Path) -> RunConfig:
             check_truncation(n, buffer)
         except ValueError as exc:
             raise ConfigError(f"[system] n = {n}, buffer = {buffer}: {exc}") from exc
+        dim = n
 
     try:
         b = float(_get(cp, "system", "b", default="1.0"))
@@ -166,6 +175,11 @@ def load_config(path: str | Path) -> RunConfig:
 
     d0_named = _get(cp, "d0", "named")
     d0_file = _get(cp, "d0", "file")
+    if d0_file is not None:
+        shape = _read_d0_file(d0_file).shape
+        if shape != (dim, dim):
+            raise ConfigError(f"[d0] file = {d0_file!r}: expected a {dim}x{dim} matrix "
+                              f"for this representation, got shape {shape}")
 
     try:
         t_final = float(_get(cp, "grid", "t_final", required=True))

@@ -27,6 +27,7 @@ from .susy import ZERO_MODE_SCALE
 from .timefunc import TimeFunction
 
 GAUGE_UNITARITY_TOL = 1e-10
+EXPLICIT_FD_STEP = 1e-6   # relative central-difference step for dW/dt of explicit curves
 HERMITICITY_TOL = {"spin_su2": 1e-9, "osc_su11": 1e-9, "explicit": 1e-6}
 
 
@@ -63,7 +64,6 @@ class GaugeCurve:
     theta: TimeFunction | None = None
     phi: TimeFunction | None = None
     fn: Callable[[float], np.ndarray] | None = None
-    fd_step: float = 1e-6
 
     @classmethod
     def spin(cls, rep: SpinRep, theta: TimeFunction, phi: TimeFunction) -> "GaugeCurve":
@@ -127,7 +127,7 @@ class GaugeCurve:
 
     def _derivatives(self, t: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
         if self.kind == "explicit":
-            h = self.fd_step * np.maximum(1.0, np.abs(t))
+            h = EXPLICIT_FD_STEP * np.maximum(1.0, np.abs(t))
             return (self._values(t + h) - self._values(t - h)) / (2 * h)[:, None, None]
         e1, e2_phases = self._factors(t)
         d3 = self._d3_diag

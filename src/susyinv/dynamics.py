@@ -25,11 +25,13 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import (Operator, chunks, dagger, expm_i_hermitian, first_true,
-                        frobenius, over_chunks, polar_unitary, project, unitarity_defect)
+from .operators import (Operator, _mat, chunks, dagger, eigh, expm_i_hermitian,
+                        first_true, frobenius, over_chunks, polar_unitary, project,
+                        unitarity_defect)
 
 FD_STEP = 1e-5
 STEP_NORM_LIMIT = 0.5
+CLOSURE_TOL = 1e-12
 
 
 class StepSizeError(ValueError):
@@ -49,10 +51,6 @@ class EigenvalueCrossingError(ValueError):
 
 class NonClosedLoopError(ValueError):
     pass
-
-
-def _mat(x) -> np.ndarray:
-    return x.entries if isinstance(x, Operator) else np.asarray(x, dtype=complex)
 
 
 def _stack(m_map: Callable, ts: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -193,8 +191,7 @@ class LevelEvolution:
 
 def projected_schrodinger(i_map: Callable[[float], Operator],
                           h_map: Callable[[float], Operator],
-                          level: int, times: np.ndarray,
-                          cluster_scale: float = 1e-8) -> LevelEvolution:
+                          level: int, times: np.ndarray) -> LevelEvolution:
     """Integrate i du/dt = (E - A) u over the smooth eigenframe of level ``level``.
 
     The eigenframe is made smooth by aligning each grid point to the previous
@@ -202,12 +199,10 @@ def projected_schrodinger(i_map: Callable[[float], Operator],
     frame overlap). A change in the level's degeneracy or a collision with a
     neighboring level is reported as a crossing.
     """
-    from .operators import eigh as _eigh
-
     times = _check_grid(times)
 
     def frame_at(t: float):
-        es = _eigh(i_map(t), cluster_scale=cluster_scale)
+        es = eigh(i_map(t))
         if not 0 <= level < len(es.degeneracy_groups):
             raise ValueError(f"level index {level} out of range "
                              f"({len(es.degeneracy_groups)} groups)")
@@ -253,8 +248,6 @@ class HolonomyResult:
     """Path-ordered loop holonomy of one eigenframe level."""
 
     gamma: np.ndarray
-    steps: int
-    label: str = ""
 
     @property
     def degeneracy(self) -> int:
@@ -266,8 +259,7 @@ class HolonomyResult:
 
 
 def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int,
-                   period: float = 1.0, label: str = "",
-                   closure_tol: float = 1e-12) -> HolonomyResult:
+                   period: float = 1.0) -> HolonomyResult:
     """Discretized path-ordered holonomy of a single-valued closed frame.
 
     ``frame(s)`` must return orthonormal columns spanning the tracked level and
@@ -283,7 +275,7 @@ def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int,
         v0 = v0[:, None]
     v_end = np.asarray(frame(period), dtype=complex).reshape(v0.shape)
     closure = float(np.linalg.norm(v_end - v0))
-    if closure > closure_tol * max(1.0, np.linalg.norm(v0)):
+    if closure > CLOSURE_TOL * max(1.0, np.linalg.norm(v0)):
         raise NonClosedLoopError(
             f"frame is not closed over the loop: ||frame(T) - frame(0)|| = {closure:.3e}")
 
@@ -298,4 +290,4 @@ def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int,
             gamma = m @ gamma
         prev = cur[-1]
     gamma = polar_unitary(v0.conj().T @ prev) @ gamma
-    return HolonomyResult(gamma, steps, label)
+    return HolonomyResult(gamma)

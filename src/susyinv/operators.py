@@ -81,9 +81,6 @@ class Operator:
     def hermiticity_defect(self) -> float:
         return float(np.linalg.norm(self.entries - self.entries.conj().T))
 
-    def is_hermitian(self, rtol: float = HERMITICITY_RTOL) -> bool:
-        return self.hermiticity_defect() <= rtol * max(1.0, self.norm())
-
     def block(self, row: int, col: int) -> np.ndarray:
         """Return one of the four grading blocks (0 = bosonic, 1 = fermionic)."""
         if self.grading is None:
@@ -267,12 +264,8 @@ class EigenSystem:
     def dim(self) -> int:
         return self.values.shape[-1]
 
-    def group_values(self) -> np.ndarray:
-        """Representative (mean) eigenvalue per degeneracy group."""
-        return np.array([self.values[list(g)].mean() for g in self.degeneracy_groups])
 
-
-def eigh(a: Operator, cluster_scale: float = CLUSTER_GAP_SCALE) -> EigenSystem:
+def eigh(a: Operator) -> EigenSystem:
     """Hermitian eigendecomposition with degeneracy clustering.
 
     Rejects inputs whose relative Hermiticity defect exceeds ``1e-10``. An
@@ -286,7 +279,7 @@ def eigh(a: Operator, cluster_scale: float = CLUSTER_GAP_SCALE) -> EigenSystem:
     if k is not None:
         raise NonHermitianError(float(relative[k]))
     values, vectors = np.linalg.eigh(m)
-    groups = cluster_indices(values, cluster_scale * scale) if m.ndim == 2 else ()
+    groups = cluster_indices(values, CLUSTER_GAP_SCALE * scale) if m.ndim == 2 else ()
     return EigenSystem(values, vectors, groups)
 
 
@@ -346,6 +339,17 @@ def _taylor_expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _is_diagonal(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of an (n, d, d) stack, whether every off-diagonal entry is zero.
+
+    Past the first entry, d*d entries read as d - 1 rows of d + 1 whose last
+    column is the diagonal: the off-diagonal entries as a view, not a copy.
+    """
+    n, d = stack.shape[:2]
+    off = stack.reshape(n, d * d)[:, 1:].reshape(n, d - 1, d + 1)[:, :, :d]
+    return ~np.any(off, axis=(1, 2))
+
+
 def expm_i_hermitian(h: np.ndarray, tau) -> np.ndarray:
     """exp(-1j * tau * H) for Hermitian H, unitary to rounding.
 
@@ -359,7 +363,7 @@ def expm_i_hermitian(h: np.ndarray, tau) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     stack = h.reshape(-1, *h.shape[-2:])
     taus = np.broadcast_to(np.asarray(tau, dtype=float), stack.shape[:1])
-    diagonal = ~np.any(stack[:, ~np.eye(h.shape[-1], dtype=bool)], axis=1)
+    diagonal = _is_diagonal(stack)
     if diagonal.all():
         out = diag_stack(np.exp(-1j * taus[:, None]
                                 * np.real(np.diagonal(stack, axis1=1, axis2=2))))

@@ -93,10 +93,6 @@ class OscillatorRep:
     def dim(self) -> int:
         return self.N
 
-    @property
-    def interior_dim(self) -> int:
-        return self.N - self.buffer
-
     def number_op(self) -> Operator:
         return self.adag @ self.a
 
@@ -158,9 +154,6 @@ class QuadrupoleBasis:
     parent: SpinRep
     e: tuple[Operator, Operator, Operator, Operator, Operator]
     T: tuple[tuple[Operator, ...], ...]
-
-    def e_alpha(self, alpha: int) -> Operator:
-        return self.e[alpha]
 
 
 def make_quadrupole(spin: SpinRep) -> QuadrupoleBasis:

@@ -265,13 +265,6 @@ class TestSweep:
             cell = json.loads((out / f"sweep_cell_{i:03d}.json").read_text())
             assert cell["all_pass"] is True
 
-    def test_sweep_respects_thread_cap(self, tmp_path, config_dir, monkeypatch):
-        monkeypatch.setenv("SUSYINV_THREADS", "2")
-        out = tmp_path / "out"
-        assert run(["sweep", "--config", config_dir / "sweep_example.ini",
-                    "--out", out]) == 0
-        assert (out / "sweep.csv").exists()
-
     def test_sweep_without_section_exit_2(self, tmp_path, config_dir):
         assert run(["sweep", "--config", config_dir / "spin_default.ini",
                     "--out", tmp_path / "out"]) == 2
@@ -344,6 +337,42 @@ class TestStepTooLarge:
         assert err.count("\n") == 1
 
 
+class TestRuntimeInputErrors:
+    # Bad [d0] files are rejected by load_config; a pairing too close to the
+    # zero-mode threshold and a loop open by less than the 1e-9 angle check
+    # are raised by the library. All exit 2 with one line, no traceback.
+    @pytest.mark.parametrize("config, command, old, new, d0_text, message", [
+        ("spin_default", "verify", "named = Jplus", "file = {d0}", None,
+         "file not found"),
+        ("spin_default", "verify", "named = Jplus", "file = {d0}", '{"real": [[0, 1], [0',
+         "not a JSON matrix"),
+        ("spin_default", "verify", "named = Jplus", "file = {d0}",
+         '{"real": [[0, 1], [0, 0], [1, 1]]}', "got shape (3, 2)"),
+        ("spin_default", "verify", "named = Jplus", "file = {d0}",
+         '{"real": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]}', "expected a 2x2 matrix"),
+        ("spin_default", "verify", "named = Jplus", "file = {d0}",
+         '{"real": [[1, 0], [0, 7.0710678118654756e-05]]}',
+         "too close to the zero-mode threshold"),
+        ("phase_loop", "phase", 'theta = "1.0471975511965976"',
+         'theta = "1.0471975511965976 + 0.0000000005*t"', None,
+         "frame is not closed over the loop"),
+    ], ids=["missing_d0_file", "truncated_d0_json", "non_square_d0", "d0_dimension",
+            "pairing_ambiguity", "loop_not_closed"])
+    def test_exit_2_with_one_line(self, tmp_path, config_dir, capsys, config, command,
+                                  old, new, d0_text, message):
+        d0 = tmp_path / "d0.json"
+        if d0_text is not None:
+            d0.write_text(d0_text)
+        text = (config_dir / f"{config}.ini").read_text()
+        assert old in text
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text.replace(old, new.format(d0=d0)))
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1
+
+
 class TestLevelAndFamilyGuards:
     def test_oscillator_quadratic_y_rejected(self, tmp_path, config_dir):
         text = (config_dir / "oscillator_default.ini").read_text()
@@ -364,14 +393,26 @@ class TestLevelAndFamilyGuards:
         assert run(["propagate", "--config", bad, "--out", tmp_path / "out"]) == 2
 
 
-def test_cli_import_loads_no_scipy():
-    # Nothing on the CLI path needs scipy; importing it would cost every call
-    # about 0.2 s of set-up.
+def loaded_by_cli_import(top: str) -> list[str]:
+    """Names of the ``top`` package's modules that a fresh ``import susyinv.cli`` loads."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, susyinv.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import json, sys, susyinv.cli; "
+            f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {top!r})))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout)
+
+
+def test_cli_import_loads_no_scipy():
+    # Nothing on the CLI path needs scipy; importing it would cost every call
+    # about 0.2 s of set-up.
+    assert loaded_by_cli_import("scipy") == []
+
+
+@pytest.mark.parametrize("top", ["concurrent"])
+def test_cli_import_loads_no_module(top):
+    # Top-level packages the CLI path does without: the sweep runs its cells
+    # in one serial loop, so concurrent.futures has no user.
+    assert loaded_by_cli_import(top) == []

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyinv.operators import (TAYLOR_THETA, DimensionMismatchError, NonHermitianError,
-                               Operator, anticommutator, commutator, eigh, expm,
-                               expm_i_hermitian, identity, unitarity_defect)
+                               Operator, _is_diagonal, anticommutator, commutator, eigh,
+                               expm, expm_i_hermitian, identity, unitarity_defect)
 from susyinv.representations import make_spin
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -217,6 +217,24 @@ class TestExpmIHermitian:
         for k in range(4):
             assert np.max(np.abs(got[k] - scipy.linalg.expm(-1j * taus[k] * h[k]))) < 1e-13
         assert np.max(unitarity_defect(got)) < 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 11, 128])
+    def test_diagonal_view_matches_mask(self, d):
+        # The strided view finds the same all-diagonal matrices as a boolean
+        # mask over the off-diagonal entries, down to one entry next to the
+        # last diagonal element.
+        rng = np.random.default_rng(d)
+        diagonal = np.stack([np.diag(v) for v in rng.normal(size=(3, d))]).astype(complex)
+        stacks = [diagonal, random_hermitian_stack(rng, 3, d)]
+        if d > 1:
+            corner = diagonal.copy()
+            corner[1, d - 2, d - 1] = 1e-300
+            stacks.append(corner)
+            assert _is_diagonal(corner).tolist() == [True, False, True]
+        assert _is_diagonal(diagonal).all()
+        for stack in stacks:
+            mask = ~np.any(stack[:, ~np.eye(d, dtype=bool)], axis=1)
+            assert np.array_equal(_is_diagonal(stack), mask)
 
     def test_single_matrix_and_stack_keep_their_shapes(self):
         rng = np.random.default_rng(9)
