@@ -90,9 +90,13 @@ def _read_d0_file(path: str) -> np.ndarray:
     try:
         payload = json.loads(Path(path).read_text())
         real = np.array(payload["real"], dtype=float)
-        return real + 1j * np.array(payload.get("imag", np.zeros_like(real)), dtype=float)
-    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        imag = np.array(payload.get("imag", np.zeros_like(real)), dtype=float)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"[d0] file = {path!r}: not a JSON matrix: {exc}") from exc
+    if imag.shape != real.shape or not np.all(np.isfinite(real) & np.isfinite(imag)):
+        raise ConfigError(f"[d0] file = {path!r}: real and imag must be finite arrays "
+                          f"of one shape, got {real.shape} and {imag.shape}")
+    return real + 1j * imag
 
 
 def _parse_timefunc(section: str, key: str, text: str) -> timefunc.TimeFunction:

@@ -351,13 +351,17 @@ class TestRuntimeInputErrors:
         ("spin_default", "verify", "named = Jplus", "file = {d0}",
          '{"real": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]}', "expected a 2x2 matrix"),
         ("spin_default", "verify", "named = Jplus", "file = {d0}",
+         '{"real": [[NaN, 1], [0, 0]]}', "real and imag must be finite"),
+        ("spin_default", "verify", "named = Jplus", "file = {d0}",
+         '{"real": [[0, 1], [0, 0]], "imag": [[1]]}', "got (2, 2) and (1, 1)"),
+        ("spin_default", "verify", "named = Jplus", "file = {d0}",
          '{"real": [[1, 0], [0, 7.0710678118654756e-05]]}',
          "too close to the zero-mode threshold"),
         ("phase_loop", "phase", 'theta = "1.0471975511965976"',
          'theta = "1.0471975511965976 + 0.0000000005*t"', None,
          "frame is not closed over the loop"),
     ], ids=["missing_d0_file", "truncated_d0_json", "non_square_d0", "d0_dimension",
-            "pairing_ambiguity", "loop_not_closed"])
+            "non_finite_d0", "d0_imag_shape", "pairing_ambiguity", "loop_not_closed"])
     def test_exit_2_with_one_line(self, tmp_path, config_dir, capsys, config, command,
                                   old, new, d0_text, message):
         d0 = tmp_path / "d0.json"
