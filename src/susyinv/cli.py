@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .construction import closed_form_osc_R, closed_form_spin_R
+from .construction import GeneratorSplitError, closed_form_osc_R, closed_form_spin_R
 from .dynamics import NonClosedLoopError, StepSizeError, berry_holonomy, propagate
 from .operators import chunks, eigh, hermiticity_defect, over_chunks
 from .suites import build_system, run_suites
@@ -295,7 +295,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_phase(cfg, args.out, args.reverse)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.config, args.out, args.tolerance_scale)
-    except (ConfigError, StepSizeError, PairingAmbiguityError, NonClosedLoopError) as exc:
+    except (ConfigError, StepSizeError, PairingAmbiguityError, GeneratorSplitError,
+            NonClosedLoopError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -99,11 +99,24 @@ def _read_d0_file(path: str) -> np.ndarray:
     return real + 1j * imag
 
 
-def _parse_timefunc(section: str, key: str, text: str) -> timefunc.TimeFunction:
+def _parse_timefunc(section: str, key: str, text: str,
+                    antiderivative: bool = False) -> timefunc.TimeFunction:
+    """Parse one time function, with the calculus the program takes of it.
+
+    Every function is differentiated; ``antiderivative`` also integrates it
+    (f and g enter the solution phase through their antiderivatives). A
+    non-finite number makes the function non-finite at t = 0.
+    """
     try:
-        return timefunc.parse(text)
+        fn = timefunc.parse(text)
+        with np.errstate(all="ignore"):
+            taken = [fn, fn.derivative()] + ([fn.antiderivative()] if antiderivative else [])
+            finite = np.all(np.isfinite([g(0.0) for g in taken]))
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from exc
+    if not finite:
+        raise ConfigError(f"[{section}] {key} = {text!r}: not finite at t = 0")
+    return fn
 
 
 def _int(section: str, key: str, text: str) -> int:
@@ -165,13 +178,15 @@ def load_config(path: str | Path) -> RunConfig:
         b = float(_get(cp, "system", "b", default="1.0"))
     except ValueError as exc:
         raise ConfigError("[system] b must be a number") from exc
+    if not np.isfinite(b):
+        raise ConfigError(f"[system] b = {b} must be finite")
 
     theta = _parse_timefunc("gauge", "theta", _get(cp, "gauge", "theta", required=True))
     phi = _parse_timefunc("gauge", "phi", _get(cp, "gauge", "phi", required=True))
-    f = _parse_timefunc("y", "f", _get(cp, "y", "f", required=True))
+    f = _parse_timefunc("y", "f", _get(cp, "y", "f", required=True), antiderivative=True)
     g_text = _get(cp, "y", "g")
-    g = _parse_timefunc("y", "g", g_text) if g_text and g_text.strip("\"'") not in ("", "0") \
-        else None
+    g = _parse_timefunc("y", "g", g_text, antiderivative=True) \
+        if g_text and g_text.strip("\"'") not in ("", "0") else None
     if g is not None and family == "oscillator":
         raise ConfigError(
             "[y] g: the quadratic term is only wired for the spin family "
@@ -190,6 +205,8 @@ def load_config(path: str | Path) -> RunConfig:
         dt = float(_get(cp, "grid", "dt", required=True))
     except ValueError as exc:
         raise ConfigError("[grid] t_final and dt must be numbers") from exc
+    if not np.isfinite([t_final, dt]).all():
+        raise ConfigError(f"[grid] t_final = {t_final}, dt = {dt}: both must be finite")
     if dt <= 0 or t_final <= 0:
         raise ConfigError("[grid] t_final and dt must be positive")
     if t_final / dt > MAX_STEPS:

@@ -35,6 +35,10 @@ class NonCommutingYError(ValueError):
     pass
 
 
+class GeneratorSplitError(ValueError):
+    """A level of I+(0) whose mapped vectors are not eigenvectors of the generator."""
+
+
 def _diag_or_none(m: np.ndarray) -> np.ndarray | None:
     off = m[~np.eye(m.shape[0], dtype=bool)]
     if np.any(off != 0):
@@ -403,7 +407,7 @@ def run_prescription(system: SuperSystem) -> PartnerOutput:
         for k in range(len(group)):
             residual = np.linalg.norm(d_diag.entries @ vm[:, k] - mus[k] * vm[:, k])
             if residual > 1e-8 * max(1.0, abs(mus[k])):
-                raise ValueError(
+                raise GeneratorSplitError(
                     f"level {lam:.6g} does not split into generator eigenvectors "
                     f"(residual {residual:.3e}); the scalar-phase solution form "
                     "does not apply")

@@ -188,6 +188,12 @@ def frobenius(m: np.ndarray):
     return float(norms) if np.ndim(norms) == 0 else norms
 
 
+def one_norm(m: np.ndarray):
+    """Largest column sum of absolute values, per matrix for a stack."""
+    norms = np.abs(m).sum(axis=-2).max(axis=-1)
+    return float(norms) if np.ndim(norms) == 0 else norms
+
+
 def _mat(a) -> np.ndarray:
     """Accept an Operator or a raw array; return the ndarray."""
     return a.entries if isinstance(a, Operator) else np.asarray(a, dtype=complex)
@@ -307,7 +313,7 @@ def _taylor_expm(a: np.ndarray) -> np.ndarray:
     sum_{k<q} B_k (A^p)^k, B_k = sum_{j<p} A^j / (kp + j)! (the last block
     also takes A^p / m!), in p + q - 2 products and no linear solve.
     """
-    norm = float(np.max(np.abs(a).sum(axis=-2)))
+    norm = float(np.max(one_norm(a)))
     theta_top = TAYLOR_THETA[30]
     s = int(np.ceil(np.log2(norm / theta_top))) if norm > theta_top else 0
     if s:

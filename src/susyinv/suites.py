@@ -18,8 +18,9 @@ from .construction import (PartnerOutput, closed_form_operator, closed_form_osc_
                            closed_form_spin_R, hamiltonian_from_gauge,
                            oscillator_supersystem, quadrupole_partner, run_prescription,
                            spin_supersystem)
-from .dynamics import intertwining_residual, lvn_residual, propagate
-from .operators import dagger, frobenius, over_chunks, project, unitarity_defect
+from .dynamics import (GAUSS_NODES, STEP_NORM_LIMIT, check_step, intertwining_residual,
+                       lvn_residual, propagate)
+from .operators import dagger, frobenius, one_norm, over_chunks, project, unitarity_defect
 from .representations import OscillatorRep, SpinRep
 from .susy import build_invariant, build_supercharge, check_superalgebra, pair_spectra
 
@@ -191,13 +192,27 @@ def _suite_intertwining(run: _Run, lvn_tol) -> CheckResult:
     return CheckResult("intertwining", res_inter, INTERTWINING_FLOOR, passed)
 
 
+def _internal_grid(bounds: np.ndarray, n: int) -> np.ndarray:
+    """n equal steps on each segment between consecutive ``bounds``."""
+    starts = bounds[:-1, None] + np.diff(bounds)[:, None] * (np.arange(n) / n)
+    return np.append(starts.ravel(), bounds[-1])
+
+
 def _suite_solutions(run: _Run, tol) -> CheckResult:
     """Mapped solutions satisfy the minus-sector Schrodinger equation and match
     numerical propagation from the same initial states.
 
     Each check time is evaluated once for all levels, as one (dim, levels)
-    matrix, and the checkable levels are propagated together as that block.
-    A config with no checkable level propagates nothing.
+    matrix, and the checkable levels are propagated together as that block by
+    CF4:2 on an internal grid: n equal steps on [0, t_mid] and on
+    [t_mid, t_final], the config grid's check times. n starts as the fewest
+    steps with ||H||_1 dt < STEP_NORM_LIMIT at the Gauss nodes of one step per
+    segment, and doubles until the n-vs-2n state difference (the error bar)
+    is below ``tol`` or the next internal grid would take more steps than the
+    config grid. Every H evaluated is held to the config grid's step guard,
+    ||H||_F dt < STEP_NORM_LIMIT. The residual is the largest of the
+    Schrodinger residual, the infidelity, the state error of the 2n run and
+    the error bar. A config with no checkable level propagates nothing.
     """
     cfg, rep, out = run.cfg, run.rep, run.out
     levels = [k for k, lv in enumerate(out.levels) if not isinstance(rep, OscillatorRep)
@@ -215,14 +230,42 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
         return np.linalg.norm(res if proj is None else proj @ res, axis=-2)
 
     worst = _worst(_sample_times(cfg, count=5), rep.dim, schrodinger_residuals)
-    # Infidelity against midpoint-exponential propagation of the level block,
-    # stored only at the two check points.
+
+    def h(ts):
+        # H_- at internal nodes, held to the step guard of the config grid.
+        hs = out.h_minus(ts)
+        check_step(hs, cfg.dt)
+        return hs
+
     grid = cfg.grid()
-    ks = [grid.size // 2, grid.size - 1]
-    numeric = propagate(out.h_minus, out.mapped_solution(levels, 0.0), grid, keep=ks).states
-    overlaps = np.sum(out.mapped_solution(levels, grid[ks]).conj() * numeric, axis=1)
-    worst = max(worst, float(np.max(1.0 - np.abs(overlaps))))
-    return CheckResult("solutions", worst, tol, worst < tol)
+    checks = grid[[grid.size // 2, grid.size - 1]]
+    # 0 < t_mid <= t_final: the check times coincide on a one-step grid.
+    bounds = np.append(0.0, checks if checks[0] < checks[1] else checks[1:])
+    segments = bounds.size - 1
+    probe = bounds[:-1, None] + np.diff(bounds)[:, None] * GAUSS_NODES
+    norm = _worst(probe.ravel(), rep.dim, lambda ts: one_norm(h(ts)))
+    n = int(norm * np.max(np.diff(bounds)) // STEP_NORM_LIMIT) + 1
+    psi0 = out.mapped_solution(levels, 0.0)
+
+    def numeric(steps):
+        keep = steps * np.searchsorted(bounds, checks)
+        return propagate(h, psi0, _internal_grid(bounds, steps), keep=keep, order=4).states
+
+    coarse = numeric(n)
+    while True:
+        fine = numeric(2 * n)
+        bar = float(np.max(np.linalg.norm(fine - coarse, axis=1)))
+        if bar < tol or segments * 4 * n > grid.size - 1:
+            break
+        n, coarse = 2 * n, fine
+    closed = out.mapped_solution(levels, checks)
+    error = float(np.max(np.linalg.norm(fine - closed, axis=1)))
+    infidelity = float(np.max(1.0 - np.abs(np.sum(closed.conj() * fine, axis=1))))
+    worst = max(worst, infidelity, error, bar)
+    note = "" if bar < tol else \
+        f"error bar {bar:.3e} at n = {n} steps per segment: the internal grid is capped " \
+        f"at the config grid's {grid.size - 1} steps"
+    return CheckResult("solutions", worst, tol, worst < tol, note)
 
 
 # Suite name -> (suite, key of its tolerance).

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from susyinv import suites
+from susyinv import construction, suites
 from susyinv.cli import main
 from susyinv.config import ConfigError, load_config
 
@@ -65,7 +66,15 @@ class TestConfig:
          "[system] n = 32, buffer = 12: buffer must satisfy 1 <= buffer <= N/4"),
         ("spin_default", "verify", "t_final = 5.0", "t_final = 0.0004",
          "[grid] t_final = 0.0004 is below dt/2 = 0.0005: the grid has no step"),
-    ], ids=["half_integer_j", "integer_phase_steps", "buffer_range", "zero_step_grid"])
+        ("spin_default", "verify", "t_final = 5.0", "t_final = nan",
+         "[grid] t_final = nan, dt = 0.001: both must be finite"),
+        ("spin_default", "verify", "b = 1.0", "b = nan", "[system] b = nan must be finite"),
+        ("spin_default", "verify", 'f = "0.5"', 'f = "1e400"',
+         "[y] f = '\"1e400\"': not finite at t = 0"),
+        ("spin_default", "verify", 'f = "0.5"', 'f = "t*t"',
+         "[y] f = '\"t*t\"': antiderivative of (1*t)*(1*t) leaves the closed family"),
+    ], ids=["half_integer_j", "integer_phase_steps", "buffer_range", "zero_step_grid",
+            "non_finite_t_final", "non_finite_b", "overflowing_f", "f_without_antiderivative"])
     def test_static_error_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
                                                config, command, old, new, message):
         text = (config_dir / f"{config}.ini").read_text()
@@ -195,6 +204,88 @@ class TestVerify:
         assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()
 
 
+class TestSolutionsSuite:
+    """CF4:2 on the internal grid: its cost, its error bar and its state-error gate."""
+
+    @staticmethod
+    def solutions(out):
+        payload = json.loads((out / "verify.json").read_text())
+        return next(c for c in payload["checks"] if c["name"] == "solutions")
+
+    def test_verify_builds_h_at_fewer_times_than_config_steps(self, tmp_path, config_dir,
+                                                              monkeypatch):
+        # The solutions suite steps its own coarse grid, so all of verify
+        # evaluates H_-(t) at fewer times than the config grid has steps.
+        points = []
+        real = construction.hamiltonian_from_gauge
+
+        def counting(w, y, t):
+            points.append(np.size(t))
+            return real(w, y, t)
+
+        monkeypatch.setattr(construction, "hamiltonian_from_gauge", counting)
+        monkeypatch.setattr(suites, "hamiltonian_from_gauge", counting)
+        config = config_dir / "oscillator_default.ini"
+        assert load_config(config).grid().size - 1 == 1500
+        assert run(["verify", "--config", config, "--out", tmp_path / "out"]) == 0
+        assert 0 < sum(points) < 1500
+
+    def test_capped_error_bar_fails_and_is_reported(self, tmp_path, config_dir):
+        # At dt = 0.3 the config grid has 17 steps, so the doubling stops at
+        # n = 6 steps per segment, where the n-vs-2n bar is about 5e-4.
+        text = (config_dir / "spin_default.ini").read_text()
+        cfg = tmp_path / "coarse.ini"
+        cfg.write_text(text.replace("dt = 0.001", "dt = 0.3"))
+        out = tmp_path / "out"
+        assert run(["verify", "--config", cfg, "--out", out]) == 1
+        check = self.solutions(out)
+        assert check["pass"] is False
+        assert check["note"].startswith("error bar ")
+        assert "capped at the config grid's 17 steps" in check["note"]
+        bar = float(check["note"].split()[2])
+        assert bar > 1e-5
+        assert float(check["max_residual"]) == pytest.approx(bar, rel=1e-3)
+
+    def test_one_step_grid_has_one_segment(self, tmp_path, config_dir, monkeypatch):
+        # On a one-step grid both check times are t_final: the internal grid
+        # is one segment, and both kept indices are its end.
+        calls = []
+        real = suites.propagate
+
+        def spy(h, psi0, times, keep=None, order=2):
+            calls.append((times[-1], list(keep)))
+            return real(h, psi0, times, keep=keep, order=order)
+
+        monkeypatch.setattr(suites, "propagate", spy)
+        text = (config_dir / "spin_default.ini").read_text()
+        cfg = tmp_path / "one_step.ini"
+        cfg.write_text(text.replace("t_final = 5.0", "t_final = 0.001"))
+        assert run(["verify", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        n = calls[0][1][0]
+        assert calls == [(0.001, [n, n]), (0.001, [2 * n, 2 * n])]
+
+    def test_state_error_gate_catches_a_global_phase(self, tmp_path, config_dir,
+                                                     monkeypatch):
+        # A numeric state off by a global phase has zero infidelity and the
+        # same error bar, but a state error of |e^{i eps} - 1| = eps.
+        eps = 1e-3
+        real = suites.propagate
+
+        def rotated(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            return replace(traj, states=np.exp(1j * eps) * traj.states)
+
+        monkeypatch.setattr(suites, "propagate", rotated)
+        text = (config_dir / "spin_default.ini").read_text()
+        cfg = tmp_path / "short.ini"
+        cfg.write_text(text.replace("t_final = 5.0", "t_final = 1.0"))
+        out = tmp_path / "out"
+        assert run(["verify", "--config", cfg, "--out", out]) == 1
+        check = self.solutions(out)
+        assert check["pass"] is False and check["note"] == ""
+        assert float(check["max_residual"]) == pytest.approx(eps, rel=1e-3)
+
+
 class TestPropagate:
     def test_mapped_level_infidelity(self, tmp_path, config_dir):
         out = tmp_path / "out"
@@ -297,24 +388,37 @@ class TestD0File:
 
     def test_solutions_propagate_only_checkable_levels(self, tmp_path, config_dir,
                                                       monkeypatch):
-        # The solutions suite propagates nothing when no level is checkable,
-        # and otherwise keeps only its two check points.
-        kept = []
+        # The solutions suite propagates nothing when no level is checkable.
+        # Otherwise it runs CF4:2 on internal grids of n equal steps on each
+        # of [0, 0.5] and [0.5, 1], doubling n, and keeps only the two check
+        # points: indices n and 2n, at the config grid's t = 0.5 and t = 1.
+        calls = []
         real = suites.propagate
-        monkeypatch.setattr(suites, "propagate",
-                            lambda *a, **kw: kept.append(kw["keep"]) or real(*a, **kw))
+
+        def spy(h, psi0, times, keep=None, order=2):
+            calls.append((times, list(keep), order))
+            return real(h, psi0, times, keep=keep, order=order)
+
+        monkeypatch.setattr(suites, "propagate", spy)
         d0 = tmp_path / "zero.json"
         d0.write_text(json.dumps({"real": [[0.0, 0.0], [0.0, 0.0]]}))
         text = (config_dir / "spin_default.ini").read_text() \
             .replace("t_final = 5.0", "t_final = 1.0")
-        for name, cfg_text, expected in (
-                ("zero_d0", text.replace("named = Jplus", f"file = {d0}"), []),
-                ("default", text, [[500, 1000]])):
-            kept.clear()
+        for name, cfg_text, propagated in (
+                ("zero_d0", text.replace("named = Jplus", f"file = {d0}"), False),
+                ("default", text, True)):
+            calls.clear()
             cfg = tmp_path / f"{name}.ini"
             cfg.write_text(cfg_text)
             assert run(["verify", "--config", cfg, "--out", tmp_path / name]) == 0
-            assert kept == expected
+            assert bool(calls) == propagated
+        assert len(calls) >= 2
+        n0 = len(calls[0][0]) // 2
+        for k, (times, keep, order) in enumerate(calls):
+            n = n0 * 2 ** k
+            assert order == 4 and keep == [n, 2 * n]
+            assert np.allclose(np.diff(times), 0.5 / n)
+            assert (times[n], times[2 * n]) == (0.5, 1.0)
 
     def test_oscillator_propagate_level(self, tmp_path, config_dir):
         out = tmp_path / "out"
@@ -339,8 +443,9 @@ class TestStepTooLarge:
 
 class TestRuntimeInputErrors:
     # Bad [d0] files are rejected by load_config; a pairing too close to the
-    # zero-mode threshold and a loop open by less than the 1e-9 angle check
-    # are raised by the library. All exit 2 with one line, no traceback.
+    # zero-mode threshold, a level that does not split into generator
+    # eigenvectors and a loop open by less than the 1e-9 angle check are
+    # raised by the library. All exit 2 with one line, no traceback.
     @pytest.mark.parametrize("config, command, old, new, d0_text, message", [
         ("spin_default", "verify", "named = Jplus", "file = {d0}", None,
          "file not found"),
@@ -357,11 +462,15 @@ class TestRuntimeInputErrors:
         ("spin_default", "verify", "named = Jplus", "file = {d0}",
          '{"real": [[1, 0], [0, 7.0710678118654756e-05]]}',
          "too close to the zero-mode threshold"),
+        ("spin_default", "verify", "named = Jplus", "file = {d0}",
+         '{"real": [[0, 1], [0, 0]], "imag": [[1, 1], [1, 1]]}',
+         "does not split into generator eigenvectors"),
         ("phase_loop", "phase", 'theta = "1.0471975511965976"',
          'theta = "1.0471975511965976 + 0.0000000005*t"', None,
          "frame is not closed over the loop"),
     ], ids=["missing_d0_file", "truncated_d0_json", "non_square_d0", "d0_dimension",
-            "non_finite_d0", "d0_imag_shape", "pairing_ambiguity", "loop_not_closed"])
+            "non_finite_d0", "d0_imag_shape", "pairing_ambiguity", "generator_split",
+            "loop_not_closed"])
     def test_exit_2_with_one_line(self, tmp_path, config_dir, capsys, config, command,
                                   old, new, d0_text, message):
         d0 = tmp_path / "d0.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from susyinv import dynamics
 from susyinv import timefunc as tf
 from susyinv.construction import run_prescription, spin_supersystem
 from susyinv.dynamics import (EigenvalueCrossingError, NonClosedLoopError,
@@ -68,6 +69,38 @@ class TestPropagate:
             return 1 - abs(np.vdot(closed, traj.states[-1]))
 
         assert infidelity(0.02) / infidelity(0.01) >= 3.5
+
+    def test_fourth_order_convergence(self, precessing, monkeypatch):
+        # CF4:2: halving dt cuts the state error against the closed form by
+        # about 16; with its two factors applied in the other order, by about 4.
+        _, out = precessing
+        psi_ref = np.array([1.0, 1.0]) / np.sqrt(2)
+        psi0 = out.u_minus(0.0).entries @ psi_ref
+        closed = out.u_minus(4.0).entries @ psi_ref
+
+        def error(n):
+            traj = propagate(out.h_minus, psi0, grid(4.0, 4.0 / n), keep=[n], order=4)
+            return np.linalg.norm(traj.states[-1] - closed)
+
+        assert 15 < error(20) / error(40) < 17
+        monkeypatch.setattr(dynamics, "CF4_WEIGHTS", dynamics.CF4_WEIGHTS[::-1])
+        assert 3.5 < error(20) / error(40) < 4.5
+
+    def test_fourth_order_is_unitary_and_unguarded(self, precessing):
+        # At dt = 1, ||H|| dt is twice the midpoint rule's limit; CF4:2 still
+        # keeps the norm, and its error is the caller's to estimate.
+        _, out = precessing
+        psi0 = out.mapped_solution(0, 0.0)
+        times = grid(4.0, 1.0)
+        with pytest.raises(StepSizeError):
+            propagate(out.h_minus, psi0, times)
+        traj = propagate(out.h_minus, psi0, times, order=4)
+        assert traj.norm_drift.max() < 1e-14
+
+    def test_unknown_order_rejected(self):
+        spin = make_spin(0.5)
+        with pytest.raises(ValueError, match="order must be 2 or 4"):
+            propagate(lambda t: spin.J3, spin.basis_state(0.5), grid(0.1, 0.01), order=3)
 
     def test_step_size_rejected_with_suggestion(self):
         spin = make_spin(0.5)
