@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import timefunc
-from .operators import Operator
+from .operators import Operator, first_true, over_chunks
 from .representations import (OscillatorRep, SpinRep, check_half_integer, check_truncation,
                               default_buffer, make_oscillator, make_spin)
 
@@ -79,8 +79,12 @@ class RunConfig:
         raise ConfigError(f"d0 named {name!r} is not available for family {self.family!r}")
 
     def grid(self) -> np.ndarray:
-        steps = int(round(self.t_final / self.dt))
-        return np.linspace(0.0, steps * self.dt, steps + 1)
+        return _grid(self.t_final, self.dt)
+
+
+def _grid(t_final: float, dt: float) -> np.ndarray:
+    steps = int(round(t_final / dt))
+    return np.linspace(0.0, steps * dt, steps + 1)
 
 
 def _read_d0_file(path: str) -> np.ndarray:
@@ -99,23 +103,26 @@ def _read_d0_file(path: str) -> np.ndarray:
     return real + 1j * imag
 
 
-def _parse_timefunc(section: str, key: str, text: str,
+def _parse_timefunc(section: str, key: str, text: str, grid: np.ndarray,
                     antiderivative: bool = False) -> timefunc.TimeFunction:
     """Parse one time function, with the calculus the program takes of it.
 
     Every function is differentiated; ``antiderivative`` also integrates it
-    (f and g enter the solution phase through their antiderivatives). A
-    non-finite number makes the function non-finite at t = 0.
+    (f and g enter the solution phase through their antiderivatives). Each
+    must be finite at every time of the config grid, t = 0 included; a
+    non-finite number fails at t = 0.
     """
-    try:
-        fn = timefunc.parse(text)
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        try:
+            fn = timefunc.parse(text)
             taken = [fn, fn.derivative()] + ([fn.antiderivative()] if antiderivative else [])
-            finite = np.all(np.isfinite([g(0.0) for g in taken]))
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from exc
-    if not finite:
-        raise ConfigError(f"[{section}] {key} = {text!r}: not finite at t = 0")
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from exc
+        bad = over_chunks(grid, 1, lambda ts: ~np.all([np.isfinite(g(ts)) for g in taken],
+                                                       axis=0))
+    k = first_true(bad)
+    if k is not None:
+        raise ConfigError(f"[{section}] {key} = {text!r}: not finite at t = {grid[k]:g}")
     return fn
 
 
@@ -181,25 +188,6 @@ def load_config(path: str | Path) -> RunConfig:
     if not np.isfinite(b):
         raise ConfigError(f"[system] b = {b} must be finite")
 
-    theta = _parse_timefunc("gauge", "theta", _get(cp, "gauge", "theta", required=True))
-    phi = _parse_timefunc("gauge", "phi", _get(cp, "gauge", "phi", required=True))
-    f = _parse_timefunc("y", "f", _get(cp, "y", "f", required=True), antiderivative=True)
-    g_text = _get(cp, "y", "g")
-    g = _parse_timefunc("y", "g", g_text, antiderivative=True) \
-        if g_text and g_text.strip("\"'") not in ("", "0") else None
-    if g is not None and family == "oscillator":
-        raise ConfigError(
-            "[y] g: the quadratic term is only wired for the spin family "
-            "(no closed-form oscillator oracle to verify against)")
-
-    d0_named = _get(cp, "d0", "named")
-    d0_file = _get(cp, "d0", "file")
-    if d0_file is not None:
-        shape = _read_d0_file(d0_file).shape
-        if shape != (dim, dim):
-            raise ConfigError(f"[d0] file = {d0_file!r}: expected a {dim}x{dim} matrix "
-                              f"for this representation, got shape {shape}")
-
     try:
         t_final = float(_get(cp, "grid", "t_final", required=True))
         dt = float(_get(cp, "grid", "dt", required=True))
@@ -214,6 +202,28 @@ def load_config(path: str | Path) -> RunConfig:
     if round(t_final / dt) < 1:
         raise ConfigError(f"[grid] t_final = {t_final:g} is below dt/2 = {dt / 2:g}: "
                           "the grid has no step")
+
+    grid = _grid(t_final, dt)
+    theta = _parse_timefunc("gauge", "theta", _get(cp, "gauge", "theta", required=True),
+                            grid)
+    phi = _parse_timefunc("gauge", "phi", _get(cp, "gauge", "phi", required=True), grid)
+    f = _parse_timefunc("y", "f", _get(cp, "y", "f", required=True), grid,
+                        antiderivative=True)
+    g_text = _get(cp, "y", "g")
+    g = _parse_timefunc("y", "g", g_text, grid, antiderivative=True) \
+        if g_text and g_text.strip("\"'") not in ("", "0") else None
+    if g is not None and family == "oscillator":
+        raise ConfigError(
+            "[y] g: the quadratic term is only wired for the spin family "
+            "(no closed-form oscillator oracle to verify against)")
+
+    d0_named = _get(cp, "d0", "named")
+    d0_file = _get(cp, "d0", "file")
+    if d0_file is not None:
+        shape = _read_d0_file(d0_file).shape
+        if shape != (dim, dim):
+            raise ConfigError(f"[d0] file = {d0_file!r}: expected a {dim}x{dim} matrix "
+                              f"for this representation, got shape {shape}")
 
     suites_text = _get(cp, "checks", "suites", default="")
     suites = tuple(s.strip() for s in suites_text.split(",") if s.strip()) or DEFAULT_SUITES

@@ -1,10 +1,11 @@
 """Generative core: gauge curves W(t), partner Hamiltonians H = W Y W^dag - i W dW^dag/dt,
 closed-form evolution operators, and the four-step pairing prescription.
 
-Closed-form gauge kinds differentiate W exactly through the chain rule on the
-three-exponential product, so the closed-form coefficient formulas can be
-cross-checked against an independent matrix route with no finite-difference
-error in either side.
+The gauge is W = e^{-i phi D3} e^{-i theta D2} e^{i phi D3}, with D2 diagonalized
+once. Each outer factor commutes with its generator, so the product rule gives
+H = W diag(y - phi' d3) W^dag + theta' E D2 E^dag + phi' D3 with E = e^{-i phi D3}:
+one matmul builds W and one the sandwich, and no finite difference enters.
+``GaugeCurve.derivative`` keeps the chain-rule dW/dt as an independent route.
 
 Every map of t takes a scalar or an array of times. An array gives an
 (n, d, d) stack built with broadcasting and stacked matmul from one evaluation
@@ -27,12 +28,7 @@ from .susy import ZERO_MODE_SCALE
 from .timefunc import TimeFunction
 
 GAUGE_UNITARITY_TOL = 1e-10
-EXPLICIT_FD_STEP = 1e-6   # relative central-difference step for dW/dt of explicit curves
-HERMITICITY_TOL = {"spin_su2": 1e-9, "osc_su11": 1e-9, "explicit": 1e-6}
-
-
-class NonCommutingYError(ValueError):
-    pass
+HERMITICITY_TOL = 1e-9
 
 
 class GeneratorSplitError(ValueError):
@@ -46,13 +42,8 @@ def _diag_or_none(m: np.ndarray) -> np.ndarray | None:
     return np.real(np.diag(m)).copy()
 
 
-def _stack_of(fn: Callable[[float], np.ndarray], ts: np.ndarray) -> np.ndarray:
-    """A caller's matrix function of one time, evaluated at each of ts."""
-    return np.stack([np.asarray(fn(s), dtype=complex) for s in ts])
-
-
-def _sandwich(e: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """diag(e) M diag(e)^* for (n, d) diagonals and an (n, d, d) stack."""
+def _sandwich(e: np.ndarray, m) -> np.ndarray:
+    """diag(e) M diag(e)^* for (n, d) diagonals and a (d, d) matrix or (n, d, d) stack."""
     out = e[:, :, None] * m
     out *= np.conj(e)[:, None, :]
     return out
@@ -60,27 +51,21 @@ def _sandwich(e: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaugeCurve:
-    """Unitary curve W(t). Closed-form kinds: W = e^{-i phi D3} e^{-i theta D2} e^{i phi D3}."""
+    """Unitary curve W(t) = e^{-i phi D3} e^{-i theta D2} e^{i phi D3}, D3 diagonal."""
 
-    kind: str  # "spin_su2" | "osc_su11" | "explicit"
-    d3: Operator | None = None
-    d2: Operator | None = None
-    theta: TimeFunction | None = None
-    phi: TimeFunction | None = None
-    fn: Callable[[float], np.ndarray] | None = None
+    d3: Operator
+    d2: Operator
+    theta: TimeFunction
+    phi: TimeFunction
 
     @classmethod
     def spin(cls, rep: SpinRep, theta: TimeFunction, phi: TimeFunction) -> "GaugeCurve":
-        return cls("spin_su2", rep.J3, rep.J2, theta, phi)
+        return cls(rep.J3, rep.J2, theta, phi)
 
     @classmethod
     def oscillator(cls, rep: OscillatorRep, theta: TimeFunction,
                    phi: TimeFunction) -> "GaugeCurve":
-        return cls("osc_su11", rep.K3, rep.K2, theta, phi)
-
-    @classmethod
-    def explicit(cls, fn: Callable[[float], np.ndarray]) -> "GaugeCurve":
-        return cls("explicit", fn=fn)
+        return cls(rep.K3, rep.K2, theta, phi)
 
     @cached_property
     def _d3_diag(self) -> np.ndarray:
@@ -91,8 +76,18 @@ class GaugeCurve:
 
     @cached_property
     def _d2_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors V2 of D2, V2 checked unitary once.
+
+        W = E V2 Phi V2^dag E^dag with unit-modulus phase diagonals E and Phi,
+        so W is unitary at every finite angle wherever V2 is.
+        """
         es = eigh(self.d2)
-        return es.values, np.ascontiguousarray(es.vectors)
+        v2 = np.ascontiguousarray(es.vectors)
+        defect = unitarity_defect(v2)
+        if not defect <= GAUGE_UNITARITY_TOL * max(1.0, frobenius(v2)):
+            raise ValueError(f"gauge curve is not unitary: the eigenbasis of D2 has "
+                             f"defect {defect:.3e}")
+        return es.values, v2
 
     @cached_property
     def _theta_dot(self) -> TimeFunction:
@@ -104,53 +99,49 @@ class GaugeCurve:
 
     @property
     def dim(self) -> int:
-        if self.kind == "explicit":
-            return np.asarray(self.fn(0.0)).shape[0]
         return self.d3.dim
 
     def _factors(self, t: np.ndarray):
-        """e^{-i phi D3} diagonals and e^{-i theta D2} eigenphases, each (n, d)."""
+        """e^{-i phi D3} diagonals and e^{-i theta D2} eigenphases, each (n, d), and W."""
         e1 = np.exp(-1j * self.phi(t)[:, None] * self._d3_diag)
         e2_phases = np.exp(-1j * self.theta(t)[:, None] * self._d2_eig[0])
-        return e1, e2_phases
+        return e1, e2_phases, _sandwich(e1, self._in_d2_basis(e2_phases))
 
     def _in_d2_basis(self, diagonals: np.ndarray) -> np.ndarray:
         """V2 diag(x) V2^dag for each row x of an (n, d) array."""
         v2 = self._d2_eig[1]
         return (v2 * diagonals[:, None, :]) @ v2.conj().T
 
-    def _values(self, t: np.ndarray) -> np.ndarray:
-        if self.kind == "explicit":
-            return _stack_of(self.fn, t)
-        e1, e2_phases = self._factors(t)
-        return _sandwich(e1, self._in_d2_basis(e2_phases))
-
     def value(self, t):
         """W(t): an Operator for a scalar t, an (n, d, d) stack for an array."""
-        return per_time(t, self._values)
+        return per_time(t, lambda ts: self._factors(ts)[2])
 
-    def _derivatives(self, t: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-        if self.kind == "explicit":
-            h = EXPLICIT_FD_STEP * np.maximum(1.0, np.abs(t))
-            return (self._values(t + h) - self._values(t - h)) / (2 * h)[:, None, None]
-        e1, e2_phases = self._factors(t)
-        d3 = self._d3_diag
-        if w is None:
-            w = _sandwich(e1, self._in_d2_basis(e2_phases))
-        # d/dt of each factor, assembled by the product rule.
-        d2e2 = self._in_d2_basis(self._d2_eig[0] * e2_phases)
-        term_phi = -1j * self._phi_dot(t)[:, None, None] * (d3[:, None] * w - w * d3[None, :])
-        term_theta = -1j * self._theta_dot(t)[:, None, None] * _sandwich(e1, d2e2)
-        return term_phi + term_theta
+    def derivative(self, t):
+        """dW/dt by the chain rule on the three exponentials."""
+        def stack(ts):
+            e1, e2_phases, w = self._factors(ts)
+            d3 = self._d3_diag
+            # d/dt of each factor, assembled by the product rule.
+            d2e2 = self._in_d2_basis(self._d2_eig[0] * e2_phases)
+            term_phi = -1j * self._phi_dot(ts)[:, None, None] * (d3[:, None] * w
+                                                                 - w * d3[None, :])
+            term_theta = -1j * self._theta_dot(ts)[:, None, None] * _sandwich(e1, d2e2)
+            return term_phi + term_theta
+        return per_time(t, stack)
 
-    def derivative(self, t, w: np.ndarray | None = None):
-        """dW/dt; exact chain rule for closed-form kinds, central FD for explicit.
+    def partner(self, y_diagonal: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """W diag(y) W^dag - i W dW^dag/dt for (n, d) diagonals y at (n,) times.
 
-        ``w`` is an optional (n, d, d) stack of W at the times of an array
-        ``t``; a caller that already holds it spares the closed-form kinds
-        rebuilding it.
+        E = e^{-i phi D3} commutes with D3 and e^{-i theta D2} with D2, so
+        -i W dW^dag/dt = theta' E D2 E^dag + phi' (D3 - W D3 W^dag).
         """
-        return per_time(t, lambda ts: self._derivatives(ts, w))
+        e1, _, w = self._factors(t)
+        phi_dot = self._phi_dot(t)[:, None]
+        h = (w * (y_diagonal - phi_dot * self._d3_diag)[:, None, :]) @ dagger(w)
+        h += self._theta_dot(t)[:, None, None] * _sandwich(e1, self.d2.entries)
+        idx = np.arange(self.dim)
+        h[:, idx, idx] += phi_dot * self._d3_diag
+        return h
 
     def identity_start_defect(self) -> float:
         """||W(0) - 1||; zero is required by the pairing prescription but the
@@ -223,49 +214,24 @@ class YSpec:
         return float(np.max(frobenius(y @ m0 - m0 @ y)))
 
 
-@dataclass(frozen=True)
-class ExplicitY:
-    """Caller-supplied Y(t) with no commuting guarantee; usable for H, not for U."""
+def hamiltonian_from_gauge(w: GaugeCurve, y: YSpec, t):
+    """H(t) = W Y W^dag - i W dW^dag/dt, from :meth:`GaugeCurve.partner`.
 
-    fn: Callable[[float], np.ndarray]
-
-    def value(self, t):
-        return per_time(t, lambda ts: _stack_of(self.fn, ts))
-
-
-def hamiltonian_from_gauge(w: GaugeCurve, y: YSpec | ExplicitY, t):
-    """H(t) = W Y W^dag - i W dW^dag/dt; Hermitian up to the kind's tolerance.
-
-    The unitarity and Hermiticity guards hold at every time of an array; the
-    first time that breaks one raises. W is built once per chunk and handed
-    to the exact derivative, and H is assembled as W (Y W^dag - i dW^dag/dt)
-    with one matmul.
+    The Hermiticity guard holds at every time of an array, and a non-finite
+    H fails it: the first such time raises.
     """
     def stack(ts: np.ndarray) -> np.ndarray:
-        wm = w.value(ts)
-        u_defect = unitarity_defect(wm)
-        k = first_true(u_defect > GAUGE_UNITARITY_TOL * np.maximum(1.0, frobenius(wm)))
+        h = w.partner(y.diagonal(ts), ts)
+        relative = hermiticity_defect(h) / np.maximum(1.0, frobenius(h))
+        k = first_true(~(relative <= HERMITICITY_TOL))
         if k is not None:
-            raise ValueError(f"gauge curve is not unitary at t={float(ts[k])}: "
-                             f"defect {u_defect[k]:.3e}")
-        wd = w.derivative(ts, wm)
-        wm_dag = dagger(wm)
-        y_wdag = y.diagonal(ts)[:, :, None] * wm_dag if isinstance(y, YSpec) \
-            else y.value(ts) @ wm_dag
-        h = wm @ (y_wdag - 1j * dagger(wd))
-        defect = hermiticity_defect(h)
-        k = first_true(defect > HERMITICITY_TOL[w.kind] * np.maximum(1.0, frobenius(h)))
-        if k is not None:
-            raise NonHermitianError(float(defect[k]))
+            raise NonHermitianError(float(relative[k]), float(ts[k]))
         return h
     return per_time(t, stack)
 
 
 def evolution_from_gauge(w: GaugeCurve, y: YSpec, t):
     """U(t) = W(t) exp(-i int_0^t Y); valid because Y(t) at different t commute."""
-    if not isinstance(y, YSpec):
-        raise NonCommutingYError(
-            "evolution requires a commuting YSpec; time-ordered products are not implemented")
     return per_time(t, lambda ts: w.value(ts)
                     * np.exp(-1j * y.integral_diagonal(ts))[:, None, :])
 

@@ -32,8 +32,9 @@ class DimensionMismatchError(ValueError):
 
 
 class NonHermitianError(ValueError):
-    def __init__(self, defect: float):
-        super().__init__(f"matrix is not Hermitian (relative defect {defect:.3e})")
+    def __init__(self, defect: float, t: float | None = None):
+        where = "" if t is None else f" at t={t}"
+        super().__init__(f"matrix is not Hermitian{where} (relative defect {defect:.3e})")
         self.defect = defect
 
 
@@ -231,11 +232,15 @@ def unitarity_defect(u: Operator):
 
 
 def project(m: np.ndarray, projector) -> np.ndarray:
-    """P M P for a projector (an Operator or an array), or M when it is None."""
+    """P M P for a diagonal 0/1 projector (an Operator or an array), or M when it is None.
+
+    The kept entries are masked, not multiplied: P M P adds only exact zeros
+    to them, so the result is the same to the bit for finite M.
+    """
     if projector is None:
         return m
-    p = _mat(projector)
-    return p @ m @ p
+    keep = np.diagonal(_mat(projector)) != 0
+    return np.where(keep[:, None] & keep[None, :], m, 0)
 
 
 def hermiticity_defect(h: np.ndarray):

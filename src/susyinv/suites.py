@@ -30,6 +30,9 @@ OSC_TOLS = {"superalgebra": 1e-12, "pairing": 1e-10, "gauge": 1e-6,
             "lvn": 1e-4, "unitarity": 1e-6, "solutions": 1e-5}
 INTERTWINING_FLOOR = 0.1
 NEGATIVE_CONTROL_FLOOR = 0.05
+# Largest weight a checked oscillator level's minus state may put on the edge
+# buffer: an amplitude of 1e-6 there, an order below the solutions tolerance.
+EDGE_WEIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -192,6 +195,18 @@ def _suite_intertwining(run: _Run, lvn_tol) -> CheckResult:
     return CheckResult("intertwining", res_inter, INTERTWINING_FLOOR, passed)
 
 
+def _checkable_levels(rep, out: PartnerOutput) -> list[int]:
+    """Indices of the levels whose minus state keeps off the oscillator's edge.
+
+    An oscillator level is checkable when its ``v_minus`` puts a weight below
+    ``EDGE_WEIGHT_TOL`` on the top ``buffer`` Fock states; every spin level is.
+    """
+    if not isinstance(rep, OscillatorRep):
+        return list(range(len(out.levels)))
+    return [k for k, lv in enumerate(out.levels)
+            if np.sum(np.abs(lv.v_minus[rep.N - rep.buffer:]) ** 2) < EDGE_WEIGHT_TOL]
+
+
 def _internal_grid(bounds: np.ndarray, n: int) -> np.ndarray:
     """n equal steps on each segment between consecutive ``bounds``."""
     starts = bounds[:-1, None] + np.diff(bounds)[:, None] * (np.arange(n) / n)
@@ -215,8 +230,7 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
     the error bar. A config with no checkable level propagates nothing.
     """
     cfg, rep, out = run.cfg, run.rep, run.out
-    levels = [k for k, lv in enumerate(out.levels) if not isinstance(rep, OscillatorRep)
-              or 0 <= round(2 * lv.mu - 1.5) <= rep.N - rep.buffer - 2]
+    levels = _checkable_levels(rep, out)
     if not levels:
         return CheckResult("solutions", 0.0, tol, True)
     proj = _projector(rep)

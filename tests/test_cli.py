@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from susyinv import construction, suites
+from susyinv import timefunc as tf
 from susyinv.cli import main
 from susyinv.config import ConfigError, load_config
+from susyinv.construction import oscillator_supersystem, run_prescription
+from susyinv.representations import make_oscillator
 
 
 def run(args):
@@ -85,6 +88,23 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["build", "propagate", "verify"])
+    def test_overflow_on_the_grid_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
+                                                       command):
+        # Finite at t = 0, but 1e300 * t^2 overflows from the first step on.
+        text = (config_dir / "spin_default.ini").read_text()
+        edits = (('phi = "2*t"', 'phi = "1e300*t*t"'), ("t_final = 5.0", "t_final = 1e9"),
+                 ("dt = 0.001", "dt = 1e8"))
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        assert run([command, "--config", bad, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: [gauge] phi = '\"1e300*t*t\"': not finite at t = 1e+08\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestBuild:
@@ -229,6 +249,19 @@ class TestSolutionsSuite:
         assert load_config(config).grid().size - 1 == 1500
         assert run(["verify", "--config", config, "--out", tmp_path / "out"]) == 0
         assert 0 < sum(points) < 1500
+
+    @pytest.mark.parametrize("n, buffer", [(32, 4), (128, 16)])
+    def test_edge_level_not_checked(self, n, buffer):
+        # Level k maps to the Fock state |k + 1>. Level N - 2 maps to the top
+        # one, inside the edge buffer, although its truncated K3 eigenvalue
+        # reads as an interior level's.
+        rep = make_oscillator(n, buffer)
+        out = run_prescription(oscillator_supersystem(
+            rep, tf.parse("0.007*sin(1.1*t)"), tf.parse("0.4*t"), tf.const(0.55)))
+        levels = suites._checkable_levels(rep, out)
+        assert len(out.levels) == n - 1
+        assert n - 2 not in levels
+        assert levels == list(range(n - buffer - 1))
 
     def test_capped_error_bar_fails_and_is_reported(self, tmp_path, config_dir):
         # At dt = 0.3 the config grid has 17 steps, so the doubling stops at

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from susyinv import timefunc as tf
-from susyinv.construction import (ExplicitY, GaugeCurve, NonCommutingYError, YSpec,
-                                  closed_form_osc_R, closed_form_spin_R,
+from susyinv import construction
+from susyinv.construction import (GaugeCurve, YSpec, closed_form_osc_R, closed_form_spin_R,
                                   evolution_from_gauge, hamiltonian_from_gauge,
                                   oscillator_supersystem, precessing_special_case,
                                   quadrupole_partner, run_prescription,
                                   spin_supersystem)
-from susyinv.operators import NonHermitianError, unitarity_defect
+from susyinv.operators import EigenSystem, NonHermitianError, dagger, unitarity_defect
 from susyinv.representations import make_oscillator, make_spin
 
 
@@ -17,6 +17,19 @@ def fd_gauge_hamiltonian(w_of_t, y_of_t, t, h=1e-6):
     w = w_of_t(t)
     wdot = (w_of_t(t + h) - w_of_t(t - h)) / (2 * h)
     return w @ y_of_t(t) @ w.conj().T - 1j * (w @ wdot.conj().T)
+
+
+class Spike:
+    """Time-function stub: ``base`` everywhere except ``value`` at the time ``at``."""
+
+    def __init__(self, base, at, value):
+        self.base, self.at, self.value = base, at, value
+
+    def __call__(self, t):
+        return np.where(np.asarray(t) == self.at, self.value, self.base(t))
+
+    def derivative(self):
+        return self.base.derivative()
 
 
 @pytest.fixture
@@ -51,15 +64,6 @@ class TestGaugeCurve:
         for t in (0.4, 2.1):
             fd = (gauge.value(t + 1e-6).entries - gauge.value(t - 1e-6).entries) / 2e-6
             assert np.linalg.norm(gauge.derivative(t).entries - fd) < 1e-8
-
-    def test_explicit_kind(self, spin_setup):
-        spin, theta, phi, _ = spin_setup
-        closed = GaugeCurve.spin(spin, theta, phi)
-        explicit = GaugeCurve.explicit(lambda t: closed.value(t).entries)
-        t = 1.3
-        assert np.allclose(explicit.value(t).entries, closed.value(t).entries)
-        assert np.linalg.norm(explicit.derivative(t).entries
-                              - closed.derivative(t).entries) < 1e-6
 
 
 class TestYSpec:
@@ -114,31 +118,88 @@ class TestHamiltonianFromGauge:
             assert np.linalg.norm(hamiltonian_from_gauge(gauge, y, t).entries - fd) < 1e-8
 
     def test_non_unitary_rejected(self):
-        gauge = GaugeCurve.explicit(lambda t: 2.0 * np.eye(2))
+        # W at an infinite angle is not unitary: H is non-finite and rejected.
+        gauge = GaugeCurve.spin(make_spin(0.5), Spike(tf.const(0.0), 0.5, np.inf),
+                                tf.const(0.0))
         y = YSpec(make_spin(0.5).J3, tf.const(1.0))
-        with pytest.raises(ValueError):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="t=0.5 "):
             hamiltonian_from_gauge(gauge, y, 0.5)
 
     def test_non_unitary_at_one_interior_grid_point_rejected(self):
         # The guard holds at every point of a stacked grid, not at samples.
         times = np.linspace(0.0, 2.0, 2001)
         bad = times[1234]
-        gauge = GaugeCurve.explicit(lambda t: 2.0 * np.eye(2) if t == bad else np.eye(2))
-        y = YSpec(make_spin(0.5).J3, tf.const(1.0))
+        spin = make_spin(0.5)
+        gauge = GaugeCurve.spin(spin, Spike(tf.parse("0.3*sin(t)"), bad, np.inf),
+                                tf.linear(0.4))
+        y = YSpec(spin.J3, tf.const(1.0))
         assert hamiltonian_from_gauge(gauge, y, np.delete(times, 1234)).shape == (2000, 2, 2)
-        with pytest.raises(ValueError, match=f"not unitary at t={bad}:"):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match=f"not Hermitian at t={bad} "):
             hamiltonian_from_gauge(gauge, y, times)
+
+    def test_non_unitary_eigenbasis_rejected_once(self, monkeypatch):
+        # Unitarity is checked on the eigenbasis of D2, when it is first built.
+        spin = make_spin(1)
+        real = construction.eigh
+
+        def scaled(op):
+            es = real(op)
+            return EigenSystem(es.values.copy(), 2.0 * es.vectors, es.degeneracy_groups)
+
+        monkeypatch.setattr(construction, "eigh", scaled)
+        gauge = GaugeCurve.spin(spin, tf.const(0.3), tf.const(0.0))
+        with pytest.raises(ValueError, match="not unitary: the eigenbasis of D2"):
+            gauge.value(0.0)
 
     def test_non_hermitian_at_one_grid_point_rejected(self, spin_setup):
         spin, theta, phi, f = spin_setup
         gauge = GaugeCurve.spin(spin, theta, phi)
         times = np.linspace(0.0, 2.0, 2001)
         bad = times[777]
-        skew = np.triu(np.ones((3, 3)), 1)
-        y = ExplicitY(lambda t: spin.J3.entries + (1e-3 * skew if t == bad else 0.0))
-        with pytest.raises(NonHermitianError):
+        y = YSpec(spin.J3, Spike(f, bad, f(bad) + 1e-3j))
+        with pytest.raises(NonHermitianError, match=f"at t={bad} "):
             hamiltonian_from_gauge(gauge, y, times)
         assert hamiltonian_from_gauge(gauge, y, np.delete(times, 777)).shape == (2000, 3, 3)
+
+    @pytest.mark.parametrize("family, g", [("spin", None), ("spin", "0.2*t - 0.1*cos(3*t)"),
+                                           ("oscillator", None)])
+    def test_matches_literal_formula(self, family, g):
+        # W diag(y - phi' d3) W^dag + theta' E D2 E^dag + phi' D3 against
+        # W Y W^dag - i W dW^dag/dt built from value and derivative.
+        phi = tf.parse("0.4*t + 0.2*cos(0.9*t)")
+        f = tf.parse("0.5 + 0.1*sin(2*t)")
+        if family == "spin":
+            spin = make_spin(5)
+            gauge = GaugeCurve.spin(spin, tf.parse("0.7 + 0.3*sin(1.3*t)"), phi)
+            y = YSpec(spin.J3, f, None if g is None else tf.parse(g))
+            times = np.linspace(0.0, 5.0, 201)
+        else:
+            osc = make_oscillator(128, 16)
+            gauge = GaugeCurve.oscillator(osc, tf.parse("0.007*sin(1.1*t)"), phi)
+            y = YSpec(osc.K3, f)
+            times = np.linspace(0.0, 2.0, 21)
+        w, wd = gauge.value(times), gauge.derivative(times)
+        literal = w @ y.value(times) @ dagger(w) - 1j * w @ dagger(wd)
+        error = np.linalg.norm(hamiltonian_from_gauge(gauge, y, times) - literal, axis=(1, 2))
+        assert np.max(error / np.linalg.norm(literal, axis=(1, 2))) <= 1e-13
+
+    def test_no_per_point_unitarity_or_derivative(self, spin_setup, monkeypatch):
+        # Past the one-time check of the D2 eigenbasis, H takes neither the
+        # W^dag W guard product nor dW/dt.
+        spin, theta, phi, f = spin_setup
+        gauge = GaugeCurve.spin(spin, theta, phi)
+        y = YSpec(spin.J3, f)
+        gauge.value(0.0)
+        calls = []
+        for owner, name in ((construction, "unitarity_defect"), (GaugeCurve, "derivative")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, _real=real, **kw: calls.append(1) or _real(*a, **kw))
+        assert hamiltonian_from_gauge(gauge, y, np.linspace(0.0, 2.0, 2001)).shape \
+            == (2001, 3, 3)
+        hamiltonian_from_gauge(gauge, y, 0.7)
+        assert calls == []
 
     def test_array_matches_scalar_calls(self, spin_setup):
         spin, theta, phi, f = spin_setup
@@ -149,15 +210,6 @@ class TestHamiltonianFromGauge:
         for t, h in zip(times, stack):
             assert np.allclose(h, hamiltonian_from_gauge(gauge, y, t).entries,
                                rtol=0, atol=1e-14)
-
-    def test_explicit_y(self, spin_setup):
-        spin, theta, phi, f = spin_setup
-        gauge = GaugeCurve.spin(spin, theta, phi)
-        y = YSpec(spin.J3, f)
-        explicit = ExplicitY(lambda t: f(t) * spin.J3.entries)
-        t = 1.1
-        assert np.allclose(hamiltonian_from_gauge(gauge, explicit, t).entries,
-                           hamiltonian_from_gauge(gauge, y, t).entries, atol=1e-12)
 
 
 class TestClosedForms:
@@ -250,12 +302,6 @@ class TestEvolution:
             res = 1j * du - hamiltonian_from_gauge(gauge, y, t).entries \
                 @ evolution_from_gauge(gauge, y, t).entries
             assert np.linalg.norm(res) < 1e-5
-
-    def test_explicit_y_rejected(self, spin_setup):
-        spin, theta, phi, f = spin_setup
-        gauge = GaugeCurve.spin(spin, theta, phi)
-        with pytest.raises(NonCommutingYError):
-            evolution_from_gauge(gauge, ExplicitY(lambda t: spin.J3.entries), 1.0)
 
 
 class TestPrescription:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from susyinv.operators import (TAYLOR_THETA, DimensionMismatchError, NonHermitianError,
                                Operator, _is_diagonal, anticommutator, commutator, eigh,
-                               expm, expm_i_hermitian, identity, unitarity_defect)
-from susyinv.representations import make_spin
+                               expm, expm_i_hermitian, frobenius, identity, project,
+                               unitarity_defect)
+from susyinv.representations import make_oscillator, make_spin
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -313,3 +314,21 @@ class TestUnitarityDefect:
         # Hand computation: ||4*1 - 1||_F = 3 sqrt(2).
         got = unitarity_defect(2 * identity(2))
         assert abs(got - 3 * np.sqrt(2)) < 1e-14
+
+
+class TestProject:
+    @pytest.mark.parametrize("projector", ["interior", "array", "none"])
+    def test_masks_exactly_as_the_products(self, projector):
+        # P M P with a diagonal 0/1 P adds only exact zeros to the kept entries.
+        rng = np.random.default_rng(7)
+        p = make_oscillator(32, 8).projector_interior
+        stack = rng.normal(size=(5, 32, 32)) + 1j * rng.normal(size=(5, 32, 32))
+        if projector == "none":
+            assert project(stack, None) is stack
+            return
+        expected = p.entries @ stack @ p.entries
+        got = project(stack, p if projector == "interior" else p.entries)
+        assert got.shape == stack.shape
+        assert np.array_equal(got, expected)
+        assert np.array_equal(frobenius(got), frobenius(expected))
+
