@@ -23,7 +23,8 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .construction import GeneratorSplitError, closed_form_osc_R, closed_form_spin_R
-from .dynamics import NonClosedLoopError, StepSizeError, berry_holonomy, propagate
+from .dynamics import (HolonomyResult, NonClosedLoopError, StepSizeError, berry_holonomy,
+                       propagate)
 from .operators import chunks, eigh, hermiticity_defect, over_chunks
 from .suites import build_system, run_suites
 from .susy import PairingAmbiguityError
@@ -117,10 +118,14 @@ def _resolve_level(cfg: RunConfig, out) -> tuple[int | None, str]:
     if text == "auto":
         return 0, "auto"
     if "/" in text:
-        num, den = text.split("/")
-        value = float(num) / float(den)
+        num, den = (float(part) for part in text.split("/"))
+        if den == 0:
+            raise ValueError("zero denominator")
+        value = num / den
     else:
         value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("the level must be finite")
     if cfg.family == "spin":
         if abs(value - cfg.j) < 1e-9:
             return None, f"m={value} (zero mode)"
@@ -186,23 +191,25 @@ def cmd_phase(cfg: RunConfig, out_override: str | None, reverse_flag: bool) -> i
     steps = cfg.phase_steps
 
     es0 = eigh(out.iminus_ref)
+    groups = es0.degeneracy_groups
+
+    def frame(s):
+        time = T - s if reverse else s
+        return out.system.w_minus.value(time) @ es0.vectors
+
+    res = berry_holonomy(frame, steps, period=T, groups=groups)
+    res2 = berry_holonomy(frame, 2 * steps, period=T, groups=groups)
     levels_payload = []
-    for gi, group in enumerate(es0.degeneracy_groups):
-        v0 = es0.vectors[:, list(group)]
-
-        def frame(s, v0=v0):
-            time = T - s if reverse else s
-            return out.system.w_minus.value(time) @ v0
-
-        res = berry_holonomy(frame, steps, period=T)
-        res2 = berry_holonomy(frame, 2 * steps, period=T)
-        delta = float(np.linalg.norm(res.gamma - res2.gamma))
+    for gi, group in enumerate(groups):
+        block = np.ix_(group, group)
+        level = HolonomyResult(res.gamma[block])
+        delta = float(np.linalg.norm(level.gamma - res2.gamma[block]))
         levels_payload.append({
             "level": gi,
             "invariant_eigenvalue": _fmt(float(es0.values[list(group)].mean())),
             "degeneracy": len(group),
-            "gamma": _complex_payload(res.gamma),
-            "unitarity_defect": _fmt(res.unitarity()),
+            "gamma": _complex_payload(level.gamma),
+            "unitarity_defect": _fmt(level.unitarity()),
             "resolution_doubling_delta": _fmt(delta),
             "steps": steps,
         })
@@ -279,6 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    scale = args.tolerance_scale
+    if args.command in ("verify", "sweep") and not (np.isfinite(scale) and scale > 0):
+        print(f"error: --tolerance-scale must be finite and positive, got {scale!r}",
+              file=sys.stderr)
+        return 2
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

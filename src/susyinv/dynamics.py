@@ -20,7 +20,10 @@ the kept grid points are stored.
 Maps of t (Hamiltonians, invariants, frames) are called with arrays of times
 and return (n, d, d) stacks, or one matrix when they are constant. Grids are
 evaluated chunk by chunk (:func:`susyinv.operators.chunks`); only the product
-of step unitaries runs step by step.
+of step unitaries runs step by step. A holonomy takes every level of a frame
+from one frame stack: the overlaps are taken once, unitarized level by level,
+and multiplied pairwise (:func:`_ordered_product`), so the Wilson product
+costs about log2(n) stacked matmuls per chunk instead of n.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -284,7 +287,7 @@ def projected_schrodinger(i_map: Callable[[float], Operator],
 
 @dataclass(frozen=True)
 class HolonomyResult:
-    """Path-ordered loop holonomy of one eigenframe level."""
+    """Path-ordered loop holonomy of an eigenframe: one diagonal block per level."""
 
     gamma: np.ndarray
 
@@ -297,15 +300,36 @@ class HolonomyResult:
                                     - np.eye(self.degeneracy)))
 
 
-def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int,
-                   period: float = 1.0) -> HolonomyResult:
-    """Discretized path-ordered holonomy of a single-valued closed frame.
+def _ordered_product(stack: np.ndarray) -> np.ndarray:
+    """M_{n-1} ... M_1 M_0 of an (n, k, k) stack, later entries on the left.
 
-    ``frame(s)`` must return orthonormal columns spanning the tracked level and
-    satisfy frame(period) = frame(0); the discrete product of unitarized
-    overlaps converges to the continuum holonomy as steps grow. It is called
-    with arrays of loop parameters and returns one frame per parameter, or a
-    single frame when it is constant.
+    Neighbors are multiplied pairwise as one stacked matmul per halving, so
+    the product takes about log2(n) matmul calls instead of n.
+    """
+    while len(stack) > 1:
+        pairs = stack[1::2] @ stack[:len(stack) - 1:2]
+        stack = np.concatenate([pairs, stack[2 * len(pairs):]])
+    return stack[0]
+
+
+def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int,
+                   period: float = 1.0,
+                   groups: Sequence[Sequence[int]] | None = None) -> HolonomyResult:
+    """Discretized path-ordered holonomies of a single-valued closed frame.
+
+    ``frame(s)`` must return orthonormal columns and satisfy frame(period) =
+    frame(0); it is called with arrays of loop parameters and returns one
+    frame per parameter, or a single frame when it is constant. ``groups``
+    partitions the columns into levels, as index tuples in the shape of
+    ``EigenSystem.degeneracy_groups``; by default all columns are one level.
+    Each level's columns must close to ``CLOSURE_TOL * max(1, ||frame(0)[:, g]||)``.
+
+    The overlaps ``frame(s_{k+1})^dag frame(s_k)`` are taken once for the whole
+    frame; each level's block of them is unitarized by its own polar
+    decomposition, and the blocks are multiplied with later times on the left
+    (pairwise, :func:`_ordered_product`). ``gamma`` is block-diagonal, one
+    block per level; the discrete product converges to the continuum holonomy
+    as steps grow.
     """
     if steps < 2:
         raise ValueError("at least two steps are required")
@@ -313,20 +337,31 @@ def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int,
     if v0.ndim == 1:
         v0 = v0[:, None]
     v_end = np.asarray(frame(period), dtype=complex).reshape(v0.shape)
-    closure = float(np.linalg.norm(v_end - v0))
-    if closure > CLOSURE_TOL * max(1.0, np.linalg.norm(v0)):
-        raise NonClosedLoopError(
-            f"frame is not closed over the loop: ||frame(T) - frame(0)|| = {closure:.3e}")
+    groups = [np.arange(v0.shape[1])] if groups is None else \
+        [np.asarray(g, dtype=int) for g in groups]
+    for g in groups:
+        closure = float(np.linalg.norm(v_end[:, g] - v0[:, g]))
+        if closure > CLOSURE_TOL * max(1.0, np.linalg.norm(v0[:, g])):
+            raise NonClosedLoopError(
+                f"frame is not closed over the loop: ||frame(T) - frame(0)|| = "
+                f"{closure:.3e}")
 
-    gamma = np.eye(v0.shape[1], dtype=complex)
+    # One product per level and chunk, in time order.
+    products = [[] for _ in groups]
     prev = v0
     interior = period * np.arange(1, steps) / steps
     for sl in chunks(interior.size, v0.shape[0]):
         cur = _stack(frame, interior[sl], v0.shape)
-        overlaps = polar_unitary(dagger(cur) @ np.concatenate([prev[None], cur[:-1]]))
-        # Later times multiply from the left: Gamma = M_{N-1} ... M_0.
-        for m in overlaps:
-            gamma = m @ gamma
-        prev = cur[-1]
-    gamma = polar_unitary(v0.conj().T @ prev) @ gamma
+        overlaps = dagger(cur) @ np.concatenate([prev[None], cur[:-1]])
+        prev = cur[-1].copy()
+        # The chunk's d x d stacks go before the next frame stack is evaluated.
+        del cur
+        for product, g in zip(products, groups):
+            product.append(_ordered_product(polar_unitary(overlaps[:, g[:, None], g])))
+        del overlaps
+    closing = v0.conj().T @ prev
+    gamma = np.zeros((v0.shape[1],) * 2, dtype=complex)
+    for product, g in zip(products, groups):
+        product.append(polar_unitary(closing[g[:, None], g]))
+        gamma[g[:, None], g] = _ordered_product(np.stack(product))
     return HolonomyResult(gamma)

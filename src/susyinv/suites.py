@@ -22,7 +22,8 @@ from .dynamics import (GAUSS_NODES, STEP_NORM_LIMIT, check_step, intertwining_re
                        lvn_residual, propagate)
 from .operators import dagger, frobenius, one_norm, over_chunks, project, unitarity_defect
 from .representations import OscillatorRep, SpinRep
-from .susy import build_invariant, build_supercharge, check_superalgebra, pair_spectra
+from .susy import (SuperCharge, SuperInvariant, build_invariant, build_supercharge,
+                   check_superalgebra, pair_spectra)
 
 SPIN_TOLS = {"superalgebra": 1e-12, "pairing": 1e-10, "gauge": 1e-9,
              "lvn": 1e-6, "unitarity": 1e-9, "solutions": 1e-5}
@@ -77,8 +78,9 @@ def _projector(rep) -> np.ndarray | None:
 
 @dataclass
 class _Run:
-    """What the suites of one run_suites call share: the configured system,
-    and the LvN residual sweep of H_-, computed by whichever suite needs it first."""
+    """What the suites of one run_suites call share: the configured system, and
+    the supercharge, its invariant and the LvN residual sweep of H_-, each
+    computed by whichever suite needs it first."""
 
     cfg: RunConfig
     rep: SpinRep | OscillatorRep
@@ -94,18 +96,30 @@ class _Run:
     def lvn(self) -> float:
         return self.worst_lvn(self.out.h_minus)
 
+    @cached_property
+    def supercharge(self) -> SuperCharge:
+        return build_supercharge(self.out.system.d0)
+
+    @cached_property
+    def invariant(self) -> SuperInvariant:
+        return build_invariant(self.supercharge)
+
+    def release_supersymmetry(self) -> None:
+        """Forget the supercharge and invariant: 2N x 2N each, 1 MB apiece at N = 128,
+        which the suites after the last one that reads them need not hold."""
+        for name in ("supercharge", "invariant"):
+            self.__dict__.pop(name, None)
+
 
 def _suite_superalgebra(run: _Run, tol) -> CheckResult:
-    q = build_supercharge(run.out.system.d0)
-    inv = build_invariant(q)
-    report = check_superalgebra(q, inv)
+    report = check_superalgebra(run.supercharge, run.invariant)
     worst = report.max_residual()
     return CheckResult("superalgebra", worst, tol, worst < tol)
 
 
 def _suite_pairing(run: _Run, tol) -> CheckResult:
     cfg, rep = run.cfg, run.rep
-    inv = build_invariant(build_supercharge(run.out.system.d0))
+    inv = run.invariant
     pairing = pair_spectra(inv)
     worst = 0.0
     d = inv.d.entries
@@ -282,6 +296,9 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
     return CheckResult("solutions", worst, tol, worst < tol, note)
 
 
+# The suites that read _Run.supercharge and _Run.invariant.
+SUPERSYMMETRY_SUITES = frozenset({"superalgebra", "pairing"})
+
 # Suite name -> (suite, key of its tolerance).
 SUITES = {
     "superalgebra": (_suite_superalgebra, "superalgebra"),
@@ -297,7 +314,12 @@ SUITES = {
 def run_suites(cfg: RunConfig, tolerance_scale: float = 1.0) -> list[CheckResult]:
     run = _Run(cfg, *build_system(cfg))
     tols = _tols(cfg, tolerance_scale)
-    results = [suite(run, tols[key]) for suite, key in (SUITES[name] for name in cfg.suites)]
+    results = []
+    for k, name in enumerate(cfg.suites):
+        suite, key = SUITES[name]
+        results.append(suite(run, tols[key]))
+        if SUPERSYMMETRY_SUITES.isdisjoint(cfg.suites[k + 1:]):
+            run.release_supersymmetry()
     if cfg.cross_check_wrong_h:
         results.append(_suite_lvn_wrong_h(run, tols["lvn"]))
     return results

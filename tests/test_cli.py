@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from susyinv import construction, suites
+from susyinv import cli, construction, suites
 from susyinv import timefunc as tf
 from susyinv.cli import main
 from susyinv.config import ConfigError, load_config
@@ -189,6 +189,43 @@ class TestVerify:
                     "--out", out, "--tolerance-scale", "1e9"])
         assert code == 0
 
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("command, config", [("verify", "spin_negative_control"),
+                                                 ("sweep", "sweep_example")])
+    def test_bad_tolerance_scale_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
+                                                      command, config, scale):
+        # inf would pass every check of the negative control; nan, 0 and -1
+        # would fail every one.
+        assert run([command, "--config", config_dir / f"{config}.ini",
+                    "--out", tmp_path / "out", "--tolerance-scale", scale]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tolerance-scale must be finite and positive")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("names, held", [
+        ("superalgebra, pairing, lvn", [False]),
+        ("pairing, lvn, superalgebra, lvn", [True, False]),
+        ("lvn, superalgebra", [False])])
+    def test_supercharge_built_once_per_call(self, tmp_path, config_dir, monkeypatch,
+                                             names, held):
+        # superalgebra and pairing share one supercharge and one invariant,
+        # and the suites after the last of them no longer hold it.
+        calls, seen = [], []
+        for name in ("build_supercharge", "build_invariant"):
+            real = getattr(suites, name)
+            monkeypatch.setattr(suites, name, lambda *a, _real=real, _name=name, **kw:
+                                calls.append(_name) or _real(*a, **kw))
+        lvn, key = suites.SUITES["lvn"]
+        monkeypatch.setitem(suites.SUITES, "lvn", (lambda run, tol: seen.append(
+            "supercharge" in vars(run)) or lvn(run, tol), key))
+        text = (config_dir / "spin_default.ini").read_text()
+        all_suites = "superalgebra, pairing, gauge, lvn, unitarity, intertwining, solutions"
+        cfg = tmp_path / "suites.ini"
+        cfg.write_text(text.replace(all_suites, names))
+        suites.run_suites(load_config(cfg))
+        assert sorted(calls) == ["build_invariant", "build_supercharge"]
+        assert seen == held
+
     def test_quadrupole_config_passes(self, tmp_path, config_dir):
         assert run(["verify", "--config", config_dir / "quadrupole.ini",
                     "--out", tmp_path / "out"]) == 0
@@ -362,6 +399,23 @@ class TestPhase:
         bad.write_text(text.replace('phi = "2*pi*t"', 'phi = "3.0*t"'))
         assert run(["phase", "--config", bad, "--out", tmp_path / "out"]) == 2
 
+    def test_one_holonomy_call_per_resolution(self, tmp_path, config_dir, monkeypatch):
+        # Every level comes out of the same two calls, at steps and 2*steps.
+        calls = []
+        real = cli.berry_holonomy
+        monkeypatch.setattr(cli, "berry_holonomy",
+                            lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
+        text = (config_dir / "phase_loop.ini").read_text()
+        for j, levels in (("1/2", 2), ("2", 3)):
+            cfg = tmp_path / f"j{levels}.ini"
+            cfg.write_text(text.replace("j = 1/2", f"j = {j}").replace("steps = 2000",
+                                                                     "steps = 200"))
+            out = tmp_path / f"out{levels}"
+            calls.clear()
+            assert run(["phase", "--config", cfg, "--out", out]) == 0
+            assert len(json.loads((out / "holonomy.json").read_text())["levels"]) == levels
+            assert calls == [200, 400]
+
     def test_reverse_flag_conjugates(self, tmp_path, config_dir):
         out_f, out_r = tmp_path / "f", tmp_path / "r"
         assert run(["phase", "--config", config_dir / "phase_loop.ini",
@@ -531,6 +585,20 @@ class TestLevelAndFamilyGuards:
         bad = tmp_path / "bad.ini"
         bad.write_text(text.replace("level = 0", "level = 99"))
         assert run(["propagate", "--config", bad, "--out", tmp_path / "out"]) == 2
+
+    @pytest.mark.parametrize("level, message", [("1/0", "zero denominator"),
+                                                ("inf", "must be finite"),
+                                                ("nan", "must be finite"),
+                                                ("1e308/1e-10", "must be finite")])
+    def test_bad_level_number_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
+                                                   level, message):
+        text = (config_dir / "spin_default.ini").read_text()
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace("level = -1/2", f"level = {level}"))
+        assert run(["propagate", "--config", bad, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [propagate] level = '{level}': ")
+        assert message in err and err.count("\n") == 1
 
     def test_garbled_level_exit_2(self, tmp_path, config_dir):
         text = (config_dir / "spin_default.ini").read_text()

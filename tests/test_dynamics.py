@@ -355,6 +355,60 @@ class TestBerryHolonomy:
             berry_holonomy(frame, 100)
 
 
+class TestOrderedProduct:
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 4001])
+    def test_matches_sequential_product(self, n, k):
+        rng = np.random.default_rng(100 * n + k)
+        z = rng.normal(size=(n, k, k)) + 1j * rng.normal(size=(n, k, k))
+        stack = np.linalg.qr(z)[0]
+        sequential = np.eye(k, dtype=complex)
+        for m in stack:
+            sequential = m @ sequential
+        assert np.max(np.abs(dynamics._ordered_product(stack) - sequential)) < 1e-13
+
+
+@pytest.fixture(scope="module")
+def j2_loop():
+    """The full invariant eigenframe of j = 2 over a closed loop, and its levels."""
+    spin = make_spin(2)
+    out = run_prescription(spin_supersystem(
+        spin, tf.parse("0.9 + 0.1*sin(2*pi*t)"), tf.parse("2*pi*t + 0.2*sin(2*pi*t)"),
+        tf.const(0.6)))
+    es0 = eigh(out.iminus_ref)
+    return (lambda s: out.system.w_minus.value(s) @ es0.vectors), es0.degeneracy_groups
+
+
+class TestGroupedHolonomy:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_per_level_calls(self, j2_loop, reverse):
+        full, groups = j2_loop
+        assert sorted(len(g) for g in groups) == [1, 2, 2]
+        frame = (lambda s: full(1.0 - s)) if reverse else full
+        gamma = berry_holonomy(frame, 500, groups=groups).gamma
+        for g in groups:
+            level = berry_holonomy(lambda s, g=list(g): frame(s)[..., g], 500).gamma
+            assert np.max(np.abs(gamma[np.ix_(g, g)] - level)) < 1e-13
+            rest = [c for c in range(gamma.shape[0]) if c not in g]
+            assert not np.any(gamma[np.ix_(g, rest)])
+
+    def test_one_open_level_rejected(self, j2_loop):
+        # One column of the 1x1 level fails to close by 1.5e-12: within the
+        # full frame's bound CLOSURE_TOL * sqrt(5), outside its own CLOSURE_TOL.
+        full, groups = j2_loop
+        single = np.arange(5) == next(g[0] for g in groups if len(g) == 1)
+
+        def frame(s):
+            phase = np.where(single, np.exp(1.5e-12j * np.asarray(s)[..., None]), 1.0)
+            return full(s) * phase[..., None, :]
+
+        v0, v_end = frame(0.0), frame(1.0)
+        assert np.linalg.norm(v_end - v0) <= dynamics.CLOSURE_TOL * np.linalg.norm(v0)
+        berry_holonomy(frame, 100)
+        with pytest.raises(NonClosedLoopError):
+            berry_holonomy(frame, 100, groups=groups)
+
+
 def test_transport_via_numeric_propagation(precessing):
     # Independent route: conjugate I(0) with the numerically propagated U.
     _, out = precessing
