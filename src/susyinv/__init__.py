@@ -7,7 +7,7 @@ Library layout:
 - :mod:`susyinv.timefunc` closed family of time functions with exact calculus
 - :mod:`susyinv.susy` supercharges, even invariants, spectral pairing
 - :mod:`susyinv.construction` gauge curves, partner Hamiltonians, prescription
-- :mod:`susyinv.dynamics` propagation, residuals, projected evolution, holonomy
+- :mod:`susyinv.dynamics` propagation, residuals, holonomy
 - :mod:`susyinv.cli` config-driven command line front end
 """
 
@@ -26,8 +26,8 @@ from .construction import (GaugeCurve, PartnerOutput, SuperSystem, YSpec,
                            quadrupole_partner, run_prescription,
                            spin_supersystem)
 from .dynamics import (HolonomyResult, Trajectory, berry_holonomy,
-                       intertwining_residual, lvn_residual, projected_schrodinger,
-                       propagate, propagate_unitary)
+                       intertwining_residual, lvn_residual, propagate,
+                       propagate_unitary)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -25,7 +25,8 @@ from .config import ConfigError, RunConfig, load_config
 from .construction import GeneratorSplitError, closed_form_osc_R, closed_form_spin_R
 from .dynamics import (HolonomyResult, NonClosedLoopError, StepSizeError, berry_holonomy,
                        propagate)
-from .operators import chunks, eigh, hermiticity_defect, over_chunks
+from .operators import (NonHermitianError, SingularMatrixError, chunks, eigh,
+                        hermiticity_defect, over_chunks)
 from .suites import build_system, run_suites
 from .susy import PairingAmbiguityError
 
@@ -308,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.config, args.out, args.tolerance_scale)
     except (ConfigError, StepSizeError, PairingAmbiguityError, GeneratorSplitError,
-            NonClosedLoopError) as exc:
+            NonClosedLoopError, NonHermitianError, SingularMatrixError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -218,11 +218,13 @@ def hamiltonian_from_gauge(w: GaugeCurve, y: YSpec, t):
     """H(t) = W Y W^dag - i W dW^dag/dt, from :meth:`GaugeCurve.partner`.
 
     The Hermiticity guard holds at every time of an array, and a non-finite
-    H fails it: the first such time raises.
+    H, or one whose norm overflows, fails it: the first such time raises.
     """
     def stack(ts: np.ndarray) -> np.ndarray:
         h = w.partner(y.diagonal(ts), ts)
-        relative = hermiticity_defect(h) / np.maximum(1.0, frobenius(h))
+        # inf / inf reads NaN and fails the guard; numpy need not warn about it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            relative = hermiticity_defect(h) / np.maximum(1.0, frobenius(h))
         k = first_true(~(relative <= HERMITICITY_TOL))
         if k is not None:
             raise NonHermitianError(float(relative[k]), float(ts[k]))

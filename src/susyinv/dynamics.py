@@ -1,6 +1,5 @@
 """Independent verification engine: unitary propagation, invariance and
-intertwining residuals, the projected matrix Schrodinger equation, and
-discretized Berry holonomies.
+intertwining residuals, and discretized Berry holonomies.
 
 The propagator has two step rules. The default applies the exponential of the
 midpoint Hamiltonian on each step: second order in the step, unitary to
@@ -23,7 +22,12 @@ evaluated chunk by chunk (:func:`susyinv.operators.chunks`); only the product
 of step unitaries runs step by step. A holonomy takes every level of a frame
 from one frame stack: the overlaps are taken once, unitarized level by level,
 and multiplied pairwise (:func:`_ordered_product`), so the Wilson product
-costs about log2(n) stacked matmuls per chunk instead of n.
+costs about log2(n) stacked matmuls per chunk instead of n. Each level's
+overlaps are unitarized by :func:`susyinv.operators.polar_unitary`, in closed
+form for levels of size 1 and 2 and by SVD above; an overlap that is singular
+to rounding (the frame jumps to an orthogonal subspace between two steps)
+raises :class:`susyinv.operators.SingularMatrixError` rather than taking an
+arbitrary unitary.
 """
 
 from __future__ import annotations
@@ -35,9 +39,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import (Operator, _mat, chunks, dagger, eigh, expm_i_hermitian,
-                        first_true, frobenius, over_chunks, polar_unitary, project,
-                        unitarity_defect)
+from .operators import (Operator, _mat, chunks, dagger, expm_i_hermitian, first_true,
+                        frobenius, over_chunks, polar_unitary, project, unitarity_defect)
 
 FD_STEP = 1e-5
 STEP_NORM_LIMIT = 0.5
@@ -59,12 +62,6 @@ class StepSizeError(ValueError):
             f"step too large: ||H||*dt = {h_norm * dt:.3g} >= {STEP_NORM_LIMIT} "
             f"(try dt <= {suggested:.3g})")
         self.suggested_dt = suggested
-
-
-class EigenvalueCrossingError(ValueError):
-    def __init__(self, t: float, detail: str):
-        super().__init__(f"eigenvalue crossing detected near t = {t:.6g}: {detail}")
-        self.t = t
 
 
 class NonClosedLoopError(ValueError):
@@ -203,86 +200,6 @@ def intertwining_residual(d_map: Callable[[float], Operator],
     dm = _mat(d_map(t))
     residual = 1j * d_dot - _mat(h_minus(t)) @ dm + dm @ _mat(h_plus(t))
     return frobenius(project(residual, projector))
-
-
-def _align_frame(raw: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """Rotate a raw eigenframe to maximize overlap with the previous one."""
-    return raw @ polar_unitary(raw.conj().T @ previous)
-
-
-@dataclass(frozen=True)
-class LevelEvolution:
-    """Solution u^n of the projected matrix Schrodinger equation on one level."""
-
-    times: np.ndarray
-    value: float
-    u: np.ndarray        # (nt, d, d)
-    frames: np.ndarray   # (nt, dim, d)
-
-    @property
-    def degeneracy(self) -> int:
-        return self.u.shape[1]
-
-    def unitarity_defect(self) -> float:
-        return float(np.max(unitarity_defect(self.u)))
-
-    def solution(self, a: int) -> np.ndarray:
-        """Reconstructed Schrodinger solution sum_b u_ba |lam,b;t> as (nt, dim)."""
-        return np.einsum("tnb,tb->tn", self.frames, self.u[:, :, a])
-
-
-def projected_schrodinger(i_map: Callable[[float], Operator],
-                          h_map: Callable[[float], Operator],
-                          level: int, times: np.ndarray) -> LevelEvolution:
-    """Integrate i du/dt = (E - A) u over the smooth eigenframe of level ``level``.
-
-    The eigenframe is made smooth by aligning each grid point to the previous
-    one (phase and degenerate-block rotation via the polar decomposition of the
-    frame overlap). A change in the level's degeneracy or a collision with a
-    neighboring level is reported as a crossing.
-    """
-    times = _check_grid(times)
-
-    def frame_at(t: float):
-        es = eigh(i_map(t))
-        if not 0 <= level < len(es.degeneracy_groups):
-            raise ValueError(f"level index {level} out of range "
-                             f"({len(es.degeneracy_groups)} groups)")
-        group = list(es.degeneracy_groups[level])
-        return es.vectors[:, group], float(es.values[group].mean()), \
-            tuple(len(g) for g in es.degeneracy_groups)
-
-    v0, lam0, shape0 = frame_at(times[0])
-    d = v0.shape[1]
-    nt = times.size
-    frames = np.empty((nt, v0.shape[0], d), dtype=complex)
-    frames[0] = v0
-    u = np.empty((nt, d, d), dtype=complex)
-    u[0] = np.eye(d)
-
-    for k in range(nt - 1):
-        t0, t1 = times[k], times[k + 1]
-        dt = t1 - t0
-        raw, lam1, shape1 = frame_at(t1)
-        if shape1 != shape0:
-            raise EigenvalueCrossingError(
-                t1, f"degeneracy pattern changed from {shape0} to {shape1}")
-        if abs(lam1 - lam0) > 1e-6 * max(1.0, abs(lam0)):
-            raise EigenvalueCrossingError(
-                t1, f"tracked eigenvalue moved from {lam0:.6g} to {lam1:.6g}")
-        frames[k + 1] = _align_frame(raw, frames[k])
-        vbar = (frames[k] + frames[k + 1]) / 2
-        vbar = vbar @ np.linalg.inv(
-            np.linalg.cholesky(vbar.conj().T @ vbar).conj().T)
-        dv = (frames[k + 1] - frames[k]) / dt
-        a_mid = 1j * (vbar.conj().T @ dv)
-        a_mid = (a_mid + a_mid.conj().T) / 2
-        hm = _mat(h_map(t0 + dt / 2))
-        e_mid = vbar.conj().T @ hm @ vbar
-        e_mid = (e_mid + e_mid.conj().T) / 2
-        u[k + 1] = expm_i_hermitian(e_mid - a_mid, dt) @ u[k]
-
-    return LevelEvolution(times, lam0, u, frames)
 
 
 @dataclass(frozen=True)

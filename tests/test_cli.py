@@ -399,6 +399,24 @@ class TestPhase:
         bad.write_text(text.replace('phi = "2*pi*t"', 'phi = "3.0*t"'))
         assert run(["phase", "--config", bad, "--out", tmp_path / "out"]) == 2
 
+    def test_singular_overlap_exit_2_with_one_line(self, tmp_path, config_dir, capsys):
+        # At theta = pi/2 the spin-1/2 frame at s = 1/2 is orthogonal to the one
+        # at s = 0, so two steps give a zero overlap: the SVD's arbitrary
+        # unitary made gamma read 1 where the holonomy is -1.
+        text = (config_dir / "phase_loop.ini").read_text()
+        edits = (('theta = "1.0471975511965976"', 'theta = "1.5707963267948966"'),
+                 ("steps = 2000", "steps = 2"))
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "coarse.ini"
+        cfg.write_text(text)
+        assert run(["phase", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: singular matrix has no unique polar factor")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "holonomy.json").exists()
+
     def test_one_holonomy_call_per_resolution(self, tmp_path, config_dir, monkeypatch):
         # Every level comes out of the same two calls, at steps and 2*steps.
         calls = []
@@ -570,6 +588,21 @@ class TestRuntimeInputErrors:
         assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("command", ["build", "propagate", "verify"])
+    def test_norm_overflow_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
+                                                command):
+        # f = 1e306 is finite, so load_config takes it, but ||H_-||_F overflows
+        # and H_- fails the Hermiticity guard (NonHermitianError).
+        text = (config_dir / "spin_default.ini").read_text()
+        assert 'f = "0.5"' in text
+        cfg = tmp_path / "huge_f.ini"
+        cfg.write_text(text.replace('f = "0.5"', 'f = "1e306"'))
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: matrix is not Hermitian at t=")
         assert err.count("\n") == 1
 
 

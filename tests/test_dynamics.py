@@ -4,11 +4,10 @@ import pytest
 from susyinv import dynamics
 from susyinv import timefunc as tf
 from susyinv.construction import run_prescription, spin_supersystem
-from susyinv.dynamics import (EigenvalueCrossingError, NonClosedLoopError,
-                              StepSizeError, berry_holonomy, intertwining_residual,
-                              lvn_residual, projected_schrodinger, propagate,
+from susyinv.dynamics import (NonClosedLoopError, StepSizeError, berry_holonomy,
+                              intertwining_residual, lvn_residual, propagate,
                               propagate_unitary)
-from susyinv.operators import Operator, eigh
+from susyinv.operators import Operator, SingularMatrixError, dagger, eigh
 from susyinv.representations import make_spin
 
 
@@ -254,44 +253,6 @@ class TestIntertwining:
         assert intertwining_residual(d_map, h_map, h_map, 0.7) < 1e-12
 
 
-class TestProjectedSchrodinger:
-    def test_constant_frame_pure_dynamical_phase(self):
-        spin = make_spin(0.5)
-        h = Operator(np.diag([1.5, -0.5]).astype(complex))
-        i_map = lambda t: Operator(np.diag([0.0, 1.0]).astype(complex))
-        times = grid(2.0, 1e-3)
-        level = projected_schrodinger(i_map, lambda t: h, 1, times)
-        assert level.degeneracy == 1
-        # Tracked level is the lambda = 1 eigenvector e_0... value sorts last.
-        assert level.value == pytest.approx(1.0)
-        u_final = level.u[-1][0, 0]
-        assert abs(u_final) == pytest.approx(1.0, abs=1e-8)
-
-    def test_reconstruction_matches_mapped_solution(self, precessing):
-        _, out = precessing
-        times = grid(3.0, 1e-3)
-        level = projected_schrodinger(out.i_minus, out.h_minus, 1, times)
-        assert level.unitarity_defect() < 1e-8
-        sol = level.solution(0)
-        mapped = out.mapped_solution(0, times[-1])
-        assert abs(np.vdot(mapped, sol[-1])) > 1 - 1e-6
-
-    def test_abelian_level_is_phase(self, precessing):
-        _, out = precessing
-        level = projected_schrodinger(out.i_minus, out.h_minus, 1, grid(1.0, 1e-3))
-        assert np.allclose(np.abs(level.u[:, 0, 0]), 1.0, atol=1e-10)
-
-    def test_crossing_rejected(self):
-        # Degeneracy pattern changes at t = 0.5 (a level splits off).
-        def i_map(t):
-            return Operator(np.diag([1.0, 1.0 + max(0.0, t - 0.5)]).astype(complex))
-
-        h = Operator(np.zeros((2, 2)))
-        with pytest.raises(EigenvalueCrossingError) as err:
-            projected_schrodinger(i_map, lambda t: h, 0, grid(1.0, 0.05))
-        assert 0.3 < err.value.t < 0.7
-
-
 class TestBerryHolonomy:
     def test_constant_frame_identity(self):
         v = np.eye(4)[:, :2]
@@ -353,6 +314,38 @@ class TestBerryHolonomy:
         frame = lambda s: w.value(s) @ v0  # phi ends at 1 rad, not 2 pi
         with pytest.raises(NonClosedLoopError):
             berry_holonomy(frame, 100)
+
+    @pytest.mark.parametrize("groups", [None, [[0], [1]]], ids=["one_2x2", "two_1x1"])
+    def test_jump_to_orthogonal_subspace_rejected(self, groups):
+        # At s = 1/2 the columns leave span(e0, e1) for span(e2, e3): that
+        # step's overlap is zero and has no polar factor.
+        near, far = np.eye(4)[:, :2], np.eye(4)[:, 2:]
+
+        def frame(s):
+            return np.where((np.asarray(s) == 0.5)[..., None, None], far, near)
+
+        with pytest.raises(SingularMatrixError):
+            berry_holonomy(frame, 4, groups=groups)
+        berry_holonomy(frame, 3, groups=groups)   # s = 1/3, 2/3 never jump
+
+    def test_coarse_loop_near_singular_overlap_runs(self):
+        # perfbench's loop_sweep seed-0 loop at [phase] steps = 3: the overlaps
+        # of the (1, 2) level are far from unitary but not singular.
+        spin = make_spin(2)
+        out = run_prescription(spin_supersystem(
+            spin, tf.parse("0.6809 + 0.1446*sin(2*pi*t)"),
+            tf.parse("2*pi*t + 0.2074*sin(2*pi*t)"), tf.const(0.4143)))
+        es0 = eigh(out.iminus_ref)
+        groups = es0.degeneracy_groups
+        assert (1, 2) in groups
+        frame = lambda s: out.system.w_minus.value(s) @ es0.vectors
+        frames = np.stack([frame(s) for s in (0.0, 1 / 3, 2 / 3, 1.0)])
+        overlaps = (dagger(frames[1:]) @ frames[:-1])[:, 1:3, 1:3]
+        s_min = np.linalg.svd(overlaps, compute_uv=False)[:, -1].min()
+        assert 1e-3 < s_min < 0.05
+        res = berry_holonomy(frame, 3, groups=groups)
+        assert res.unitarity() < 1e-13
+        assert np.isfinite(res.gamma).all()
 
 
 class TestOrderedProduct:

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyinv.operators import (TAYLOR_THETA, DimensionMismatchError, NonHermitianError,
-                               Operator, _is_diagonal, anticommutator, commutator, eigh,
-                               expm, expm_i_hermitian, frobenius, identity, project,
-                               unitarity_defect)
+                               Operator, SingularMatrixError, _is_diagonal, anticommutator,
+                               commutator, dagger, eigh, expm, expm_i_hermitian, frobenius,
+                               identity, polar_unitary, project, unitarity_defect)
 from susyinv.representations import make_oscillator, make_spin
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -332,3 +332,83 @@ class TestProject:
         assert np.array_equal(got, expected)
         assert np.array_equal(frobenius(got), frobenius(expected))
 
+
+
+def svd_polar(m):
+    u, _, vh = np.linalg.svd(m)
+    return u @ vh
+
+
+def polar_inputs(kind, k):
+    """A (400, k, k) stack: Gaussian, or unitary times (1 + 1e-3 X) like an overlap."""
+    rng = np.random.default_rng(40 + k)
+    z = rng.normal(size=(400, k, k)) + 1j * rng.normal(size=(400, k, k))
+    if kind == "generic":
+        return z
+    q = np.linalg.qr(z)[0]
+    x = rng.normal(size=(400, k, k)) + 1j * rng.normal(size=(400, k, k))
+    return q @ (np.eye(k) + 1e-3 * x)
+
+
+class TestPolarUnitary:
+    @pytest.mark.parametrize("kind", ["generic", "near_unitary"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_closed_form_matches_svd(self, k, kind, monkeypatch):
+        m = polar_inputs(kind, k)
+        expected = svd_polar(m)
+        monkeypatch.setattr(np.linalg, "svd", None)   # k <= 2 makes no LAPACK call
+        got = polar_unitary(m)
+        assert got.shape == m.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13
+        single = polar_unitary(m[7])
+        assert single.shape == (k, k)
+        assert np.max(np.abs(single - expected[7])) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["generic", "near_unitary"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_unitary_with_positive_definite_factor(self, k, kind):
+        m = polar_inputs(kind, k)
+        u = polar_unitary(m)
+        assert np.max(unitarity_defect(u)) <= 1e-14
+        p = dagger(u) @ m
+        scale = frobenius(m)
+        assert np.all(frobenius(p - dagger(p)) <= 1e-13 * scale)
+        assert np.all(np.linalg.eigvalsh((p + dagger(p)) / 2) > 0)
+
+    @pytest.mark.parametrize("kind", ["generic", "near_unitary"])
+    def test_k1_modulus_within_one_ulp(self, kind):
+        # m / |m| alone reads |u|^2 - 1 up to 6e-16 here; a holonomy multiplies
+        # thousands of such factors, so the modulus is corrected to 2.2e-16.
+        u = polar_unitary(polar_inputs(kind, 1) * np.linspace(1e-3, 1e3, 400)[:, None, None])
+        re, im = np.abs(u.real), np.abs(u.imag)
+        big, small = np.maximum(re, im), np.minimum(re, im)
+        assert np.max(np.abs((big - 1) * (big + 1) + small * small)) <= 3e-16
+
+    def test_k3_is_the_svd_product(self):
+        m = polar_inputs("generic", 3)
+        assert np.array_equal(polar_unitary(m), svd_polar(m))
+        assert np.array_equal(polar_unitary(m[3]), svd_polar(m[3]))
+
+    @pytest.mark.parametrize("m, index", [
+        (np.zeros((1, 1)), None),
+        (np.array([[1.0, 2.0], [0.5, 1.0]]), None),
+        (np.stack([np.eye(2), np.outer([1, 1j], [2, -1]), np.eye(2)]), 1),
+        (np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])]), 1),
+        (np.array([[[1.0]], [[np.nan]]]), 1),
+    ], ids=["zero_1x1", "rank_1_2x2", "rank_1_2x2_in_stack", "rank_2_3x3_in_stack",
+            "nan_1x1"])
+    def test_singular_rejected(self, m, index):
+        with pytest.raises(SingularMatrixError) as err:
+            polar_unitary(m)
+        where = "" if index is None else f" (matrix {index} of the stack)"
+        assert f"no unique polar factor{where}:" in str(err.value)
+
+    @pytest.mark.parametrize("top", [0.5, 3e8])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_guard_threshold(self, k, top):
+        # diag(top, ..., s): singular iff s <= 1e-8 * max(1, ||M||_F).
+        limit = 1e-8 * max(1.0, top * np.sqrt(k - 1))
+        with pytest.raises(SingularMatrixError):
+            polar_unitary(np.diag([top] * (k - 1) + [0.9 * limit]))
+        u = polar_unitary(np.diag([top] * (k - 1) + [1.1 * limit]))
+        assert np.max(np.abs(u - np.eye(k))) <= 1e-15

@@ -40,19 +40,33 @@ def test_holonomy_takes_the_frame_first():
     assert first.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
+def traced(argv: list[str]) -> dict:
+    """perfbench's metrics of one in-process CLI call, which must exit 0."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    return tracer.metrics()
+
+
 def test_traced_phase_reaches_every_wrapped_layer(tmp_path, config_dir):
     # phase under the tracer: the loop workload's counts that phase makes.
     text = (config_dir / "phase_loop.ini").read_text()
     cfg = tmp_path / "loop.ini"
     cfg.write_text(text.replace("steps = 2000", "steps = 20"))
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        assert main(["phase", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    finally:
-        tracer.uninstall()
-    metrics = tracer.metrics()
+    metrics = traced(["phase", "--config", str(cfg), "--out", str(tmp_path / "out")])
     for name in ("operators.polar_calls", "construction.gauge_value_calls",
                  "dynamics.holonomy_frames", "config.load_calls"):
         assert name in tracing.REQUIRED_COUNTS["loop_sweep"]
         assert metrics[name] > 0, name
+
+
+def test_traced_verify_calls_polar_unitary(tmp_path, config_dir):
+    # spin_grid's only polar calls come from pair_spectra in verify; a closed
+    # form inlined there would zero a required count.
+    cfg = config_dir / "spin_default.ini"
+    metrics = traced(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert "operators.polar_calls" in tracing.REQUIRED_COUNTS["spin_grid"]
+    assert metrics["operators.polar_calls"] > 0
