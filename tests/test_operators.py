@@ -333,7 +333,6 @@ class TestProject:
         assert np.array_equal(frobenius(got), frobenius(expected))
 
 
-
 def svd_polar(m):
     u, _, vh = np.linalg.svd(m)
     return u @ vh
