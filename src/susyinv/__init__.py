@@ -3,9 +3,9 @@
 Library layout:
 
 - :mod:`susyinv.operators` dense complex matrix algebra
-- :mod:`susyinv.representations` spin-j, truncated oscillator, quadrupole bases
+- :mod:`susyinv.representations` spin-j and truncated-oscillator generators
 - :mod:`susyinv.timefunc` closed family of time functions with exact calculus
-- :mod:`susyinv.susy` supercharges, even invariants, spectral pairing
+- :mod:`susyinv.susy` supercharges and even invariants as blocks, spectral pairing
 - :mod:`susyinv.construction` gauge curves, partner Hamiltonians, prescription
 - :mod:`susyinv.dynamics` propagation, residuals, holonomy
 - :mod:`susyinv.cli` config-driven command line front end
@@ -13,18 +13,15 @@ Library layout:
 
 from .operators import (EigenSystem, Operator, anticommutator, commutator, eigh,
                         expm, identity, unitarity_defect)
-from .representations import (OscillatorRep, QuadrupoleBasis, SpinRep,
-                              hermite_state, make_oscillator, make_quadrupole,
-                              make_spin)
+from .representations import OscillatorRep, SpinRep, make_oscillator, make_spin
 from .susy import (SpectralPairing, SuperCharge, SuperInvariant,
                    build_invariant, build_supercharge, check_superalgebra,
-                   pair_spectra, susy_map_state)
+                   pair_spectra)
 from .construction import (GaugeCurve, PartnerOutput, SuperSystem, YSpec,
                            closed_form_osc_R, closed_form_spin_R,
                            evolution_from_gauge, hamiltonian_from_gauge,
-                           oscillator_supersystem, precessing_special_case,
-                           quadrupole_partner, run_prescription,
-                           spin_supersystem)
+                           oscillator_supersystem, quadrupole_partner,
+                           run_prescription, spin_supersystem)
 from .dynamics import (HolonomyResult, Trajectory, berry_holonomy,
                        intertwining_residual, lvn_residual, propagate,
                        propagate_unitary)

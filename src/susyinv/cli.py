@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .construction import GeneratorSplitError, closed_form_osc_R, closed_form_spin_R
+from .construction import (GeneratorSplitError, NonFiniteHamiltonianError, closed_form_osc_R,
+                           closed_form_spin_R)
 from .dynamics import (HolonomyResult, NonClosedLoopError, StepSizeError, berry_holonomy,
                        propagate)
 from .operators import (NonHermitianError, SingularMatrixError, chunks, eigh,
@@ -309,7 +310,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.config, args.out, args.tolerance_scale)
     except (ConfigError, StepSizeError, PairingAmbiguityError, GeneratorSplitError,
-            NonClosedLoopError, NonHermitianError, SingularMatrixError) as exc:
+            NonClosedLoopError, NonHermitianError, NonFiniteHamiltonianError,
+            SingularMatrixError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

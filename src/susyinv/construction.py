@@ -35,6 +35,13 @@ class GeneratorSplitError(ValueError):
     """A level of I+(0) whose mapped vectors are not eigenvectors of the generator."""
 
 
+class NonFiniteHamiltonianError(ValueError):
+    """An H_- whose Frobenius norm is not finite: a non-finite entry, or an overflow."""
+
+    def __init__(self, norm: float, t: float):
+        super().__init__(f"H_- is not finite at t={t} (Frobenius norm {norm:.3e})")
+
+
 def _diag_or_none(m: np.ndarray) -> np.ndarray | None:
     off = m[~np.eye(m.shape[0], dtype=bool)]
     if np.any(off != 0):
@@ -143,12 +150,6 @@ class GaugeCurve:
         h[:, idx, idx] += phi_dot * self._d3_diag
         return h
 
-    def identity_start_defect(self) -> float:
-        """||W(0) - 1||; zero is required by the pairing prescription but the
-        closed-form solution family stays exact for offset starts."""
-        w0 = self.value(0.0).entries
-        return float(np.linalg.norm(w0 - np.eye(w0.shape[0])))
-
 
 @dataclass(frozen=True)
 class YSpec:
@@ -208,25 +209,25 @@ class YSpec:
             out = out + self._g_anti(t) * mu * mu
         return float(out) if np.ndim(out) == 0 else out
 
-    def commutation_defect(self, i0: Operator, ts=(0.0, 0.7, 1.3)) -> float:
-        m0 = i0.entries
-        y = self.value(np.asarray(ts, dtype=float))
-        return float(np.max(frobenius(y @ m0 - m0 @ y)))
-
 
 def hamiltonian_from_gauge(w: GaugeCurve, y: YSpec, t):
     """H(t) = W Y W^dag - i W dW^dag/dt, from :meth:`GaugeCurve.partner`.
 
-    The Hermiticity guard holds at every time of an array, and a non-finite
-    H, or one whose norm overflows, fails it: the first such time raises.
+    The guards hold at every time of an array, and the first time that fails
+    one raises: a non-finite H, or one whose Frobenius norm overflows, with
+    NonFiniteHamiltonianError, and a non-Hermitian one with NonHermitianError.
     """
     def stack(ts: np.ndarray) -> np.ndarray:
         h = w.partner(y.diagonal(ts), ts)
-        # inf / inf reads NaN and fails the guard; numpy need not warn about it.
+        # An overflowing or non-finite H is caught by its norm; numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            relative = hermiticity_defect(h) / np.maximum(1.0, frobenius(h))
-        k = first_true(~(relative <= HERMITICITY_TOL))
+            norms = frobenius(h)
+            relative = hermiticity_defect(h) / np.maximum(1.0, norms)
+        finite = np.isfinite(norms)
+        k = first_true(~finite | ~(relative <= HERMITICITY_TOL))
         if k is not None:
+            if not finite[k]:
+                raise NonFiniteHamiltonianError(float(norms[k]), float(ts[k]))
             raise NonHermitianError(float(relative[k]), float(ts[k]))
         return h
     return per_time(t, stack)
@@ -248,14 +249,6 @@ class SuperSystem:
     y_minus: YSpec
     h_plus: Callable[[float], Operator]
     u_plus: Callable[[float], Operator]
-
-    def plus_sector_defect(self, ts=(0.3, 1.1), h: float = 1e-5) -> float:
-        """Finite-difference residual of i dU+/dt = H+ U+ plus ||U+(0) - 1||."""
-        u0 = self.u_plus(0.0).entries
-        ts = np.asarray(ts, dtype=float)
-        du = (self.u_plus(ts + h) - self.u_plus(ts - h)) / (2 * h)
-        res = 1j * du - self.h_plus(ts) @ self.u_plus(ts)
-        return max(frobenius(u0 - np.eye(u0.shape[0])), float(np.max(frobenius(res))))
 
 
 @dataclass(frozen=True)
@@ -334,8 +327,8 @@ class PartnerOutput:
                 return i
         raise KeyError(f"no positive level with generator eigenvalue {mu}")
 
-    def identity_defects(self, ts=(0.4, 1.7)) -> dict[str, float]:
-        """Residuals of I+(t) = d^dag d / 2 and I-(t) = d d^dag / 2 at samples."""
+    def identity_defects(self, ts) -> dict[str, float]:
+        """Largest residuals of I+(t) = d^dag d / 2 and I-(t) = d d^dag / 2 over times ts."""
         ts = np.asarray(ts, dtype=float)
         dm = self.d(ts)
         return {"iplus": float(np.max(frobenius(dagger(dm) @ dm / 2 - self.i_plus(ts)))),
@@ -454,22 +447,6 @@ def closed_form_osc_R(f: TimeFunction, theta: TimeFunction, phi: TimeFunction, t
 def closed_form_operator(r, generators) -> np.ndarray:
     """sum_i R^i G_i: one matrix for scalar coefficients, a stack for arrays."""
     return sum(np.multiply.outer(ri, g.entries) for ri, g in zip(r, generators))
-
-
-def precessing_special_case(f: TimeFunction, theta: float, omega: float,
-                            t: float, b: float = 1.0) -> tuple[float, float, float]:
-    """Field magnitude r and direction weights (f1, f2) for theta = const, phi = omega t.
-
-    b * r * (f1 cos(omega t), f1 sin(omega t), f2) equals closed_form_spin_R.
-    """
-    ft = f(t)
-    r1 = np.sin(theta) * (ft - omega)
-    r3 = np.cos(theta) * (ft - omega) + omega
-    br = float(np.hypot(r1, r3))
-    r = br / b
-    if br == 0.0:
-        return 0.0, 0.0, 0.0
-    return r, float(r1 / br), float(r3 / br)
 
 
 def quadrupole_partner(spin: SpinRep, f: TimeFunction, g: TimeFunction,

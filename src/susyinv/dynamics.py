@@ -26,8 +26,8 @@ costs about log2(n) stacked matmuls per chunk instead of n. Each level's
 overlaps are unitarized by :func:`susyinv.operators.polar_unitary`, in closed
 form for levels of size 1 and 2 and by SVD above; an overlap that is singular
 to rounding (the frame jumps to an orthogonal subspace between two steps)
-raises :class:`susyinv.operators.SingularMatrixError` rather than taking an
-arbitrary unitary.
+raises :class:`susyinv.operators.SingularMatrixError`, naming the loop step and
+the level, rather than taking an arbitrary unitary.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import (Operator, _mat, chunks, dagger, expm_i_hermitian, first_true,
-                        frobenius, over_chunks, polar_unitary, project, unitarity_defect)
+from .operators import (Operator, SingularMatrixError, _mat, chunks, dagger,
+                        expm_i_hermitian, first_true, frobenius, over_chunks, polar_unitary,
+                        project, unitarity_defect)
 
 FD_STEP = 1e-5
 STEP_NORM_LIMIT = 0.5
@@ -273,12 +274,29 @@ def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int,
         prev = cur[-1].copy()
         # The chunk's d x d stacks go before the next frame stack is evaluated.
         del cur
-        for product, g in zip(products, groups):
-            product.append(_ordered_product(polar_unitary(overlaps[:, g[:, None], g])))
+        for level, (product, g) in enumerate(zip(products, groups)):
+            product.append(_ordered_product(_unitarized(
+                overlaps[:, g[:, None], g], level, sl.start + 1, steps, period)))
         del overlaps
     closing = v0.conj().T @ prev
     gamma = np.zeros((v0.shape[1],) * 2, dtype=complex)
-    for product, g in zip(products, groups):
-        product.append(polar_unitary(closing[g[:, None], g]))
+    for level, (product, g) in enumerate(zip(products, groups)):
+        product.append(_unitarized(closing[g[:, None], g], level, steps, steps, period))
         gamma[g[:, None], g] = _ordered_product(np.stack(product))
     return HolonomyResult(gamma)
+
+
+def _unitarized(overlaps: np.ndarray, level: int, first_step: int, steps: int,
+                period: float) -> np.ndarray:
+    """Polar factors of one level's overlaps, from loop step ``first_step`` (1-based) on.
+
+    A singular overlap is reported by its loop step, its span of the loop
+    parameter and its level.
+    """
+    try:
+        return polar_unitary(overlaps)
+    except SingularMatrixError as exc:
+        step = first_step + (exc.index or 0)
+        span = f"s = {period * (step - 1) / steps:.6g} to {period * step / steps:.6g}"
+        raise SingularMatrixError(exc.s_min, exc.limit, where=f"loop step {step} of "
+                                  f"{steps}, {span}, level {level}") from None

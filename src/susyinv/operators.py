@@ -41,10 +41,17 @@ class NonHermitianError(ValueError):
 
 
 class SingularMatrixError(ValueError):
-    def __init__(self, s_min: float, limit: float, index: int | None = None):
-        where = "" if index is None else f" (matrix {index} of the stack)"
-        super().__init__(f"singular matrix has no unique polar factor{where}: smallest "
+    """A matrix with no unique polar factor. ``index`` is its place in a stack, if
+    any; ``where`` names it in the message, by default by that index."""
+
+    def __init__(self, s_min: float, limit: float, index: int | None = None,
+                 where: str | None = None):
+        if where is None and index is not None:
+            where = f"matrix {index} of the stack"
+        suffix = "" if where is None else f" ({where})"
+        super().__init__(f"singular matrix has no unique polar factor{suffix}: smallest "
                          f"singular value {s_min:.3e} <= {limit:.3e}")
+        self.s_min, self.limit, self.index = s_min, limit, index
 
 
 def _square_complex(entries) -> np.ndarray:
@@ -56,24 +63,12 @@ def _square_complex(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """Immutable dense complex square matrix with optional Z2 block grading.
-
-    ``grading = (n_plus, n_minus)`` splits the space into a bosonic block of
-    size ``n_plus`` followed by a fermionic block of size ``n_minus``.
-    """
+    """Immutable dense complex square matrix."""
 
     entries: np.ndarray
-    grading: tuple[int, int] | None = None
 
     def __post_init__(self):
         m = _square_complex(self.entries)
-        if self.grading is not None:
-            n_plus, n_minus = self.grading
-            if n_plus < 0 or n_minus < 0 or n_plus + n_minus != m.shape[0]:
-                raise ValueError(
-                    f"grading {self.grading} does not split dimension {m.shape[0]}"
-                )
-            object.__setattr__(self, "grading", (int(n_plus), int(n_minus)))
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -83,7 +78,7 @@ class Operator:
 
     @property
     def dag(self) -> "Operator":
-        return Operator(self.entries.conj().T, self.grading)
+        return Operator(self.entries.conj().T)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
@@ -91,35 +86,12 @@ class Operator:
     def hermiticity_defect(self) -> float:
         return float(np.linalg.norm(self.entries - self.entries.conj().T))
 
-    def block(self, row: int, col: int) -> np.ndarray:
-        """Return one of the four grading blocks (0 = bosonic, 1 = fermionic)."""
-        if self.grading is None:
-            raise ValueError("operator carries no grading")
-        n_plus = self.grading[0]
-        sl = (slice(None, n_plus), slice(n_plus, None))
-        return self.entries[sl[row], sl[col]]
-
-    def even_defect(self) -> float:
-        """Norm of the off-diagonal blocks; ~0 for grading-preserving operators."""
-        return float(np.hypot(np.linalg.norm(self.block(0, 1)),
-                              np.linalg.norm(self.block(1, 0))))
-
-    def odd_defect(self) -> float:
-        """Norm of the diagonal blocks; ~0 for grading-flipping operators."""
-        return float(np.hypot(np.linalg.norm(self.block(0, 0)),
-                              np.linalg.norm(self.block(1, 1))))
-
-    def _shared_grading(self, other: "Operator") -> tuple[int, int] | None:
-        if isinstance(other, Operator) and self.grading == other.grading:
-            return self.grading
-        return None
-
     def __matmul__(self, other):
         if isinstance(other, Operator):
             if other.dim != self.dim:
                 raise DimensionMismatchError(
                     f"dimension mismatch: {self.dim} vs {other.dim}")
-            return Operator(self.entries @ other.entries, self._shared_grading(other))
+            return Operator(self.entries @ other.entries)
         return self.entries @ other
 
     def __rmatmul__(self, other):
@@ -128,27 +100,27 @@ class Operator:
     def __add__(self, other: "Operator") -> "Operator":
         if other.dim != self.dim:
             raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Operator(self.entries + other.entries, self._shared_grading(other))
+        return Operator(self.entries + other.entries)
 
     def __sub__(self, other: "Operator") -> "Operator":
         if other.dim != self.dim:
             raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Operator(self.entries - other.entries, self._shared_grading(other))
+        return Operator(self.entries - other.entries)
 
     def __neg__(self) -> "Operator":
-        return Operator(-self.entries, self.grading)
+        return Operator(-self.entries)
 
     def __mul__(self, scalar) -> "Operator":
-        return Operator(self.entries * complex(scalar), self.grading)
+        return Operator(self.entries * complex(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Operator":
-        return Operator(self.entries / complex(scalar), self.grading)
+        return Operator(self.entries / complex(scalar))
 
 
-def identity(dim: int, grading: tuple[int, int] | None = None) -> Operator:
-    return Operator(np.eye(dim, dtype=complex), grading)
+def identity(dim: int) -> Operator:
+    return Operator(np.eye(dim, dtype=complex))
 
 
 def chunks(n: int, dim: int) -> list[slice]:
@@ -230,8 +202,7 @@ def expm(a: Operator) -> Operator:
     m = _mat(a)
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix exponential of non-finite entries")
-    return Operator(_taylor_expm(m[None])[0],
-                    a.grading if isinstance(a, Operator) else None)
+    return Operator(_taylor_expm(m[None])[0])
 
 
 def unitarity_defect(u: Operator):

@@ -1,4 +1,4 @@
-"""Concrete generator matrices: spin-j su(2), truncated-Fock su(1,1), so(5) quadrupole.
+"""Concrete generator matrices: spin-j su(2) and truncated-Fock su(1,1).
 
 Spin matrices are exact. Oscillator operators live in a truncated Fock space;
 the top ``buffer`` states are declared untrusted and every oscillator-family
@@ -7,7 +7,6 @@ check projects onto the interior below them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,45 +135,3 @@ def make_oscillator(N: int, buffer: int | None = None) -> OscillatorRep:
                          Operator(p), Operator(k1), Operator(k2), Operator(k3),
                          Operator(proj))
 
-
-def hermite_state(osc: OscillatorRep, n: int) -> np.ndarray:
-    """Fock coordinates of the n-th number state; edge states are rejected."""
-    if not 0 <= n < osc.N - osc.buffer:
-        raise ValueError(
-            f"n={n} lies in the untrusted edge zone (interior is n < {osc.N - osc.buffer})")
-    e = np.zeros(osc.N, dtype=complex)
-    e[n] = 1.0
-    return e
-
-
-@dataclass(frozen=True)
-class QuadrupoleBasis:
-    """Traceless quadrupole operators e_0..e_4 and their commutator table."""
-
-    parent: SpinRep
-    e: tuple[Operator, Operator, Operator, Operator, Operator]
-    T: tuple[tuple[Operator, ...], ...]
-
-
-def make_quadrupole(spin: SpinRep) -> QuadrupoleBasis:
-    """Quadrupole basis over a spin rep; degenerate (scalar) for j = 1/2."""
-    if spin.j < 1:
-        warnings.warn(
-            f"quadrupole operators are trivial for j={spin.j} (scalars at j=1/2)",
-            stacklevel=2)
-    j1, j2, j3 = spin.J1.entries, spin.J2.entries, spin.J3.entries
-    jsq = spin.Jsquared.entries
-    s3 = np.sqrt(3)
-    e = (
-        Operator(j3 @ j3 - jsq / 3),
-        Operator((j1 @ j3 + j3 @ j1) / s3),
-        Operator((j2 @ j3 + j3 @ j2) / s3),
-        Operator((j1 @ j1 - j2 @ j2) / s3),
-        Operator((j1 @ j2 + j2 @ j1) / s3),
-    )
-    table = tuple(
-        tuple(Operator(e[a].entries @ e[b].entries - e[b].entries @ e[a].entries)
-              for b in range(5))
-        for a in range(5)
-    )
-    return QuadrupoleBasis(spin, e, table)

@@ -30,7 +30,6 @@ SPIN_TOLS = {"superalgebra": 1e-12, "pairing": 1e-10, "gauge": 1e-9,
 OSC_TOLS = {"superalgebra": 1e-12, "pairing": 1e-10, "gauge": 1e-6,
             "lvn": 1e-4, "unitarity": 1e-6, "solutions": 1e-5}
 INTERTWINING_FLOOR = 0.1
-NEGATIVE_CONTROL_FLOOR = 0.05
 # Largest weight a checked oscillator level's minus state may put on the edge
 # buffer: an amplitude of 1e-6 there, an order below the solutions tolerance.
 EDGE_WEIGHT_TOL = 1e-12
@@ -104,16 +103,13 @@ class _Run:
     def invariant(self) -> SuperInvariant:
         return build_invariant(self.supercharge)
 
-    def release_supersymmetry(self) -> None:
-        """Forget the supercharge and invariant: 2N x 2N each, 1 MB apiece at N = 128,
-        which the suites after the last one that reads them need not hold."""
-        for name in ("supercharge", "invariant"):
-            self.__dict__.pop(name, None)
-
 
 def _suite_superalgebra(run: _Run, tol) -> CheckResult:
+    """The superalgebra of Q(0) and I(0), and I+(t) = d^dag d / 2, I-(t) = d d^dag / 2
+    at two sample times, relative to max(1, ||I(0)||_F)."""
     report = check_superalgebra(run.supercharge, run.invariant)
-    worst = report.max_residual()
+    defects = run.out.identity_defects(_sample_times(run.cfg, count=2))
+    worst = max(report.max_residual(), *defects.values()) / max(1.0, run.invariant.norm())
     return CheckResult("superalgebra", worst, tol, worst < tol)
 
 
@@ -296,9 +292,6 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
     return CheckResult("solutions", worst, tol, worst < tol, note)
 
 
-# The suites that read _Run.supercharge and _Run.invariant.
-SUPERSYMMETRY_SUITES = frozenset({"superalgebra", "pairing"})
-
 # Suite name -> (suite, key of its tolerance).
 SUITES = {
     "superalgebra": (_suite_superalgebra, "superalgebra"),
@@ -315,11 +308,9 @@ def run_suites(cfg: RunConfig, tolerance_scale: float = 1.0) -> list[CheckResult
     run = _Run(cfg, *build_system(cfg))
     tols = _tols(cfg, tolerance_scale)
     results = []
-    for k, name in enumerate(cfg.suites):
+    for name in cfg.suites:
         suite, key = SUITES[name]
         results.append(suite(run, tols[key]))
-        if SUPERSYMMETRY_SUITES.isdisjoint(cfg.suites[k + 1:]):
-            run.release_supersymmetry()
     if cfg.cross_check_wrong_h:
         results.append(_suite_lvn_wrong_h(run, tols["lvn"]))
     return results

@@ -1,8 +1,9 @@
 """Supercharges, even invariants on the doubled space, and spectral pairing.
 
-The supercharge is the strictly lower-left block matrix built from d; the even
-invariant has blocks d^dag d / 2 and d d^dag / 2, whose positive spectra agree
-and whose eigenvectors map into each other through d.
+The supercharge Q = ((0, 0), (d, 0)) and the even invariant I = blockdiag(I+, I-),
+with I+ = d^dag d / 2 and I- = d d^dag / 2, are held as their N x N blocks; no
+2N x 2N matrix is formed. The positive spectra of I+ and I- agree, and their
+eigenvectors map into each other through d.
 """
 
 from __future__ import annotations
@@ -23,22 +24,22 @@ class PairingAmbiguityError(ValueError):
 
 @dataclass(frozen=True)
 class SuperCharge:
-    """Odd nilpotent block operator ((0, 0), (d, 0)) on the doubled space."""
+    """Odd nilpotent block operator ((0, 0), (d, 0)) on the doubled space, held as d."""
 
     d: Operator
-    Q: Operator
-
-    @property
-    def dim(self) -> int:
-        return self.Q.dim
 
 
 @dataclass(frozen=True)
 class SuperInvariant:
+    """Even invariant blockdiag(I+, I-) on the doubled space, held as its blocks."""
+
     Iplus: Operator
     Iminus: Operator
-    I: Operator
     d: Operator
+
+    def norm(self) -> float:
+        """Frobenius norm of blockdiag(I+, I-)."""
+        return float(np.hypot(self.Iplus.norm(), self.Iminus.norm()))
 
 
 @dataclass(frozen=True)
@@ -55,44 +56,38 @@ class SpectralPairing:
 
 
 def build_supercharge(d: Operator) -> SuperCharge:
-    """Embed d as the lower-left block; Q^2 = 0 holds exactly by shape."""
+    """The supercharge with lower-left block d; Q^2 = 0 holds exactly by its shape."""
     if not isinstance(d, Operator):
         d = Operator(d)
-    n = d.dim
-    q = np.zeros((2 * n, 2 * n), dtype=complex)
-    q[n:, :n] = d.entries
-    return SuperCharge(d, Operator(q, grading=(n, n)))
+    return SuperCharge(d)
 
 
 def build_invariant(q: SuperCharge) -> SuperInvariant:
     d = q.d.entries
-    iplus = d.conj().T @ d / 2
-    iminus = d @ d.conj().T / 2
-    n = d.shape[0]
-    block = np.zeros((2 * n, 2 * n), dtype=complex)
-    block[:n, :n] = iplus
-    block[n:, n:] = iminus
-    return SuperInvariant(Operator(iplus), Operator(iminus),
-                          Operator(block, grading=(n, n)), q.d)
+    return SuperInvariant(Operator(d.conj().T @ d / 2), Operator(d @ d.conj().T / 2), q.d)
 
 
 @dataclass(frozen=True)
 class SuperalgebraReport:
-    nilpotency: float
     invariance: float
     closure: float
 
     def max_residual(self) -> float:
-        return max(self.nilpotency, self.invariance, self.closure)
+        return max(self.invariance, self.closure)
 
 
 def check_superalgebra(q: SuperCharge, inv: SuperInvariant) -> SuperalgebraReport:
-    """Residual norms of Q^2 = 0, [Q, I] = 0, and {Q, Q^dag} = 2I."""
-    qm, im = q.Q.entries, inv.I.entries
-    nilpotency = float(np.linalg.norm(qm @ qm))
-    invariance = float(np.linalg.norm(qm @ im - im @ qm))
-    closure = float(np.linalg.norm(qm @ qm.conj().T + qm.conj().T @ qm - 2 * im))
-    return SuperalgebraReport(nilpotency, invariance, closure)
+    """Residual norms of [Q, I] = 0 and {Q, Q^dag} = 2I, taken on the blocks.
+
+    [Q, I] has the one block d I+ - I- d; {Q, Q^dag} - 2I has the blocks
+    d^dag d - 2 I+ and d d^dag - 2 I-. Q^2 = 0 holds by the block shape.
+    """
+    d, dh = q.d.entries, q.d.entries.conj().T
+    iplus, iminus = inv.Iplus.entries, inv.Iminus.entries
+    invariance = float(np.linalg.norm(d @ iplus - iminus @ d))
+    closure = float(np.hypot(np.linalg.norm(dh @ d - 2 * iplus),
+                             np.linalg.norm(d @ dh - 2 * iminus)))
+    return SuperalgebraReport(invariance, closure)
 
 
 def _split_kernel(es, zero_tol: float):
@@ -110,7 +105,7 @@ def _split_kernel(es, zero_tol: float):
 
 
 def pair_spectra(inv: SuperInvariant) -> SpectralPairing:
-    """Match positive levels across the grading and compute pairing unitaries.
+    """Match positive levels of I+ and I- and compute pairing unitaries.
 
     Each v is the unitary polar factor of the overlap matrix
     <minus| d |plus> / sqrt(2 lam), which is unitary up to rounding whenever
@@ -118,7 +113,7 @@ def pair_spectra(inv: SuperInvariant) -> SpectralPairing:
     """
     es_plus = eigh(inv.Iplus)
     es_minus = eigh(inv.Iminus)
-    scale = max(1.0, inv.I.norm())
+    scale = max(1.0, inv.norm())
     zero_tol = ZERO_MODE_SCALE * scale
     kernel_p, pos_p = _split_kernel(es_plus, zero_tol)
     kernel_m, pos_m = _split_kernel(es_minus, zero_tol)
@@ -162,23 +157,3 @@ def pair_spectra(inv: SuperInvariant) -> SpectralPairing:
                            tuple(minus_vecs), tuple(pairings),
                            int(kernel_p.size), int(kernel_m.size))
 
-
-def susy_map_state(d: Operator, lam: float, psi_plus: np.ndarray,
-                   tol: float = 1e-8) -> np.ndarray:
-    """Map a positive-level eigenvector of I+ to its I- partner via d/sqrt(2 lam)."""
-    dm = d.entries if isinstance(d, Operator) else np.asarray(d, dtype=complex)
-    psi = np.asarray(psi_plus, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(dm)) ** 2 / 2)
-    if lam <= ZERO_MODE_SCALE * scale:
-        raise ValueError(f"zero modes have no superpartner (lambda={lam:.3e})")
-    if abs(np.linalg.norm(psi) - 1.0) > tol:
-        raise ValueError("psi_plus must be normalized")
-    iplus = dm.conj().T @ dm / 2
-    if np.linalg.norm(iplus @ psi - lam * psi) > tol * max(1.0, lam):
-        raise ValueError(f"psi_plus is not an eigenvector of I+ with eigenvalue {lam}")
-    out = dm @ psi / np.sqrt(2 * lam)
-    iminus = dm @ dm.conj().T / 2
-    if abs(np.linalg.norm(out) - 1.0) > tol or \
-            np.linalg.norm(iminus @ out - lam * out) > tol * max(1.0, lam):
-        raise ValueError("mapped state failed the I- eigenvector post-check")
-    return out

@@ -202,29 +202,39 @@ class TestVerify:
         assert err.startswith("error: --tolerance-scale must be finite and positive")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("names, held", [
-        ("superalgebra, pairing, lvn", [False]),
-        ("pairing, lvn, superalgebra, lvn", [True, False]),
-        ("lvn, superalgebra", [False])])
+    @pytest.mark.parametrize("names", ["superalgebra, pairing, lvn",
+                                       "pairing, lvn, superalgebra, lvn",
+                                       "lvn, superalgebra"])
     def test_supercharge_built_once_per_call(self, tmp_path, config_dir, monkeypatch,
-                                             names, held):
-        # superalgebra and pairing share one supercharge and one invariant,
-        # and the suites after the last of them no longer hold it.
-        calls, seen = [], []
+                                             names):
+        # superalgebra and pairing share one supercharge and one invariant.
+        calls = []
         for name in ("build_supercharge", "build_invariant"):
             real = getattr(suites, name)
             monkeypatch.setattr(suites, name, lambda *a, _real=real, _name=name, **kw:
                                 calls.append(_name) or _real(*a, **kw))
-        lvn, key = suites.SUITES["lvn"]
-        monkeypatch.setitem(suites.SUITES, "lvn", (lambda run, tol: seen.append(
-            "supercharge" in vars(run)) or lvn(run, tol), key))
         text = (config_dir / "spin_default.ini").read_text()
         all_suites = "superalgebra, pairing, gauge, lvn, unitarity, intertwining, solutions"
         cfg = tmp_path / "suites.ini"
         cfg.write_text(text.replace(all_suites, names))
         suites.run_suites(load_config(cfg))
         assert sorted(calls) == ["build_invariant", "build_supercharge"]
-        assert seen == held
+
+    def test_superalgebra_checks_the_identities_after_t0(self, config_dir, monkeypatch):
+        # U+ scaled by 1.01 leaves I(0) and d0 alone, so the relations at t = 0
+        # hold; I-(t) = d d^dag / 2 fails at the sample times by 2 % of ||I-||.
+        real = suites.spin_supersystem
+
+        def scaled(*args, **kwargs):
+            system = real(*args, **kwargs)
+            return replace(system, u_plus=lambda t: 1.01 * system.u_plus(t))
+
+        cfg = replace(load_config(config_dir / "spin_default.ini"), suites=("superalgebra",))
+        [honest] = suites.run_suites(cfg)
+        monkeypatch.setattr(suites, "spin_supersystem", scaled)
+        [result] = suites.run_suites(cfg)
+        assert honest.passed and honest.max_residual < 1e-14
+        assert not result.passed and result.max_residual > 1e-3
 
     def test_quadrupole_config_passes(self, tmp_path, config_dir):
         assert run(["verify", "--config", config_dir / "quadrupole.ini",
@@ -413,7 +423,8 @@ class TestPhase:
         cfg.write_text(text)
         assert run(["phase", "--config", cfg, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: singular matrix has no unique polar factor")
+        assert err.startswith("config error: singular matrix has no unique polar factor "
+                              "(loop step 1 of 2, s = 0 to 0.5, level 0): ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "holonomy.json").exists()
 
@@ -595,14 +606,15 @@ class TestRuntimeInputErrors:
     def test_norm_overflow_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
                                                 command):
         # f = 1e306 is finite, so load_config takes it, but ||H_-||_F overflows
-        # and H_- fails the Hermiticity guard (NonHermitianError).
+        # (NonFiniteHamiltonianError).
         text = (config_dir / "spin_default.ini").read_text()
         assert 'f = "0.5"' in text
         cfg = tmp_path / "huge_f.ini"
         cfg.write_text(text.replace('f = "0.5"', 'f = "1e306"'))
         assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: matrix is not Hermitian at t=")
+        assert err.startswith("config error: H_- is not finite at t=")
+        assert err.rstrip().endswith("(Frobenius norm inf)")
         assert err.count("\n") == 1
 
 

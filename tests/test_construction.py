@@ -5,9 +5,8 @@ from susyinv import timefunc as tf
 from susyinv import construction
 from susyinv.construction import (GaugeCurve, YSpec, closed_form_osc_R, closed_form_spin_R,
                                   evolution_from_gauge, hamiltonian_from_gauge,
-                                  oscillator_supersystem, precessing_special_case,
-                                  quadrupole_partner, run_prescription,
-                                  spin_supersystem)
+                                  oscillator_supersystem, quadrupole_partner,
+                                  run_prescription, spin_supersystem)
 from susyinv.operators import EigenSystem, NonHermitianError, dagger, unitarity_defect
 from susyinv.representations import make_oscillator, make_spin
 
@@ -45,12 +44,12 @@ class TestGaugeCurve:
     def test_identity_at_start_when_theta_vanishes(self, spin_setup):
         spin, _, phi, _ = spin_setup
         gauge = GaugeCurve.spin(spin, tf.parse("0.5*sin(t)"), phi)
-        assert gauge.identity_start_defect() < 1e-12
+        assert np.linalg.norm(gauge.value(0.0).entries - np.eye(3)) < 1e-12
 
     def test_offset_start_reported(self, spin_setup):
         spin, theta, phi, _ = spin_setup
         gauge = GaugeCurve.spin(spin, theta, phi)
-        assert gauge.identity_start_defect() > 0.1
+        assert np.linalg.norm(gauge.value(0.0).entries - np.eye(3)) > 0.1
 
     def test_unitary_on_grid(self, spin_setup):
         spin, theta, phi, _ = spin_setup
@@ -70,14 +69,16 @@ class TestYSpec:
     def test_commutes_with_reference_invariant(self, spin_setup):
         spin, _, _, f = spin_setup
         y = YSpec(spin.J3, f, tf.parse("0.2*t"))
-        i0 = spin.Jplus @ spin.Jminus / 2
-        assert y.commutation_defect(i0) < 1e-12
+        i0 = (spin.Jplus @ spin.Jminus / 2).entries
+        ys = y.value(np.array([0.0, 0.7, 1.3]))
+        assert np.max(np.linalg.norm(ys @ i0 - i0 @ ys, axis=(1, 2))) < 1e-12
 
     def test_oscillator_variant_commutes(self):
         osc = make_oscillator(16, 4)
         y = YSpec(osc.K3, tf.const(0.5))
-        i0 = osc.adag @ osc.a / 2
-        assert y.commutation_defect(i0) < 1e-12
+        i0 = (osc.adag @ osc.a / 2).entries
+        ys = y.value(np.array([0.0, 0.7, 1.3]))
+        assert np.max(np.linalg.norm(ys @ i0 - i0 @ ys, axis=(1, 2))) < 1e-12
 
     def test_hermitian(self, spin_setup):
         spin, _, _, f = spin_setup
@@ -135,7 +136,7 @@ class TestHamiltonianFromGauge:
         y = YSpec(spin.J3, tf.const(1.0))
         assert hamiltonian_from_gauge(gauge, y, np.delete(times, 1234)).shape == (2000, 2, 2)
         with np.errstate(invalid="ignore"), \
-                pytest.raises(ValueError, match=f"not Hermitian at t={bad} "):
+                pytest.raises(ValueError, match=f"H_- is not finite at t={bad} "):
             hamiltonian_from_gauge(gauge, y, times)
 
     def test_non_unitary_eigenbasis_rejected_once(self, monkeypatch):
@@ -311,7 +312,12 @@ class TestPrescription:
         defects = out.identity_defects(ts=(0.5, 1.9, 4.2))
         assert defects["iplus"] < 1e-10
         assert defects["iminus"] < 1e-10
-        assert out.system.plus_sector_defect() < 1e-5
+        # The plus sector: U+(0) = 1 and i dU+/dt = H+ U+ by central difference.
+        u_plus, h_plus = out.system.u_plus, out.system.h_plus
+        ts, h = np.array([0.3, 1.1]), 1e-5
+        assert np.linalg.norm(u_plus(0.0).entries - np.eye(3)) < 1e-15
+        du = (u_plus(ts + h) - u_plus(ts - h)) / (2 * h)
+        assert np.max(np.linalg.norm(1j * du - h_plus(ts) @ u_plus(ts), axis=(1, 2))) < 1e-5
 
     def test_static_gauge_constant_invariant(self, spin_setup):
         spin, _, _, f = spin_setup
@@ -381,27 +387,32 @@ class TestPrescription:
 
 
 class TestPrecessing:
+    # theta = theta0 and phi = omega t: H_- = R . J with R the field
+    # ((f - omega) sin theta0 cos omega t, (f - omega) sin theta0 sin omega t,
+    #  (f - omega) cos theta0 + omega), of magnitude r.
     def test_consistent_with_closed_form(self):
         f = tf.parse("0.5 + 0.2*sin(0.7*t)")
-        theta0, omega, b = np.pi / 4, 2.0, 1.3
+        theta0, omega = np.pi / 4, 2.0
         th, ph = tf.const(theta0), tf.linear(omega)
         for t in np.linspace(0.0, 6.0, 9):
-            r, f1, f2 = precessing_special_case(f, theta0, omega, t, b=b)
-            vec = b * r * np.array([f1 * np.cos(omega * t),
-                                    f1 * np.sin(omega * t), f2])
+            detuning = f(t) - omega
+            vec = np.array([detuning * np.sin(theta0) * np.cos(omega * t),
+                            detuning * np.sin(theta0) * np.sin(omega * t),
+                            detuning * np.cos(theta0) + omega])
             assert np.allclose(vec, closed_form_spin_R(f, th, ph, t), atol=1e-10)
 
     def test_zero_f_magnitude(self):
         # Pure precession: field magnitude |omega| sqrt(2 - 2 cos theta).
         theta0, omega = 1.1, 1.7
-        r, f1, f2 = precessing_special_case(tf.const(0.0), theta0, omega, 0.3)
-        expected = omega * np.sqrt(2 - 2 * np.cos(theta0))
-        assert r == pytest.approx(expected)
+        r = np.linalg.norm(closed_form_spin_R(tf.const(0.0), tf.const(theta0),
+                                              tf.linear(omega), 0.3))
+        assert r == pytest.approx(omega * np.sqrt(2 - 2 * np.cos(theta0)))
 
     def test_transverse_weight_at_right_angle(self):
-        # theta = pi/2: f2 carries the residual omega component.
-        r, f1, f2 = precessing_special_case(tf.const(0.5), np.pi / 2, 2.0, 0.0)
-        assert f2 == pytest.approx(2.0 / (r * 1.0))
+        # theta = pi/2: the J3 component carries omega alone.
+        r = closed_form_spin_R(tf.const(0.5), tf.const(np.pi / 2), tf.linear(2.0), 0.0)
+        assert r[2] == pytest.approx(2.0)
+        assert np.hypot(r[0], r[1]) == pytest.approx(1.5)
 
 
 class TestQuadrupole:

@@ -324,9 +324,13 @@ class TestBerryHolonomy:
         def frame(s):
             return np.where((np.asarray(s) == 0.5)[..., None, None], far, near)
 
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match=r"\(loop step 2 of 4, s = 0.25 to "
+                                                      r"0.5, level 0\)"):
             berry_holonomy(frame, 4, groups=groups)
         berry_holonomy(frame, 3, groups=groups)   # s = 1/3, 2/3 never jump
+        # Step 2000 lies in the second chunk of overlaps: the step counts on.
+        with pytest.raises(SingularMatrixError, match=r"\(loop step 2000 of 4000, "):
+            berry_holonomy(frame, 4000, groups=groups)
 
     def test_coarse_loop_near_singular_overlap_runs(self):
         # perfbench's loop_sweep seed-0 loop at [phase] steps = 3: the overlaps

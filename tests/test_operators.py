@@ -25,24 +25,10 @@ class TestOperator:
         with pytest.raises(ValueError):
             Operator(np.zeros((2, 3)))
 
-    def test_grading_must_split_dimension(self):
-        with pytest.raises(ValueError):
-            Operator(np.eye(4), grading=(1, 2))
-
     def test_entries_immutable(self):
         op = identity(3)
         with pytest.raises(ValueError):
             op.entries[0, 0] = 2.0
-
-    def test_block_structure_defects(self):
-        n = 2
-        q = np.zeros((4, 4), dtype=complex)
-        q[n:, :n] = np.eye(n)
-        odd = Operator(q, grading=(n, n))
-        assert odd.odd_defect() == 0.0
-        assert odd.even_defect() > 1.0
-        even = identity(4, grading=(n, n))
-        assert even.even_defect() == 0.0
 
 
 class TestCommutators:

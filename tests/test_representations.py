@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from susyinv.operators import commutator, eigh
-from susyinv.representations import (hermite_state, make_oscillator,
-                                     make_quadrupole, make_spin)
+from susyinv.representations import make_oscillator, make_spin
 
 ALL_J = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 
@@ -102,67 +101,10 @@ class TestOscillator:
         interior = np.diag(h).real[:12]
         assert np.allclose(interior, np.arange(12) + 0.5, atol=1e-13)
 
-    def test_hermite_state_basics(self):
-        osc = make_oscillator(16, 4)
-        zero = hermite_state(osc, 0)
-        assert zero[0] == 1.0 and np.all(zero[1:] == 0)
-        ladder = osc.adag.entries @ hermite_state(osc, 2) / np.sqrt(3)
-        assert np.allclose(ladder, hermite_state(osc, 3), atol=1e-14)
-
-    def test_hermite_state_edge_rejected(self):
-        osc = make_oscillator(16, 4)
-        with pytest.raises(ValueError):
-            hermite_state(osc, 12)
-
     def test_energy_expectation(self):
         osc = make_oscillator(32, 4)
-        psi = hermite_state(osc, 5)
+        psi = np.zeros(32, dtype=complex)
+        psi[5] = 1.0
         value = np.real(np.vdot(psi, osc.hamiltonian_plus().entries @ psi))
         assert abs(value - 5.5) < 1e-13
 
-
-class TestQuadrupole:
-    def test_construction_formulas(self):
-        spin = make_spin(1)
-        quad = make_quadrupole(spin)
-        j1, j2, j3 = spin.J1.entries, spin.J2.entries, spin.J3.entries
-        assert np.allclose(quad.e[0].entries,
-                           j3 @ j3 - spin.Jsquared.entries / 3, atol=1e-15)
-        assert np.allclose(quad.e[3].entries,
-                           (j1 @ j1 - j2 @ j2) / np.sqrt(3), atol=1e-15)
-
-    def test_traceless(self):
-        quad = make_quadrupole(make_spin(1))
-        for e in quad.e:
-            assert abs(np.trace(e.entries)) < 1e-14
-
-    def test_table_antisymmetric_exactly(self):
-        quad = make_quadrupole(make_spin(1.5))
-        for a in range(5):
-            assert quad.T[a][a].norm() == 0.0
-            for b in range(5):
-                assert np.array_equal(quad.T[a][b].entries, -quad.T[b][a].entries)
-
-    def test_e0_commutes_with_j3(self):
-        for j in (1, 1.5, 2):
-            spin = make_spin(j)
-            quad = make_quadrupole(spin)
-            assert commutator(quad.e[0], spin.J3).norm() < 1e-13
-
-    def test_j3_rotates_e3_e4_pair(self):
-        # e3 and e4 carry the Delta m = +-2 components: [J3, e4] = -2i e3.
-        spin = make_spin(1.5)
-        quad = make_quadrupole(spin)
-        got = commutator(spin.J3, quad.e[4]).entries
-        assert np.allclose(got, -2j * quad.e[3].entries, atol=1e-13)
-        assert commutator(quad.e[4], spin.J3).norm() > 0.1
-
-    def test_t04_vanishes_at_spin_one_only(self):
-        # The lone Delta m = 2 element at j = 1 sits at m = 1 -> -1, where the
-        # diagonal difference of e0 vanishes; from j = 3/2 on, T04 != 0.
-        assert make_quadrupole(make_spin(1)).T[0][4].norm() < 1e-15
-        assert make_quadrupole(make_spin(1.5)).T[0][4].norm() > 0.1
-
-    def test_spin_half_flagged(self):
-        with pytest.warns(UserWarning):
-            make_quadrupole(make_spin(0.5))

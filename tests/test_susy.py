@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from susyinv.operators import Operator, identity
 from susyinv.representations import make_oscillator, make_spin
-from susyinv.susy import (PairingAmbiguityError, build_invariant, build_supercharge,
-                          check_superalgebra, pair_spectra, susy_map_state)
+from susyinv.susy import (PairingAmbiguityError, SuperInvariant, build_invariant,
+                          build_supercharge, check_superalgebra, pair_spectra)
 
 
 def random_d(seed, n):
@@ -18,17 +18,8 @@ class TestSupercharge:
     def test_zero_d(self):
         q = build_supercharge(Operator(np.zeros((3, 3))))
         inv = build_invariant(q)
-        assert q.Q.norm() == 0.0
-        assert inv.I.norm() == 0.0
-
-    def test_nilpotent_exactly(self):
-        q = build_supercharge(random_d(0, 5))
-        assert (q.Q @ q.Q).norm() == 0.0
-
-    def test_odd_grading(self):
-        q = build_supercharge(random_d(1, 4))
-        assert q.Q.odd_defect() == 0.0
-        assert q.Q.grading == (4, 4)
+        assert inv.Iplus.norm() == 0.0 and inv.Iminus.norm() == 0.0
+        assert check_superalgebra(q, inv).max_residual() == 0.0
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -37,14 +28,11 @@ class TestSupercharge:
     def test_spin_half_blocks(self):
         # {Q, Q^dag} = 2I = blockdiag(J- J+, J+ J-) for d = J+.
         spin = make_spin(0.5)
-        q = build_supercharge(spin.Jplus)
-        inv = build_invariant(q)
-        anti = (q.Q @ q.Q.dag + q.Q.dag @ q.Q).entries
+        inv = build_invariant(build_supercharge(spin.Jplus))
         jmjp = spin.Jminus.entries @ spin.Jplus.entries
         jpjm = spin.Jplus.entries @ spin.Jminus.entries
-        assert np.allclose(anti[:2, :2], jmjp, atol=1e-15)
-        assert np.allclose(anti[2:, 2:], jpjm, atol=1e-15)
-        assert np.allclose(anti, 2 * inv.I.entries, atol=1e-15)
+        assert np.allclose(2 * inv.Iplus.entries, jmjp, atol=1e-15)
+        assert np.allclose(2 * inv.Iminus.entries, jpjm, atol=1e-15)
         assert np.allclose(inv.Iplus.entries, np.diag([0.0, 0.5]), atol=1e-15)
 
 
@@ -94,13 +82,30 @@ class TestSuperalgebra:
         spin = make_spin(0.5)
         q = build_supercharge(spin.Jplus)
         inv = build_invariant(q)
-        tampered = inv.I.entries.copy()
-        tampered[:2, :2] += 0.1 * np.eye(2)
-        from susyinv.susy import SuperInvariant
-        bad = SuperInvariant(inv.Iplus, inv.Iminus,
-                             Operator(tampered, grading=(2, 2)), inv.d)
+        bad = SuperInvariant(inv.Iplus + 0.1 * identity(2), inv.Iminus, inv.d)
         report = check_superalgebra(q, bad)
         assert report.closure > 0.1
+        assert report.invariance > 0.05
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_blocks_match_doubled_space(self, seed):
+        # Reference: Q = ((0, 0), (d, 0)) and I = blockdiag(I+, I-) as 2N x 2N
+        # matrices, with a perturbed I so that both residuals are far from zero.
+        n = 6
+        d = random_d(seed, n)
+        inv = build_invariant(build_supercharge(d))
+        bad = SuperInvariant(inv.Iplus + Operator(random_d(seed + 1, n).entries * 1e-3),
+                             inv.Iminus, d)
+        q = np.zeros((2 * n, 2 * n), dtype=complex)
+        q[n:, :n] = d.entries
+        i = np.zeros((2 * n, 2 * n), dtype=complex)
+        i[:n, :n], i[n:, n:] = bad.Iplus.entries, bad.Iminus.entries
+        qh = q.conj().T
+        report = check_superalgebra(build_supercharge(d), bad)
+        assert report.invariance == pytest.approx(np.linalg.norm(q @ i - i @ q), rel=1e-12)
+        assert report.closure == pytest.approx(np.linalg.norm(q @ qh + qh @ q - 2 * i),
+                                               rel=1e-12)
+        assert bad.norm() == pytest.approx(np.linalg.norm(i), rel=1e-15)
 
 
 class TestPairing:
@@ -153,34 +158,30 @@ class TestPairing:
 
 
 class TestSusyMap:
+    # d / sqrt(2 lam) maps each positive-level eigenvector of I+ onto the span of
+    # its I- partner level; pair_spectra returns both frames and the unitary v.
     def test_spin_half_map(self):
         # Brute-force 2x2 oracle: I+ |down> = (1/2)|down>, J+ |down> = |up>.
         spin = make_spin(0.5)
-        out = susy_map_state(spin.Jplus, 0.5, spin.basis_state(-0.5))
-        assert np.allclose(out, spin.basis_state(0.5), atol=1e-14)
+        pairing = pair_spectra(build_invariant(build_supercharge(spin.Jplus)))
+        vp, vm, v = pairing.plus_vectors[0], pairing.minus_vectors[0], pairing.v[0]
+        assert abs(np.vdot(spin.basis_state(-0.5), vp[:, 0])) == pytest.approx(1.0)
+        mapped = spin.Jplus.entries @ vp / np.sqrt(2 * 0.5)
+        assert np.allclose(mapped, vm @ v, atol=1e-14)
+        assert abs(np.vdot(spin.basis_state(0.5), mapped[:, 0])) == pytest.approx(1.0)
 
     def test_oscillator_ladder(self):
+        # d = a^dag: the level (n + 1) / 2 pairs |n> in I+ with |n + 1> in I-.
         osc = make_oscillator(16, 4)
-        from susyinv.representations import hermite_state
+        pairing = pair_spectra(build_invariant(build_supercharge(osc.adag)))
         n = 3
-        out = susy_map_state(osc.adag, (n + 1) / 2, hermite_state(osc, n))
-        assert np.allclose(out, hermite_state(osc, n + 1), atol=1e-14)
-
-    def test_zero_vector_rejected(self):
-        spin = make_spin(0.5)
-        with pytest.raises(ValueError):
-            susy_map_state(spin.Jplus, 0.5, np.zeros(2))
-
-    def test_zero_mode_rejected(self):
-        spin = make_spin(0.5)
-        with pytest.raises(ValueError):
-            susy_map_state(spin.Jplus, 0.0, spin.basis_state(0.5))
-
-    def test_wrong_eigenvector_rejected(self):
-        spin = make_spin(0.5)
-        psi = np.array([1.0, 1.0]) / np.sqrt(2)
-        with pytest.raises(ValueError):
-            susy_map_state(spin.Jplus, 0.5, psi)
+        k = pairing.shared_positive_values.index(pytest.approx((n + 1) / 2))
+        vp, vm, v = pairing.plus_vectors[k], pairing.minus_vectors[k], pairing.v[k]
+        fock_n, fock_n1 = np.eye(16, dtype=complex)[n], np.eye(16, dtype=complex)[n + 1]
+        assert abs(np.vdot(fock_n, vp[:, 0])) == pytest.approx(1.0)
+        mapped = osc.adag.entries @ vp / np.sqrt(n + 1)
+        assert np.allclose(mapped, vm @ v, atol=1e-14)
+        assert abs(np.vdot(fock_n1, mapped[:, 0])) == pytest.approx(1.0)
 
 
 @given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 12))
@@ -203,7 +204,8 @@ def test_adjoint_map_round_trip(seed):
         return
     lam = pairing.shared_positive_values[-1]
     psi = pairing.plus_vectors[-1][:, 0]
-    mapped = susy_map_state(d, lam, psi)
+    mapped = d.entries @ psi / np.sqrt(2 * lam)
+    assert abs(np.linalg.norm(mapped) - 1.0) < 1e-10
     back = d.dag.entries @ mapped / np.sqrt(2 * lam)
     assert abs(abs(np.vdot(back, psi)) - 1.0) < 1e-10
 
