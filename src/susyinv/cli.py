@@ -26,7 +26,7 @@ from .construction import (GeneratorSplitError, NonFiniteHamiltonianError, close
                            closed_form_spin_R)
 from .dynamics import (HolonomyResult, NonClosedLoopError, StepSizeError, berry_holonomy,
                        propagate)
-from .operators import (NonHermitianError, SingularMatrixError, chunks, eigh,
+from .operators import (NonHermitianError, SingularMatrixError, chunks, eigh, eigvalsh,
                         hermiticity_defect, over_chunks)
 from .suites import build_system, run_suites
 from .susy import PairingAmbiguityError
@@ -73,7 +73,7 @@ def cmd_build(cfg: RunConfig, out_override: str | None) -> int:
                    ["t", "R1", "R2", "R3", "hermiticity_defect"],
                    np.column_stack([grid, *r, defects]))
 
-        spectra = over_chunks(grid, rep.dim, lambda ts: eigh(out.i_minus(ts)).values)
+        spectra = over_chunks(grid, rep.dim, lambda ts: eigvalsh(out.i_minus(ts)))
         _write_csv(out_dir / "invariant_spectrum.csv",
                    ["t"] + [f"lambda_{i}" for i in range(out.iminus_ref.dim)],
                    np.column_stack([grid, spectra]))

@@ -248,7 +248,7 @@ class SuperSystem:
     w_minus: GaugeCurve
     y_minus: YSpec
     h_plus: Callable[[float], Operator]
-    u_plus: Callable[[float], Operator]
+    u_plus: Callable[[float], Operator]   # diagonal in this basis
 
 
 @dataclass(frozen=True)
@@ -330,9 +330,14 @@ class PartnerOutput:
     def identity_defects(self, ts) -> dict[str, float]:
         """Largest residuals of I+(t) = d^dag d / 2 and I-(t) = d d^dag / 2 over times ts."""
         ts = np.asarray(ts, dtype=float)
-        dm = self.d(ts)
-        return {"iplus": float(np.max(frobenius(dagger(dm) @ dm / 2 - self.i_plus(ts)))),
-                "iminus": float(np.max(frobenius(dm @ dagger(dm) / 2 - self.i_minus(ts))))}
+        w = self.system.w_minus.value(ts)
+        # U+ is diagonal: d = W d0 U+^dag and I+ = U+ I+(0) U+^dag scale columns and rows.
+        phases = np.diagonal(self.system.u_plus(ts), axis1=-2, axis2=-1)
+        dm = (w @ self.system.d0.entries) * phases.conj()[:, None, :]
+        i_plus = _sandwich(phases, self.iplus_ref.entries)
+        i_minus = w @ self.iminus_ref.entries @ dagger(w)
+        return {"iplus": float(np.max(frobenius(dagger(dm) @ dm / 2 - i_plus))),
+                "iminus": float(np.max(frobenius(dm @ dagger(dm) / 2 - i_minus)))}
 
 
 def run_prescription(system: SuperSystem) -> PartnerOutput:

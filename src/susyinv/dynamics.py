@@ -107,24 +107,26 @@ def _step_factors(h: Callable[[float], Operator], times: np.ndarray, dim: int,
 
     Order 2 gives one midpoint exponential per step, and every step is
     checked: the first with ||H|| dt >= STEP_NORM_LIMIT raises. Order 4 gives
-    the two CF4:2 exponentials of each step, unchecked.
+    the two CF4:2 exponentials of each step, unchecked. Its chunks hold half
+    as many steps, because each step takes H at both Gauss nodes in one call
+    and both factors in one exponential: a stack of two matrices per step.
     """
     dts = np.diff(times)
-    for sl in chunks(dts.size, dim):
+    for sl in chunks(dts.size, dim, per_point=1 if order == 2 else 2):
         t0, dt = times[:-1][sl], dts[sl]
         if order == 2:
             hm = _stack(h, t0 + dt / 2, (dim, dim))
             check_step(hm, dt)
             yield from expm_i_hermitian(hm, dt)
             continue
-        h1, h2 = (_stack(h, t0 + c * dt, (dim, dim)) for c in GAUSS_NODES)
-        # Both exponents before either exponential, so that H at the nodes is
-        # freed before the exponentials take their workspace.
-        first, second = [w1 * h1 + w2 * h2 for w1, w2 in CF4_WEIGHTS]
-        del h1, h2
-        first = expm_i_hermitian(first, dt)
-        second = expm_i_hermitian(second, dt)
-        for pair in zip(first, second):
+        k = dt.size
+        hs = _stack(h, np.concatenate([t0 + c * dt for c in GAUSS_NODES]), (dim, dim))
+        # Both exponents before the exponential, so that H at the nodes is
+        # freed before the exponential takes its workspace.
+        exponents = np.concatenate([w1 * hs[:k] + w2 * hs[k:] for w1, w2 in CF4_WEIGHTS])
+        del hs
+        factors = expm_i_hermitian(exponents, np.concatenate([dt, dt]))
+        for pair in zip(factors[:k], factors[k:]):
             yield from pair
 
 

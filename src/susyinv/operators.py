@@ -123,9 +123,10 @@ def identity(dim: int) -> Operator:
     return Operator(np.eye(dim, dtype=complex))
 
 
-def chunks(n: int, dim: int) -> list[slice]:
-    """Consecutive slices of range(n) whose (k, dim, dim) complex stacks fit CHUNK_BYTES."""
-    step = max(1, CHUNK_BYTES // (16 * dim * dim))
+def chunks(n: int, dim: int, per_point: int = 1) -> list[slice]:
+    """Consecutive slices of range(n) whose (k * per_point, dim, dim) complex stacks
+    fit CHUNK_BYTES; a slice holds at least one point."""
+    step = max(1, CHUNK_BYTES // (16 * dim * dim * per_point))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
@@ -256,12 +257,11 @@ class EigenSystem:
         return self.values.shape[-1]
 
 
-def eigh(a: Operator) -> EigenSystem:
-    """Hermitian eigendecomposition with degeneracy clustering.
+def _hermitian(a) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix or stack of ``a`` and its max(1, ||A||_F) scale, per matrix.
 
-    Rejects inputs whose relative Hermiticity defect exceeds ``1e-10``. An
-    (n, d, d) stack is checked matrix by matrix and gives stacked values and
-    vectors with no degeneracy groups.
+    Raises NonHermitianError at the first matrix whose relative Hermiticity
+    defect exceeds ``HERMITICITY_RTOL``.
     """
     m = _mat(a)
     scale = np.maximum(1.0, frobenius(m))
@@ -269,9 +269,26 @@ def eigh(a: Operator) -> EigenSystem:
     k = first_true(relative > HERMITICITY_RTOL)
     if k is not None:
         raise NonHermitianError(float(relative[k]))
+    return m, scale
+
+
+def eigh(a: Operator) -> EigenSystem:
+    """Hermitian eigendecomposition with degeneracy clustering.
+
+    Rejects inputs whose relative Hermiticity defect exceeds ``1e-10``. An
+    (n, d, d) stack is checked matrix by matrix and gives stacked values and
+    vectors with no degeneracy groups.
+    """
+    m, scale = _hermitian(a)
     values, vectors = np.linalg.eigh(m)
     groups = cluster_indices(values, CLUSTER_GAP_SCALE * scale) if m.ndim == 2 else ()
     return EigenSystem(values, vectors, groups)
+
+
+def eigvalsh(a: Operator) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, or per matrix of a stack, with
+    the Hermiticity guard of :func:`eigh` and no eigenvectors."""
+    return np.linalg.eigvalsh(_hermitian(a)[0])
 
 
 def _check_nonsingular(s_min: np.ndarray, norm: np.ndarray) -> None:

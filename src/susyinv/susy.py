@@ -127,7 +127,7 @@ def pair_spectra(inv: SuperInvariant) -> SpectralPairing:
     groups = cluster_indices(vals_p, 1e-8 * max(1.0, gap))
 
     d = inv.d.entries
-    levels, degs, plus_vecs, minus_vecs, pairings = [], [], [], [], []
+    levels, plus_vecs, minus_vecs, overlaps = [], [], [], []
     cursor = 0
     for group in groups:
         idx_p = pos_p[list(group)]
@@ -141,17 +141,23 @@ def pair_spectra(inv: SuperInvariant) -> SpectralPairing:
                 f"(nearest {lam_m:.12g})")
         vp = es_plus.vectors[:, idx_p]
         vm = es_minus.vectors[:, idx_m]
-        overlap = vm.conj().T @ d @ vp / np.sqrt(2 * lam_p)
-        v = polar_unitary(overlap)
+        levels.append(lam_p)
+        plus_vecs.append(vp)
+        minus_vecs.append(vm)
+        overlaps.append(vm.conj().T @ d @ vp / np.sqrt(2 * lam_p))
+
+    # One polar_unitary call per level size, on the stack of that size's overlaps.
+    degs = [len(group) for group in groups]
+    pairings = [None] * len(groups)
+    for size in sorted(set(degs)):
+        at = [k for k, deg in enumerate(degs) if deg == size]
+        for k, v in zip(at, polar_unitary(np.stack([overlaps[k] for k in at]))):
+            pairings[k] = v
+    for lam_p, vp, vm, v in zip(levels, plus_vecs, minus_vecs, pairings):
         residual = float(np.linalg.norm(d @ vp - np.sqrt(2 * lam_p) * vm @ v))
         if residual > PAIRING_TOL * max(1.0, np.sqrt(2 * lam_p)):
             raise ValueError(
                 f"pairing relation failed at level {lam_p:.12g}: residual {residual:.3e}")
-        levels.append(lam_p)
-        degs.append(len(group))
-        plus_vecs.append(vp)
-        minus_vecs.append(vm)
-        pairings.append(v)
 
     return SpectralPairing(tuple(levels), tuple(degs), tuple(plus_vecs),
                            tuple(minus_vecs), tuple(pairings),

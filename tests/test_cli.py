@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from susyinv import cli, construction, suites
+from susyinv import cli, construction, dynamics, suites
 from susyinv import timefunc as tf
 from susyinv.cli import main
 from susyinv.config import ConfigError, load_config
@@ -183,6 +183,16 @@ class TestVerify:
         assert run(["verify", "--config", config_dir / "spin_default.ini",
                     "--out", out, "--cross-check-wrong-H"]) == 1
 
+    @pytest.mark.parametrize("config, flags", [("spin_negative_control", []),
+                                               ("spin_default", ["--cross-check-wrong-H"])])
+    def test_controls_fail_only_the_wrong_h_check(self, tmp_path, config_dir, config,
+                                                  flags):
+        out = tmp_path / "out"
+        assert run(["verify", "--config", config_dir / f"{config}.ini",
+                    "--out", out, *flags]) == 1
+        payload = json.loads((out / "verify.json").read_text())
+        assert [c["name"] for c in payload["checks"] if not c["pass"]] == ["lvn_wrong_h"]
+
     def test_tolerance_scale_loosens(self, tmp_path, config_dir):
         out = tmp_path / "out"
         code = run(["verify", "--config", config_dir / "spin_negative_control.ini",
@@ -310,9 +320,102 @@ class TestSolutionsSuite:
         assert n - 2 not in levels
         assert levels == list(range(n - buffer - 1))
 
+    @staticmethod
+    def propagations(monkeypatch) -> list:
+        """Steps and kept states of every run the solutions suite propagates."""
+        calls = []
+        real = suites.propagate
+
+        def spy(h, psi0, times, keep=None, order=2):
+            traj = real(h, psi0, times, keep=keep, order=order)
+            calls.append((times.size - 1, traj.states))
+            return traj
+
+        monkeypatch.setattr(suites, "propagate", spy)
+        return calls
+
+    @staticmethod
+    def bars(calls) -> list[float]:
+        return [float(np.max(np.linalg.norm(fine - coarse, axis=1)))
+                for (_, coarse), (_, fine) in zip(calls, calls[1:])]
+
+    @staticmethod
+    def solutions_config(config_dir, name, *edits):
+        text = (config_dir / f"{name}.ini").read_text()
+        for old, new in edits + (("superalgebra, pairing, gauge, lvn, unitarity, "
+                                  "intertwining, solutions", "solutions"),):
+            assert old in text
+            text = text.replace(old, new)
+        return text
+
+    def run_solutions(self, tmp_path, text):
+        cfg = tmp_path / "solutions.ini"
+        cfg.write_text(text)
+        [result] = suites.run_suites(load_config(cfg))
+        return result
+
+    def test_bar_between_margin_and_tol_doubles_again(self, tmp_path, config_dir,
+                                                      monkeypatch):
+        # The first pair (1 and 2 steps per segment) differs by about 6e-6:
+        # below the tolerance but above its tenth, so n doubles once more.
+        calls = self.propagations(monkeypatch)
+        result = self.run_solutions(tmp_path, self.solutions_config(
+            config_dir, "spin_default", ("t_final = 5.0", "t_final = 0.5")))
+        tol = result.tolerance
+        bars = self.bars(calls)
+        assert suites.ERROR_BAR_MARGIN * tol <= bars[0] < tol
+        assert [steps for steps, _ in calls] == [2, 4, 8]
+        assert bars[-1] < suites.ERROR_BAR_MARGIN * tol
+        assert result.passed and result.note == ""
+
+    def test_osc_verify_shape_stops_at_one_and_two_steps(self, tmp_path, config_dir,
+                                                         monkeypatch):
+        # N = 128 over 200 config steps: the first pair already meets the
+        # margin, so the suite exponentiates 2 + 4 steps of two factors each.
+        calls = self.propagations(monkeypatch)
+        matrices = []
+        real = dynamics.expm_i_hermitian
+
+        def counting(h, tau):
+            matrices.append(1 if np.ndim(h) == 2 else len(h))
+            return real(h, tau)
+
+        monkeypatch.setattr(dynamics, "expm_i_hermitian", counting)
+        result = self.run_solutions(tmp_path, self.solutions_config(
+            config_dir, "oscillator_default", ("n = 32", "n = 128"),
+            ("buffer = 8", "buffer = 16"), ("t_final = 3.0", "t_final = 0.1"),
+            ("dt = 0.002", "dt = 0.0005")))
+        assert [steps for steps, _ in calls] == [2, 4]
+        assert sum(matrices) == 12
+        assert result.passed and result.max_residual < suites.ERROR_BAR_MARGIN * 1e-5
+
+    def test_oscillatory_gauge_doubles_past_its_wiggles(self, tmp_path, config_dir,
+                                                        monkeypatch):
+        # Coarse runs miss phi's sin(20 t) wiggles and differ by O(1); no
+        # pair of them meets the margin, so nothing stops early.
+        calls = self.propagations(monkeypatch)
+        result = self.run_solutions(tmp_path, self.solutions_config(
+            config_dir, "spin_default", ('phi = "2*t"', 'phi = "2*t + 0.3*sin(20*t)"')))
+        bars = self.bars(calls)
+        assert bars[0] > 1.0
+        assert bars[-1] < suites.ERROR_BAR_MARGIN * result.tolerance
+        assert result.passed and result.note == ""
+
+    def test_capped_bar_inside_the_tolerance_passes_with_a_note(self, tmp_path,
+                                                                config_dir):
+        # dt = 0.08 gives 10 config steps, so the doubling stops after the
+        # 2-vs-4 pair, whose bar of about 4e-6 misses only the margin.
+        result = self.run_solutions(tmp_path, self.solutions_config(
+            config_dir, "spin_default", ("t_final = 5.0", "t_final = 0.8"),
+            ("dt = 0.001", "dt = 0.08")))
+        bar = float(result.note.split()[2])
+        assert suites.ERROR_BAR_MARGIN * result.tolerance <= bar < result.tolerance
+        assert "at n = 2 steps per segment" in result.note
+        assert result.passed
+
     def test_capped_error_bar_fails_and_is_reported(self, tmp_path, config_dir):
         # At dt = 0.3 the config grid has 17 steps, so the doubling stops at
-        # n = 6 steps per segment, where the n-vs-2n bar is about 5e-4.
+        # n = 4 steps per segment, where the n-vs-2n bar is about 2.5e-3.
         text = (config_dir / "spin_default.ini").read_text()
         cfg = tmp_path / "coarse.ini"
         cfg.write_text(text.replace("dt = 0.001", "dt = 0.3"))

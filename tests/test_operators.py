@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from susyinv.operators import (TAYLOR_THETA, DimensionMismatchError, NonHermitianError,
                                Operator, SingularMatrixError, _is_diagonal, anticommutator,
-                               commutator, dagger, eigh, expm, expm_i_hermitian, frobenius,
-                               identity, polar_unitary, project, unitarity_defect)
+                               commutator, dagger, eigh, eigvalsh, expm, expm_i_hermitian,
+                               frobenius, identity, polar_unitary, project, unitarity_defect)
 from susyinv.representations import make_oscillator, make_spin
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -285,6 +285,14 @@ def test_eigh_stack_rejects_one_non_hermitian_matrix():
     stack[31, 0, 2] += 1e-3
     with pytest.raises(NonHermitianError):
         eigh(stack)
+
+
+def test_eigvalsh_is_eigh_values_with_its_guard():
+    stack = np.tile(make_spin(1).J1.entries, (50, 1, 1))
+    assert np.allclose(eigvalsh(stack), eigh(stack).values, rtol=0, atol=1e-15)
+    stack[31, 0, 2] += 1e-3
+    with pytest.raises(NonHermitianError):
+        eigvalsh(stack)
 
 
 class TestUnitarityDefect:

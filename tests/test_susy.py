@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyinv.operators import Operator, identity
+from susyinv.operators import Operator, identity, polar_unitary
 from susyinv.representations import make_oscillator, make_spin
 from susyinv.susy import (PairingAmbiguityError, SuperInvariant, build_invariant,
                           build_supercharge, check_superalgebra, pair_spectra)
@@ -150,6 +150,21 @@ class TestPairing:
                                   pairing.v):
             assert np.linalg.norm(d @ vp - np.sqrt(2 * lam) * vm @ v) < 1e-10
             assert np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])) < 1e-10
+
+    def test_stacked_factors_match_per_level_calls(self):
+        # Levels of sizes 1, 1, 2 and 3 and a kernel: the factors taken one
+        # stack per level size are the per-level polar factors, bit for bit.
+        rng = np.random.default_rng(7)
+        u, v = (np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
+                for _ in range(2))
+        d = Operator(u @ np.diag([0.5, 0.5, 0.5, 1.0, 1.0, 2.0, 3.0, 0.0]) @ v.conj().T)
+        pairing = pair_spectra(build_invariant(build_supercharge(d)))
+        assert pairing.degeneracies == (3, 2, 1, 1)
+        for lam, vp, vm, factor in zip(pairing.shared_positive_values,
+                                       pairing.plus_vectors, pairing.minus_vectors,
+                                       pairing.v):
+            overlap = vm.conj().T @ d.entries @ vp / np.sqrt(2 * lam)
+            assert np.array_equal(factor, polar_unitary(overlap))
 
     def test_ambiguous_zero_threshold_rejected(self):
         d = Operator(np.diag([6e-5, 1.0]).astype(complex))
