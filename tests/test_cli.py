@@ -340,15 +340,13 @@ class TestSolutionsSuite:
                 for (_, coarse), (_, fine) in zip(calls, calls[1:])]
 
     @staticmethod
-    def solutions_config(config_dir, name, *edits):
+    def run_solutions(tmp_path, config_dir, name, *edits):
+        """The solutions suite alone on a shipped config with text edits."""
         text = (config_dir / f"{name}.ini").read_text()
         for old, new in edits + (("superalgebra, pairing, gauge, lvn, unitarity, "
                                   "intertwining, solutions", "solutions"),):
             assert old in text
             text = text.replace(old, new)
-        return text
-
-    def run_solutions(self, tmp_path, text):
         cfg = tmp_path / "solutions.ini"
         cfg.write_text(text)
         [result] = suites.run_suites(load_config(cfg))
@@ -359,8 +357,8 @@ class TestSolutionsSuite:
         # The first pair (1 and 2 steps per segment) differs by about 6e-6:
         # below the tolerance but above its tenth, so n doubles once more.
         calls = self.propagations(monkeypatch)
-        result = self.run_solutions(tmp_path, self.solutions_config(
-            config_dir, "spin_default", ("t_final = 5.0", "t_final = 0.5")))
+        result = self.run_solutions(tmp_path, config_dir, "spin_default",
+                                   ("t_final = 5.0", "t_final = 0.5"))
         tol = result.tolerance
         bars = self.bars(calls)
         assert suites.ERROR_BAR_MARGIN * tol <= bars[0] < tol
@@ -381,10 +379,10 @@ class TestSolutionsSuite:
             return real(h, tau)
 
         monkeypatch.setattr(dynamics, "expm_i_hermitian", counting)
-        result = self.run_solutions(tmp_path, self.solutions_config(
-            config_dir, "oscillator_default", ("n = 32", "n = 128"),
+        result = self.run_solutions(
+            tmp_path, config_dir, "oscillator_default", ("n = 32", "n = 128"),
             ("buffer = 8", "buffer = 16"), ("t_final = 3.0", "t_final = 0.1"),
-            ("dt = 0.002", "dt = 0.0005")))
+            ("dt = 0.002", "dt = 0.0005"))
         assert [steps for steps, _ in calls] == [2, 4]
         assert sum(matrices) == 12
         assert result.passed and result.max_residual < suites.ERROR_BAR_MARGIN * 1e-5
@@ -394,8 +392,8 @@ class TestSolutionsSuite:
         # Coarse runs miss phi's sin(20 t) wiggles and differ by O(1); no
         # pair of them meets the margin, so nothing stops early.
         calls = self.propagations(monkeypatch)
-        result = self.run_solutions(tmp_path, self.solutions_config(
-            config_dir, "spin_default", ('phi = "2*t"', 'phi = "2*t + 0.3*sin(20*t)"')))
+        result = self.run_solutions(tmp_path, config_dir, "spin_default",
+                                   ('phi = "2*t"', 'phi = "2*t + 0.3*sin(20*t)"'))
         bars = self.bars(calls)
         assert bars[0] > 1.0
         assert bars[-1] < suites.ERROR_BAR_MARGIN * result.tolerance
@@ -405,9 +403,9 @@ class TestSolutionsSuite:
                                                                 config_dir):
         # dt = 0.08 gives 10 config steps, so the doubling stops after the
         # 2-vs-4 pair, whose bar of about 4e-6 misses only the margin.
-        result = self.run_solutions(tmp_path, self.solutions_config(
-            config_dir, "spin_default", ("t_final = 5.0", "t_final = 0.8"),
-            ("dt = 0.001", "dt = 0.08")))
+        result = self.run_solutions(tmp_path, config_dir, "spin_default",
+                                   ("t_final = 5.0", "t_final = 0.8"),
+                                   ("dt = 0.001", "dt = 0.08"))
         bar = float(result.note.split()[2])
         assert suites.ERROR_BAR_MARGIN * result.tolerance <= bar < result.tolerance
         assert "at n = 2 steps per segment" in result.note
