@@ -248,7 +248,8 @@ class SuperSystem:
     w_minus: GaugeCurve
     y_minus: YSpec
     h_plus: Callable[[float], Operator]
-    u_plus: Callable[[float], Operator]   # diagonal in this basis
+    # U+(t) is diagonal in this basis: (n,) times -> (n, dim) diagonals.
+    u_plus_phases: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -287,23 +288,21 @@ class PartnerOutput:
         u0 = self.u_minus(0.0).entries
         return per_time(t, lambda ts: self.u_minus(ts) @ u0.conj().T)
 
-    def i_plus(self, t):
-        def stack(ts):
-            u = self.system.u_plus(ts)
-            return u @ self.iplus_ref.entries @ dagger(u)
-        return per_time(t, stack)
-
     def i_minus(self, t):
-        def stack(ts):
-            w = self.system.w_minus.value(ts)
-            return w @ self.iminus_ref.entries @ dagger(w)
-        return per_time(t, stack)
+        """I-(t) = W(t) I-(0) W(t)^dag."""
+        return per_time(t, lambda ts: self._i_minus_stack(self.system.w_minus.value(ts)))
 
     def d(self, t):
-        def stack(ts):
-            w = self.system.w_minus.value(ts)
-            return w @ self.system.d0.entries @ dagger(self.system.u_plus(ts))
-        return per_time(t, stack)
+        """d(t) = W(t) d0 U+(t)^dag."""
+        return per_time(t, lambda ts: self._d_stack(self.system.w_minus.value(ts),
+                                                    self.system.u_plus_phases(ts)))
+
+    def _i_minus_stack(self, w: np.ndarray) -> np.ndarray:
+        return w @ self.iminus_ref.entries @ dagger(w)
+
+    def _d_stack(self, w: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        # U+ is diagonal, so U+^dag scales the columns of W d0.
+        return (w @ self.system.d0.entries) * phases.conj()[:, None, :]
 
     def mapped_solution(self, level, t) -> np.ndarray:
         """Exact minus-sector solution e^{-i int y} W(t) d0 |lam,+;0> / sqrt(2 lam).
@@ -331,11 +330,11 @@ class PartnerOutput:
         """Largest residuals of I+(t) = d^dag d / 2 and I-(t) = d d^dag / 2 over times ts."""
         ts = np.asarray(ts, dtype=float)
         w = self.system.w_minus.value(ts)
-        # U+ is diagonal: d = W d0 U+^dag and I+ = U+ I+(0) U+^dag scale columns and rows.
-        phases = np.diagonal(self.system.u_plus(ts), axis1=-2, axis2=-1)
-        dm = (w @ self.system.d0.entries) * phases.conj()[:, None, :]
+        phases = self.system.u_plus_phases(ts)
+        dm = self._d_stack(w, phases)
+        # I+(t) = U+ I+(0) U+^dag, with U+ diagonal.
         i_plus = _sandwich(phases, self.iplus_ref.entries)
-        i_minus = w @ self.iminus_ref.entries @ dagger(w)
+        i_minus = self._i_minus_stack(w)
         return {"iplus": float(np.max(frobenius(dagger(dm) @ dm / 2 - i_plus))),
                 "iminus": float(np.max(frobenius(dm @ dagger(dm) / 2 - i_minus)))}
 
@@ -385,11 +384,6 @@ def run_prescription(system: SuperSystem) -> PartnerOutput:
                          kernel_plus, kernel_minus)
 
 
-def _phases_map(phases: Callable[[np.ndarray], np.ndarray]):
-    """Diagonal evolution t -> diag(phases(t)) from (n,) times -> (n, d) phases."""
-    return lambda t: per_time(t, lambda ts: diag_stack(phases(ts)))
-
-
 def spin_supersystem(rep: SpinRep, theta: TimeFunction, phi: TimeFunction,
                      f: TimeFunction, g: TimeFunction | None = None,
                      b: float = 1.0, d0: Operator | None = None) -> SuperSystem:
@@ -403,7 +397,7 @@ def spin_supersystem(rep: SpinRep, theta: TimeFunction, phi: TimeFunction,
     return SuperSystem(
         rep, d0, gauge, y,
         h_plus=lambda t: h_plus_mat,
-        u_plus=_phases_map(lambda ts: np.exp(-1j * b * ts[:, None] * m)),
+        u_plus_phases=lambda ts: np.exp(-1j * b * ts[:, None] * m),
     )
 
 
@@ -420,7 +414,7 @@ def oscillator_supersystem(rep: OscillatorRep, theta: TimeFunction,
     return SuperSystem(
         rep, d0, gauge, y,
         h_plus=lambda t: h_plus_mat,
-        u_plus=_phases_map(lambda ts: np.exp(-1j * ts[:, None] * energies)),
+        u_plus_phases=lambda ts: np.exp(-1j * ts[:, None] * energies),
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Operator, cluster_indices, eigh, polar_unitary
+from .operators import Operator, SingularMatrixError, cluster_indices, eigh, polar_unitary
 
 ZERO_MODE_SCALE = 1e-9
 PAIRING_TOL = 1e-10
@@ -151,7 +151,14 @@ def pair_spectra(inv: SuperInvariant) -> SpectralPairing:
     pairings = [None] * len(groups)
     for size in sorted(set(degs)):
         at = [k for k, deg in enumerate(degs) if deg == size]
-        for k, v in zip(at, polar_unitary(np.stack([overlaps[k] for k in at]))):
+        try:
+            factors = polar_unitary(np.stack([overlaps[k] for k in at]))
+        except SingularMatrixError as exc:
+            # The stack index counts only this size's levels; name the level instead.
+            level = levels[at[exc.index or 0]]
+            raise SingularMatrixError(exc.s_min, exc.limit,
+                                      where=f"level {level:.12g}") from None
+        for k, v in zip(at, factors):
             pairings[k] = v
     for lam_p, vp, vm, v in zip(levels, plus_vecs, minus_vecs, pairings):
         residual = float(np.linalg.norm(d @ vp - np.sqrt(2 * lam_p) * vm @ v))

@@ -237,7 +237,7 @@ class TestVerify:
 
         def scaled(*args, **kwargs):
             system = real(*args, **kwargs)
-            return replace(system, u_plus=lambda t: 1.01 * system.u_plus(t))
+            return replace(system, u_plus_phases=lambda ts: 1.01 * system.u_plus_phases(ts))
 
         cfg = replace(load_config(config_dir / "spin_default.ini"), suites=("superalgebra",))
         [honest] = suites.run_suites(cfg)

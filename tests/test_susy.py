@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyinv.operators import Operator, identity, polar_unitary
+from susyinv import susy
+from susyinv.operators import Operator, SingularMatrixError, identity, polar_unitary
 from susyinv.representations import make_oscillator, make_spin
 from susyinv.susy import (PairingAmbiguityError, SuperInvariant, build_invariant,
                           build_supercharge, check_superalgebra, pair_spectra)
@@ -165,6 +166,24 @@ class TestPairing:
                                        pairing.v):
             overlap = vm.conj().T @ d.entries @ vp / np.sqrt(2 * lam)
             assert np.array_equal(factor, polar_unitary(overlap))
+
+    def test_singular_overlap_names_its_level(self, monkeypatch):
+        # The 1x1 stack holds levels 2 and 4.5; its matrix 1 is level 4.5, not
+        # the fourth level or the second matrix overall.
+        rng = np.random.default_rng(7)
+        u, v = (np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
+                for _ in range(2))
+        d = Operator(u @ np.diag([0.5, 0.5, 0.5, 1.0, 1.0, 2.0, 3.0, 0.0]) @ v.conj().T)
+
+        def singular_second_1x1(stack):
+            if stack.shape[1] == 1:
+                raise SingularMatrixError(0.0, 1e-12, index=1)
+            return polar_unitary(stack)
+
+        monkeypatch.setattr(susy, "polar_unitary", singular_second_1x1)
+        with pytest.raises(SingularMatrixError, match=r"\(level 4\.5\)") as caught:
+            pair_spectra(build_invariant(build_supercharge(d)))
+        assert "of the stack" not in str(caught.value)
 
     def test_ambiguous_zero_threshold_rejected(self):
         d = Operator(np.diag([6e-5, 1.0]).astype(complex))
