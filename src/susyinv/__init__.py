@@ -2,7 +2,8 @@
 
 Library layout:
 
-- :mod:`susyinv.operators` dense complex matrix algebra
+- :mod:`susyinv.operators` dense complex matrices and stacks: the read-only
+  ``Operator``, Hermitian eigensystems, the step exponential, polar factors
 - :mod:`susyinv.representations` spin-j and truncated-oscillator generators
 - :mod:`susyinv.timefunc` closed family of time functions with exact calculus
 - :mod:`susyinv.susy` supercharges and even invariants as blocks, spectral pairing
@@ -11,8 +12,7 @@ Library layout:
 - :mod:`susyinv.cli` config-driven command line front end
 """
 
-from .operators import (EigenSystem, Operator, anticommutator, commutator, eigh,
-                        expm, identity, unitarity_defect)
+from .operators import EigenSystem, Operator, eigh, unitarity_defect
 from .representations import OscillatorRep, SpinRep, make_oscillator, make_spin
 from .susy import (SpectralPairing, SuperCharge, SuperInvariant,
                    build_invariant, build_supercharge, check_superalgebra,

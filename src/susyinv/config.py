@@ -142,6 +142,17 @@ def _get(cp: configparser.ConfigParser, section: str, key: str,
     return default
 
 
+def _bool(cp: configparser.ConfigParser, section: str, key: str) -> bool:
+    """An optional boolean, false when absent; configparser's spellings, any other
+    text is a ConfigError."""
+    text = _get(cp, section, key, default="false")
+    try:
+        return cp.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ConfigError(f"[{section}] {key} = {text!r} is not a boolean; "
+                          f"use one of {', '.join(cp.BOOLEAN_STATES)}") from None
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -230,8 +241,7 @@ def load_config(path: str | Path) -> RunConfig:
     unknown = [s for s in suites if s not in KNOWN_SUITES]
     if unknown:
         raise ConfigError(f"unknown check suites {unknown}; known: {list(KNOWN_SUITES)}")
-    cross = (_get(cp, "checks", "cross_check_wrong_h", default="false") or "").lower() \
-        in ("1", "true", "yes", "on")
+    cross = _bool(cp, "checks", "cross_check_wrong_h")
 
     out_dir = _get(cp, "output", "dir", default="out")
     formats_text = _get(cp, "output", "formats", default="csv, json")
@@ -243,8 +253,7 @@ def load_config(path: str | Path) -> RunConfig:
     phase_steps = _int("phase", "steps", _get(cp, "phase", "steps", default="2000"))
     if phase_steps < 2:
         raise ConfigError(f"[phase] steps must be at least 2, got {phase_steps}")
-    phase_reverse = (_get(cp, "phase", "reverse", default="false") or "").lower() \
-        in ("1", "true", "yes", "on")
+    phase_reverse = _bool(cp, "phase", "reverse")
     propagate_level = _get(cp, "propagate", "level", default="auto")
 
     sweep_key = _get(cp, "sweep", "key")

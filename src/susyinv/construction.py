@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import (Operator, NonHermitianError, dagger, diag_stack, eigh, first_true,
+from .operators import (Operator, NonHermitianError, dagger, eigh, first_true,
                         frobenius, hermiticity_defect, per_time, unitarity_defect)
 from .representations import OscillatorRep, SpinRep
 from .susy import ZERO_MODE_SCALE
@@ -187,9 +187,6 @@ class YSpec:
         """Diagonal of Y(t): shape (d,) for a scalar t, (n, d) for an array."""
         return self._combine(self.f(t), None if self.g is None else self.g(t))
 
-    def value(self, t):
-        return per_time(t, lambda ts: diag_stack(self.diagonal(ts)))
-
     def integral_diagonal(self, t) -> np.ndarray:
         """Diagonal of int_0^t Y(s) ds, exact through the antiderivatives."""
         return self._combine(self._f_anti(t),
@@ -258,7 +255,6 @@ class SolutionLevel:
 
     lam: float
     mu: float
-    v_plus: np.ndarray
     v_minus: np.ndarray
 
 
@@ -367,7 +363,6 @@ def run_prescription(system: SuperSystem) -> PartnerOutput:
         block = vm.conj().T @ d_diag.entries @ vm
         block = (block + block.conj().T) / 2
         mus, s = np.linalg.eigh(block)
-        vp = vp @ s
         vm = vm @ s
         for k in range(len(group)):
             residual = np.linalg.norm(d_diag.entries @ vm[:, k] - mus[k] * vm[:, k])
@@ -376,7 +371,7 @@ def run_prescription(system: SuperSystem) -> PartnerOutput:
                     f"level {lam:.6g} does not split into generator eigenvectors "
                     f"(residual {residual:.3e}); the scalar-phase solution form "
                     "does not apply")
-            levels.append(SolutionLevel(lam, float(mus[k]), vp[:, k], vm[:, k]))
+            levels.append(SolutionLevel(lam, float(mus[k]), vm[:, k]))
     levels.sort(key=lambda lv: (lv.lam, lv.mu))
     # dim Ker(I-) = dim - rank(d0) = dim - (number of positive levels).
     kernel_minus = iminus_ref.dim - len(levels)

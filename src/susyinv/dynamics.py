@@ -179,7 +179,7 @@ def propagate_unitary(h: Callable[[float], Operator], dim: int,
 
 
 def lvn_residual(i_map: Callable[[float], Operator], h_map: Callable[[float], Operator],
-                 t, h: float = FD_STEP, i_dot: np.ndarray | None = None,
+                 t, i_dot: np.ndarray | None = None,
                  projector: np.ndarray | None = None):
     """|| dI/dt - i [I, H] ||, the defining residual of a dynamical invariant.
 
@@ -189,17 +189,17 @@ def lvn_residual(i_map: Callable[[float], Operator], h_map: Callable[[float], Op
     """
     im, hm = _mat(i_map(t)), _mat(h_map(t))
     if i_dot is None:
-        i_dot = (_mat(i_map(t + h)) - _mat(i_map(t - h))) / (2 * h)
+        i_dot = (_mat(i_map(t + FD_STEP)) - _mat(i_map(t - FD_STEP))) / (2 * FD_STEP)
     return frobenius(project(i_dot - 1j * (im @ hm - hm @ im), projector))
 
 
 def intertwining_residual(d_map: Callable[[float], Operator],
                           h_plus: Callable[[float], Operator],
                           h_minus: Callable[[float], Operator],
-                          t, h: float = FD_STEP,
+                          t,
                           projector: np.ndarray | None = None):
     """|| i dd/dt - H_- d + d H_+ ||, the operator form of the intertwining relation."""
-    d_dot = (_mat(d_map(t + h)) - _mat(d_map(t - h))) / (2 * h)
+    d_dot = (_mat(d_map(t + FD_STEP)) - _mat(d_map(t - FD_STEP))) / (2 * FD_STEP)
     dm = _mat(d_map(t))
     residual = 1j * d_dot - _mat(h_minus(t)) @ dm + dm @ _mat(h_plus(t))
     return frobenius(project(residual, projector))

@@ -1,4 +1,9 @@
-"""Dense complex operator algebra: the substrate every other module builds on.
+"""Dense complex matrices and stacks: the substrate every other module builds on.
+
+Every object of the construction is a plain matrix, and the numerics work on
+ndarrays. :class:`Operator` is a read-only square matrix with its dimension and
+Frobenius norm, for the representation generators, ``d0`` and the reference
+invariants; its algebra is numpy's, on ``entries``.
 
 Conventions: the unqualified norm is Frobenius everywhere; eigenvalue
 degeneracies are clustered with an absolute gap of ``1e-8 * max(1, ||A||)``.
@@ -29,10 +34,6 @@ SINGULAR_RTOL = 1e-8
 _ADJ_DAG_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-class DimensionMismatchError(ValueError):
-    pass
-
-
 class NonHermitianError(ValueError):
     def __init__(self, defect: float, t: float | None = None):
         where = "" if t is None else f" at t={t}"
@@ -54,21 +55,16 @@ class SingularMatrixError(ValueError):
         self.s_min, self.limit, self.index = s_min, limit, index
 
 
-def _square_complex(entries) -> np.ndarray:
-    m = np.array(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 @dataclass(frozen=True)
 class Operator:
-    """Immutable dense complex square matrix."""
+    """Immutable dense complex square matrix; ``op @ array`` is ``entries @ array``."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _square_complex(self.entries)
+        m = np.array(self.entries, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -76,51 +72,11 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def dag(self) -> "Operator":
-        return Operator(self.entries.conj().T)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
 
-    def hermiticity_defect(self) -> float:
-        return float(np.linalg.norm(self.entries - self.entries.conj().T))
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            if other.dim != self.dim:
-                raise DimensionMismatchError(
-                    f"dimension mismatch: {self.dim} vs {other.dim}")
-            return Operator(self.entries @ other.entries)
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
         return self.entries @ other
-
-    def __rmatmul__(self, other):
-        return other @ self.entries
-
-    def __add__(self, other: "Operator") -> "Operator":
-        if other.dim != self.dim:
-            raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Operator(self.entries + other.entries)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        if other.dim != self.dim:
-            raise DimensionMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Operator(self.entries - other.entries)
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self.entries)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.entries * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "Operator":
-        return Operator(self.entries / complex(scalar))
-
-
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=complex))
 
 
 def chunks(n: int, dim: int, per_point: int = 1) -> list[slice]:
@@ -182,30 +138,6 @@ def _mat(a) -> np.ndarray:
     return a.entries if isinstance(a, Operator) else np.asarray(a, dtype=complex)
 
 
-def commutator(a: Operator, b: Operator) -> Operator:
-    """AB - BA."""
-    ma, mb = _mat(a), _mat(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return Operator(ma @ mb - mb @ ma)
-
-
-def anticommutator(a: Operator, b: Operator) -> Operator:
-    """AB + BA."""
-    ma, mb = _mat(a), _mat(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return Operator(ma @ mb + mb @ ma)
-
-
-def expm(a: Operator) -> Operator:
-    """Matrix exponential: the truncated Taylor series of :func:`_taylor_expm`."""
-    m = _mat(a)
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix exponential of non-finite entries")
-    return Operator(_taylor_expm(m[None])[0])
-
-
 def unitarity_defect(u: Operator):
     """Frobenius norm of U^dag U - 1, per matrix for a stack."""
     m = _mat(u)
@@ -251,10 +183,6 @@ class EigenSystem:
     def __post_init__(self):
         self.values.setflags(write=False)
         self.vectors.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[-1]
 
 
 def _hermitian(a) -> tuple[np.ndarray, np.ndarray]:

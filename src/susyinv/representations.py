@@ -31,7 +31,6 @@ class SpinRep:
     J3: Operator
     Jplus: Operator
     Jminus: Operator
-    Jsquared: Operator
 
     @property
     def dim(self) -> int:
@@ -39,15 +38,6 @@ class SpinRep:
 
     def m_values(self) -> np.ndarray:
         return self.j - np.arange(self.dim)
-
-    def basis_state(self, m: float) -> np.ndarray:
-        """Unit vector |j, m>."""
-        k = round(self.j - m)
-        if abs(self.j - m - k) > 1e-12 or not 0 <= k < self.dim:
-            raise ValueError(f"m={m} is not a magnetic quantum number for j={self.j}")
-        e = np.zeros(self.dim, dtype=complex)
-        e[k] = 1.0
-        return e
 
 
 def make_spin(j: float) -> SpinRep:
@@ -64,9 +54,8 @@ def make_spin(j: float) -> SpinRep:
     j1 = (jplus + jminus) / 2
     j2 = (jplus - jminus) / 2j
     j3 = np.diag(m).astype(complex)
-    jsq = j1 @ j1 + j2 @ j2 + j3 @ j3
     return SpinRep(j, Operator(j1), Operator(j2), Operator(j3),
-                   Operator(jplus), Operator(jminus), Operator(jsq))
+                   Operator(jplus), Operator(jminus))
 
 
 @dataclass(frozen=True)
@@ -81,8 +70,6 @@ class OscillatorRep:
     buffer: int
     a: Operator
     adag: Operator
-    x: Operator
-    p: Operator
     K1: Operator
     K2: Operator
     K3: Operator
@@ -92,18 +79,10 @@ class OscillatorRep:
     def dim(self) -> int:
         return self.N
 
-    def number_op(self) -> Operator:
-        return self.adag @ self.a
-
     def hamiltonian_plus(self) -> Operator:
         """H = a^dag a + 1/2, the unit oscillator."""
         return Operator(self.adag.entries @ self.a.entries
                         + 0.5 * np.eye(self.N))
-
-    def project_interior(self, m: Operator | np.ndarray) -> np.ndarray:
-        p = self.projector_interior.entries
-        m = m.entries if isinstance(m, Operator) else np.asarray(m)
-        return p @ m @ p
 
 
 def default_buffer(n: int) -> int:
@@ -131,7 +110,6 @@ def make_oscillator(N: int, buffer: int | None = None) -> OscillatorRep:
     k2 = -(x @ p + p @ x) / 4
     k3 = (x @ x + p @ p) / 4
     proj = np.diag((np.arange(N) < N - buffer).astype(complex))
-    return OscillatorRep(N, buffer, Operator(a), Operator(adag), Operator(x),
-                         Operator(p), Operator(k1), Operator(k2), Operator(k3),
-                         Operator(proj))
+    return OscillatorRep(N, buffer, Operator(a), Operator(adag), Operator(k1),
+                         Operator(k2), Operator(k3), Operator(proj))
 

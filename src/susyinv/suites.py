@@ -199,8 +199,8 @@ def _suite_intertwining(run: _Run, lvn_tol) -> CheckResult:
     res_inter = intertwining_residual(out.d, out.system.h_plus, out.h_minus, 1.0,
                                       projector=_projector(run.rep))
     res_lvn = run.lvn
-    y_d0 = float(np.linalg.norm(out.system.y_minus.value(1.0).entries
-                                @ out.system.d0.entries))
+    y_d0 = float(np.linalg.norm(out.system.y_minus.diagonal(1.0)[:, None]
+                                * out.system.d0.entries))
     if y_d0 < 1e-12:
         passed = res_inter < 1e-6 and res_lvn < lvn_tol
         return CheckResult("intertwining", res_inter, 1e-6, passed)

@@ -57,8 +57,6 @@ class SpectralPairing:
 
 def build_supercharge(d: Operator) -> SuperCharge:
     """The supercharge with lower-left block d; Q^2 = 0 holds exactly by its shape."""
-    if not isinstance(d, Operator):
-        d = Operator(d)
     return SuperCharge(d)
 
 

@@ -78,8 +78,9 @@ def test_criterion_2_spectrum_formula():
         spin = make_spin(j)
         m = spin.m_values()
         formula = np.sort(j * (j + 1) - m * (m + 1))
-        doubled = eigh(spin.Jminus @ spin.Jplus).values
-        halved = eigh(spin.Jminus @ spin.Jplus / 2).values
+        jmjp = spin.Jminus.entries @ spin.Jplus.entries
+        doubled = eigh(jmjp).values
+        halved = eigh(jmjp / 2).values
         worst = max(worst, float(np.max(np.abs(doubled - formula))))
         worst = max(worst, float(np.max(np.abs(halved - formula / 2))))
     report(2, worst < 1e-12,
@@ -95,7 +96,7 @@ def test_criterion_3_closed_form_vs_gauge(spin_draws, spin_systems, osc_draws,
     for (f, theta, phi), out in zip(spin_draws, spin_systems):
         for t in times:
             r = closed_form_spin_R(f, theta, phi, t)
-            built = (r[0] * spin.J1 + r[1] * spin.J2 + r[2] * spin.J3).entries
+            built = r[0] * spin.J1.entries + r[1] * spin.J2.entries + r[2] * spin.J3.entries
             worst_spin = max(worst_spin, float(np.linalg.norm(
                 out.h_minus(t).entries - built)))
     osc, outs = osc_systems
@@ -104,7 +105,7 @@ def test_criterion_3_closed_form_vs_gauge(spin_draws, spin_systems, osc_draws,
     for (f, theta, phi), out in zip(osc_draws, outs):
         for t in times:
             r = closed_form_osc_R(f, theta, phi, t)
-            built = (r[0] * osc.K1 + r[1] * osc.K2 + r[2] * osc.K3).entries
+            built = r[0] * osc.K1.entries + r[1] * osc.K2.entries + r[2] * osc.K3.entries
             diff = out.h_minus(t).entries - built
             worst_osc = max(worst_osc, float(np.linalg.norm(p @ diff @ p)))
     report(3, worst_spin < 1e-9 and worst_osc < 1e-6,
@@ -234,7 +235,7 @@ def test_criterion_8_quadrupole():
     spin = make_spin(1)
     t = 2.3
     r = closed_form_spin_R(f, theta, phi, t)
-    linear = (r[0] * spin.J1 + r[1] * spin.J2 + r[2] * spin.J3).entries
+    linear = r[0] * spin.J1.entries + r[1] * spin.J2.entries + r[2] * spin.J3.entries
     exact_reduction = np.array_equal(
         quadrupole_partner(spin, f, tf.const(0.0), theta, phi, t).entries, linear)
     report(8, worst < 1e-9 and exact_reduction,

@@ -76,8 +76,15 @@ class TestConfig:
          "[y] f = '\"1e400\"': not finite at t = 0"),
         ("spin_default", "verify", 'f = "0.5"', 'f = "t*t"',
          "[y] f = '\"t*t\"': antiderivative of (1*t)*(1*t) leaves the closed family"),
+        ("spin_default", "verify", "[checks]\n", "[checks]\ncross_check_wrong_h = ture\n",
+         "[checks] cross_check_wrong_h = 'ture' is not a boolean; "
+         "use one of 1, yes, true, on, 0, no, false, off"),
+        ("phase_loop", "phase", "steps = 2000", "steps = 2000\nreverse = ture",
+         "[phase] reverse = 'ture' is not a boolean; "
+         "use one of 1, yes, true, on, 0, no, false, off"),
     ], ids=["half_integer_j", "integer_phase_steps", "buffer_range", "zero_step_grid",
-            "non_finite_t_final", "non_finite_b", "overflowing_f", "f_without_antiderivative"])
+            "non_finite_t_final", "non_finite_b", "overflowing_f", "f_without_antiderivative",
+            "misspelt_cross_check_wrong_h", "misspelt_phase_reverse"])
     def test_static_error_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
                                                config, command, old, new, message):
         text = (config_dir / f"{config}.ini").read_text()

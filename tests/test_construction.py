@@ -8,7 +8,7 @@ from susyinv.construction import (GaugeCurve, YSpec, closed_form_osc_R, closed_f
                                   oscillator_supersystem, quadrupole_partner,
                                   run_prescription, spin_supersystem)
 from susyinv.operators import (EigenSystem, NonHermitianError, dagger, diag_stack,
-                               unitarity_defect)
+                               hermiticity_defect, unitarity_defect)
 from susyinv.representations import make_oscillator, make_spin
 
 
@@ -70,21 +70,21 @@ class TestYSpec:
     def test_commutes_with_reference_invariant(self, spin_setup):
         spin, _, _, f = spin_setup
         y = YSpec(spin.J3, f, tf.parse("0.2*t"))
-        i0 = (spin.Jplus @ spin.Jminus / 2).entries
-        ys = y.value(np.array([0.0, 0.7, 1.3]))
+        i0 = spin.Jplus.entries @ spin.Jminus.entries / 2
+        ys = diag_stack(y.diagonal(np.array([0.0, 0.7, 1.3])))
         assert np.max(np.linalg.norm(ys @ i0 - i0 @ ys, axis=(1, 2))) < 1e-12
 
     def test_oscillator_variant_commutes(self):
         osc = make_oscillator(16, 4)
         y = YSpec(osc.K3, tf.const(0.5))
-        i0 = (osc.adag @ osc.a / 2).entries
-        ys = y.value(np.array([0.0, 0.7, 1.3]))
+        i0 = osc.adag.entries @ osc.a.entries / 2
+        ys = diag_stack(y.diagonal(np.array([0.0, 0.7, 1.3])))
         assert np.max(np.linalg.norm(ys @ i0 - i0 @ ys, axis=(1, 2))) < 1e-12
 
     def test_hermitian(self, spin_setup):
         spin, _, _, f = spin_setup
         y = YSpec(spin.J3, f)
-        assert y.value(1.7).hermiticity_defect() < 1e-14
+        assert hermiticity_defect(np.diag(y.diagonal(1.7))) < 1e-14
 
     def test_non_diagonal_generator_rejected(self, spin_setup):
         spin, _, _, f = spin_setup
@@ -116,7 +116,7 @@ class TestHamiltonianFromGauge:
         y = YSpec(spin.J3, f)
         for t in (0.6, 2.4):
             fd = fd_gauge_hamiltonian(lambda s: gauge.value(s).entries,
-                                      lambda s: y.value(s).entries, t)
+                                      lambda s: np.diag(y.diagonal(s)), t)
             assert np.linalg.norm(hamiltonian_from_gauge(gauge, y, t).entries - fd) < 1e-8
 
     def test_non_unitary_rejected(self):
@@ -182,7 +182,7 @@ class TestHamiltonianFromGauge:
             y = YSpec(osc.K3, f)
             times = np.linspace(0.0, 2.0, 21)
         w, wd = gauge.value(times), gauge.derivative(times)
-        literal = w @ y.value(times) @ dagger(w) - 1j * w @ dagger(wd)
+        literal = w @ diag_stack(y.diagonal(times)) @ dagger(w) - 1j * w @ dagger(wd)
         error = np.linalg.norm(hamiltonian_from_gauge(gauge, y, times) - literal, axis=(1, 2))
         assert np.max(error / np.linalg.norm(literal, axis=(1, 2))) <= 1e-13
 
@@ -233,7 +233,7 @@ class TestClosedForms:
         y = YSpec(spin.J3, f)
         for t in np.linspace(0.2, 6.0, 8):
             r = closed_form_spin_R(f, theta, phi, t)
-            built = (r[0] * spin.J1 + r[1] * spin.J2 + r[2] * spin.J3).entries
+            built = r[0] * spin.J1.entries + r[1] * spin.J2.entries + r[2] * spin.J3.entries
             assert np.linalg.norm(
                 hamiltonian_from_gauge(gauge, y, t).entries - built) < 1e-9
 
@@ -254,7 +254,7 @@ class TestClosedForms:
         p = osc.projector_interior.entries
         for t in (0.9, 2.6):
             r = closed_form_osc_R(f, theta, phi, t)
-            built = (r[0] * osc.K1 + r[1] * osc.K2 + r[2] * osc.K3).entries
+            built = r[0] * osc.K1.entries + r[1] * osc.K2.entries + r[2] * osc.K3.entries
             diff = hamiltonian_from_gauge(gauge, y, t).entries - built
             assert np.linalg.norm(p @ diff @ p) < 1e-6
 
@@ -339,9 +339,10 @@ class TestPrescription:
         assert lv.lam == pytest.approx(0.5)   # I+ = a a^dag / 2 on |0>
         assert lv.mu == pytest.approx(3 / 4)  # K3 eigenvalue of |1>
         r = closed_form_osc_R(f, theta, phi, 1.1)
-        built = (r[0] * osc.K1 + r[1] * osc.K2 + r[2] * osc.K3).entries
+        built = r[0] * osc.K1.entries + r[1] * osc.K2.entries + r[2] * osc.K3.entries
         diff = out.h_minus(1.1).entries - built
-        assert np.linalg.norm(osc.project_interior(diff)) < 1e-8
+        p = osc.projector_interior.entries
+        assert np.linalg.norm(p @ diff @ p) < 1e-8
 
     def test_degenerate_levels_split_by_generator(self):
         spin = make_spin(1.5)
@@ -436,7 +437,7 @@ class TestQuadrupole:
         theta, phi, f = tf.parse("0.5*sin(t)"), tf.parse("0.8*t"), tf.const(0.5)
         t = 1.7
         r = closed_form_spin_R(f, theta, phi, t)
-        linear = (r[0] * spin.J1 + r[1] * spin.J2 + r[2] * spin.J3).entries
+        linear = r[0] * spin.J1.entries + r[1] * spin.J2.entries + r[2] * spin.J3.entries
         got = quadrupole_partner(spin, f, tf.const(0.0), theta, phi, t).entries
         assert np.array_equal(got, linear)
 

@@ -1,4 +1,5 @@
-"""The functions perfbench's tracer wraps still exist under the names it uses.
+"""The functions perfbench's tracer wraps still exist under the names it uses,
+and the program still has the shapes perfbench reads.
 
 A renamed target leaves its span empty and zeroes a required count, which
 otherwise shows only in a traced benchmark run. perfbench/ is read, not changed.
@@ -6,6 +7,7 @@ otherwise shows only in a traced benchmark run. perfbench/ is read, not changed.
 
 import importlib
 import inspect
+import os
 import sys
 from pathlib import Path
 
@@ -15,11 +17,17 @@ from susyinv.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
+# Importing selftest imports perfbench's run and worker, which extend sys.path
+# and pin BLAS threads in os.environ; both are put back.
+saved_path, saved_environ = sys.path[:], dict(os.environ)
 sys.path.insert(0, str(PERFBENCH))
 try:
     tracing = importlib.import_module("tracing")
+    selftest = importlib.import_module("selftest")
 finally:
-    sys.path.remove(str(PERFBENCH))
+    sys.path[:] = saved_path
+    os.environ.clear()
+    os.environ.update(saved_environ)
 
 
 @pytest.mark.parametrize("module, qualname", [
@@ -70,3 +78,18 @@ def test_traced_verify_calls_polar_unitary(tmp_path, config_dir):
     metrics = traced(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert "operators.polar_calls" in tracing.REQUIRED_COUNTS["spin_grid"]
     assert metrics["operators.polar_calls"] > 0
+
+
+def test_traced_verify_builds_operators(tmp_path, config_dir):
+    # The tracer counts Operator.__post_init__; spin_grid requires that count.
+    cfg = config_dir / "spin_default.ini"
+    metrics = traced(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert "operators.operator_inits" in tracing.REQUIRED_COUNTS["spin_grid"]
+    assert metrics["operators.operator_inits"] > 0
+
+
+def test_selftest_generator_holds(tmp_path, monkeypatch):
+    # check_generator reads out.h_minus(t).entries at scalar t, so a scalar
+    # time must still give an Operator. It writes its configs under the cwd.
+    monkeypatch.chdir(tmp_path)
+    assert selftest.check_generator() == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from susyinv.operators import commutator, eigh
+from susyinv.operators import eigh
 from susyinv.representations import make_oscillator, make_spin
 
 ALL_J = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
@@ -20,8 +20,8 @@ class TestSpin:
 
     def test_raising_on_lowest_state(self):
         spin = make_spin(0.5)
-        got = spin.Jplus.entries @ spin.basis_state(-0.5)
-        assert np.allclose(got, spin.basis_state(0.5))
+        up, down = np.eye(2, dtype=complex)
+        assert np.allclose(spin.Jplus.entries @ down, up)
 
     @pytest.mark.parametrize("j", ALL_J)
     def test_su2_algebra(self, j):
@@ -29,35 +29,40 @@ class TestSpin:
         pairs = [(spin.J1, spin.J2, spin.J3), (spin.J2, spin.J3, spin.J1),
                  (spin.J3, spin.J1, spin.J2)]
         for a, b, c in pairs:
-            assert (commutator(a, b) - 1j * c).norm() < 1e-13
+            a, b, c = a.entries, b.entries, c.entries
+            assert np.linalg.norm(a @ b - b @ a - 1j * c) < 1e-13
 
     @pytest.mark.parametrize("j", ALL_J)
     def test_ladder_and_structure(self, j):
         spin = make_spin(j)
-        assert (spin.Jplus - (spin.J1 + 1j * spin.J2)).norm() < 1e-13
-        assert (spin.Jplus - spin.Jminus.dag).norm() == 0.0
-        jmjp = spin.Jminus @ spin.Jplus
-        structural = spin.Jsquared - spin.J3 @ spin.J3 - spin.J3
-        assert (jmjp - structural).norm() < 1e-13
+        j1, j2, j3 = spin.J1.entries, spin.J2.entries, spin.J3.entries
+        jplus, jminus = spin.Jplus.entries, spin.Jminus.entries
+        assert np.linalg.norm(jplus - (j1 + 1j * j2)) < 1e-13
+        assert np.linalg.norm(jplus - jminus.conj().T) == 0.0
+        casimir = j1 @ j1 + j2 @ j2 + j3 @ j3
+        assert np.linalg.norm(jminus @ jplus - (casimir - j3 @ j3 - j3)) < 1e-13
 
     @pytest.mark.parametrize("j", ALL_J)
     def test_casimir(self, j):
         spin = make_spin(j)
+        generators = (spin.J1.entries, spin.J2.entries, spin.J3.entries)
+        casimir = sum(ji @ ji for ji in generators)
         expected = j * (j + 1) * np.eye(spin.dim)
-        assert np.allclose(spin.Jsquared.entries, expected, atol=1e-13)
-        for ji in (spin.J1, spin.J2, spin.J3):
-            assert commutator(spin.Jsquared, ji).norm() < 1e-13
+        assert np.allclose(casimir, expected, atol=1e-13)
+        for ji in generators:
+            assert np.linalg.norm(casimir @ ji - ji @ casimir) < 1e-13
 
     @pytest.mark.parametrize("j", ALL_J)
     def test_invariant_commutes_with_j3(self, j):
         spin = make_spin(j)
-        jmjp = spin.Jminus @ spin.Jplus
-        assert commutator(jmjp, spin.J3).norm() < 1e-13
+        jmjp = spin.Jminus.entries @ spin.Jplus.entries
+        j3 = spin.J3.entries
+        assert np.linalg.norm(jmjp @ j3 - j3 @ jmjp) < 1e-13
 
     def test_invariant_eigenvalues_spin_one(self):
         # J- J+ carries j(j+1) - m(m+1) = {0, 2, 2}; I+ = J- J+ / 2 carries half.
         spin = make_spin(1)
-        es = eigh(spin.Jminus @ spin.Jplus / 2)
+        es = eigh(spin.Jminus.entries @ spin.Jplus.entries / 2)
         assert np.allclose(es.values, [0.0, 1.0, 1.0], atol=1e-13)
 
 
@@ -72,13 +77,15 @@ class TestOscillator:
 
     def test_number_operator(self):
         osc = make_oscillator(16, 4)
-        n_op = osc.number_op().entries
+        n_op = osc.adag.entries @ osc.a.entries
         assert np.allclose(np.diag(n_op), np.arange(16))
 
     def test_canonical_commutator_interior(self):
         osc = make_oscillator(16, 4)
-        defect = (osc.a @ osc.adag - osc.adag @ osc.a).entries - np.eye(16)
-        assert np.linalg.norm(osc.project_interior(defect)) < 1e-12
+        a, adag = osc.a.entries, osc.adag.entries
+        defect = a @ adag - adag @ a - np.eye(16)
+        p = osc.projector_interior.entries
+        assert np.linalg.norm(p @ defect @ p) < 1e-12
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_su11_relations_interior(self, n):
@@ -86,14 +93,21 @@ class TestOscillator:
         relations = [(osc.K1, osc.K2, -1j * osc.K3.entries),
                      (osc.K2, osc.K3, 1j * osc.K1.entries),
                      (osc.K3, osc.K1, 1j * osc.K2.entries)]
+        p = osc.projector_interior.entries
         for a, b, rhs in relations:
-            defect = commutator(a, b).entries - rhs
-            assert np.linalg.norm(osc.project_interior(defect)) < 1e-12
+            a, b = a.entries, b.entries
+            defect = a @ b - b @ a - rhs
+            assert np.linalg.norm(p @ defect @ p) < 1e-12
 
     def test_quadrature_definitions(self):
+        # The K_i are built from x = (a + a^dag) / sqrt 2 and p = i (a^dag - a) / sqrt 2,
+        # so they take the ladder forms K1 = (a^2 + a^dag^2) / 4,
+        # K2 = i (a^2 - a^dag^2) / 4 and K3 = (a a^dag + a^dag a) / 4.
         osc = make_oscillator(16, 4)
-        a_from_xp = (osc.x.entries + 1j * osc.p.entries) / np.sqrt(2)
-        assert np.allclose(a_from_xp, osc.a.entries, atol=1e-14)
+        a, adag = osc.a.entries, osc.adag.entries
+        assert np.allclose(osc.K1.entries, (a @ a + adag @ adag) / 4, atol=1e-14)
+        assert np.allclose(osc.K2.entries, 1j * (a @ a - adag @ adag) / 4, atol=1e-14)
+        assert np.allclose(osc.K3.entries, (a @ adag + adag @ a) / 4, atol=1e-14)
 
     def test_hamiltonian_interior_spectrum(self):
         osc = make_oscillator(16, 4)
