@@ -5,9 +5,7 @@ Subcommands: build, verify, propagate, phase, sweep. All numeric output uses
 for identical configs. Exit codes: 0 success, 1 failed checks, 2 bad config
 or bad loop geometry.
 
-Time-function strings in config files follow the grammar documented in
-:mod:`susyinv.timefunc` (constants, ``t``, ``pi``, ``sin``/``cos`` of affine
-arguments, sums, differences, products).
+Time-function strings in config files follow the grammar of :mod:`susyinv.timefunc`.
 """
 
 from __future__ import annotations

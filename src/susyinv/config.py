@@ -116,7 +116,7 @@ def _parse_timefunc(section: str, key: str, text: str, grid: np.ndarray,
         try:
             fn = timefunc.parse(text)
             taken = [fn, fn.derivative()] + ([fn.antiderivative()] if antiderivative else [])
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from exc
         bad = over_chunks(grid, 1, lambda ts: ~np.all([np.isfinite(g(ts)) for g in taken],
                                                        axis=0))
@@ -220,9 +220,10 @@ def load_config(path: str | Path) -> RunConfig:
     phi = _parse_timefunc("gauge", "phi", _get(cp, "gauge", "phi", required=True), grid)
     f = _parse_timefunc("y", "f", _get(cp, "y", "f", required=True), grid,
                         antiderivative=True)
-    g_text = _get(cp, "y", "g")
+    g_text = _get(cp, "y", "g", default="")
     g = _parse_timefunc("y", "g", g_text, grid, antiderivative=True) \
-        if g_text and g_text.strip("\"'") not in ("", "0") else None
+        if g_text.strip("\"'") else None
+    g = None if g == timefunc.const(0.0) else g   # a zero g, however spelt, is no g
     if g is not None and family == "oscillator":
         raise ConfigError(
             "[y] g: the quadratic term is only wired for the spin family "

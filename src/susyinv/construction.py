@@ -96,14 +96,6 @@ class GaugeCurve:
                              f"defect {defect:.3e}")
         return es.values, v2
 
-    @cached_property
-    def _theta_dot(self) -> TimeFunction:
-        return self.theta.derivative()
-
-    @cached_property
-    def _phi_dot(self) -> TimeFunction:
-        return self.phi.derivative()
-
     @property
     def dim(self) -> int:
         return self.d3.dim
@@ -130,9 +122,9 @@ class GaugeCurve:
             d3 = self._d3_diag
             # d/dt of each factor, assembled by the product rule.
             d2e2 = self._in_d2_basis(self._d2_eig[0] * e2_phases)
-            term_phi = -1j * self._phi_dot(ts)[:, None, None] * (d3[:, None] * w
-                                                                 - w * d3[None, :])
-            term_theta = -1j * self._theta_dot(ts)[:, None, None] * _sandwich(e1, d2e2)
+            term_phi = -1j * self.phi.derivative()(ts)[:, None, None] * (d3[:, None] * w
+                                                                         - w * d3[None, :])
+            term_theta = -1j * self.theta.derivative()(ts)[:, None, None] * _sandwich(e1, d2e2)
             return term_phi + term_theta
         return per_time(t, stack)
 
@@ -143,9 +135,9 @@ class GaugeCurve:
         -i W dW^dag/dt = theta' E D2 E^dag + phi' (D3 - W D3 W^dag).
         """
         e1, _, w = self._factors(t)
-        phi_dot = self._phi_dot(t)[:, None]
+        phi_dot = self.phi.derivative()(t)[:, None]
         h = (w * (y_diagonal - phi_dot * self._d3_diag)[:, None, :]) @ dagger(w)
-        h += self._theta_dot(t)[:, None, None] * _sandwich(e1, self.d2.entries)
+        h += self.theta.derivative()(t)[:, None, None] * _sandwich(e1, self.d2.entries)
         idx = np.arange(self.dim)
         h[:, idx, idx] += phi_dot * self._d3_diag
         return h
@@ -171,14 +163,6 @@ class YSpec:
     def _d_diag(self) -> np.ndarray:
         return _diag_or_none(self.D.entries)
 
-    @cached_property
-    def _f_anti(self) -> TimeFunction:
-        return self.f.antiderivative()
-
-    @cached_property
-    def _g_anti(self) -> TimeFunction | None:
-        return None if self.g is None else self.g.antiderivative()
-
     @property
     def dim(self) -> int:
         return self.D.dim
@@ -189,8 +173,8 @@ class YSpec:
 
     def integral_diagonal(self, t) -> np.ndarray:
         """Diagonal of int_0^t Y(s) ds, exact through the antiderivatives."""
-        return self._combine(self._f_anti(t),
-                             None if self._g_anti is None else self._g_anti(t))
+        return self._combine(self.f.antiderivative()(t),
+                             None if self.g is None else self.g.antiderivative()(t))
 
     def _combine(self, f_part, g_part) -> np.ndarray:
         d = self._d_diag
@@ -201,9 +185,9 @@ class YSpec:
 
     def eigen_phase(self, mu, t):
         """int_0^t y(s) ds on a D-eigenvector with eigenvalue mu (broadcast over arrays)."""
-        out = self._f_anti(t) * mu
-        if self._g_anti is not None:
-            out = out + self._g_anti(t) * mu * mu
+        out = self.f.antiderivative()(t) * mu
+        if self.g is not None:
+            out = out + self.g.antiderivative()(t) * mu * mu
         return float(out) if np.ndim(out) == 0 else out
 
 

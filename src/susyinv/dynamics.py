@@ -39,9 +39,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import (Operator, SingularMatrixError, _mat, chunks, dagger,
-                        expm_i_hermitian, first_true, frobenius, over_chunks, polar_unitary,
-                        project, unitarity_defect)
+from .operators import (NonFiniteMatrixError, Operator, SingularMatrixError, _mat,
+                        check_finite, chunks, dagger, expm_i_hermitian, first_true, frobenius,
+                        over_chunks, polar_unitary, project, unitarity_defect)
 
 FD_STEP = 1e-5
 STEP_NORM_LIMIT = 0.5
@@ -93,8 +93,9 @@ def _check_grid(times: np.ndarray) -> np.ndarray:
 
 
 def check_step(hs: np.ndarray, dt) -> None:
-    """Raise StepSizeError at the first H of a stack with ||H||_F dt >= STEP_NORM_LIMIT."""
+    """Raise at the first H of a stack that is not finite, else at ||H||_F dt >= the limit."""
     norms = frobenius(hs)
+    check_finite(np.isfinite(norms))
     dts = np.broadcast_to(dt, norms.shape)
     k = first_true(norms * dts >= STEP_NORM_LIMIT)
     if k is not None:
@@ -110,22 +111,28 @@ def _step_factors(h: Callable[[float], Operator], times: np.ndarray, dim: int,
     the two CF4:2 exponentials of each step, unchecked. Its chunks hold half
     as many steps, because each step takes H at both Gauss nodes in one call
     and both factors in one exponential: a stack of two matrices per step.
+    A non-finite H raises NonFiniteMatrixError naming the first step it enters.
     """
     dts = np.diff(times)
     for sl in chunks(dts.size, dim, per_point=1 if order == 2 else 2):
         t0, dt = times[:-1][sl], dts[sl]
-        if order == 2:
-            hm = _stack(h, t0 + dt / 2, (dim, dim))
-            check_step(hm, dt)
-            yield from expm_i_hermitian(hm, dt)
-            continue
         k = dt.size
-        hs = _stack(h, np.concatenate([t0 + c * dt for c in GAUSS_NODES]), (dim, dim))
-        # Both exponents before the exponential, so that H at the nodes is
-        # freed before the exponential takes its workspace.
-        exponents = np.concatenate([w1 * hs[:k] + w2 * hs[k:] for w1, w2 in CF4_WEIGHTS])
-        del hs
-        factors = expm_i_hermitian(exponents, np.concatenate([dt, dt]))
+        try:
+            if order == 2:
+                hm = _stack(h, t0 + dt / 2, (dim, dim))
+                check_step(hm, dt)
+                yield from expm_i_hermitian(hm, dt)
+                continue
+            hs = _stack(h, np.concatenate([t0 + c * dt for c in GAUSS_NODES]), (dim, dim))
+            # Both exponents before the exponential, so that H at the nodes is
+            # freed before the exponential takes its workspace.
+            exponents = np.concatenate([w1 * hs[:k] + w2 * hs[k:] for w1, w2 in CF4_WEIGHTS])
+            del hs
+            factors = expm_i_hermitian(exponents, np.concatenate([dt, dt]))
+        except NonFiniteMatrixError as exc:
+            step = sl.start + exc.index % k
+            raise NonFiniteMatrixError(step, f"H on step {step + 1} of {dts.size}, t = "
+                                       f"{times[step]:.6g} to {times[step + 1]:.6g}") from None
         for pair in zip(factors[:k], factors[k:]):
             yield from pair
 

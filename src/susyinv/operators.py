@@ -55,6 +55,21 @@ class SingularMatrixError(ValueError):
         self.s_min, self.limit, self.index = s_min, limit, index
 
 
+class NonFiniteMatrixError(ValueError):
+    """A matrix with a non-finite entry at ``index`` in a stack; ``where`` names it."""
+
+    def __init__(self, index: int, where: str | None = None):
+        super().__init__(f"matrix is not finite ({where or f'matrix {index} of the stack'})")
+        self.index = index
+
+
+def check_finite(finite: np.ndarray) -> None:
+    """Raise NonFiniteMatrixError at the first False of a per-matrix mask."""
+    k = first_true(~finite)
+    if k is not None:
+        raise NonFiniteMatrixError(k)
+
+
 @dataclass(frozen=True)
 class Operator:
     """Immutable dense complex square matrix; ``op @ array`` is ``entries @ array``."""
@@ -293,7 +308,9 @@ def _taylor_expm(a: np.ndarray) -> np.ndarray:
     sum_{k<q} B_k (A^p)^k, B_k = sum_{j<p} A^j / (kp + j)! (the last block
     also takes A^p / m!), in p + q - 2 products and no linear solve.
     """
-    norm = float(np.max(one_norm(a)))
+    norms = one_norm(a)
+    check_finite(np.isfinite(norms))
+    norm = float(np.max(norms))
     theta_top = TAYLOR_THETA[30]
     s = int(np.ceil(np.log2(norm / theta_top))) if norm > theta_top else 0
     if s:
@@ -344,15 +361,16 @@ def expm_i_hermitian(h: np.ndarray, tau) -> np.ndarray:
     (:func:`_taylor_expm`), whose backward error stays below the unit roundoff:
     the result is the exact exponential of a skew-Hermitian matrix perturbed
     at rounding level, so it is unitary to rounding. Diagonal matrices
-    short-circuit to phases.
+    short-circuit to phases. A non-finite matrix raises NonFiniteMatrixError.
     """
     h = np.asarray(h, dtype=complex)
     stack = h.reshape(-1, *h.shape[-2:])
     taus = np.broadcast_to(np.asarray(tau, dtype=float), stack.shape[:1])
     diagonal = _is_diagonal(stack)
     if diagonal.all():
-        out = diag_stack(np.exp(-1j * taus[:, None]
-                                * np.real(np.diagonal(stack, axis1=1, axis2=2))))
+        diagonals = np.real(np.diagonal(stack, axis1=1, axis2=2))
+        check_finite(np.isfinite(diagonals).all(axis=1))
+        out = diag_stack(np.exp(-1j * taus[:, None] * diagonals))
     else:
         out = _taylor_expm(-1j * taus[:, None, None] * stack)
         if diagonal.any():

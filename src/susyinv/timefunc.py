@@ -1,10 +1,15 @@
 """Closed family of real scalar time functions with exact calculus.
 
-Members: constants, affine ``a*t + b``, sinusoids ``sin/cos(omega*t + delta)``,
-finite sums, scalar multiples, and products of two atoms. Derivatives stay in
-the family; antiderivatives do too except for affine*affine products, which
-are rejected (their antiderivative would need a cubic). Antiderivatives are
-normalized so that F(0) = 0.
+A :class:`TimeFunction` is a flat sum of terms ``(coeff, atoms)``: a constant
+times at most two atoms, each ``("lin", a, b)`` for ``a*t + b`` or
+``("sin" | "cos", omega, delta)`` for ``sin/cos(omega*t + delta)``. A constant
+has no atoms; an affine function is one ``lin`` atom with coefficient 1. Sums
+fold constants and affine terms into one leading term; products fold
+constants, distribute over sums and pair two atoms. Calculus goes term by
+term and stays in the family, by parts for affine*sinusoid and by the
+product-to-sum rules for sinusoid*sinusoid, except for the antiderivative of
+affine*affine, which would need a cubic. Antiderivatives are normalized so
+that F(0) = 0. Each function builds its derivative and antiderivative once.
 
 The textual grammar accepted by :func:`parse`::
 
@@ -13,18 +18,20 @@ The textual grammar accepted by :func:`parse`::
     factor := '-' factor | atom
     atom   := NUMBER | 'pi' | 't' | 'sin' '(' expr ')' | 'cos' '(' expr ')'
               | '(' expr ')'
-
-Sinusoid arguments must be affine in t, and any product must reduce to the
-closed family (constants fold; products distribute over sums).
 """
 
-from __future__ import annotations
-
+import ast
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+Atom = tuple[str, float, float]
+Term = tuple[float, tuple[Atom, ...]]
+
+OTHER = {"sin": ("cos", 1.0), "cos": ("sin", -1.0)}  # d/dx kind(x) = sign * other(x)
 
 
 class ClosedFamilyError(ValueError):
@@ -35,408 +42,214 @@ class TimeFunctionSyntaxError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
 class TimeFunction:
-    """Base class; concrete nodes implement _eval, derivative, _raw_antiderivative."""
+    """Sum of ``(coeff, atoms)`` terms; see the module docstring."""
+
+    terms: tuple[Term, ...]
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        out = self._eval(arr)
+        values = [_term_value(term, arr) for term in self.terms]
+        out = values[0] if len(values) == 1 else sum(values, np.zeros_like(arr))
         return float(out) if arr.ndim == 0 else out
 
-    def _eval(self, t: np.ndarray):
-        raise NotImplementedError
-
     def derivative(self) -> "TimeFunction":
-        raise NotImplementedError
-
-    def _raw_antiderivative(self) -> "TimeFunction":
-        raise NotImplementedError
+        return self._derivative
 
     def antiderivative(self) -> "TimeFunction":
         """Antiderivative F with F(0) = 0 (exactly, after rounding polish)."""
-        g = self._raw_antiderivative()
+        return self._antiderivative
+
+    @cached_property
+    def _derivative(self) -> "TimeFunction":
+        return _termwise(_term_derivative, self)
+
+    @cached_property
+    def _antiderivative(self) -> "TimeFunction":
+        g = _termwise(_term_integral, self)
         for _ in range(5):
             z = float(g(0.0))
             if z == 0.0:
                 break
-            g = add(g, Const(-z))
+            g = add(g, const(-z))
         return g
 
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, scale(-1.0, _coerce(other)))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), scale(-1.0, self))
-
-    def __mul__(self, other):
-        return multiply(self, _coerce(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(-1.0, self)
-
-
-def _coerce(x) -> TimeFunction:
-    if isinstance(x, TimeFunction):
-        return x
-    return Const(float(x))
-
-
-@dataclass(frozen=True)
-class Const(TimeFunction):
-    value: float
-
-    def _eval(self, t):
-        return self.value * np.ones_like(t)
-
-    def derivative(self):
-        return Const(0.0)
-
-    def _raw_antiderivative(self):
-        return Linear(self.value, 0.0)
-
     def __str__(self):
-        return f"{self.value:g}"
+        return " + ".join(map(_term_str, self.terms))
 
 
-@dataclass(frozen=True)
-class Linear(TimeFunction):
-    slope: float
-    intercept: float = 0.0
-
-    def _eval(self, t):
-        return self.slope * t + self.intercept
-
-    def derivative(self):
-        return Const(self.slope)
-
-    def _raw_antiderivative(self):
-        # a*t + b -> (a/2) t^2 + b t; t^2 is a depth-1 product.
-        quadratic = Product(Linear(1.0), Linear(1.0))
-        return add(scale(self.slope / 2, quadratic), Linear(self.intercept, 0.0))
-
-    def __str__(self):
-        if self.intercept == 0.0:
-            return f"{self.slope:g}*t"
-        return f"{self.slope:g}*t + {self.intercept:g}"
+def _atom_value(atom: Atom, t: np.ndarray):
+    kind, a, b = atom
+    x = a * t + b
+    return x if kind == "lin" else np.sin(x) if kind == "sin" else np.cos(x)
 
 
-@dataclass(frozen=True)
-class Trig(TimeFunction):
-    kind: str  # "sin" | "cos"
-    omega: float
-    delta: float = 0.0
+def _term_value(term: Term, t: np.ndarray):
+    coeff, atoms = term
+    if not atoms:
+        return coeff * np.ones_like(t)
+    value = _atom_value(atoms[0], t)
+    if len(atoms) == 2:
+        value = value * _atom_value(atoms[1], t)
+    return value if coeff == 1.0 else coeff * value
 
-    def __post_init__(self):
-        if self.kind not in ("sin", "cos"):
-            raise ValueError(f"unknown sinusoid kind {self.kind!r}")
 
-    def _eval(self, t):
-        arg = self.omega * t + self.delta
-        return np.sin(arg) if self.kind == "sin" else np.cos(arg)
+def _atom_str(atom: Atom) -> str:
+    kind, a, b = atom
+    x = f"{a:g}*t" if b == 0.0 else f"{a:g}*t + {b:g}"
+    return x if kind == "lin" else f"{kind}({x})"
 
-    def derivative(self):
-        if self.kind == "sin":
-            return scale(self.omega, Trig("cos", self.omega, self.delta))
-        return scale(-self.omega, Trig("sin", self.omega, self.delta))
 
-    def _raw_antiderivative(self):
-        if self.kind == "sin":
-            return scale(-1.0 / self.omega, Trig("cos", self.omega, self.delta))
-        return scale(1.0 / self.omega, Trig("sin", self.omega, self.delta))
+def _term_str(term: Term) -> str:
+    coeff, atoms = term
+    body = "*".join(f"({_atom_str(a)})" for a in atoms) if len(atoms) == 2 \
+        else _atom_str(atoms[0]) if atoms else f"{coeff:g}"
+    return body if coeff == 1.0 or not atoms else f"{coeff:g}*({body})"
 
-    def __str__(self):
-        if self.delta == 0.0:
-            return f"{self.kind}({self.omega:g}*t)"
-        return f"{self.kind}({self.omega:g}*t + {self.delta:g})"
+
+def _one(*atoms: Atom) -> TimeFunction:  # the product of one or two atoms
+    return TimeFunction(((1.0, atoms),))
+
+
+def const(value: float) -> TimeFunction:
+    return TimeFunction(((float(value), ()),))
+
+
+def linear(slope: float, intercept: float = 0.0) -> TimeFunction:
+    return _one(("lin", float(slope), float(intercept)))
 
 
 def _trig(kind: str, omega: float, delta: float) -> TimeFunction:
-    """Sinusoid that folds to a constant when omega = 0."""
-    if omega == 0.0:
-        return Const(math.sin(delta) if kind == "sin" else math.cos(delta))
-    return Trig(kind, float(omega), float(delta))
+    if omega == 0.0:  # the sinusoid is a constant
+        return const(math.sin(delta) if kind == "sin" else math.cos(delta))
+    return _one((kind, float(omega), float(delta)))
 
 
-@dataclass(frozen=True)
-class Sum(TimeFunction):
-    terms: tuple[TimeFunction, ...]
-
-    def _eval(self, t):
-        out = np.zeros_like(t)
-        for term in self.terms:
-            out = out + term._eval(t)
-        return out
-
-    def derivative(self):
-        return add(*(term.derivative() for term in self.terms))
-
-    def _raw_antiderivative(self):
-        return add(*(term._raw_antiderivative() for term in self.terms))
-
-    def __str__(self):
-        return " + ".join(str(t) for t in self.terms)
+def _affine(term: Term) -> tuple[float, float] | None:
+    """(slope, intercept) of a constant or affine term; None for any other."""
+    coeff, atoms = term
+    if not atoms:
+        return 0.0, coeff
+    if len(atoms) == 1 and atoms[0][0] == "lin":
+        return atoms[0][1], atoms[0][2]
+    return None
 
 
-@dataclass(frozen=True)
-class Scaled(TimeFunction):
-    coeff: float
-    inner: TimeFunction
-
-    def _eval(self, t):
-        return self.coeff * self.inner._eval(t)
-
-    def derivative(self):
-        return scale(self.coeff, self.inner.derivative())
-
-    def _raw_antiderivative(self):
-        return scale(self.coeff, self.inner._raw_antiderivative())
-
-    def __str__(self):
-        return f"{self.coeff:g}*({self.inner})"
+def _termwise(rule, f: TimeFunction) -> TimeFunction:
+    """``rule`` on each term of f, summed; a single term's result as it is."""
+    return rule(f.terms[0]) if len(f.terms) == 1 else add(*map(rule, f.terms))
 
 
-@dataclass(frozen=True)
-class Product(TimeFunction):
-    """Product of two atoms (Linear or Trig); deeper nesting is rejected."""
-
-    left: TimeFunction
-    right: TimeFunction
-
-    def __post_init__(self):
-        for f in (self.left, self.right):
-            if not isinstance(f, (Linear, Trig)):
-                raise ClosedFamilyError(
-                    f"products are limited to depth 1 over atoms, got factor {f}")
-
-    def _eval(self, t):
-        return self.left._eval(t) * self.right._eval(t)
-
-    def derivative(self):
-        return add(multiply(self.left.derivative(), self.right),
-                   multiply(self.left, self.right.derivative()))
-
-    def _raw_antiderivative(self):
-        lin, trig = None, None
-        for f, g in ((self.left, self.right), (self.right, self.left)):
-            if isinstance(f, Linear) and isinstance(g, Trig):
-                lin, trig = f, g
-        if lin is not None:
-            # Integration by parts: int (a t + b) trig = boundary - (a/w) int ...
-            a, w = lin.slope, trig.omega
-            if trig.kind == "sin":
-                return add(scale(-1.0 / w, Product(lin, Trig("cos", w, trig.delta))),
-                           scale(a / w ** 2, Trig("sin", w, trig.delta)))
-            return add(scale(1.0 / w, Product(lin, Trig("sin", w, trig.delta))),
-                       scale(a / w ** 2, Trig("cos", w, trig.delta)))
-        if isinstance(self.left, Trig) and isinstance(self.right, Trig):
-            return _trig_product_to_sum(self.left, self.right)._raw_antiderivative()
-        raise ClosedFamilyError(
-            f"antiderivative of ({self.left})*({self.right}) leaves the closed family "
-            "(it would require a cubic)")
-
-    def __str__(self):
-        return f"({self.left})*({self.right})"
-
-
-def _trig_product_to_sum(f: Trig, g: Trig) -> TimeFunction:
-    """Rewrite trig*trig as a sum of sinusoids (product-to-sum identities)."""
-    wp, dp = f.omega + g.omega, f.delta + g.delta
-    wm, dm = f.omega - g.omega, f.delta - g.delta
-    if f.kind == "sin" and g.kind == "sin":
-        return add(scale(0.5, _trig("cos", wm, dm)), scale(-0.5, _trig("cos", wp, dp)))
-    if f.kind == "cos" and g.kind == "cos":
-        return add(scale(0.5, _trig("cos", wm, dm)), scale(0.5, _trig("cos", wp, dp)))
-    if f.kind == "sin" and g.kind == "cos":
-        return add(scale(0.5, _trig("sin", wp, dp)), scale(0.5, _trig("sin", wm, dm)))
-    return _trig_product_to_sum(g, f)  # cos*sin
-
-
-def add(*terms: TimeFunction) -> TimeFunction:
-    """Flattening sum that folds constants and affine terms together."""
-    flat: list[TimeFunction] = []
+def add(*fs: TimeFunction) -> TimeFunction:
+    """Flattening sum that folds constants and affine terms into one leading term."""
+    flat: list[Term] = []
     slope = intercept = 0.0
-    for term in terms:
-        inner = term.terms if isinstance(term, Sum) else (term,)
-        for f in inner:
-            if isinstance(f, Const):
-                intercept += f.value
-            elif isinstance(f, Linear):
-                slope += f.slope
-                intercept += f.intercept
-            elif isinstance(f, Scaled) and f.coeff == 0.0:
-                pass
-            else:
-                flat.append(f)
+    for term in (term for f in fs for term in f.terms):
+        ab = _affine(term)
+        if ab is None:
+            flat.append(term)
+        else:
+            slope += ab[0]
+            intercept += ab[1]
     if slope != 0.0:
-        flat.insert(0, Linear(slope, intercept))
+        flat.insert(0, (1.0, (("lin", slope, intercept),)))
     elif intercept != 0.0 or not flat:
-        flat.insert(0, Const(intercept))
-    if len(flat) == 1:
-        return flat[0]
-    return Sum(tuple(flat))
+        flat.insert(0, (intercept, ()))
+    return TimeFunction(tuple(flat))
 
 
 def scale(coeff: float, f: TimeFunction) -> TimeFunction:
-    coeff = float(coeff)
     if coeff == 0.0:
-        return Const(0.0)
+        return const(0.0)
     if coeff == 1.0:
         return f
-    if isinstance(f, Const):
-        return Const(coeff * f.value)
-    if isinstance(f, Linear):
-        return Linear(coeff * f.slope, coeff * f.intercept)
-    if isinstance(f, Scaled):
-        return scale(coeff * f.coeff, f.inner)
-    if isinstance(f, Sum):
-        return add(*(scale(coeff, term) for term in f.terms))
-    return Scaled(coeff, f)
+
+    def scaled(term: Term) -> TimeFunction:
+        k, atoms = term
+        if atoms and atoms[0][0] == "lin" and len(atoms) == 1:
+            return linear(coeff * atoms[0][1], coeff * atoms[0][2])
+        if atoms and coeff * k == 0.0:  # the coefficient underflowed
+            return const(0.0)
+        return TimeFunction(((coeff * k, atoms),))
+    return _termwise(scaled, f)
 
 
 def multiply(f: TimeFunction, g: TimeFunction) -> TimeFunction:
     """Product combinator: folds constants, distributes over sums, pairs atoms."""
-    if isinstance(f, Const):
-        return scale(f.value, g)
-    if isinstance(g, Const):
-        return scale(g.value, f)
-    if isinstance(f, Scaled):
-        return scale(f.coeff, multiply(f.inner, g))
-    if isinstance(g, Scaled):
-        return scale(g.coeff, multiply(f, g.inner))
-    if isinstance(f, Sum):
-        return add(*(multiply(term, g) for term in f.terms))
-    if isinstance(g, Sum):
-        return add(*(multiply(f, term) for term in g.terms))
-    if isinstance(f, (Linear, Trig)) and isinstance(g, (Linear, Trig)):
-        return Product(f, g)
-    raise ClosedFamilyError(
-        f"product ({f})*({g}) exceeds the depth-1 product limit")
+    (fc, fa), (gc, ga) = f.terms[0], g.terms[0]
+    # The coefficient of a constant or scaled factor comes out of the product.
+    if len(f.terms) == 1 and (not fa or fc != 1.0):
+        return scale(fc, multiply(_one(*fa), g) if fa else g)
+    if len(g.terms) == 1 and (not ga or gc != 1.0):
+        return scale(gc, multiply(f, _one(*ga)) if ga else f)
+    if len(f.terms) > 1:
+        return add(*(multiply(TimeFunction((term,)), g) for term in f.terms))
+    if len(g.terms) > 1:
+        return add(*(multiply(f, TimeFunction((term,))) for term in g.terms))
+    if len(fa) == len(ga) == 1:
+        return _one(*fa, *ga)
+    raise ClosedFamilyError(f"product ({f})*({g}) exceeds the depth-1 product limit")
 
 
-def const(value: float) -> TimeFunction:
-    return Const(float(value))
+def _atom_derivative(atom: Atom) -> TimeFunction:
+    kind, a, b = atom
+    if kind == "lin":
+        return const(a)
+    other, sign = OTHER[kind]
+    return scale(sign * a, _one((other, a, b)))
 
 
-def linear(slope: float, intercept: float = 0.0) -> TimeFunction:
-    return Linear(float(slope), float(intercept))
+def _term_derivative(term: Term) -> TimeFunction:
+    coeff, atoms = term
+    if not atoms:
+        return const(0.0)
+    if len(atoms) == 1:
+        return scale(coeff, _atom_derivative(atoms[0]))
+    left, right = map(_one, atoms)
+    return scale(coeff, add(multiply(_atom_derivative(atoms[0]), right),
+                            multiply(left, _atom_derivative(atoms[1]))))
 
 
-def sine(omega: float = 1.0, delta: float = 0.0) -> TimeFunction:
-    return _trig("sin", omega, delta)
+def _term_integral(term: Term) -> TimeFunction:
+    """An antiderivative of one term, before the F(0) = 0 normalization."""
+    coeff, atoms = term
+    kinds = tuple(atom[0] for atom in atoms)
+    if not atoms:
+        return linear(coeff, 0.0)
+    if kinds == ("lin", "lin"):
+        raise ClosedFamilyError(f"antiderivative of {_term_str((1.0, atoms))} leaves the "
+                                "closed family (it would require a cubic)")
+    if len(atoms) == 1:
+        kind, a, b = atoms[0]
+        if kind == "lin":  # (a/2) t^2 + b t
+            return add(scale(a / 2, multiply(linear(1.0), linear(1.0))), linear(b, 0.0))
+        other, sign = OTHER[kind]
+        return scale(coeff, scale(-sign / a, _one((other, a, b))))
+    if "lin" in kinds:
+        # By parts: int (a t + b) s(t) = (a t + b) S(t) - a int S, with S' = s.
+        lin, (kind, w, d) = atoms if kinds[0] == "lin" else atoms[::-1]
+        other, sign = OTHER[kind]
+        return scale(coeff, add(scale(-sign / w, _one(lin, (other, w, d))),
+                                scale(lin[1] / w ** 2, _one((kind, w, d)))))
+    return scale(coeff, _termwise(_term_integral, _product_to_sum(*atoms)))
 
 
-def cosine(omega: float = 1.0, delta: float = 0.0) -> TimeFunction:
-    return _trig("cos", omega, delta)
+def _product_to_sum(f: Atom, g: Atom) -> TimeFunction:
+    """Rewrite sinusoid*sinusoid as a sum of sinusoids."""
+    if (f[0], g[0]) == ("cos", "sin"):
+        f, g = g, f
+    wp, dp, wm, dm = f[1] + g[1], f[2] + g[2], f[1] - g[1], f[2] - g[2]
+    if f[0] == g[0]:  # (cos(x - y) -+ cos(x + y))/2 for sin*sin and cos*cos
+        return add(scale(0.5, _trig("cos", wm, dm)),
+                   scale(-0.5 if f[0] == "sin" else 0.5, _trig("cos", wp, dp)))
+    return add(scale(0.5, _trig("sin", wp, dp)), scale(0.5, _trig("sin", wm, dm)))
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-                    r"|([A-Za-z_]+)|([()+\-*]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise TimeFunctionSyntaxError(
-                f"unexpected character {text[pos]!r} at position {pos} in {text!r}")
-        if m.group(1):
-            tokens.append(("num", m.group(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2)))
-        elif m.group(3):
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
-    tokens.append(("end", ""))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, text = self.next()
-        if text != value:
-            raise TimeFunctionSyntaxError(
-                f"expected {value!r} but found {text!r} in {self.text!r}")
-
-    def parse(self) -> TimeFunction:
-        f = self.expr()
-        if self.peek()[0] != "end":
-            raise TimeFunctionSyntaxError(
-                f"trailing input {self.peek()[1]!r} in {self.text!r}")
-        return f
-
-    def expr(self) -> TimeFunction:
-        f = self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.next()[1]
-            g = self.term()
-            f = add(f, g if op == "+" else scale(-1.0, g))
-        return f
-
-    def term(self) -> TimeFunction:
-        f = self.factor()
-        while self.peek() == ("op", "*"):
-            self.next()
-            f = multiply(f, self.factor())
-        return f
-
-    def factor(self) -> TimeFunction:
-        if self.peek() == ("op", "-"):
-            self.next()
-            return scale(-1.0, self.factor())
-        return self.atom()
-
-    def atom(self) -> TimeFunction:
-        kind, text = self.next()
-        if kind == "num":
-            return Const(float(text))
-        if kind == "name":
-            if text == "pi":
-                return Const(math.pi)
-            if text == "t":
-                return Linear(1.0)
-            if text in ("sin", "cos"):
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return _sinusoid_of(text, arg)
-            raise TimeFunctionSyntaxError(f"unknown name {text!r} in {self.text!r}")
-        if (kind, text) == ("op", "("):
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        raise TimeFunctionSyntaxError(f"unexpected token {text!r} in {self.text!r}")
-
-
-def _sinusoid_of(kind: str, arg: TimeFunction) -> TimeFunction:
-    """sin/cos of an argument that must be affine in t."""
-    if isinstance(arg, Const):
-        return _trig(kind, 0.0, arg.value)
-    if isinstance(arg, Linear):
-        return _trig(kind, arg.slope, arg.intercept)
-    raise ClosedFamilyError(
-        f"sinusoid arguments must be affine in t, got {arg}")
+NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+# Characters outside the grammar; Python would read '#' as a comment and ',' in a call.
+_FOREIGN = re.compile(r"[^\s0-9A-Za-z_.()+*-]")
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")  # NUMBER allows 007, Python does not
 
 
 def parse(text: str) -> TimeFunction:
@@ -446,4 +259,38 @@ def parse(text: str) -> TimeFunction:
         stripped = stripped[1:-1]
     if not stripped:
         raise TimeFunctionSyntaxError("empty time-function expression")
-    return _Parser(stripped).parse()
+    bad = _FOREIGN.search(stripped)
+    if bad:
+        raise TimeFunctionSyntaxError(f"unexpected character {bad.group()!r} in {stripped!r}")
+    source = _LEADING_ZEROS.sub("", " ".join(stripped.split()))
+    try:
+        return _build(ast.parse(source, mode="eval").body, source)
+    except SyntaxError as exc:
+        raise TimeFunctionSyntaxError(f"{exc.msg} in {stripped!r}") from None
+    except RecursionError:  # about a thousand terms in one sum, or as deep a nesting
+        raise TimeFunctionSyntaxError(f"expression nested too deeply: {stripped!r}") from None
+
+
+def _build(node: ast.expr, source: str) -> TimeFunction:
+    """The TimeFunction of one node, children left to right; ``source`` is one ASCII line."""
+    text = source[node.col_offset:node.end_col_offset]
+    match node:
+        case ast.Constant() if NUMBER.fullmatch(text):
+            return const(float(text))
+        case ast.Name(id="t" | "pi" as name):
+            return linear(1.0) if name == "t" else const(math.pi)
+        case ast.UnaryOp(op=ast.USub(), operand=operand):
+            return scale(-1.0, _build(operand, source))
+        case ast.BinOp(op=ast.Add() | ast.Sub() | ast.Mult() as op):
+            left, right = _build(node.left, source), _build(node.right, source)
+            if isinstance(op, ast.Mult):
+                return multiply(left, right)
+            return add(left, right if isinstance(op, ast.Add) else scale(-1.0, right))
+        case ast.Call(func=ast.Name(id="sin" | "cos" as kind), args=[arg], keywords=[]) \
+                if not isinstance(arg, ast.Starred):
+            inner = _build(arg, source)
+            ab = _affine(inner.terms[0]) if len(inner.terms) == 1 else None
+            if ab is None:
+                raise ClosedFamilyError(f"sinusoid arguments must be affine in t, got {inner}")
+            return _trig(kind, *ab)
+    raise TimeFunctionSyntaxError(f"unexpected {text!r} in {source!r}")

@@ -20,19 +20,17 @@ def random_gauge_draw(rng, family: str):
     2 * theta * n levels, which must stay inside the edge buffer.
     """
     def coeff(lo=-2.0, hi=2.0):
-        return rng.uniform(lo, hi)
+        return repr(rng.uniform(lo, hi))
 
-    def omega():
-        return rng.uniform(0.5, 4.0)
+    def sinusoid(kind):
+        return f"{kind}({rng.uniform(0.5, 4.0)!r}*t + {rng.uniform(0, 6.28)!r})"
 
-    f = tf.const(coeff()) + coeff() * tf.sine(omega(), rng.uniform(0, 6.28))
+    f = tf.parse(f"{coeff()} + {coeff()}*{sinusoid('sin')}")
     if family == "spin":
-        theta = tf.const(coeff()) + coeff() * tf.sine(omega(), rng.uniform(0, 6.28))
+        theta = tf.parse(f"{coeff()} + {coeff()}*{sinusoid('sin')}")
     else:
-        theta = tf.const(coeff(-0.005, 0.005)) + \
-            coeff(-0.005, 0.005) * tf.sine(omega(), rng.uniform(0, 6.28))
-    phi = tf.const(coeff()) + tf.linear(coeff()) + \
-        coeff() * tf.cosine(omega(), rng.uniform(0, 6.28))
+        theta = tf.parse(f"{coeff(-0.005, 0.005)} + {coeff(-0.005, 0.005)}*{sinusoid('sin')}")
+    phi = tf.parse(f"{coeff()} + {coeff()}*t + {coeff()}*{sinusoid('cos')}")
     return f, theta, phi
 
 

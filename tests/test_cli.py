@@ -76,6 +76,8 @@ class TestConfig:
          "[y] f = '\"1e400\"': not finite at t = 0"),
         ("spin_default", "verify", 'f = "0.5"', 'f = "t*t"',
          "[y] f = '\"t*t\"': antiderivative of (1*t)*(1*t) leaves the closed family"),
+        ("spin_default", "verify", 'f = "0.5"', 'f = "t*sin(1e-200*t)"',
+         "[y] f = '\"t*sin(1e-200*t)\"': float division by zero"),
         ("spin_default", "verify", "[checks]\n", "[checks]\ncross_check_wrong_h = ture\n",
          "[checks] cross_check_wrong_h = 'ture' is not a boolean; "
          "use one of 1, yes, true, on, 0, no, false, off"),
@@ -84,6 +86,7 @@ class TestConfig:
          "use one of 1, yes, true, on, 0, no, false, off"),
     ], ids=["half_integer_j", "integer_phase_steps", "buffer_range", "zero_step_grid",
             "non_finite_t_final", "non_finite_b", "overflowing_f", "f_without_antiderivative",
+            "f_antiderivative_divides_by_zero",
             "misspelt_cross_check_wrong_h", "misspelt_phase_reverse"])
     def test_static_error_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
                                                config, command, old, new, message):
@@ -732,6 +735,15 @@ class TestLevelAndFamilyGuards:
         bad = tmp_path / "bad.ini"
         bad.write_text(text.replace('f = "0.5"', 'f = "0.5"\ng = "0.1"'))
         assert run(["verify", "--config", bad, "--out", tmp_path / "out"]) == 2
+
+    @pytest.mark.parametrize("g, code", [("0", 0), ("0.0", 0), ("0*t", 0), ("sin(0)", 0),
+                                         ("1e-300*t", 2)])
+    def test_oscillator_zero_g_is_no_quadratic_term(self, tmp_path, config_dir, g, code):
+        # A g that parses to the zero constant is absent, however it is spelt.
+        text = (config_dir / "oscillator_default.ini").read_text()
+        cfg = tmp_path / "g.ini"
+        cfg.write_text(text.replace('f = "0.5"', f'f = "0.5"\ng = "{g}"'))
+        assert run(["verify", "--config", cfg, "--out", tmp_path / "out"]) == code
 
     def test_unknown_level_exit_2(self, tmp_path, config_dir):
         text = (config_dir / "oscillator_default.ini").read_text()

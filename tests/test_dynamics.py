@@ -7,7 +7,8 @@ from susyinv.construction import run_prescription, spin_supersystem
 from susyinv.dynamics import (NonClosedLoopError, StepSizeError, berry_holonomy,
                               intertwining_residual, lvn_residual, propagate,
                               propagate_unitary)
-from susyinv.operators import Operator, SingularMatrixError, dagger, eigh
+from susyinv.operators import (NonFiniteMatrixError, Operator, SingularMatrixError, dagger,
+                               eigh)
 from susyinv.representations import make_spin
 
 
@@ -125,6 +126,19 @@ class TestPropagate:
         assert str(err.value) == str(expected)
         assert str(err.value).startswith("step too large: ||H||*dt = 0.627 >= 0.5 (try dt <=")
         assert err.value.suggested_dt == pytest.approx(expected.suggested_dt, rel=1e-12)
+
+    @pytest.mark.parametrize("order, first", [(2, "step 7 of 10, t = 0.6 to 0.7"),
+                                              (4, "step 6 of 10, t = 0.5 to 0.6")])
+    @pytest.mark.parametrize("bad", [[[np.nan, 0.0], [0.0, 1.0]], [[np.nan, 1.0], [1.0, 0.0]]],
+                             ids=["diagonal", "dense"])
+    def test_non_finite_h_names_its_first_step(self, order, first, bad):
+        # H turns non-finite after t = 0.55: at the midpoint 0.65 (order 2) and
+        # at the second Gauss node of [0.5, 0.6] (order 4).
+        def h(ts):
+            return np.where((ts > 0.55)[:, None, None], np.asarray(bad, dtype=complex),
+                            np.diag([1.0, -1.0]).astype(complex))
+        with pytest.raises(NonFiniteMatrixError, match=f"H on {first}"):
+            propagate(h, np.array([1.0, 0.0], dtype=complex), grid(1.0, 0.1), order=order)
 
     def test_unnormalized_state_rejected(self):
         spin = make_spin(0.5)

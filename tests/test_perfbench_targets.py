@@ -71,21 +71,33 @@ def test_traced_phase_reaches_every_wrapped_layer(tmp_path, config_dir):
         assert metrics[name] > 0, name
 
 
-def test_traced_verify_calls_polar_unitary(tmp_path, config_dir):
+@pytest.fixture(scope="module")
+def verify_metrics(tmp_path_factory, config_dir):
+    """One traced ``verify`` of spin_default.ini, shared by the spin_grid count checks."""
+    out = tmp_path_factory.mktemp("verify")
+    return traced(["verify", "--config", str(config_dir / "spin_default.ini"),
+                   "--out", str(out)])
+
+
+def assert_required(metrics: dict, name: str) -> None:
+    assert name in tracing.REQUIRED_COUNTS["spin_grid"]
+    assert metrics[name] > 0, name
+
+
+def test_traced_verify_calls_polar_unitary(verify_metrics):
     # spin_grid's only polar calls come from pair_spectra in verify; a closed
     # form inlined there would zero a required count.
-    cfg = config_dir / "spin_default.ini"
-    metrics = traced(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert "operators.polar_calls" in tracing.REQUIRED_COUNTS["spin_grid"]
-    assert metrics["operators.polar_calls"] > 0
+    assert_required(verify_metrics, "operators.polar_calls")
 
 
-def test_traced_verify_builds_operators(tmp_path, config_dir):
+def test_traced_verify_builds_operators(verify_metrics):
     # The tracer counts Operator.__post_init__; spin_grid requires that count.
-    cfg = config_dir / "spin_default.ini"
-    metrics = traced(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert "operators.operator_inits" in tracing.REQUIRED_COUNTS["spin_grid"]
-    assert metrics["operators.operator_inits"] > 0
+    assert_required(verify_metrics, "operators.operator_inits")
+
+
+def test_traced_verify_calls_time_functions(verify_metrics):
+    # The tracer wraps TimeFunction.__call__ as found in the class's own dict.
+    assert_required(verify_metrics, "timefunc.calls")
 
 
 def test_selftest_generator_holds(tmp_path, monkeypatch):
