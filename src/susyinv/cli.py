@@ -65,16 +65,18 @@ def cmd_build(cfg: RunConfig, out_override: str | None) -> int:
 
     grid = cfg.grid()
     if "csv" in cfg.formats:
-        defects = over_chunks(grid, rep.dim, lambda ts: hermiticity_defect(out.h_minus(ts)))
+        def per_chunk(ts):  # one W per chunk gives both H_- and I_- there
+            at = out.sample(ts)
+            return np.column_stack([hermiticity_defect(at.h_minus), eigvalsh(at.i_minus)])
+
+        checks = over_chunks(grid, rep.dim, per_chunk)
         r = closed_form(cfg.f, cfg.theta, cfg.phi, grid)
         _write_csv(out_dir / "H_minus.csv",
                    ["t", "R1", "R2", "R3", "hermiticity_defect"],
-                   np.column_stack([grid, *r, defects]))
-
-        spectra = over_chunks(grid, rep.dim, lambda ts: eigvalsh(out.i_minus(ts)))
+                   np.column_stack([grid, *r, checks[:, 0]]))
         _write_csv(out_dir / "invariant_spectrum.csv",
                    ["t"] + [f"lambda_{i}" for i in range(out.iminus_ref.dim)],
-                   np.column_stack([grid, spectra]))
+                   np.column_stack([grid, checks[:, 1:]]))
 
     if "json" in cfg.formats:
         times = grid[::max(1, (grid.size - 1) // 100)]

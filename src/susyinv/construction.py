@@ -128,21 +128,6 @@ class GaugeCurve:
             return term_phi + term_theta
         return per_time(t, stack)
 
-    def partner(self, y_diagonal: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """W diag(y) W^dag - i W dW^dag/dt for (n, d) diagonals y at (n,) times.
-
-        E = e^{-i phi D3} commutes with D3 and e^{-i theta D2} with D2, so
-        -i W dW^dag/dt = theta' E D2 E^dag + phi' (D3 - W D3 W^dag).
-        """
-        e1, _, w = self._factors(t)
-        phi_dot = self.phi.derivative()(t)[:, None]
-        h = (w * (y_diagonal - phi_dot * self._d3_diag)[:, None, :]) @ dagger(w)
-        h += self.theta.derivative()(t)[:, None, None] * _sandwich(e1, self.d2.entries)
-        idx = np.arange(self.dim)
-        h[:, idx, idx] += phi_dot * self._d3_diag
-        return h
-
-
 @dataclass(frozen=True)
 class YSpec:
     """Hermitian Y(t) = f(t) D + g(t) D^2 over a diagonal generator D.
@@ -191,15 +176,27 @@ class YSpec:
         return float(out) if np.ndim(out) == 0 else out
 
 
-def hamiltonian_from_gauge(w: GaugeCurve, y: YSpec, t):
-    """H(t) = W Y W^dag - i W dW^dag/dt, from :meth:`GaugeCurve.partner`.
+class _Sample:
+    """W at an array of times, built once (:meth:`GaugeCurve._factors`), and H_-,
+    I_- = W I_-(0) W^dag and U_- derived from that W on first use."""
 
-    The guards hold at every time of an array, and the first time that fails
-    one raises: a non-finite H, or one whose Frobenius norm overflows, with
-    NonFiniteHamiltonianError, and a non-Hermitian one with NonHermitianError.
-    """
-    def stack(ts: np.ndarray) -> np.ndarray:
-        h = w.partner(y.diagonal(ts), ts)
+    def __init__(self, w: GaugeCurve, y: YSpec, ts: np.ndarray, i_ref: np.ndarray | None = None):
+        self._gauge, self._y, self._i_ref, self.ts = w, y, i_ref, ts
+        self._e1, _, self.w = w._factors(ts)
+
+    @cached_property
+    def h_minus(self) -> np.ndarray:
+        """W diag(y) W^dag - i W dW^dag/dt, guarded as :func:`hamiltonian_from_gauge` says.
+
+        E = e^{-i phi D3} commutes with D3 and e^{-i theta D2} with D2, so
+        -i W dW^dag/dt = theta' E D2 E^dag + phi' (D3 - W D3 W^dag).
+        """
+        g, ts, w = self._gauge, self.ts, self.w
+        phi_dot = g.phi.derivative()(ts)[:, None]
+        h = (w * (self._y.diagonal(ts) - phi_dot * g._d3_diag)[:, None, :]) @ dagger(w)
+        h += g.theta.derivative()(ts)[:, None, None] * _sandwich(self._e1, g.d2.entries)
+        idx = np.arange(g.dim)
+        h[:, idx, idx] += phi_dot * g._d3_diag
         # An overflowing or non-finite H is caught by its norm; numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
             norms = frobenius(h)
@@ -211,13 +208,29 @@ def hamiltonian_from_gauge(w: GaugeCurve, y: YSpec, t):
                 raise NonFiniteHamiltonianError(float(norms[k]), float(ts[k]))
             raise NonHermitianError(float(relative[k]), float(ts[k]))
         return h
-    return per_time(t, stack)
+
+    @cached_property
+    def i_minus(self) -> np.ndarray:
+        return self.w @ self._i_ref @ dagger(self.w)
+
+    @cached_property
+    def u_minus(self) -> np.ndarray:
+        return self.w * np.exp(-1j * self._y.integral_diagonal(self.ts))[:, None, :]
+
+
+def hamiltonian_from_gauge(w: GaugeCurve, y: YSpec, t):
+    """H(t) = W Y W^dag - i W dW^dag/dt.
+
+    The guards hold at every time of an array, and the first time that fails
+    one raises: a non-finite H, or one whose Frobenius norm overflows, with
+    NonFiniteHamiltonianError, and a non-Hermitian one with NonHermitianError.
+    """
+    return per_time(t, lambda ts: _Sample(w, y, ts).h_minus)
 
 
 def evolution_from_gauge(w: GaugeCurve, y: YSpec, t):
     """U(t) = W(t) exp(-i int_0^t Y); valid because Y(t) at different t commute."""
-    return per_time(t, lambda ts: w.value(ts)
-                    * np.exp(-1j * y.integral_diagonal(ts))[:, None, :])
+    return per_time(t, lambda ts: _Sample(w, y, ts).u_minus)
 
 
 @dataclass(frozen=True)
@@ -259,26 +272,18 @@ class PartnerOutput:
     def u_minus(self, t):
         return evolution_from_gauge(self.system.w_minus, self.system.y_minus, t)
 
-    def propagator_minus(self, t):
-        """U(t) U(0)^dag: the evolution operator normalized to 1 at t = 0.
-
-        Identical to u_minus when the gauge starts at the identity; for offset
-        starts (theta(0) != 0) only this combination transports I-(0) to I-(t).
-        """
-        u0 = self.u_minus(0.0).entries
-        return per_time(t, lambda ts: self.u_minus(ts) @ u0.conj().T)
-
     def i_minus(self, t):
         """I-(t) = W(t) I-(0) W(t)^dag."""
-        return per_time(t, lambda ts: self._i_minus_stack(self.system.w_minus.value(ts)))
+        return per_time(t, lambda ts: self.sample(ts).i_minus)
+
+    def sample(self, ts: np.ndarray) -> _Sample:
+        """H_-, I_- and U_- at an array of times, from one build of W there."""
+        return _Sample(self.system.w_minus, self.system.y_minus, ts, self.iminus_ref.entries)
 
     def d(self, t):
         """d(t) = W(t) d0 U+(t)^dag."""
         return per_time(t, lambda ts: self._d_stack(self.system.w_minus.value(ts),
                                                     self.system.u_plus_phases(ts)))
-
-    def _i_minus_stack(self, w: np.ndarray) -> np.ndarray:
-        return w @ self.iminus_ref.entries @ dagger(w)
 
     def _d_stack(self, w: np.ndarray, phases: np.ndarray) -> np.ndarray:
         # U+ is diagonal, so U+^dag scales the columns of W d0.
@@ -309,12 +314,11 @@ class PartnerOutput:
     def identity_defects(self, ts) -> dict[str, float]:
         """Largest residuals of I+(t) = d^dag d / 2 and I-(t) = d d^dag / 2 over times ts."""
         ts = np.asarray(ts, dtype=float)
-        w = self.system.w_minus.value(ts)
+        at = self.sample(ts)
         phases = self.system.u_plus_phases(ts)
-        dm = self._d_stack(w, phases)
+        dm = self._d_stack(at.w, phases)
         # I+(t) = U+ I+(0) U+^dag, with U+ diagonal.
-        i_plus = _sandwich(phases, self.iplus_ref.entries)
-        i_minus = self._i_minus_stack(w)
+        i_plus, i_minus = _sandwich(phases, self.iplus_ref.entries), at.i_minus
         return {"iplus": float(np.max(frobenius(dagger(dm) @ dm / 2 - i_plus))),
                 "iminus": float(np.max(frobenius(dm @ dagger(dm) / 2 - i_minus)))}
 

@@ -94,7 +94,8 @@ def _check_grid(times: np.ndarray) -> np.ndarray:
 
 def check_step(hs: np.ndarray, dt) -> None:
     """Raise at the first H of a stack that is not finite, else at ||H||_F dt >= the limit."""
-    norms = frobenius(hs)
+    with np.errstate(invalid="ignore", over="ignore"):  # caught below, with no warning
+        norms = frobenius(hs)
     check_finite(np.isfinite(norms))
     dts = np.broadcast_to(dt, norms.shape)
     k = first_true(norms * dts >= STEP_NORM_LIMIT)
@@ -124,9 +125,10 @@ def _step_factors(h: Callable[[float], Operator], times: np.ndarray, dim: int,
                 yield from expm_i_hermitian(hm, dt)
                 continue
             hs = _stack(h, np.concatenate([t0 + c * dt for c in GAUSS_NODES]), (dim, dim))
-            # Both exponents before the exponential, so that H at the nodes is
-            # freed before the exponential takes its workspace.
-            exponents = np.concatenate([w1 * hs[:k] + w2 * hs[k:] for w1, w2 in CF4_WEIGHTS])
+            # Both exponents first, so that H at the nodes is freed before the
+            # exponential takes its workspace (and catches a non-finite exponent).
+            with np.errstate(invalid="ignore", over="ignore"):
+                exponents = np.concatenate([a * hs[:k] + b * hs[k:] for a, b in CF4_WEIGHTS])
             del hs
             factors = expm_i_hermitian(exponents, np.concatenate([dt, dt]))
         except NonFiniteMatrixError as exc:
@@ -185,6 +187,11 @@ def propagate_unitary(h: Callable[[float], Operator], dim: int,
     return Trajectory(traj.times, operators=ops, unitarity_defect=defects)
 
 
+def central_difference(m_map: Callable[[float], Operator], t):
+    """(M(t + FD_STEP) - M(t - FD_STEP)) / (2 FD_STEP), for a scalar t or an array."""
+    return (_mat(m_map(t + FD_STEP)) - _mat(m_map(t - FD_STEP))) / (2 * FD_STEP)
+
+
 def lvn_residual(i_map: Callable[[float], Operator], h_map: Callable[[float], Operator],
                  t, i_dot: np.ndarray | None = None,
                  projector: np.ndarray | None = None):
@@ -196,7 +203,7 @@ def lvn_residual(i_map: Callable[[float], Operator], h_map: Callable[[float], Op
     """
     im, hm = _mat(i_map(t)), _mat(h_map(t))
     if i_dot is None:
-        i_dot = (_mat(i_map(t + FD_STEP)) - _mat(i_map(t - FD_STEP))) / (2 * FD_STEP)
+        i_dot = central_difference(i_map, t)
     return frobenius(project(i_dot - 1j * (im @ hm - hm @ im), projector))
 
 
@@ -206,7 +213,7 @@ def intertwining_residual(d_map: Callable[[float], Operator],
                           t,
                           projector: np.ndarray | None = None):
     """|| i dd/dt - H_- d + d H_+ ||, the operator form of the intertwining relation."""
-    d_dot = (_mat(d_map(t + FD_STEP)) - _mat(d_map(t - FD_STEP))) / (2 * FD_STEP)
+    d_dot = central_difference(d_map, t)
     dm = _mat(d_map(t))
     residual = 1j * d_dot - _mat(h_minus(t)) @ dm + dm @ _mat(h_plus(t))
     return frobenius(project(residual, projector))

@@ -4,6 +4,9 @@ Each suite returns CheckResult(name, max_residual, tolerance, passed); a suite
 passes when its worst residual stays below tolerance. The intertwining suite is
 inverted by nature: it passes when the residual is large while the invariance
 residual is small, which is the whole point of the comparison.
+
+The gauge, lvn and unitarity residuals (``SAMPLED``) come from one pass over
+the sample times: one W per chunk gives H_-, I_- and U_- to every selected one.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ import numpy as np
 
 from .config import RunConfig
 from .construction import (PartnerOutput, closed_form_operator, closed_form_osc_R,
-                           closed_form_spin_R, hamiltonian_from_gauge,
-                           oscillator_supersystem, quadrupole_partner, run_prescription,
-                           spin_supersystem)
-from .dynamics import check_step, intertwining_residual, lvn_residual, propagate
+                           closed_form_spin_R, oscillator_supersystem, quadrupole_partner,
+                           run_prescription, spin_supersystem)
+from .dynamics import (central_difference, check_step, intertwining_residual, lvn_residual,
+                       propagate)
 from .operators import dagger, frobenius, over_chunks, project, unitarity_defect
 from .representations import OscillatorRep, SpinRep
 from .susy import (SuperCharge, SuperInvariant, build_invariant, build_supercharge,
@@ -78,25 +81,67 @@ def _projector(rep) -> np.ndarray | None:
     return None
 
 
+def _gauge_residuals(run: _Run, at, origin) -> np.ndarray:
+    """Closed-form coefficients against the independent matrix gauge route."""
+    cfg, rep, ts = run.cfg, run.rep, at.ts
+    if isinstance(rep, SpinRep):
+        if cfg.g is not None:
+            h_closed = quadrupole_partner(rep, cfg.f, cfg.g, cfg.theta, cfg.phi, ts)
+        else:
+            h_closed = closed_form_operator(closed_form_spin_R(cfg.f, cfg.theta, cfg.phi, ts),
+                                            (rep.J1, rep.J2, rep.J3))
+    else:
+        h_closed = closed_form_operator(
+            closed_form_osc_R(cfg.f, cfg.theta, cfg.phi, ts), (rep.K1, rep.K2, rep.K3))
+    return frobenius(project(at.h_minus - h_closed, _projector(rep)))
+
+
+def _lvn_residuals(run: _Run, at, origin) -> np.ndarray:
+    return lvn_residual(lambda _: at.i_minus, lambda _: at.h_minus, at.ts,
+                        i_dot=central_difference(run.out.i_minus, at.ts),
+                        projector=_projector(run.rep))
+
+
+def _unitarity_residuals(run: _Run, at, origin) -> np.ndarray:
+    """U_-(t) unitarity and the invariant transport U I(0) U^dag = I(t), where
+    U = U_-(t) U_-(0)^dag: for offset starts (theta(0) != 0) U_-(t) alone does not."""
+    u0, i0 = origin
+    u = at.u_minus @ u0.conj().T
+    transport = frobenius(project(u @ i0 @ dagger(u) - at.i_minus, _projector(run.rep)))
+    return np.maximum(unitarity_defect(at.u_minus), transport)
+
+
+def _origin(out: PartnerOutput) -> tuple[np.ndarray, np.ndarray]:
+    at = out.sample(np.zeros(1))
+    return at.u_minus[0], at.i_minus[0]
+
+
+# Suite -> its residuals at one chunk: f(run, sample there, (U_-(0), I_-(0)) or None).
+SAMPLED = {"gauge": _gauge_residuals, "lvn": _lvn_residuals, "unitarity": _unitarity_residuals}
+
+
 @dataclass
 class _Run:
-    """What the suites of one run_suites call share: the configured system, and
-    the supercharge, its invariant and the LvN residual sweep of H_-, each
-    computed by whichever suite needs it first."""
+    """What the suites of one run_suites call share, each computed when a suite first
+    needs it: the configured system, the supercharge and its invariant, and the worst
+    residual of each selected SAMPLED suite (and of lvn for intertwining)."""
 
     cfg: RunConfig
     rep: SpinRep | OscillatorRep
     out: PartnerOutput
 
-    def worst_lvn(self, h_map) -> float:
-        """Largest LvN residual of I_- under ``h_map`` over the sample times."""
-        proj = _projector(self.rep)
-        return _worst(_sample_times(self.cfg), self.rep.dim,
-                      lambda ts: lvn_residual(self.out.i_minus, h_map, ts, projector=proj))
-
     @cached_property
-    def lvn(self) -> float:
-        return self.worst_lvn(self.out.h_minus)
+    def sampled(self) -> dict[str, float]:
+        suites = self.cfg.suites
+        names = [n for n in SAMPLED if n in suites or n == "lvn" and "intertwining" in suites]
+        origin = _origin(self.out) if "unitarity" in names else None
+
+        def residuals(ts):  # one W for every suite, one chunk at a time
+            at = self.out.sample(ts)
+            return np.stack([SAMPLED[name](self, at, origin) for name in names], axis=1)
+
+        worst = np.max(over_chunks(_sample_times(self.cfg), self.rep.dim, residuals), axis=0)
+        return dict(zip(names, map(float, worst)))
 
     @cached_property
     def supercharge(self) -> SuperCharge:
@@ -140,51 +185,18 @@ def _suite_pairing(run: _Run, tol) -> CheckResult:
     return CheckResult("pairing", worst, tol, worst < tol, note)
 
 
-def _suite_gauge(run: _Run, tol) -> CheckResult:
-    """Closed-form coefficients against the independent matrix gauge route."""
-    cfg, rep, out = run.cfg, run.rep, run.out
-    proj = _projector(rep)
-
-    def residuals(ts):
-        h_gauge = hamiltonian_from_gauge(out.system.w_minus, out.system.y_minus, ts)
-        if isinstance(rep, SpinRep):
-            if cfg.g is not None:
-                h_closed = quadrupole_partner(rep, cfg.f, cfg.g, cfg.theta, cfg.phi, ts)
-            else:
-                h_closed = closed_form_operator(
-                    closed_form_spin_R(cfg.f, cfg.theta, cfg.phi, ts),
-                    (rep.J1, rep.J2, rep.J3))
-        else:
-            h_closed = closed_form_operator(
-                closed_form_osc_R(cfg.f, cfg.theta, cfg.phi, ts), (rep.K1, rep.K2, rep.K3))
-        return frobenius(project(h_gauge - h_closed, proj))
-
-    worst = _worst(_sample_times(cfg), rep.dim, residuals)
-    return CheckResult("gauge", worst, tol, worst < tol)
-
-
-def _suite_lvn(run: _Run, tol) -> CheckResult:
-    return CheckResult("lvn", run.lvn, tol, run.lvn < tol)
+def _sampled_suite(name: str):
+    """The suite that checks the worst of ``name``'s SAMPLED residuals against tol."""
+    def suite(run: _Run, tol) -> CheckResult:
+        worst = run.sampled[name]
+        return CheckResult(name, worst, tol, worst < tol)
+    return suite
 
 
 def _suite_lvn_wrong_h(run: _Run, tol) -> CheckResult:
-    worst = run.worst_lvn(run.out.system.h_plus)
+    worst = _worst(_sample_times(run.cfg), run.rep.dim, lambda ts: lvn_residual(
+        run.out.i_minus, run.out.system.h_plus, ts, projector=_projector(run.rep)))
     return CheckResult("lvn_wrong_h", worst, tol, worst < tol)
-
-
-def _suite_unitarity(run: _Run, tol) -> CheckResult:
-    """U_-(t) unitarity and the invariant transport U I(0) U^dag = I(t)."""
-    cfg, rep, out = run.cfg, run.rep, run.out
-    proj = _projector(rep)
-    i0 = out.i_minus(0.0).entries
-
-    def residuals(ts):
-        u = out.propagator_minus(ts)
-        transport = frobenius(project(u @ i0 @ dagger(u) - out.i_minus(ts), proj))
-        return np.maximum(unitarity_defect(out.u_minus(ts)), transport)
-
-    worst = _worst(_sample_times(cfg), rep.dim, residuals)
-    return CheckResult("unitarity", worst, tol, worst < tol)
 
 
 def _suite_intertwining(run: _Run, lvn_tol) -> CheckResult:
@@ -198,7 +210,7 @@ def _suite_intertwining(run: _Run, lvn_tol) -> CheckResult:
     out = run.out
     res_inter = intertwining_residual(out.d, out.system.h_plus, out.h_minus, 1.0,
                                       projector=_projector(run.rep))
-    res_lvn = run.lvn
+    res_lvn = run.sampled["lvn"]
     y_d0 = float(np.linalg.norm(out.system.y_minus.diagonal(1.0)[:, None]
                                 * out.system.d0.entries))
     if y_d0 < 1e-12:
@@ -296,9 +308,9 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
 SUITES = {
     "superalgebra": (_suite_superalgebra, "superalgebra"),
     "pairing": (_suite_pairing, "pairing"),
-    "gauge": (_suite_gauge, "gauge"),
-    "lvn": (_suite_lvn, "lvn"),
-    "unitarity": (_suite_unitarity, "unitarity"),
+    "gauge": (_sampled_suite("gauge"), "gauge"),
+    "lvn": (_sampled_suite("lvn"), "lvn"),
+    "unitarity": (_sampled_suite("unitarity"), "unitarity"),
     "intertwining": (_suite_intertwining, "lvn"),
     "solutions": (_suite_solutions, "solutions"),
 }

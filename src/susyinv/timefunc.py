@@ -230,8 +230,13 @@ def _term_integral(term: Term) -> TimeFunction:
         # By parts: int (a t + b) s(t) = (a t + b) S(t) - a int S, with S' = s.
         lin, (kind, w, d) = atoms if kinds[0] == "lin" else atoms[::-1]
         other, sign = OTHER[kind]
+        try:
+            by_parts = lin[1] / w ** 2
+        except (ZeroDivisionError, OverflowError):  # w ** 2 underflows to zero or overflows
+            raise ClosedFamilyError(f"antiderivative of {_term_str((1.0, atoms))} needs "
+                                    f"{lin[1]:g}/({w:g})^2, outside the float range") from None
         return scale(coeff, add(scale(-sign / w, _one(lin, (other, w, d))),
-                                scale(lin[1] / w ** 2, _one((kind, w, d)))))
+                                scale(by_parts, _one((kind, w, d)))))
     return scale(coeff, _termwise(_term_integral, _product_to_sum(*atoms)))
 
 

@@ -77,7 +77,8 @@ class TestConfig:
         ("spin_default", "verify", 'f = "0.5"', 'f = "t*t"',
          "[y] f = '\"t*t\"': antiderivative of (1*t)*(1*t) leaves the closed family"),
         ("spin_default", "verify", 'f = "0.5"', 'f = "t*sin(1e-200*t)"',
-         "[y] f = '\"t*sin(1e-200*t)\"': float division by zero"),
+         "[y] f = '\"t*sin(1e-200*t)\"': antiderivative of (1*t)*(sin(1e-200*t)) needs "
+         "1/(1e-200)^2, outside the float range"),
         ("spin_default", "verify", "[checks]\n", "[checks]\ncross_check_wrong_h = ture\n",
          "[checks] cross_check_wrong_h = 'ture' is not a boolean; "
          "use one of 1, yes, true, on, 0, no, false, off"),
@@ -283,6 +284,40 @@ class TestVerify:
         assert sweep > 0
         assert list(counts.values()) == [sweep, sweep, sweep, sweep, 2 * sweep]
 
+    @pytest.mark.parametrize("config", ["oscillator_default", "phase_loop", "quadrupole",
+                                        "spin_default", "spin_negative_control",
+                                        "sweep_example"])
+    def test_sampled_residuals_do_not_depend_on_the_selection(self, config_dir, config):
+        # Each suite of the shared pass over the sample times gets the same
+        # residual, to the bit, alone as with every other suite selected.
+        cfg = load_config(config_dir / f"{config}.ini")
+        together = {r.name: r.max_residual
+                    for r in suites.run_suites(replace(cfg, suites=tuple(suites.SUITES)))}
+        for name in ("gauge", "lvn", "unitarity", "intertwining"):
+            alone = suites.run_suites(replace(cfg, suites=(name,)))[0]
+            assert alone.name == name
+            assert alone.max_residual == together[name]
+
+    def test_shared_pass_builds_w_once_per_time(self, config_dir, monkeypatch):
+        # lvn alone builds W at each sample time t and at t -+ FD_STEP; gauge
+        # and unitarity take theirs from the same W at t, plus one W(0).
+        points = []
+        real = construction.GaugeCurve._factors
+
+        def counting(gauge, t):
+            points.append(np.size(t))
+            return real(gauge, t)
+
+        monkeypatch.setattr(construction.GaugeCurve, "_factors", counting)
+        cfg = load_config(config_dir / "oscillator_default.ini")
+        counts = {}
+        for names in (("lvn",), ("gauge", "lvn", "unitarity")):
+            points.clear()
+            suites.run_suites(replace(cfg, suites=names))
+            counts[names] = sum(points)
+        assert counts[("lvn",)] == 3 * len(suites._sample_times(cfg))
+        assert counts[("gauge", "lvn", "unitarity")] <= counts[("lvn",)] + 1
+
     def test_verify_json_deterministic(self, tmp_path, config_dir):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -303,15 +338,15 @@ class TestSolutionsSuite:
                                                               monkeypatch):
         # The solutions suite steps its own coarse grid, so all of verify
         # evaluates H_-(t) at fewer times than the config grid has steps.
+        # Every H_- is assembled by _Sample.h_minus; the wrapper counts each use.
         points = []
-        real = construction.hamiltonian_from_gauge
+        real = construction._Sample.h_minus.func
 
-        def counting(w, y, t):
-            points.append(np.size(t))
-            return real(w, y, t)
+        def counting(at):
+            points.append(np.size(at.ts))
+            return real(at)
 
-        monkeypatch.setattr(construction, "hamiltonian_from_gauge", counting)
-        monkeypatch.setattr(suites, "hamiltonian_from_gauge", counting)
+        monkeypatch.setattr(construction._Sample, "h_minus", property(counting))
         config = config_dir / "oscillator_default.ini"
         assert load_config(config).grid().size - 1 == 1500
         assert run(["verify", "--config", config, "--out", tmp_path / "out"]) == 0

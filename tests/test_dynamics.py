@@ -129,11 +129,14 @@ class TestPropagate:
 
     @pytest.mark.parametrize("order, first", [(2, "step 7 of 10, t = 0.6 to 0.7"),
                                               (4, "step 6 of 10, t = 0.5 to 0.6")])
-    @pytest.mark.parametrize("bad", [[[np.nan, 0.0], [0.0, 1.0]], [[np.nan, 1.0], [1.0, 0.0]]],
-                             ids=["diagonal", "dense"])
+    @pytest.mark.parametrize("bad", [[[np.nan, 0.0], [0.0, 1.0]], [[np.nan, 1.0], [1.0, 0.0]],
+                                     [[np.inf, 0.0], [0.0, 1.0]], [[np.inf, 1.0], [1.0, 0.0]]],
+                             ids=["diagonal", "dense", "diagonal-inf", "dense-inf"])
     def test_non_finite_h_names_its_first_step(self, order, first, bad):
         # H turns non-finite after t = 0.55: at the midpoint 0.65 (order 2) and
-        # at the second Gauss node of [0.5, 0.6] (order 4).
+        # at the second Gauss node of [0.5, 0.6] (order 4). An infinite entry
+        # raises the same error, with no numpy warning on the way (the suite
+        # turns RuntimeWarning into an error).
         def h(ts):
             return np.where((ts > 0.55)[:, None, None], np.asarray(bad, dtype=complex),
                             np.diag([1.0, -1.0]).astype(complex))

@@ -9,6 +9,7 @@ string. Re-record it from the code in this checkout with::
 
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -210,6 +211,13 @@ class TestAntiderivative:
     def test_square_rejected(self):
         with pytest.raises(ClosedFamilyError):
             parse("t*t").antiderivative()
+
+    @pytest.mark.parametrize("text, term", [("t*sin(1e-200*t)", "(1*t)*(sin(1e-200*t))"),
+                                            ("t*cos(1e200*t)", "(1*t)*(cos(1e+200*t))")])
+    def test_by_parts_out_of_float_range_rejected(self, text, term):
+        # 1/w^2 underflows to a division by zero, or overflows.
+        with pytest.raises(ClosedFamilyError, match=re.escape(f"antiderivative of {term}")):
+            parse(text).antiderivative()
 
     def test_normalized_at_zero_exactly(self):
         for text in ("1 + t", "cos(3*t + 1)", "t*cos(2*t)", "2 - sin(t)"):
