@@ -51,6 +51,14 @@ def _complex_payload(m: np.ndarray) -> dict:
             "imag": [[_fmt(v) for v in row] for row in m.imag]}
 
 
+def _json_complex(m: np.ndarray) -> str:
+    """``json.dumps(_complex_payload(m), sort_keys=True)``, with one % per matrix."""
+    def rows(part: np.ndarray) -> str:
+        row = "[" + ", ".join(['"%.17g"'] * part.shape[1]) + "]"
+        return ("[" + ", ".join([row] * part.shape[0]) + "]") % tuple(part.ravel().tolist())
+    return '{"imag": %s, "real": %s}' % (rows(m.imag), rows(m.real))
+
+
 def _out_dir(cfg: RunConfig, out_override: str | None) -> Path:
     out_dir = Path(out_override or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -79,12 +87,14 @@ def cmd_build(cfg: RunConfig, out_override: str | None) -> int:
                    np.column_stack([grid, checks[:, 1:]]))
 
     if "json" in cfg.formats:
+        # The bytes _write_json gives {"family": ..., "samples": [{"t": _fmt(t),
+        # "U": _complex_payload(u)}, ...]}, with no call per number.
         times = grid[::max(1, (grid.size - 1) // 100)]
-        samples = [{"t": _fmt(t), "U": _complex_payload(u)}
-                   for sl in chunks(times.size, rep.dim)
-                   for t, u in zip(times[sl], out.u_minus(times[sl]))]
-        _write_json(out_dir / "U_minus.json",
-                    {"family": cfg.family, "samples": samples})
+        samples = ", ".join('{"U": %s, "t": "%.17g"}' % (_json_complex(u), t)
+                            for sl in chunks(times.size, rep.dim)
+                            for t, u in zip(times[sl], out.u_minus(times[sl])))
+        (out_dir / "U_minus.json").write_text(
+            '{"family": %s, "samples": [%s]}\n' % (json.dumps(cfg.family), samples))
     print(f"wrote build outputs to {out_dir}")
     return 0
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,6 +154,19 @@ def _bool(cp: configparser.ConfigParser, section: str, key: str) -> bool:
                           f"use one of {', '.join(cp.BOOLEAN_STATES)}") from None
 
 
+def _check_memory(option: str, dim: int) -> None:
+    """Raise ConfigError, before any array is built, when one complex (dim, dim)
+    matrix needs more bytes than the machine's physical memory."""
+    need = 16 * dim * dim
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: no bound to hold to
+        return
+    if need > have:
+        raise ConfigError(f"{option}: one complex ({dim}, {dim}) matrix needs {need:.3g} "
+                          f"bytes, more than the {have:.3g} bytes of memory")
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -182,6 +196,7 @@ def load_config(path: str | Path) -> RunConfig:
             dim = check_half_integer(j) + 1
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"[system] j = {j_text!r}: {exc}") from exc
+        _check_memory(f"[system] j = {j_text!r}", dim)
     else:
         n = _int("system", "n", _get(cp, "system", "n", required=True))
         buf_text = _get(cp, "system", "buffer")
@@ -191,6 +206,7 @@ def load_config(path: str | Path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"[system] n = {n}, buffer = {buffer}: {exc}") from exc
         dim = n
+        _check_memory(f"[system] n = {n}", dim)
 
     try:
         b = float(_get(cp, "system", "b", default="1.0"))

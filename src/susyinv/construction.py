@@ -5,7 +5,9 @@ The gauge is W = e^{-i phi D3} e^{-i theta D2} e^{i phi D3}, with D2 diagonalize
 once. Each outer factor commutes with its generator, so the product rule gives
 H = W diag(y - phi' d3) W^dag + theta' E D2 E^dag + phi' D3 with E = e^{-i phi D3}:
 one matmul builds W and one the sandwich, and no finite difference enters.
-``GaugeCurve.derivative`` keeps the chain-rule dW/dt as an independent route.
+dW/dt is the chain rule on the three exponentials, from the factors of the W
+already built (``_Sample.w_dot``): a route independent of that product rule,
+which gives the residual checks exact derivatives of I_-, d and the solutions.
 
 Every map of t takes a scalar or an array of times. An array gives an
 (n, d, d) stack built with broadcasting and stacked matmul from one evaluation
@@ -21,8 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import (Operator, NonHermitianError, dagger, eigh, first_true,
-                        frobenius, hermiticity_defect, per_time, unitarity_defect)
+from .operators import (Operator, NonHermitianError, _mat, dagger, eigh, first_true,
+                        frobenius, groups_by_size, hermiticity_defect, per_time,
+                        stacked_columns, unitarity_defect)
 from .representations import OscillatorRep, SpinRep
 from .susy import ZERO_MODE_SCALE
 from .timefunc import TimeFunction
@@ -116,17 +119,8 @@ class GaugeCurve:
         return per_time(t, lambda ts: self._factors(ts)[2])
 
     def derivative(self, t):
-        """dW/dt by the chain rule on the three exponentials."""
-        def stack(ts):
-            e1, e2_phases, w = self._factors(ts)
-            d3 = self._d3_diag
-            # d/dt of each factor, assembled by the product rule.
-            d2e2 = self._in_d2_basis(self._d2_eig[0] * e2_phases)
-            term_phi = -1j * self.phi.derivative()(ts)[:, None, None] * (d3[:, None] * w
-                                                                         - w * d3[None, :])
-            term_theta = -1j * self.theta.derivative()(ts)[:, None, None] * _sandwich(e1, d2e2)
-            return term_phi + term_theta
-        return per_time(t, stack)
+        """dW/dt by the chain rule on the three exponentials (:attr:`_Sample.w_dot`)."""
+        return per_time(t, lambda ts: _Sample(self, None, ts).w_dot)
 
 @dataclass(frozen=True)
 class YSpec:
@@ -175,14 +169,35 @@ class YSpec:
             out = out + self.g.antiderivative()(t) * mu * mu
         return float(out) if np.ndim(out) == 0 else out
 
+    def eigen_rate(self, mu, t):
+        """y(t) on a D-eigenvector with eigenvalue mu: the t-derivative of eigen_phase."""
+        out = self.f(t) * mu
+        return out if self.g is None else out + self.g(t) * mu * mu
+
 
 class _Sample:
     """W at an array of times, built once (:meth:`GaugeCurve._factors`), and H_-,
-    I_- = W I_-(0) W^dag and U_- derived from that W on first use."""
+    dW/dt, I_- = W I_-(0) W^dag, dI_-/dt and U_- derived from it on first use
+    (``y`` may be None when only W and dW/dt are taken)."""
 
-    def __init__(self, w: GaugeCurve, y: YSpec, ts: np.ndarray, i_ref: np.ndarray | None = None):
+    def __init__(self, w: GaugeCurve, y: YSpec | None, ts: np.ndarray,
+                 i_ref: np.ndarray | None = None):
         self._gauge, self._y, self._i_ref, self.ts = w, y, i_ref, ts
-        self._e1, _, self.w = w._factors(ts)
+        self._e1, self._e2, self.w = w._factors(ts)
+
+    @cached_property
+    def w_dot(self) -> np.ndarray:
+        """dW/dt by the chain rule: -i phi' [D3, W] from the outer factors, and
+        -i theta' E V2 diag(d2 e^{-i theta d2}) V2^dag E^dag from the middle one."""
+        g, ts, w = self._gauge, self.ts, self.w
+        d3 = g._d3_diag
+        out = _sandwich(self._e1, g._in_d2_basis(g._d2_eig[0] * self._e2))
+        out *= -1j * g.theta.derivative()(ts)[:, None, None]
+        term_phi = d3[:, None] * w
+        term_phi -= w * d3[None, :]
+        term_phi *= -1j * g.phi.derivative()(ts)[:, None, None]
+        out += term_phi
+        return out
 
     @cached_property
     def h_minus(self) -> np.ndarray:
@@ -210,8 +225,19 @@ class _Sample:
         return h
 
     @cached_property
+    def _w_i(self) -> np.ndarray:
+        return self.w @ self._i_ref
+
+    @cached_property
     def i_minus(self) -> np.ndarray:
-        return self.w @ self._i_ref @ dagger(self.w)
+        return self._w_i @ dagger(self.w)
+
+    @cached_property
+    def i_dot(self) -> np.ndarray:
+        """dI_-/dt = X + X^dag with X = W' (W I_-(0))^dag, I_-(0) Hermitian."""
+        x = self.w_dot @ dagger(self._w_i)
+        x += dagger(x)
+        return x
 
     @cached_property
     def u_minus(self) -> np.ndarray:
@@ -247,12 +273,17 @@ class SuperSystem:
 
 
 @dataclass(frozen=True)
-class SolutionLevel:
-    """One positive level after splitting by the commuting generator."""
+class Levels:
+    """The positive levels, split by the commuting generator and ascending in
+    (lam, mu): the (n,) eigenvalues lam of I+(0) and mu of the generator, and
+    the (dim, n) minus vectors d0 |lam,+> / sqrt(2 lam), one column per level."""
 
-    lam: float
-    mu: float
+    lam: np.ndarray
+    mu: np.ndarray
     v_minus: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lam.size
 
 
 @dataclass(frozen=True)
@@ -262,7 +293,7 @@ class PartnerOutput:
     system: SuperSystem
     iplus_ref: Operator
     iminus_ref: Operator
-    levels: tuple[SolutionLevel, ...]
+    levels: Levels
     kernel_dim_plus: int
     kernel_dim_minus: int
 
@@ -289,6 +320,16 @@ class PartnerOutput:
         # U+ is diagonal, so U+^dag scales the columns of W d0.
         return (w @ self.system.d0.entries) * phases.conj()[:, None, :]
 
+    def d_with_rate(self, at: _Sample) -> tuple[np.ndarray, np.ndarray]:
+        """d = W d0 U+^dag and dd/dt = W' d0 U+^dag + i d H+ at a sample's times,
+        from its W and W': U+^dag solves dU+^dag/dt = i U+^dag H+."""
+        phases = self.system.u_plus_phases(at.ts)
+        d = self._d_stack(at.w, phases)
+        d_dot = d @ _mat(self.system.h_plus(at.ts))
+        d_dot *= 1j
+        d_dot += self._d_stack(at.w_dot, phases)
+        return d, d_dot
+
     def mapped_solution(self, level, t) -> np.ndarray:
         """Exact minus-sector solution e^{-i int y} W(t) d0 |lam,+;0> / sqrt(2 lam).
 
@@ -296,20 +337,32 @@ class PartnerOutput:
         array of times; the result has shape ``t.shape + (dim,) + level.shape``.
         """
         index = np.asarray(level)
-        levels = [self.levels[i] for i in np.atleast_1d(index)]
-        vm = np.stack([lv.v_minus for lv in levels], axis=1)
-        mus = np.array([lv.mu for lv in levels])
         ts = np.asarray(t, dtype=float)
-        phases = np.exp(-1j * self.system.y_minus.eigen_phase(mus, ts[..., None]))
-        psi = (self.system.w_minus.value(ts) @ vm) * phases[..., None, :]
+        psi = self._mapped(np.atleast_1d(index), ts, self.system.w_minus.value(ts))
         return psi if index.ndim else psi[..., 0]
+
+    def mapped_with_rate(self, levels, at: _Sample) -> tuple[np.ndarray, np.ndarray]:
+        """The mapped solutions psi of a sequence of levels at a sample's times, and
+        dpsi/dt = W' V phi - i (y mu) psi from its W and W': each (n, dim, len(levels))."""
+        index = np.asarray(levels)
+        psi = self._mapped(index, at.ts, at.w)
+        rate = self.system.y_minus.eigen_rate(self.levels.mu[index], at.ts[:, None])
+        dpsi = self._mapped(index, at.ts, at.w_dot)
+        dpsi -= 1j * rate[:, None, :] * psi
+        return psi, dpsi
+
+    def _mapped(self, index: np.ndarray, ts: np.ndarray, w) -> np.ndarray:
+        """``w`` times the minus vectors of the levels ``index``, each with its phase."""
+        mus = self.levels.mu[index]
+        phases = np.exp(-1j * self.system.y_minus.eigen_phase(mus, ts[..., None]))
+        return (w @ self.levels.v_minus[:, index]) * phases[..., None, :]
 
     def level_for_label(self, mu: float) -> int:
         """Locate a level by its commuting-generator eigenvalue mu."""
-        for i, lv in enumerate(self.levels):
-            if abs(lv.mu - mu) < 1e-6:
-                return i
-        raise KeyError(f"no positive level with generator eigenvalue {mu}")
+        hits = np.flatnonzero(np.abs(self.levels.mu - mu) < 1e-6)
+        if not hits.size:
+            raise KeyError(f"no positive level with generator eigenvalue {mu}")
+        return int(hits[0])
 
     def identity_defects(self, ts) -> dict[str, float]:
         """Largest residuals of I+(t) = d^dag d / 2 and I-(t) = d d^dag / 2 over times ts."""
@@ -328,43 +381,49 @@ def run_prescription(system: SuperSystem) -> PartnerOutput:
 
     Positive levels of I+(0) are split inside each degenerate cluster so every
     mapped minus-sector vector is an eigenvector of the commuting generator;
-    the scalar solution phase is exact only in that sub-basis.
+    the scalar solution phase is exact only in that sub-basis. The levels of
+    one cluster size are mapped, split and checked as one stack.
     """
     d0 = system.d0.entries
     iplus_ref = Operator(d0.conj().T @ d0 / 2)
     iminus_ref = Operator(d0 @ d0.conj().T / 2)
     es = eigh(iplus_ref)
-    scale = max(1.0, iplus_ref.norm())
-    zero_tol = ZERO_MODE_SCALE * scale
-    d_diag = system.y_minus.D
+    zero_tol = ZERO_MODE_SCALE * max(1.0, iplus_ref.norm())
+    generator = system.y_minus.D.entries
 
-    levels: list[SolutionLevel] = []
+    lams, mus, vms = [], [], []
     kernel_plus = 0
-    for group in es.degeneracy_groups:
-        lam = float(es.values[list(group)].mean())
-        if lam < zero_tol:
-            kernel_plus += len(group)
+    for size, groups in groups_by_size(es.degeneracy_groups).items():
+        lam = es.values[groups].mean(axis=1)
+        positive = lam >= zero_tol
+        kernel_plus += size * int(np.count_nonzero(~positive))
+        lam, groups = lam[positive], groups[positive]
+        if not lam.size:
             continue
-        vp = es.vectors[:, list(group)]
-        vm = d0 @ vp / np.sqrt(2 * lam)
-        # Split the cluster so each minus vector diagonalizes the generator.
-        block = vm.conj().T @ d_diag.entries @ vm
-        block = (block + block.conj().T) / 2
-        mus, s = np.linalg.eigh(block)
+        vm = d0 @ stacked_columns(es.vectors, groups) / np.sqrt(2 * lam)[:, None, None]
+        # Split each cluster so each minus vector diagonalizes the generator.
+        block = dagger(vm) @ generator @ vm
+        block = (block + dagger(block)) / 2
+        mu, s = np.linalg.eigh(block)
         vm = vm @ s
-        for k in range(len(group)):
-            residual = np.linalg.norm(d_diag.entries @ vm[:, k] - mus[k] * vm[:, k])
-            if residual > 1e-8 * max(1.0, abs(mus[k])):
-                raise GeneratorSplitError(
-                    f"level {lam:.6g} does not split into generator eigenvectors "
-                    f"(residual {residual:.3e}); the scalar-phase solution form "
-                    "does not apply")
-            levels.append(SolutionLevel(lam, float(mus[k]), vm[:, k]))
-    levels.sort(key=lambda lv: (lv.lam, lv.mu))
+        residual = np.linalg.norm(generator @ vm - mu[:, None, :] * vm, axis=1)
+        bad = np.argwhere(residual > 1e-8 * np.maximum(1.0, np.abs(mu)))
+        if bad.size:
+            n, k = bad[0]
+            raise GeneratorSplitError(
+                f"level {lam[n]:.6g} does not split into generator eigenvectors "
+                f"(residual {residual[n, k]:.3e}); the scalar-phase solution form "
+                "does not apply")
+        lams.append(np.repeat(lam, size))
+        mus.append(mu.ravel())
+        vms.append(vm.transpose(1, 0, 2).reshape(d0.shape[0], -1))
+    lam, mu = np.concatenate([np.empty(0), *lams]), np.concatenate([np.empty(0), *mus])
+    order = np.lexsort((mu, lam))
+    v_minus = np.concatenate([np.empty((d0.shape[0], 0)), *vms], axis=1)[:, order]
+    levels = Levels(lam[order], mu[order], v_minus)
     # dim Ker(I-) = dim - rank(d0) = dim - (number of positive levels).
     kernel_minus = iminus_ref.dim - len(levels)
-    return PartnerOutput(system, iplus_ref, iminus_ref, tuple(levels),
-                         kernel_plus, kernel_minus)
+    return PartnerOutput(system, iplus_ref, iminus_ref, levels, kernel_plus, kernel_minus)
 
 
 def spin_supersystem(rep: SpinRep, theta: TimeFunction, phi: TimeFunction,

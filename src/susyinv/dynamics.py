@@ -210,10 +210,14 @@ def lvn_residual(i_map: Callable[[float], Operator], h_map: Callable[[float], Op
 def intertwining_residual(d_map: Callable[[float], Operator],
                           h_plus: Callable[[float], Operator],
                           h_minus: Callable[[float], Operator],
-                          t,
+                          t, d_dot: np.ndarray | None = None,
                           projector: np.ndarray | None = None):
-    """|| i dd/dt - H_- d + d H_+ ||, the operator form of the intertwining relation."""
-    d_dot = central_difference(d_map, t)
+    """|| i dd/dt - H_- d + d H_+ ||, the operator form of the intertwining relation.
+
+    dd/dt by central difference unless an exact derivative is supplied.
+    """
+    if d_dot is None:
+        d_dot = central_difference(d_map, t)
     dm = _mat(d_map(t))
     residual = 1j * d_dot - _mat(h_minus(t)) @ dm + dm @ _mat(h_plus(t))
     return frobenius(project(residual, projector))

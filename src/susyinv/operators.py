@@ -187,6 +187,21 @@ def cluster_indices(values: np.ndarray, gap: float) -> tuple[tuple[int, ...], ..
     return tuple(tuple(g) for g in groups)
 
 
+def groups_by_size(groups) -> dict[int, np.ndarray]:
+    """Index groups stacked by size, sizes ascending: k -> the (n, k) array of the
+    groups of k indices, in their given order."""
+    by_size: dict[int, list] = {}
+    for g in groups:
+        by_size.setdefault(len(g), []).append(g)
+    return {k: np.array(by_size[k], dtype=int) for k in sorted(by_size)}
+
+
+def stacked_columns(vectors: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """The columns of ``vectors`` that each row of an (n, k) index array names, as a
+    contiguous (n, dim, k) stack."""
+    return np.ascontiguousarray(np.moveaxis(vectors[:, groups], 1, 0))
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Ascending eigenvalues, unitary column eigenvectors, degeneracy clusters."""
@@ -324,21 +339,25 @@ def _taylor_expm(a: np.ndarray) -> np.ndarray:
         powers.append(powers[-1] @ a)
     c = [1.0 / math.factorial(k) for k in range(m + 1)]
     idx = np.arange(a.shape[-1])
+    # The Horner product r and one scratch stack are the only other stacks held:
+    # each block is added into r a scaled power at a time, and each product
+    # is written into the scratch stack, which then swaps with r.
+    r, scratch = np.zeros_like(a), np.empty_like(a)
 
-    def block(k: int, top: int) -> np.ndarray:
-        # sum_{j=0}^{top} c[kp + j] A^j
-        out = c[k * p + 1] * powers[0]
-        for j in range(2, top + 1):
-            out += c[k * p + j] * powers[j - 1]
-        out[:, idx, idx] += c[k * p]
-        return out
+    def add_block(r: np.ndarray, scratch: np.ndarray, k: int, top: int) -> None:
+        # r += sum_{j=0}^{top} c[kp + j] A^j
+        for j in range(1, top + 1):
+            r += np.multiply(powers[j - 1], c[k * p + j], out=scratch)
+        r[:, idx, idx] += c[k * p]
 
-    r = block(q - 1, p)
+    add_block(r, scratch, q - 1, p)
     for k in range(q - 2, -1, -1):
-        r = powers[-1] @ r
-        r += block(k, p - 1)
+        np.matmul(powers[-1], r, out=scratch)
+        r, scratch = scratch, r
+        add_block(r, scratch, k, p - 1)
     for _ in range(s):
-        r = r @ r
+        np.matmul(r, r, out=scratch)
+        r, scratch = scratch, r
     return r
 
 

@@ -7,6 +7,10 @@ residual is small, which is the whole point of the comparison.
 
 The gauge, lvn and unitarity residuals (``SAMPLED``) come from one pass over
 the sample times: one W per chunk gives H_-, I_- and U_- to every selected one.
+The derivatives in the LvN, intertwining and Schrodinger residuals are exact:
+dW/dt by the chain rule from the W already built (``_Sample.w_dot``), and from
+it dI_-/dt, dd/dt and the rate of each mapped solution. The central difference
+stays only as a second bound on dW/dt itself, under the lvn verdict.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .dynamics import (central_difference, check_step, intertwining_residual, lv
 from .operators import dagger, frobenius, over_chunks, project, unitarity_defect
 from .representations import OscillatorRep, SpinRep
 from .susy import (SuperCharge, SuperInvariant, build_invariant, build_supercharge,
-                   check_superalgebra, pair_spectra)
+                   check_superalgebra, pair_spectra, pairing_residuals)
 
 SPIN_TOLS = {"superalgebra": 1e-12, "pairing": 1e-10, "gauge": 1e-9,
              "lvn": 1e-6, "unitarity": 1e-9, "solutions": 1e-5}
@@ -97,9 +101,13 @@ def _gauge_residuals(run: _Run, at, origin) -> np.ndarray:
 
 
 def _lvn_residuals(run: _Run, at, origin) -> np.ndarray:
-    return lvn_residual(lambda _: at.i_minus, lambda _: at.h_minus, at.ts,
-                        i_dot=central_difference(run.out.i_minus, at.ts),
+    return lvn_residual(lambda _: at.i_minus, lambda _: at.h_minus, at.ts, i_dot=at.i_dot,
                         projector=_projector(run.rep))
+
+
+def _w_dot_residuals(run: _Run, at, origin) -> np.ndarray:
+    """The exact dW/dt against its central difference: the second bound under lvn."""
+    return frobenius(at.w_dot - central_difference(run.out.system.w_minus.value, at.ts))
 
 
 def _unitarity_residuals(run: _Run, at, origin) -> np.ndarray:
@@ -116,15 +124,19 @@ def _origin(out: PartnerOutput) -> tuple[np.ndarray, np.ndarray]:
     return at.u_minus[0], at.i_minus[0]
 
 
-# Suite -> its residuals at one chunk: f(run, sample there, (U_-(0), I_-(0)) or None).
-SAMPLED = {"gauge": _gauge_residuals, "lvn": _lvn_residuals, "unitarity": _unitarity_residuals}
+# Residual -> its values at one chunk: f(run, sample there, (U_-(0), I_-(0)) or None).
+SAMPLED = {"gauge": _gauge_residuals, "lvn": _lvn_residuals, "w_dot": _w_dot_residuals,
+           "unitarity": _unitarity_residuals}
+# Suite -> the SAMPLED residuals its verdict reads.
+READS = {"gauge": ("gauge",), "lvn": ("lvn", "w_dot"), "unitarity": ("unitarity",),
+         "intertwining": ("lvn", "w_dot")}
 
 
 @dataclass
 class _Run:
     """What the suites of one run_suites call share, each computed when a suite first
     needs it: the configured system, the supercharge and its invariant, and the worst
-    residual of each selected SAMPLED suite (and of lvn for intertwining)."""
+    of each SAMPLED residual that a selected suite reads."""
 
     cfg: RunConfig
     rep: SpinRep | OscillatorRep
@@ -133,7 +145,7 @@ class _Run:
     @cached_property
     def sampled(self) -> dict[str, float]:
         suites = self.cfg.suites
-        names = [n for n in SAMPLED if n in suites or n == "lvn" and "intertwining" in suites]
+        names = [n for n in SAMPLED if any(n in READS.get(s, ()) for s in suites)]
         origin = _origin(self.out) if "unitarity" in names else None
 
         def residuals(ts):  # one W for every suite, one chunk at a time
@@ -166,13 +178,10 @@ def _suite_pairing(run: _Run, tol) -> CheckResult:
     inv = run.invariant
     pairing = pair_spectra(inv)
     worst = 0.0
-    d = inv.d.entries
-    for lam, vp, vm, v in zip(pairing.shared_positive_values, pairing.plus_vectors,
-                              pairing.minus_vectors, pairing.v):
-        worst = max(worst, float(np.linalg.norm(
-            d @ vp - np.sqrt(2 * lam) * vm @ v)))
-        worst = max(worst, float(np.linalg.norm(
-            v.conj().T @ v - np.eye(v.shape[0]))))
+    for levels in pairing.by_size:
+        v = levels.v
+        worst = max(worst, float(np.max(pairing_residuals(inv.d.entries, levels))),
+                    float(np.max(frobenius(dagger(v) @ v - np.eye(v.shape[-1])))))
     if isinstance(rep, SpinRep) and cfg.d0_named in (None, "Jplus") \
             and cfg.d0_file is None:
         # Spectrum of 2 I+ = J- J+ is j(j+1) - m(m+1).
@@ -193,9 +202,24 @@ def _sampled_suite(name: str):
     return suite
 
 
+def _suite_lvn(run: _Run, tol) -> CheckResult:
+    """The exact LvN residual, which passes only while dW/dt, its source, stays
+    within tol of its central difference."""
+    worst, w_dot = run.sampled["lvn"], run.sampled["w_dot"]
+    if w_dot < tol:
+        return CheckResult("lvn", worst, tol, worst < tol)
+    return CheckResult("lvn", worst, tol, False,
+                       f"dW/dt differs from its central difference by {w_dot:.3e}: "
+                       "the exact residual is not trusted")
+
+
 def _suite_lvn_wrong_h(run: _Run, tol) -> CheckResult:
-    worst = _worst(_sample_times(run.cfg), run.rep.dim, lambda ts: lvn_residual(
-        run.out.i_minus, run.out.system.h_plus, ts, projector=_projector(run.rep)))
+    def residuals(ts):
+        at = run.out.sample(ts)
+        return lvn_residual(lambda _: at.i_minus, run.out.system.h_plus, ts, i_dot=at.i_dot,
+                            projector=_projector(run.rep))
+
+    worst = _worst(_sample_times(run.cfg), run.rep.dim, residuals)
     return CheckResult("lvn_wrong_h", worst, tol, worst < tol)
 
 
@@ -207,16 +231,18 @@ def _suite_intertwining(run: _Run, lvn_tol) -> CheckResult:
     nonzero f J3 d0 breaks it). For identically zero Y- the suite instead
     requires the intertwining residual to vanish.
     """
-    out = run.out
-    res_inter = intertwining_residual(out.d, out.system.h_plus, out.h_minus, 1.0,
-                                      projector=_projector(run.rep))
-    res_lvn = run.sampled["lvn"]
+    out, ts = run.out, np.ones(1)
+    at = out.sample(ts)
+    d, d_dot = out.d_with_rate(at)
+    res_inter = float(intertwining_residual(lambda _: d, out.system.h_plus,
+                                            lambda _: at.h_minus, ts, d_dot=d_dot,
+                                            projector=_projector(run.rep))[0])
+    invariant = run.sampled["lvn"] < lvn_tol and run.sampled["w_dot"] < lvn_tol
     y_d0 = float(np.linalg.norm(out.system.y_minus.diagonal(1.0)[:, None]
                                 * out.system.d0.entries))
     if y_d0 < 1e-12:
-        passed = res_inter < 1e-6 and res_lvn < lvn_tol
-        return CheckResult("intertwining", res_inter, 1e-6, passed)
-    passed = res_inter > INTERTWINING_FLOOR and res_lvn < lvn_tol
+        return CheckResult("intertwining", res_inter, 1e-6, res_inter < 1e-6 and invariant)
+    passed = res_inter > INTERTWINING_FLOOR and invariant
     return CheckResult("intertwining", res_inter, INTERTWINING_FLOOR, passed)
 
 
@@ -228,8 +254,8 @@ def _checkable_levels(rep, out: PartnerOutput) -> list[int]:
     """
     if not isinstance(rep, OscillatorRep):
         return list(range(len(out.levels)))
-    return [k for k, lv in enumerate(out.levels)
-            if np.sum(np.abs(lv.v_minus[rep.N - rep.buffer:]) ** 2) < EDGE_WEIGHT_TOL]
+    edge_weight = np.sum(np.abs(out.levels.v_minus[rep.N - rep.buffer:]) ** 2, axis=0)
+    return np.flatnonzero(edge_weight < EDGE_WEIGHT_TOL).tolist()
 
 
 def _internal_grid(bounds: np.ndarray, n: int) -> np.ndarray:
@@ -249,23 +275,23 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
     doubles until the n-vs-2n state difference (the error bar) is below
     ``ERROR_BAR_MARGIN * tol``, or until the next internal grid would take
     more steps than the config grid. Every H evaluated is held to the config
-    grid's step guard, ||H||_F dt < STEP_NORM_LIMIT. The residual is the
-    largest of the Schrodinger residual, the infidelity, the state error of
-    the 2n run and the error bar. A config with no checkable level
-    propagates nothing.
+    grid's step guard, ||H||_F dt < STEP_NORM_LIMIT. The Schrodinger
+    residual takes dpsi/dt exactly, W' V phi - i (y mu) psi, with W, W' and H_-
+    from one sample of W. The residual is the largest of the Schrodinger
+    residual, the infidelity, the state error of the 2n run and the error
+    bar. A config with no checkable level propagates nothing.
     """
     cfg, rep, out = run.cfg, run.rep, run.out
     levels = _checkable_levels(rep, out)
     if not levels:
         return CheckResult("solutions", 0.0, tol, True)
     proj = _projector(rep)
-    h_fd = 1e-6
 
     def schrodinger_residuals(ts):
-        # Finite-difference Schrodinger residual of the closed form, per level.
-        dpsi = (out.mapped_solution(levels, ts + h_fd)
-                - out.mapped_solution(levels, ts - h_fd)) / (2 * h_fd)
-        res = 1j * dpsi - out.h_minus(ts) @ out.mapped_solution(levels, ts)
+        # Schrodinger residual of the closed form, per level, with its exact rate.
+        at = out.sample(ts)
+        psi, dpsi = out.mapped_with_rate(levels, at)
+        res = 1j * dpsi - at.h_minus @ psi
         return np.linalg.norm(res if proj is None else proj @ res, axis=-2)
 
     worst = _worst(_sample_times(cfg, count=5), rep.dim, schrodinger_residuals)
@@ -309,7 +335,7 @@ SUITES = {
     "superalgebra": (_suite_superalgebra, "superalgebra"),
     "pairing": (_suite_pairing, "pairing"),
     "gauge": (_sampled_suite("gauge"), "gauge"),
-    "lvn": (_sampled_suite("lvn"), "lvn"),
+    "lvn": (_suite_lvn, "lvn"),
     "unitarity": (_sampled_suite("unitarity"), "unitarity"),
     "intertwining": (_suite_intertwining, "lvn"),
     "solutions": (_suite_solutions, "solutions"),

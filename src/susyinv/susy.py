@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Operator, SingularMatrixError, cluster_indices, eigh, polar_unitary
+from .operators import (Operator, SingularMatrixError, cluster_indices, dagger, eigh, first_true,
+                        frobenius, groups_by_size, polar_unitary, stacked_columns)
 
 ZERO_MODE_SCALE = 1e-9
 PAIRING_TOL = 1e-10
@@ -43,16 +44,32 @@ class SuperInvariant:
 
 
 @dataclass(frozen=True)
+class PairedLevels:
+    """The matched positive levels of one size k, ascending: their (n,) values,
+    the (n, dim, k) frames of I+ and of I-, and the (n, k, k) pairing unitaries v."""
+
+    lam: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    v: np.ndarray
+
+
+@dataclass(frozen=True)
 class SpectralPairing:
-    """Matched positive levels of I+ and I- with per-level pairing unitaries."""
+    """Matched positive levels of I+ and I-: values and sizes in ascending order, and
+    the levels stacked by size (``by_size``, sizes ascending)."""
 
     shared_positive_values: tuple[float, ...]
     degeneracies: tuple[int, ...]
-    plus_vectors: tuple[np.ndarray, ...]
-    minus_vectors: tuple[np.ndarray, ...]
-    v: tuple[np.ndarray, ...]
+    by_size: tuple[PairedLevels, ...]
     kernel_dim_plus: int
     kernel_dim_minus: int
+
+
+def pairing_residuals(d: np.ndarray, levels: PairedLevels) -> np.ndarray:
+    """||d |lam,a,+> - sqrt(2 lam) sum_b v_ba |lam,b,->||_F, per level of one size."""
+    return frobenius(d @ levels.plus
+                     - np.sqrt(2 * levels.lam)[:, None, None] * levels.minus @ levels.v)
 
 
 def build_supercharge(d: Operator) -> SuperCharge:
@@ -107,7 +124,8 @@ def pair_spectra(inv: SuperInvariant) -> SpectralPairing:
 
     Each v is the unitary polar factor of the overlap matrix
     <minus| d |plus> / sqrt(2 lam), which is unitary up to rounding whenever
-    the two frames span matching eigenspaces.
+    the two frames span matching eigenspaces. The levels of one size are
+    matched, unitarized (one ``polar_unitary`` call) and checked as one stack.
     """
     es_plus = eigh(inv.Iplus)
     es_minus = eigh(inv.Iminus)
@@ -124,47 +142,36 @@ def pair_spectra(inv: SuperInvariant) -> SpectralPairing:
     gap = max(np.abs(np.concatenate([vals_p, vals_m, [0.0]]))).item()
     groups = cluster_indices(vals_p, 1e-8 * max(1.0, gap))
 
+    # The groups run over the positive levels in order, so a group's positions
+    # in pos_p are its positions in pos_m.
     d = inv.d.entries
-    levels, plus_vecs, minus_vecs, overlaps = [], [], [], []
-    cursor = 0
-    for group in groups:
-        idx_p = pos_p[list(group)]
-        idx_m = pos_m[cursor:cursor + len(group)]
-        cursor += len(group)
-        lam_p = float(es_plus.values[idx_p].mean())
-        lam_m = float(es_minus.values[idx_m].mean())
-        if abs(lam_p - lam_m) > 1e-8 * max(1.0, lam_p):
+    by_size = []
+    for at in groups_by_size(groups).values():
+        idx_p, idx_m = pos_p[at], pos_m[at]
+        lam_p = es_plus.values[idx_p].mean(axis=1)
+        lam_m = es_minus.values[idx_m].mean(axis=1)
+        k = first_true(np.abs(lam_p - lam_m) > 1e-8 * np.maximum(1.0, lam_p))
+        if k is not None:
             raise ValueError(
-                f"positive level {lam_p:.12g} of I+ has no partner in I- "
-                f"(nearest {lam_m:.12g})")
-        vp = es_plus.vectors[:, idx_p]
-        vm = es_minus.vectors[:, idx_m]
-        levels.append(lam_p)
-        plus_vecs.append(vp)
-        minus_vecs.append(vm)
-        overlaps.append(vm.conj().T @ d @ vp / np.sqrt(2 * lam_p))
-
-    # One polar_unitary call per level size, on the stack of that size's overlaps.
-    degs = [len(group) for group in groups]
-    pairings = [None] * len(groups)
-    for size in sorted(set(degs)):
-        at = [k for k, deg in enumerate(degs) if deg == size]
+                f"positive level {lam_p[k]:.12g} of I+ has no partner in I- "
+                f"(nearest {lam_m[k]:.12g})")
+        vp = stacked_columns(es_plus.vectors, idx_p)
+        vm = stacked_columns(es_minus.vectors, idx_m)
+        overlaps = dagger(vm) @ d @ vp / np.sqrt(2 * lam_p)[:, None, None]
         try:
-            factors = polar_unitary(np.stack([overlaps[k] for k in at]))
+            factors = polar_unitary(overlaps)
         except SingularMatrixError as exc:
             # The stack index counts only this size's levels; name the level instead.
-            level = levels[at[exc.index or 0]]
             raise SingularMatrixError(exc.s_min, exc.limit,
-                                      where=f"level {level:.12g}") from None
-        for k, v in zip(at, factors):
-            pairings[k] = v
-    for lam_p, vp, vm, v in zip(levels, plus_vecs, minus_vecs, pairings):
-        residual = float(np.linalg.norm(d @ vp - np.sqrt(2 * lam_p) * vm @ v))
-        if residual > PAIRING_TOL * max(1.0, np.sqrt(2 * lam_p)):
-            raise ValueError(
-                f"pairing relation failed at level {lam_p:.12g}: residual {residual:.3e}")
+                                      where=f"level {lam_p[exc.index or 0]:.12g}") from None
+        levels = PairedLevels(lam_p, vp, vm, factors)
+        residual = pairing_residuals(d, levels)
+        k = first_true(residual > PAIRING_TOL * np.maximum(1.0, np.sqrt(2 * lam_p)))
+        if k is not None:
+            raise ValueError(f"pairing relation failed at level {lam_p[k]:.12g}: "
+                             f"residual {residual[k]:.3e}")
+        by_size.append(levels)
 
-    return SpectralPairing(tuple(levels), tuple(degs), tuple(plus_vecs),
-                           tuple(minus_vecs), tuple(pairings),
-                           int(kernel_p.size), int(kernel_m.size))
-
+    lams = np.sort(np.concatenate([np.empty(0), *(lv.lam for lv in by_size)]))
+    return SpectralPairing(tuple(lams.tolist()), tuple(len(g) for g in groups),
+                           tuple(by_size), int(kernel_p.size), int(kernel_m.size))

@@ -85,10 +85,18 @@ class TestConfig:
         ("phase_loop", "phase", "steps = 2000", "steps = 2000\nreverse = ture",
          "[phase] reverse = 'ture' is not a boolean; "
          "use one of 1, yes, true, on, 0, no, false, off"),
+        # Sizes no machine holds: refused before any array is built.
+        ("oscillator_default", "verify", "n = 32", "n = 10000000",
+         "[system] n = 10000000: one complex (10000000, 10000000) matrix needs 1.6e+15 "
+         "bytes, more than the "),
+        ("spin_default", "verify", "j = 1/2", "j = 1e7",
+         "[system] j = '1e7': one complex (20000001, 20000001) matrix needs 6.4e+15 "
+         "bytes, more than the "),
     ], ids=["half_integer_j", "integer_phase_steps", "buffer_range", "zero_step_grid",
             "non_finite_t_final", "non_finite_b", "overflowing_f", "f_without_antiderivative",
             "f_antiderivative_divides_by_zero",
-            "misspelt_cross_check_wrong_h", "misspelt_phase_reverse"])
+            "misspelt_cross_check_wrong_h", "misspelt_phase_reverse", "oversized_n",
+            "oversized_j"])
     def test_static_error_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
                                                config, command, old, new, message):
         text = (config_dir / f"{config}.ini").read_text()
@@ -159,6 +167,16 @@ class TestBuild:
         for row in rows[:: len(rows) // 7 or 1]:
             _, r1, r2, r3, _ = map(float, row.split(","))
             assert (r1, r2, r3) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (11, 11)])
+    def test_json_complex_is_the_payload_text(self, shape):
+        # U_minus.json's writer gives the bytes json.dumps gives for the payload.
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape) \
+            + 1j * rng.normal(size=shape)
+        m.flat[0] = complex(-0.0, np.inf)
+        m.flat[-1] = complex(np.nan, 1e-320)
+        assert cli._json_complex(m) == json.dumps(cli._complex_payload(m), sort_keys=True)
 
     def test_byte_determinism(self, tmp_path, config_dir):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -299,8 +317,10 @@ class TestVerify:
             assert alone.max_residual == together[name]
 
     def test_shared_pass_builds_w_once_per_time(self, config_dir, monkeypatch):
-        # lvn alone builds W at each sample time t and at t -+ FD_STEP; gauge
-        # and unitarity take theirs from the same W at t, plus one W(0).
+        # lvn alone builds W at each sample time t, and at t -+ FD_STEP for the
+        # central-difference bound on W'; W' itself comes from the factors of
+        # the W at t, with no build of its own. gauge and unitarity take theirs
+        # from the same W at t, plus one W(0).
         points = []
         real = construction.GaugeCurve._factors
 
@@ -317,6 +337,40 @@ class TestVerify:
             counts[names] = sum(points)
         assert counts[("lvn",)] == 3 * len(suites._sample_times(cfg))
         assert counts[("gauge", "lvn", "unitarity")] <= counts[("lvn",)] + 1
+
+    def test_planted_term_in_h_raises_exact_lvn_residual(self, config_dir, monkeypatch):
+        # A Hermitian term of norm 1e-9 in H_- at N = 128 lifts the exact LvN
+        # residual far above its rounding floor.
+        cfg = replace(load_config(config_dir / "oscillator_default.ini"), n=128, buffer=16,
+                      t_final=0.1, suites=("lvn",))
+        rng = np.random.default_rng(3)
+        term = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+        term = term + term.conj().T
+        term[112:], term[:, 112:] = 0, 0
+        term *= 1e-9 / np.linalg.norm(term)
+        [clean] = suites.run_suites(cfg)
+        real = construction._Sample.h_minus.func
+        monkeypatch.setattr(construction._Sample, "h_minus",
+                            property(lambda at: real(at) + term))
+        [planted] = suites.run_suites(cfg)
+        assert clean.passed and clean.max_residual < 1e-12
+        assert planted.max_residual >= 10 * clean.max_residual
+
+    def test_lvn_fails_when_w_dot_leaves_its_central_difference(self, config_dir,
+                                                                 monkeypatch):
+        # The central difference of W bounds the W' that the exact residual is
+        # taken from: past tol, lvn (and intertwining) fail with a note, and the
+        # reported residual is still the exact one.
+        cfg = replace(load_config(config_dir / "spin_default.ini"),
+                      suites=("lvn", "intertwining"))
+        honest = suites.run_suites(cfg)
+        real = suites.central_difference
+        monkeypatch.setattr(suites, "central_difference", lambda m, t: real(m, t) + 1e-5)
+        lvn, intertwining = suites.run_suites(cfg)
+        assert all(r.passed for r in honest)
+        assert not lvn.passed and lvn.max_residual == honest[0].max_residual
+        assert "differs from its central difference" in lvn.note
+        assert not intertwining.passed
 
     def test_verify_json_deterministic(self, tmp_path, config_dir):
         out1, out2 = tmp_path / "a", tmp_path / "b"

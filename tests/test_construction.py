@@ -7,9 +7,12 @@ from susyinv.construction import (GaugeCurve, YSpec, closed_form_osc_R, closed_f
                                   evolution_from_gauge, hamiltonian_from_gauge,
                                   oscillator_supersystem, quadrupole_partner,
                                   run_prescription, spin_supersystem)
-from susyinv.operators import (EigenSystem, NonHermitianError, dagger, diag_stack,
-                               hermiticity_defect, unitarity_defect)
+from susyinv.config import load_config
+from susyinv.operators import (EigenSystem, NonHermitianError, Operator, dagger, diag_stack,
+                               eigh, frobenius, hermiticity_defect, unitarity_defect)
 from susyinv.representations import make_oscillator, make_spin
+from susyinv.suites import build_system
+from susyinv.susy import ZERO_MODE_SCALE
 
 
 def fd_gauge_hamiltonian(w_of_t, y_of_t, t, h=1e-6):
@@ -17,6 +20,26 @@ def fd_gauge_hamiltonian(w_of_t, y_of_t, t, h=1e-6):
     w = w_of_t(t)
     wdot = (w_of_t(t + h) - w_of_t(t - h)) / (2 * h)
     return w @ y_of_t(t) @ w.conj().T - 1j * (w @ wdot.conj().T)
+
+
+def per_level_prescription(system):
+    """The levels of run_prescription found one cluster at a time: (lam, mu, v_minus)."""
+    d0 = system.d0.entries
+    iplus = Operator(d0.conj().T @ d0 / 2)
+    es = eigh(iplus)
+    generator = system.y_minus.D.entries
+    levels = []
+    for group in es.degeneracy_groups:
+        lam = float(es.values[list(group)].mean())
+        if lam < ZERO_MODE_SCALE * max(1.0, iplus.norm()):
+            continue
+        vm = d0 @ es.vectors[:, list(group)] / np.sqrt(2 * lam)
+        block = vm.conj().T @ generator @ vm
+        mus, s = np.linalg.eigh((block + block.conj().T) / 2)
+        vm = vm @ s
+        levels += [(lam, float(mu), vm[:, k]) for k, mu in enumerate(mus)]
+    levels.sort(key=lambda lv: lv[:2])
+    return levels
 
 
 class Spike:
@@ -335,9 +358,8 @@ class TestPrescription:
         theta, phi, f = tf.parse("0.01*sin(t)"), tf.parse("0.3*t"), tf.const(0.5)
         out = run_prescription(oscillator_supersystem(osc, theta, phi, f))
         assert out.kernel_dim_minus == 1
-        lv = out.levels[0]
-        assert lv.lam == pytest.approx(0.5)   # I+ = a a^dag / 2 on |0>
-        assert lv.mu == pytest.approx(3 / 4)  # K3 eigenvalue of |1>
+        assert out.levels.lam[0] == pytest.approx(0.5)   # I+ = a a^dag / 2 on |0>
+        assert out.levels.mu[0] == pytest.approx(3 / 4)  # K3 eigenvalue of |1>
         r = closed_form_osc_R(f, theta, phi, 1.1)
         built = r[0] * osc.K1.entries + r[1] * osc.K2.entries + r[2] * osc.K3.entries
         diff = out.h_minus(1.1).entries - built
@@ -348,10 +370,51 @@ class TestPrescription:
         spin = make_spin(1.5)
         out = run_prescription(spin_supersystem(
             spin, tf.parse("0.2*sin(t)"), tf.parse("0.7*t"), tf.const(0.5)))
-        lams = [round(lv.lam, 9) for lv in out.levels]
+        lams = np.round(out.levels.lam, 9).tolist()
         assert lams == [1.5, 1.5, 2.0]
-        mus = sorted(lv.mu for lv in out.levels if abs(lv.lam - 1.5) < 1e-9)
+        mus = sorted(out.levels.mu[np.abs(out.levels.lam - 1.5) < 1e-9])
         assert mus == pytest.approx([-0.5, 1.5])
+
+    @pytest.mark.parametrize("config", ["oscillator_default", "phase_loop", "quadrupole",
+                                        "spin_default", "spin_negative_control",
+                                        "sweep_example", "degenerate_split", "oscillator_128"])
+    def test_stacked_levels_match_per_level_reference(self, config_dir, config):
+        # The levels of each cluster size, mapped and split as one stack, are the
+        # levels found one cluster at a time, bit for bit.
+        if config == "degenerate_split":
+            out = run_prescription(spin_supersystem(
+                make_spin(1.5), tf.parse("0.2*sin(t)"), tf.parse("0.7*t"), tf.const(0.5)))
+        elif config == "oscillator_128":
+            out = run_prescription(oscillator_supersystem(
+                make_oscillator(128, 16), tf.parse("0.007*sin(1.1*t)"), tf.parse("0.4*t"),
+                tf.const(0.55)))
+        else:
+            out = build_system(load_config(config_dir / f"{config}.ini"))[1]
+        reference = per_level_prescription(out.system)
+        assert len(out.levels) == len(reference) > 0
+        assert np.array_equal(out.levels.lam, [lv[0] for lv in reference])
+        assert np.array_equal(out.levels.mu, [lv[1] for lv in reference])
+        assert np.array_equal(out.levels.v_minus, np.stack([lv[2] for lv in reference], 1))
+
+    def test_exact_rates_match_central_differences(self, spin_setup):
+        # dI-/dt, dd/dt and each mapped solution's dpsi/dt, taken from the W and
+        # W' of one sample, against central differences of the maps of t.
+        spin, theta, phi, f = spin_setup
+        out = run_prescription(spin_supersystem(spin, theta, phi, f, b=1.3))
+        ts, h = np.array([0.3, 1.1]), 1e-6
+        at = out.sample(ts)
+
+        def fd(m_map):
+            return (m_map(ts + h) - m_map(ts - h)) / (2 * h)
+
+        assert np.max(frobenius(at.i_dot - fd(out.i_minus))) < 1e-8
+        d, d_dot = out.d_with_rate(at)
+        assert np.array_equal(d, out.d(ts))
+        assert np.max(frobenius(d_dot - fd(out.d))) < 1e-8
+        levels = list(range(len(out.levels)))
+        psi, dpsi = out.mapped_with_rate(levels, at)
+        assert np.array_equal(psi, out.mapped_solution(levels, ts))
+        assert np.max(np.abs(dpsi - fd(lambda t: out.mapped_solution(levels, t)))) < 1e-8
 
     def test_mapped_solution_normalized_stationary(self, spin_setup):
         # W = 1 and f = 0 freeze the mapped state at d0 psi / sqrt(2 lam).

@@ -15,6 +15,12 @@ def random_d(seed, n):
     return Operator(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
 
 
+def per_level(pairing):
+    """(lam, I+ frame, I- frame, v) of every level, ascending in lam."""
+    rows = [row for lv in pairing.by_size for row in zip(lv.lam, lv.plus, lv.minus, lv.v)]
+    return sorted(rows, key=lambda row: row[0])
+
+
 class TestSupercharge:
     def test_zero_d(self):
         q = build_supercharge(Operator(np.zeros((3, 3))))
@@ -128,7 +134,7 @@ class TestPairing:
         pairing = pair_spectra(inv)
         assert pairing.shared_positive_values == pytest.approx([0.5])
         assert pairing.degeneracies == (4,)
-        v = pairing.v[0]
+        v = pairing.by_size[0].v[0]
         assert np.linalg.norm(v.conj().T @ v - np.eye(4)) < 1e-12
 
     def test_oscillator_interior_levels(self):
@@ -146,9 +152,7 @@ class TestPairing:
         inv = build_invariant(build_supercharge(random_d(4, 7)))
         pairing = pair_spectra(inv)
         d = inv.d.entries
-        for lam, vp, vm, v in zip(pairing.shared_positive_values,
-                                  pairing.plus_vectors, pairing.minus_vectors,
-                                  pairing.v):
+        for lam, vp, vm, v in per_level(pairing):
             assert np.linalg.norm(d @ vp - np.sqrt(2 * lam) * vm @ v) < 1e-10
             assert np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])) < 1e-10
 
@@ -161,9 +165,8 @@ class TestPairing:
         d = Operator(u @ np.diag([0.5, 0.5, 0.5, 1.0, 1.0, 2.0, 3.0, 0.0]) @ v.conj().T)
         pairing = pair_spectra(build_invariant(build_supercharge(d)))
         assert pairing.degeneracies == (3, 2, 1, 1)
-        for lam, vp, vm, factor in zip(pairing.shared_positive_values,
-                                       pairing.plus_vectors, pairing.minus_vectors,
-                                       pairing.v):
+        assert [lv.v.shape[1] for lv in pairing.by_size] == [1, 2, 3]
+        for lam, vp, vm, factor in per_level(pairing):
             overlap = vm.conj().T @ d.entries @ vp / np.sqrt(2 * lam)
             assert np.array_equal(factor, polar_unitary(overlap))
 
@@ -198,7 +201,7 @@ class TestSusyMap:
         # Brute-force 2x2 oracle: I+ |down> = (1/2)|down>, J+ |down> = |up>.
         spin = make_spin(0.5)
         pairing = pair_spectra(build_invariant(build_supercharge(spin.Jplus)))
-        vp, vm, v = pairing.plus_vectors[0], pairing.minus_vectors[0], pairing.v[0]
+        _, vp, vm, v = per_level(pairing)[0]
         up, down = np.eye(2, dtype=complex)
         assert abs(np.vdot(down, vp[:, 0])) == pytest.approx(1.0)
         mapped = spin.Jplus.entries @ vp / np.sqrt(2 * 0.5)
@@ -211,7 +214,7 @@ class TestSusyMap:
         pairing = pair_spectra(build_invariant(build_supercharge(osc.adag)))
         n = 3
         k = pairing.shared_positive_values.index(pytest.approx((n + 1) / 2))
-        vp, vm, v = pairing.plus_vectors[k], pairing.minus_vectors[k], pairing.v[k]
+        _, vp, vm, v = per_level(pairing)[k]
         fock_n, fock_n1 = np.eye(16, dtype=complex)[n], np.eye(16, dtype=complex)[n + 1]
         assert abs(np.vdot(fock_n, vp[:, 0])) == pytest.approx(1.0)
         mapped = osc.adag.entries @ vp / np.sqrt(n + 1)
@@ -237,8 +240,8 @@ def test_adjoint_map_round_trip(seed):
     pairing = pair_spectra(inv)
     if not pairing.shared_positive_values:
         return
-    lam = pairing.shared_positive_values[-1]
-    psi = pairing.plus_vectors[-1][:, 0]
+    lam, vp = per_level(pairing)[-1][:2]
+    psi = vp[:, 0]
     mapped = d.entries @ psi / np.sqrt(2 * lam)
     assert abs(np.linalg.norm(mapped) - 1.0) < 1e-10
     back = d.entries.conj().T @ mapped / np.sqrt(2 * lam)
