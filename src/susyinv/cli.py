@@ -83,7 +83,7 @@ def cmd_build(cfg: RunConfig, out_override: str | None) -> int:
                    ["t", "R1", "R2", "R3", "hermiticity_defect"],
                    np.column_stack([grid, *r, checks[:, 0]]))
         _write_csv(out_dir / "invariant_spectrum.csv",
-                   ["t"] + [f"lambda_{i}" for i in range(out.iminus_ref.dim)],
+                   ["t"] + [f"lambda_{i}" for i in range(rep.dim)],
                    np.column_stack([grid, checks[:, 1:]]))
 
     if "json" in cfg.formats:
@@ -202,7 +202,7 @@ def cmd_phase(cfg: RunConfig, out_override: str | None, reverse_flag: bool) -> i
     reverse = reverse_flag or cfg.phase_reverse
     steps = cfg.phase_steps
 
-    es0 = eigh(out.iminus_ref)
+    es0 = eigh(out.invariant.Iminus)
     groups = es0.degeneracy_groups
 
     def frame(s):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -231,6 +232,11 @@ def load_config(path: str | Path) -> RunConfig:
                           "the grid has no step")
 
     grid = _grid(t_final, dt)
+    # U+ takes the phases (b m) t, |m| <= j, up to the last time any command samples.
+    t_end = max(t_final, float(grid[-1]))
+    if family == "spin" and not math.isfinite(b * j * t_end):
+        raise ConfigError(f"[system] b = {b:g}: the plus-sector phase b*j*t must be "
+                          f"finite up to t = {t_end:g}")
     theta = _parse_timefunc("gauge", "theta", _get(cp, "gauge", "theta", required=True),
                             grid)
     phi = _parse_timefunc("gauge", "phi", _get(cp, "gauge", "phi", required=True), grid)

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .operators import (Operator, NonHermitianError, _mat, dagger, eigh, first_true,
+from .operators import (Operator, NonHermitianError, dagger, eigh, first_true,
                         frobenius, groups_by_size, hermiticity_defect, per_time,
                         stacked_columns, unitarity_defect)
 from .representations import OscillatorRep, SpinRep
-from .susy import ZERO_MODE_SCALE
+from .susy import ZERO_MODE_SCALE, SuperInvariant, build_invariant, build_supercharge
 from .timefunc import TimeFunction
 
 GAUGE_UNITARITY_TOL = 1e-10
@@ -261,15 +260,23 @@ def evolution_from_gauge(w: GaugeCurve, y: YSpec, t):
 
 @dataclass(frozen=True)
 class SuperSystem:
-    """Inputs to the pairing prescription: solvable plus sector, d0, gauge, Y."""
+    """Inputs to the pairing prescription: d0, gauge, Y and the solvable plus sector,
+    held as its energies: H+ = diag(plus_energies), so U+(t) = e^{-i H+ t} is diagonal."""
 
     rep: SpinRep | OscillatorRep
     d0: Operator
     w_minus: GaugeCurve
     y_minus: YSpec
-    h_plus: Callable[[float], Operator]
-    # U+(t) is diagonal in this basis: (n,) times -> (n, dim) diagonals.
-    u_plus_phases: Callable[[np.ndarray], np.ndarray]
+    plus_energies: np.ndarray
+
+    @property
+    def h_plus(self) -> np.ndarray:
+        """H+ as a complex (dim, dim) matrix."""
+        return np.diag(self.plus_energies).astype(complex)
+
+    def u_plus_phases(self, ts: np.ndarray) -> np.ndarray:
+        """The diagonals of U+ at (n,) times: (n, dim)."""
+        return np.exp(-1j * ts[:, None] * self.plus_energies)
 
 
 @dataclass(frozen=True)
@@ -288,11 +295,11 @@ class Levels:
 
 @dataclass(frozen=True)
 class PartnerOutput:
-    """Everything the prescription produces, as maps of t."""
+    """Everything the prescription produces: the invariant I(0) of d0, the levels,
+    and H_-, U_- and I_- as maps of t or, from one W per time, as a :meth:`sample`."""
 
     system: SuperSystem
-    iplus_ref: Operator
-    iminus_ref: Operator
+    invariant: SuperInvariant
     levels: Levels
     kernel_dim_plus: int
     kernel_dim_minus: int
@@ -309,12 +316,8 @@ class PartnerOutput:
 
     def sample(self, ts: np.ndarray) -> _Sample:
         """H_-, I_- and U_- at an array of times, from one build of W there."""
-        return _Sample(self.system.w_minus, self.system.y_minus, ts, self.iminus_ref.entries)
-
-    def d(self, t):
-        """d(t) = W(t) d0 U+(t)^dag."""
-        return per_time(t, lambda ts: self._d_stack(self.system.w_minus.value(ts),
-                                                    self.system.u_plus_phases(ts)))
+        return _Sample(self.system.w_minus, self.system.y_minus, ts,
+                       self.invariant.Iminus.entries)
 
     def _d_stack(self, w: np.ndarray, phases: np.ndarray) -> np.ndarray:
         # U+ is diagonal, so U+^dag scales the columns of W d0.
@@ -322,11 +325,11 @@ class PartnerOutput:
 
     def d_with_rate(self, at: _Sample) -> tuple[np.ndarray, np.ndarray]:
         """d = W d0 U+^dag and dd/dt = W' d0 U+^dag + i d H+ at a sample's times,
-        from its W and W': U+^dag solves dU+^dag/dt = i U+^dag H+."""
+        from its W and W': U+^dag solves dU+^dag/dt = i U+^dag H+, and H+ is
+        diagonal, so d H+ scales the columns of d."""
         phases = self.system.u_plus_phases(at.ts)
         d = self._d_stack(at.w, phases)
-        d_dot = d @ _mat(self.system.h_plus(at.ts))
-        d_dot *= 1j
+        d_dot = d * (1j * self.system.plus_energies)
         d_dot += self._d_stack(at.w_dot, phases)
         return d, d_dot
 
@@ -371,7 +374,7 @@ class PartnerOutput:
         phases = self.system.u_plus_phases(ts)
         dm = self._d_stack(at.w, phases)
         # I+(t) = U+ I+(0) U+^dag, with U+ diagonal.
-        i_plus, i_minus = _sandwich(phases, self.iplus_ref.entries), at.i_minus
+        i_plus, i_minus = _sandwich(phases, self.invariant.Iplus.entries), at.i_minus
         return {"iplus": float(np.max(frobenius(dagger(dm) @ dm / 2 - i_plus))),
                 "iminus": float(np.max(frobenius(dm @ dagger(dm) / 2 - i_minus)))}
 
@@ -385,10 +388,9 @@ def run_prescription(system: SuperSystem) -> PartnerOutput:
     one cluster size are mapped, split and checked as one stack.
     """
     d0 = system.d0.entries
-    iplus_ref = Operator(d0.conj().T @ d0 / 2)
-    iminus_ref = Operator(d0 @ d0.conj().T / 2)
-    es = eigh(iplus_ref)
-    zero_tol = ZERO_MODE_SCALE * max(1.0, iplus_ref.norm())
+    invariant = build_invariant(build_supercharge(system.d0))
+    es = eigh(invariant.Iplus)
+    zero_tol = ZERO_MODE_SCALE * max(1.0, invariant.Iplus.norm())
     generator = system.y_minus.D.entries
 
     lams, mus, vms = [], [], []
@@ -422,8 +424,8 @@ def run_prescription(system: SuperSystem) -> PartnerOutput:
     v_minus = np.concatenate([np.empty((d0.shape[0], 0)), *vms], axis=1)[:, order]
     levels = Levels(lam[order], mu[order], v_minus)
     # dim Ker(I-) = dim - rank(d0) = dim - (number of positive levels).
-    kernel_minus = iminus_ref.dim - len(levels)
-    return PartnerOutput(system, iplus_ref, iminus_ref, levels, kernel_plus, kernel_minus)
+    kernel_minus = invariant.Iminus.dim - len(levels)
+    return PartnerOutput(system, invariant, levels, kernel_plus, kernel_minus)
 
 
 def spin_supersystem(rep: SpinRep, theta: TimeFunction, phi: TimeFunction,
@@ -432,15 +434,8 @@ def spin_supersystem(rep: SpinRep, theta: TimeFunction, phi: TimeFunction,
     """Constant dipole plus sector H+ = b J3 with d0 = J+ by default."""
     if d0 is None:
         d0 = rep.Jplus
-    m = rep.m_values()
-    h_plus_mat = Operator(np.diag(b * m).astype(complex))
-    gauge = GaugeCurve.spin(rep, theta, phi)
-    y = YSpec(rep.J3, f, g)
-    return SuperSystem(
-        rep, d0, gauge, y,
-        h_plus=lambda t: h_plus_mat,
-        u_plus_phases=lambda ts: np.exp(-1j * b * ts[:, None] * m),
-    )
+    return SuperSystem(rep, d0, GaugeCurve.spin(rep, theta, phi), YSpec(rep.J3, f, g),
+                       plus_energies=b * rep.m_values())
 
 
 def oscillator_supersystem(rep: OscillatorRep, theta: TimeFunction,
@@ -449,15 +444,8 @@ def oscillator_supersystem(rep: OscillatorRep, theta: TimeFunction,
     """Unit oscillator plus sector H+ = a^dag a + 1/2 with d0 = a^dag by default."""
     if d0 is None:
         d0 = rep.adag
-    energies = np.arange(rep.N) + 0.5
-    h_plus_mat = rep.hamiltonian_plus()
-    gauge = GaugeCurve.oscillator(rep, theta, phi)
-    y = YSpec(rep.K3, f)
-    return SuperSystem(
-        rep, d0, gauge, y,
-        h_plus=lambda t: h_plus_mat,
-        u_plus_phases=lambda ts: np.exp(-1j * ts[:, None] * energies),
-    )
+    return SuperSystem(rep, d0, GaugeCurve.oscillator(rep, theta, phi), YSpec(rep.K3, f),
+                       plus_energies=np.arange(rep.N) + 0.5)
 
 
 def _closed_form_R(sin_th, cos_th, f, theta, phi, t):

@@ -16,8 +16,10 @@ error below the unit roundoff (the theta_m bounds of Al-Mohy & Higham 2011),
 so each step is unitary to rounding. States are stepped as a block and only
 the kept grid points are stored.
 
-Maps of t (Hamiltonians, invariants, frames) are called with arrays of times
-and return (n, d, d) stacks, or one matrix when they are constant. Grids are
+The LvN and intertwining residuals take matrices or (n, d, d) stacks, with the
+derivative their caller holds (:meth:`susyinv.construction.PartnerOutput.sample`).
+Maps of t (Hamiltonians, frames) are called with arrays of times and return
+(n, d, d) stacks, or one matrix when they are constant. Grids are
 evaluated chunk by chunk (:func:`susyinv.operators.chunks`); only the product
 of step unitaries runs step by step. A holonomy takes every level of a frame
 from one frame stack: the overlaps are taken once, unitarized level by level,
@@ -192,35 +194,24 @@ def central_difference(m_map: Callable[[float], Operator], t):
     return (_mat(m_map(t + FD_STEP)) - _mat(m_map(t - FD_STEP))) / (2 * FD_STEP)
 
 
-def lvn_residual(i_map: Callable[[float], Operator], h_map: Callable[[float], Operator],
-                 t, i_dot: np.ndarray | None = None,
+def lvn_residual(i: np.ndarray, h: np.ndarray, i_dot: np.ndarray,
                  projector: np.ndarray | None = None):
     """|| dI/dt - i [I, H] ||, the defining residual of a dynamical invariant.
 
-    dI/dt by central difference unless an exact derivative is supplied; pass a
-    projector to restrict the residual to a trusted subspace. A float for a
-    scalar t, one residual per time for an array.
+    I, H and dI/dt are matrices or (n, d, d) stacks (a matrix is broadcast
+    against a stack); pass a projector to restrict the residual to a trusted
+    subspace. A float for matrices, one residual per time for stacks.
     """
-    im, hm = _mat(i_map(t)), _mat(h_map(t))
-    if i_dot is None:
-        i_dot = central_difference(i_map, t)
-    return frobenius(project(i_dot - 1j * (im @ hm - hm @ im), projector))
+    return frobenius(project(i_dot - 1j * (i @ h - h @ i), projector))
 
 
-def intertwining_residual(d_map: Callable[[float], Operator],
-                          h_plus: Callable[[float], Operator],
-                          h_minus: Callable[[float], Operator],
-                          t, d_dot: np.ndarray | None = None,
-                          projector: np.ndarray | None = None):
+def intertwining_residual(d: np.ndarray, d_dot: np.ndarray, h_minus: np.ndarray,
+                          h_plus: np.ndarray, projector: np.ndarray | None = None):
     """|| i dd/dt - H_- d + d H_+ ||, the operator form of the intertwining relation.
 
-    dd/dt by central difference unless an exact derivative is supplied.
+    Matrices or (n, d, d) stacks, as for :func:`lvn_residual`.
     """
-    if d_dot is None:
-        d_dot = central_difference(d_map, t)
-    dm = _mat(d_map(t))
-    residual = 1j * d_dot - _mat(h_minus(t)) @ dm + dm @ _mat(h_plus(t))
-    return frobenius(project(residual, projector))
+    return frobenius(project(1j * d_dot - h_minus @ d + d @ h_plus, projector))
 
 
 @dataclass(frozen=True)

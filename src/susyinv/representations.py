@@ -79,11 +79,6 @@ class OscillatorRep:
     def dim(self) -> int:
         return self.N
 
-    def hamiltonian_plus(self) -> Operator:
-        """H = a^dag a + 1/2, the unit oscillator."""
-        return Operator(self.adag.entries @ self.a.entries
-                        + 0.5 * np.eye(self.N))
-
 
 def default_buffer(n: int) -> int:
     return max(4, n // 8)

@@ -5,12 +5,15 @@ passes when its worst residual stays below tolerance. The intertwining suite is
 inverted by nature: it passes when the residual is large while the invariance
 residual is small, which is the whole point of the comparison.
 
-The gauge, lvn and unitarity residuals (``SAMPLED``) come from one pass over
-the sample times: one W per chunk gives H_-, I_- and U_- to every selected one.
-The derivatives in the LvN, intertwining and Schrodinger residuals are exact:
-dW/dt by the chain rule from the W already built (``_Sample.w_dot``), and from
-it dI_-/dt, dd/dt and the rate of each mapped solution. The central difference
-stays only as a second bound on dW/dt itself, under the lvn verdict.
+The gauge, lvn and unitarity residuals and the wrong-H cross-check
+(``SAMPLED``) come from one pass over the sample times: one W per chunk gives
+H_-, I_- and U_- to every selected one. The derivatives in the LvN,
+intertwining and Schrodinger residuals are exact: dW/dt by the chain rule from
+the W already built (``_Sample.w_dot``), and from it dI_-/dt, dd/dt and the
+rate of each mapped solution. The central difference stays only as a second
+bound on dW/dt itself, relative to max(1, ||dW/dt||_F), under the lvn verdict.
+The parts of one verdict are folded with np.max, which propagates a NaN, so
+a NaN fails; Python's max drops a NaN that is not its first argument.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from .dynamics import (central_difference, check_step, intertwining_residual, lv
                        propagate)
 from .operators import dagger, frobenius, over_chunks, project, unitarity_defect
 from .representations import OscillatorRep, SpinRep
-from .susy import (SuperCharge, SuperInvariant, build_invariant, build_supercharge,
-                   check_superalgebra, pair_spectra, pairing_residuals)
+from .susy import SuperCharge, check_superalgebra, pair_spectra, pairing_residuals
 
 SPIN_TOLS = {"superalgebra": 1e-12, "pairing": 1e-10, "gauge": 1e-9,
              "lvn": 1e-6, "unitarity": 1e-9, "solutions": 1e-5}
@@ -69,11 +71,6 @@ def build_system(cfg: RunConfig) -> tuple[SpinRep | OscillatorRep, PartnerOutput
     return rep, run_prescription(system)
 
 
-def _worst(times: np.ndarray, dim: int, residuals) -> float:
-    """Largest of ``residuals`` evaluated over the chunks of ``times``."""
-    return float(np.max(over_chunks(times, dim, residuals)))
-
-
 def _tols(cfg: RunConfig, scale: float) -> dict[str, float]:
     base = SPIN_TOLS if cfg.family == "spin" else OSC_TOLS
     return {k: v * scale for k, v in base.items()}
@@ -101,13 +98,20 @@ def _gauge_residuals(run: _Run, at, origin) -> np.ndarray:
 
 
 def _lvn_residuals(run: _Run, at, origin) -> np.ndarray:
-    return lvn_residual(lambda _: at.i_minus, lambda _: at.h_minus, at.ts, i_dot=at.i_dot,
-                        projector=_projector(run.rep))
+    return lvn_residual(at.i_minus, at.h_minus, at.i_dot, _projector(run.rep))
+
+
+def _lvn_wrong_h_residuals(run: _Run, at, origin) -> np.ndarray:
+    """The cross-check: the LvN residual of I_- against H+ in place of H_-."""
+    return lvn_residual(at.i_minus, run.out.system.h_plus, at.i_dot, _projector(run.rep))
 
 
 def _w_dot_residuals(run: _Run, at, origin) -> np.ndarray:
-    """The exact dW/dt against its central difference: the second bound under lvn."""
-    return frobenius(at.w_dot - central_difference(run.out.system.w_minus.value, at.ts))
+    """The exact dW/dt against its central difference, relative to max(1, ||dW/dt||_F)
+    as the difference's own error grows with W's derivatives: the bound under lvn."""
+    w_dot = at.w_dot
+    error = frobenius(w_dot - central_difference(run.out.system.w_minus.value, at.ts))
+    return error / np.maximum(1.0, frobenius(w_dot))
 
 
 def _unitarity_residuals(run: _Run, at, origin) -> np.ndarray:
@@ -126,26 +130,30 @@ def _origin(out: PartnerOutput) -> tuple[np.ndarray, np.ndarray]:
 
 # Residual -> its values at one chunk: f(run, sample there, (U_-(0), I_-(0)) or None).
 SAMPLED = {"gauge": _gauge_residuals, "lvn": _lvn_residuals, "w_dot": _w_dot_residuals,
-           "unitarity": _unitarity_residuals}
+           "unitarity": _unitarity_residuals, "lvn_wrong_h": _lvn_wrong_h_residuals}
 # Suite -> the SAMPLED residuals its verdict reads.
 READS = {"gauge": ("gauge",), "lvn": ("lvn", "w_dot"), "unitarity": ("unitarity",),
-         "intertwining": ("lvn", "w_dot")}
+         "intertwining": ("lvn", "w_dot"), "lvn_wrong_h": ("lvn_wrong_h",)}
 
 
 @dataclass
 class _Run:
     """What the suites of one run_suites call share, each computed when a suite first
-    needs it: the configured system, the supercharge and its invariant, and the worst
-    of each SAMPLED residual that a selected suite reads."""
+    needs it: the configured system, and the worst of each SAMPLED residual that a
+    selected suite reads."""
 
     cfg: RunConfig
     rep: SpinRep | OscillatorRep
     out: PartnerOutput
 
+    @property
+    def selected(self) -> tuple[str, ...]:
+        """The configured suites, then the wrong-H cross-check when it is on."""
+        return self.cfg.suites + (("lvn_wrong_h",) if self.cfg.cross_check_wrong_h else ())
+
     @cached_property
     def sampled(self) -> dict[str, float]:
-        suites = self.cfg.suites
-        names = [n for n in SAMPLED if any(n in READS.get(s, ()) for s in suites)]
+        names = [n for n in SAMPLED if any(n in READS.get(s, ()) for s in self.selected)]
         origin = _origin(self.out) if "unitarity" in names else None
 
         def residuals(ts):  # one W for every suite, one chunk at a time
@@ -155,40 +163,34 @@ class _Run:
         worst = np.max(over_chunks(_sample_times(self.cfg), self.rep.dim, residuals), axis=0)
         return dict(zip(names, map(float, worst)))
 
-    @cached_property
-    def supercharge(self) -> SuperCharge:
-        return build_supercharge(self.out.system.d0)
-
-    @cached_property
-    def invariant(self) -> SuperInvariant:
-        return build_invariant(self.supercharge)
-
 
 def _suite_superalgebra(run: _Run, tol) -> CheckResult:
     """The superalgebra of Q(0) and I(0), and I+(t) = d^dag d / 2, I-(t) = d d^dag / 2
     at two sample times, relative to max(1, ||I(0)||_F)."""
-    report = check_superalgebra(run.supercharge, run.invariant)
+    inv = run.out.invariant
+    report = check_superalgebra(SuperCharge(inv.d), inv)
     defects = run.out.identity_defects(_sample_times(run.cfg, count=2))
-    worst = max(report.max_residual(), *defects.values()) / max(1.0, run.invariant.norm())
+    worst = float(np.max([report.max_residual(), *defects.values()])) / max(1.0, inv.norm())
     return CheckResult("superalgebra", worst, tol, worst < tol)
 
 
 def _suite_pairing(run: _Run, tol) -> CheckResult:
     cfg, rep = run.cfg, run.rep
-    inv = run.invariant
+    inv = run.out.invariant
     pairing = pair_spectra(inv)
-    worst = 0.0
+    parts = [0.0]
     for levels in pairing.by_size:
         v = levels.v
-        worst = max(worst, float(np.max(pairing_residuals(inv.d.entries, levels))),
-                    float(np.max(frobenius(dagger(v) @ v - np.eye(v.shape[-1])))))
+        parts += [np.max(pairing_residuals(inv.d.entries, levels)),
+                  np.max(frobenius(dagger(v) @ v - np.eye(v.shape[-1])))]
     if isinstance(rep, SpinRep) and cfg.d0_named in (None, "Jplus") \
             and cfg.d0_file is None:
         # Spectrum of 2 I+ = J- J+ is j(j+1) - m(m+1).
         expected = np.sort([rep.j * (rep.j + 1) - m * (m + 1)
                             for m in rep.m_values() if m < rep.j]) / 2
         got = np.sort(np.repeat(pairing.shared_positive_values, pairing.degeneracies))
-        worst = max(worst, float(np.max(np.abs(got - expected), initial=0.0)))
+        parts.append(np.max(np.abs(got - expected), initial=0.0))
+    worst = float(np.max(parts))
     note = "" if pairing.shared_positive_values else \
         "no positive levels: every mode is a zero mode"
     return CheckResult("pairing", worst, tol, worst < tol, note)
@@ -204,23 +206,13 @@ def _sampled_suite(name: str):
 
 def _suite_lvn(run: _Run, tol) -> CheckResult:
     """The exact LvN residual, which passes only while dW/dt, its source, stays
-    within tol of its central difference."""
+    within tol of its central difference, relative to max(1, ||dW/dt||_F)."""
     worst, w_dot = run.sampled["lvn"], run.sampled["w_dot"]
     if w_dot < tol:
         return CheckResult("lvn", worst, tol, worst < tol)
     return CheckResult("lvn", worst, tol, False,
-                       f"dW/dt differs from its central difference by {w_dot:.3e}: "
-                       "the exact residual is not trusted")
-
-
-def _suite_lvn_wrong_h(run: _Run, tol) -> CheckResult:
-    def residuals(ts):
-        at = run.out.sample(ts)
-        return lvn_residual(lambda _: at.i_minus, run.out.system.h_plus, ts, i_dot=at.i_dot,
-                            projector=_projector(run.rep))
-
-    worst = _worst(_sample_times(run.cfg), run.rep.dim, residuals)
-    return CheckResult("lvn_wrong_h", worst, tol, worst < tol)
+                       f"dW/dt differs from its central difference by {w_dot:.3e} "
+                       "relative to max(1, ||dW/dt||): the exact residual is not trusted")
 
 
 def _suite_intertwining(run: _Run, lvn_tol) -> CheckResult:
@@ -234,10 +226,9 @@ def _suite_intertwining(run: _Run, lvn_tol) -> CheckResult:
     out, ts = run.out, np.ones(1)
     at = out.sample(ts)
     d, d_dot = out.d_with_rate(at)
-    res_inter = float(intertwining_residual(lambda _: d, out.system.h_plus,
-                                            lambda _: at.h_minus, ts, d_dot=d_dot,
-                                            projector=_projector(run.rep))[0])
-    invariant = run.sampled["lvn"] < lvn_tol and run.sampled["w_dot"] < lvn_tol
+    res_inter = float(intertwining_residual(d, d_dot, at.h_minus, out.system.h_plus,
+                                            _projector(run.rep))[0])
+    invariant = _suite_lvn(run, lvn_tol).passed
     y_d0 = float(np.linalg.norm(out.system.y_minus.diagonal(1.0)[:, None]
                                 * out.system.d0.entries))
     if y_d0 < 1e-12:
@@ -294,7 +285,8 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
         res = 1j * dpsi - at.h_minus @ psi
         return np.linalg.norm(res if proj is None else proj @ res, axis=-2)
 
-    worst = _worst(_sample_times(cfg, count=5), rep.dim, schrodinger_residuals)
+    worst = float(np.max(over_chunks(_sample_times(cfg, count=5), rep.dim,
+                                     schrodinger_residuals)))
 
     def h(ts):
         # H_- at internal nodes, held to the step guard of the config grid.
@@ -323,14 +315,15 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
     closed = out.mapped_solution(levels, checks)
     error = float(np.max(np.linalg.norm(fine - closed, axis=1)))
     infidelity = float(np.max(1.0 - np.abs(np.sum(closed.conj() * fine, axis=1))))
-    worst = max(worst, infidelity, error, bar)
+    worst = float(np.max([worst, infidelity, error, bar]))
     note = "" if bar < ERROR_BAR_MARGIN * tol else \
         f"error bar {bar:.3e} at n = {n} steps per segment: the internal grid is capped " \
         f"at the config grid's {grid.size - 1} steps"
     return CheckResult("solutions", worst, tol, worst < tol, note)
 
 
-# Suite name -> (suite, key of its tolerance).
+# Suite name -> (suite, key of its tolerance). lvn_wrong_h is not a config
+# suite: cross_check_wrong_h selects it.
 SUITES = {
     "superalgebra": (_suite_superalgebra, "superalgebra"),
     "pairing": (_suite_pairing, "pairing"),
@@ -339,6 +332,7 @@ SUITES = {
     "unitarity": (_sampled_suite("unitarity"), "unitarity"),
     "intertwining": (_suite_intertwining, "lvn"),
     "solutions": (_suite_solutions, "solutions"),
+    "lvn_wrong_h": (_sampled_suite("lvn_wrong_h"), "lvn"),
 }
 
 
@@ -346,9 +340,7 @@ def run_suites(cfg: RunConfig, tolerance_scale: float = 1.0) -> list[CheckResult
     run = _Run(cfg, *build_system(cfg))
     tols = _tols(cfg, tolerance_scale)
     results = []
-    for name in cfg.suites:
+    for name in run.selected:
         suite, key = SUITES[name]
         results.append(suite(run, tols[key]))
-    if cfg.cross_check_wrong_h:
-        results.append(_suite_lvn_wrong_h(run, tols["lvn"]))
     return results

@@ -88,7 +88,8 @@ class SuperalgebraReport:
     closure: float
 
     def max_residual(self) -> float:
-        return max(self.invariance, self.closure)
+        """The larger residual, or NaN if either is NaN."""
+        return float(np.maximum(self.invariance, self.closure))
 
 
 def check_superalgebra(q: SuperCharge, inv: SuperInvariant) -> SuperalgebraReport:

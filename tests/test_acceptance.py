@@ -14,12 +14,13 @@ from susyinv.construction import (closed_form_osc_R, closed_form_spin_R,
                                   hamiltonian_from_gauge, oscillator_supersystem,
                                   quadrupole_partner, run_prescription,
                                   spin_supersystem)
-from susyinv.dynamics import berry_holonomy, lvn_residual, intertwining_residual, \
-    propagate, propagate_unitary
+from susyinv.dynamics import berry_holonomy, propagate, propagate_unitary
 from susyinv.operators import Operator, eigh
 from susyinv.representations import make_oscillator, make_spin
 from susyinv.suites import _checkable_levels
 from susyinv.susy import build_invariant, build_supercharge, check_superalgebra
+
+from fd_reference import d_map, fd_intertwining_residual, fd_lvn_residual
 
 
 def report(number: int, passed: bool, detail: str):
@@ -115,14 +116,14 @@ def test_criterion_3_closed_form_vs_gauge(spin_draws, spin_systems, osc_draws,
 
 def test_criterion_4_invariance(spin_systems, osc_systems, precessing_outputs):
     times = np.arange(0.0, 10.01, 0.1)
-    worst_spin = max(lvn_residual(out.i_minus, out.h_minus, t)
+    worst_spin = max(fd_lvn_residual(out.i_minus, out.h_minus, t)
                      for out in spin_systems for t in times)
     osc, outs = osc_systems
     p = osc.projector_interior.entries
-    worst_osc = max(lvn_residual(out.i_minus, out.h_minus, t, projector=p)
+    worst_osc = max(fd_lvn_residual(out.i_minus, out.h_minus, t, projector=p)
                     for out in outs for t in times)
     out_neg = precessing_outputs[0.5]
-    control = min(lvn_residual(out_neg.i_minus, out_neg.system.h_plus, t)
+    control = min(fd_lvn_residual(out_neg.i_minus, lambda t: out_neg.system.h_plus, t)
                   for t in times[1:])
     passed = worst_spin < 1e-6 and worst_osc < 1e-4 and control > 0.05
     report(4, passed,
@@ -211,9 +212,9 @@ def test_criterion_6_solution_map(precessing_outputs):
 
 def test_criterion_7_intertwining_generality(precessing_outputs):
     out = precessing_outputs[0.5]
-    res_lvn = max(lvn_residual(out.i_minus, out.h_minus, t)
+    res_lvn = max(fd_lvn_residual(out.i_minus, out.h_minus, t)
                   for t in np.arange(0.0, 10.01, 0.5))
-    res_inter = intertwining_residual(out.d, out.system.h_plus, out.h_minus, 1.0)
+    res_inter = fd_intertwining_residual(d_map(out), out.h_minus, out.system.h_plus, 1.0)
     passed = res_lvn < 1e-6 and res_inter > 0.1
     report(7, passed,
            f"invariance holds (LvN {res_lvn:.2e} < 1e-6) while the intertwining "
@@ -247,7 +248,7 @@ def test_criterion_9_holonomy():
     spin = make_spin(0.5)
     out = run_prescription(spin_supersystem(
         spin, tf.const(np.pi / 3), tf.linear(2 * np.pi), tf.const(0.5)))
-    es0 = eigh(out.iminus_ref)
+    es0 = eigh(out.invariant.Iminus)
     worst_delta = worst_unit = 0.0
     for group in es0.degeneracy_groups:
         v0 = es0.vectors[:, list(group)]

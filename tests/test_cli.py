@@ -14,6 +14,7 @@ from susyinv.cli import main
 from susyinv.config import ConfigError, load_config
 from susyinv.construction import oscillator_supersystem, run_prescription
 from susyinv.representations import make_oscillator
+from susyinv.susy import SuperalgebraReport
 
 
 def run(args):
@@ -72,6 +73,8 @@ class TestConfig:
         ("spin_default", "verify", "t_final = 5.0", "t_final = nan",
          "[grid] t_final = nan, dt = 0.001: both must be finite"),
         ("spin_default", "verify", "b = 1.0", "b = nan", "[system] b = nan must be finite"),
+        ("spin_default", "verify", "b = 1.0", "b = 1e308",
+         "[system] b = 1e+308: the plus-sector phase b*j*t must be finite up to t = 5"),
         ("spin_default", "verify", 'f = "0.5"', 'f = "1e400"',
          "[y] f = '\"1e400\"': not finite at t = 0"),
         ("spin_default", "verify", 'f = "0.5"', 'f = "t*t"',
@@ -93,8 +96,8 @@ class TestConfig:
          "[system] j = '1e7': one complex (20000001, 20000001) matrix needs 6.4e+15 "
          "bytes, more than the "),
     ], ids=["half_integer_j", "integer_phase_steps", "buffer_range", "zero_step_grid",
-            "non_finite_t_final", "non_finite_b", "overflowing_f", "f_without_antiderivative",
-            "f_antiderivative_divides_by_zero",
+            "non_finite_t_final", "non_finite_b", "overflowing_b", "overflowing_f",
+            "f_without_antiderivative", "f_antiderivative_divides_by_zero",
             "misspelt_cross_check_wrong_h", "misspelt_phase_reverse", "oversized_n",
             "oversized_j"])
     def test_static_error_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
@@ -246,11 +249,12 @@ class TestVerify:
                                        "lvn, superalgebra"])
     def test_supercharge_built_once_per_call(self, tmp_path, config_dir, monkeypatch,
                                              names):
-        # superalgebra and pairing share one supercharge and one invariant.
+        # superalgebra and pairing share the one supercharge and invariant that
+        # run_prescription builds.
         calls = []
         for name in ("build_supercharge", "build_invariant"):
-            real = getattr(suites, name)
-            monkeypatch.setattr(suites, name, lambda *a, _real=real, _name=name, **kw:
+            real = getattr(construction, name)
+            monkeypatch.setattr(construction, name, lambda *a, _real=real, _name=name, **kw:
                                 calls.append(_name) or _real(*a, **kw))
         text = (config_dir / "spin_default.ini").read_text()
         all_suites = "superalgebra, pairing, gauge, lvn, unitarity, intertwining, solutions"
@@ -262,15 +266,11 @@ class TestVerify:
     def test_superalgebra_checks_the_identities_after_t0(self, config_dir, monkeypatch):
         # U+ scaled by 1.01 leaves I(0) and d0 alone, so the relations at t = 0
         # hold; I-(t) = d d^dag / 2 fails at the sample times by 2 % of ||I-||.
-        real = suites.spin_supersystem
-
-        def scaled(*args, **kwargs):
-            system = real(*args, **kwargs)
-            return replace(system, u_plus_phases=lambda ts: 1.01 * system.u_plus_phases(ts))
-
+        real = construction.SuperSystem.u_plus_phases
         cfg = replace(load_config(config_dir / "spin_default.ini"), suites=("superalgebra",))
         [honest] = suites.run_suites(cfg)
-        monkeypatch.setattr(suites, "spin_supersystem", scaled)
+        monkeypatch.setattr(construction.SuperSystem, "u_plus_phases",
+                            lambda system, ts: 1.01 * real(system, ts))
         [result] = suites.run_suites(cfg)
         assert honest.passed and honest.max_residual < 1e-14
         assert not result.passed and result.max_residual > 1e-3
@@ -281,7 +281,8 @@ class TestVerify:
 
     def test_lvn_sweep_runs_once_per_call(self, tmp_path, config_dir, monkeypatch):
         # The lvn and intertwining suites share one LvN residual sweep, in
-        # either order; the wrong-H cross-check adds a sweep of its own.
+        # either order; the wrong-H cross-check takes one more LvN residual,
+        # against H+, in the same pass over the sample times.
         calls = []
         real = suites.lvn_residual
         monkeypatch.setattr(suites, "lvn_residual",
@@ -320,7 +321,8 @@ class TestVerify:
         # lvn alone builds W at each sample time t, and at t -+ FD_STEP for the
         # central-difference bound on W'; W' itself comes from the factors of
         # the W at t, with no build of its own. gauge and unitarity take theirs
-        # from the same W at t, plus one W(0).
+        # from the same W at t, plus one W(0), and so does the wrong-H
+        # cross-check, with no build of its own.
         points = []
         real = construction.GaugeCurve._factors
 
@@ -331,12 +333,15 @@ class TestVerify:
         monkeypatch.setattr(construction.GaugeCurve, "_factors", counting)
         cfg = load_config(config_dir / "oscillator_default.ini")
         counts = {}
-        for names in (("lvn",), ("gauge", "lvn", "unitarity")):
+        for names, cross in ((("lvn",), False), (("gauge", "lvn", "unitarity"), False),
+                             (("gauge", "lvn", "unitarity"), True)):
             points.clear()
-            suites.run_suites(replace(cfg, suites=names))
-            counts[names] = sum(points)
-        assert counts[("lvn",)] == 3 * len(suites._sample_times(cfg))
-        assert counts[("gauge", "lvn", "unitarity")] <= counts[("lvn",)] + 1
+            suites.run_suites(replace(cfg, suites=names, cross_check_wrong_h=cross))
+            counts[names, cross] = sum(points)
+        assert counts[("lvn",), False] == 3 * len(suites._sample_times(cfg))
+        assert counts[("gauge", "lvn", "unitarity"), False] <= counts[("lvn",), False] + 1
+        assert counts[("gauge", "lvn", "unitarity"), True] \
+            == counts[("gauge", "lvn", "unitarity"), False]
 
     def test_planted_term_in_h_raises_exact_lvn_residual(self, config_dir, monkeypatch):
         # A Hermitian term of norm 1e-9 in H_- at N = 128 lifts the exact LvN
@@ -359,8 +364,9 @@ class TestVerify:
     def test_lvn_fails_when_w_dot_leaves_its_central_difference(self, config_dir,
                                                                  monkeypatch):
         # The central difference of W bounds the W' that the exact residual is
-        # taken from: past tol, lvn (and intertwining) fail with a note, and the
-        # reported residual is still the exact one.
+        # taken from: past tol, relative to max(1, ||W'||), lvn (and
+        # intertwining) fail with a note, and the reported residual is still
+        # the exact one.
         cfg = replace(load_config(config_dir / "spin_default.ini"),
                       suites=("lvn", "intertwining"))
         honest = suites.run_suites(cfg)
@@ -371,6 +377,47 @@ class TestVerify:
         assert not lvn.passed and lvn.max_residual == honest[0].max_residual
         assert "differs from its central difference" in lvn.note
         assert not intertwining.passed
+
+    def test_spin_j20_passes_every_suite(self, tmp_path, config_dir):
+        # At j = 20 ||W'||_F is about 116, and the central difference of W
+        # misses W' by about 1e-6 from its own truncation error: the bound
+        # on W' holds relative to ||W'||.
+        text = (config_dir / "spin_default.ini").read_text()
+        assert "j = 1/2" in text
+        config = tmp_path / "j20.ini"
+        config.write_text(text.replace("j = 1/2", "j = 20"))
+        out = tmp_path / "out"
+        assert run(["verify", "--config", config, "--out", out]) == 0
+        checks = json.loads((out / "verify.json").read_text())["checks"]
+        assert len(checks) == 7 and all(c["pass"] for c in checks)
+
+    @pytest.mark.parametrize("suite, part", [("superalgebra", "closure"),
+                                             ("superalgebra", "identities"),
+                                             ("pairing", "residuals"),
+                                             ("solutions", "propagation")])
+    def test_nan_in_any_part_fails_the_suite(self, config_dir, monkeypatch, suite, part):
+        # Each suite folds several parts into one residual; a NaN in a part
+        # that is not the first fails it, where Python's max would drop it.
+        if part == "closure":
+            monkeypatch.setattr(suites, "check_superalgebra",
+                                lambda q, inv: SuperalgebraReport(0.0, np.nan))
+        elif part == "identities":
+            monkeypatch.setattr(construction.PartnerOutput, "identity_defects",
+                                lambda out, ts: {"iplus": 0.0, "iminus": np.nan})
+        elif part == "residuals":
+            monkeypatch.setattr(suites, "pairing_residuals",
+                                lambda d, levels: np.full(levels.lam.shape, np.nan))
+        else:
+            real = suites.propagate
+
+            def propagate(*args, **kwargs):
+                traj = real(*args, **kwargs)
+                return replace(traj, states=np.full_like(traj.states, np.nan))
+
+            monkeypatch.setattr(suites, "propagate", propagate)
+        cfg = replace(load_config(config_dir / "spin_default.ini"), suites=(suite,))
+        [result] = suites.run_suites(cfg)
+        assert np.isnan(result.max_residual) and not result.passed
 
     def test_verify_json_deterministic(self, tmp_path, config_dir):
         out1, out2 = tmp_path / "a", tmp_path / "b"

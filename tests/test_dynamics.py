@@ -5,11 +5,12 @@ from susyinv import dynamics
 from susyinv import timefunc as tf
 from susyinv.construction import run_prescription, spin_supersystem
 from susyinv.dynamics import (NonClosedLoopError, StepSizeError, berry_holonomy,
-                              intertwining_residual, lvn_residual, propagate,
-                              propagate_unitary)
+                              lvn_residual, propagate, propagate_unitary)
 from susyinv.operators import (NonFiniteMatrixError, Operator, SingularMatrixError, dagger,
                                eigh)
 from susyinv.representations import make_spin
+
+from fd_reference import d_map, fd_intertwining_residual, fd_lvn_residual
 
 
 def grid(T, dt):
@@ -222,42 +223,55 @@ class TestLvnResidual:
         spin = make_spin(1)
         i_map = lambda t: spin.J3
         h_map = lambda t: Operator(spin.J3.entries * 2.0)
-        assert lvn_residual(i_map, h_map, 1.0) < 1e-12
+        assert fd_lvn_residual(i_map, h_map, 1.0) < 1e-12
 
     def test_prescription_invariant(self, precessing):
         _, out = precessing
-        worst = max(lvn_residual(out.i_minus, out.h_minus, t)
+        worst = max(fd_lvn_residual(out.i_minus, out.h_minus, t)
                     for t in np.arange(0.0, 10.01, 0.5))
         assert worst < 1e-6
 
     def test_mismatched_hamiltonian_detected(self, precessing):
         # Negative control: same invariant against the plus-sector Hamiltonian.
         _, out = precessing
-        res = lvn_residual(out.i_minus, out.system.h_plus, 1.0)
+        res = fd_lvn_residual(out.i_minus, lambda t: out.system.h_plus, 1.0)
         assert res > 0.1
 
     def test_exact_derivative_hook(self, precessing):
         _, out = precessing
         t, h = 1.3, 1e-5
         i_dot = (out.i_minus(t + h).entries - out.i_minus(t - h).entries) / (2 * h)
-        res = lvn_residual(out.i_minus, out.h_minus, t, i_dot=i_dot)
+        res = lvn_residual(out.i_minus(t).entries, out.h_minus(t).entries, i_dot)
         assert res < 1e-6
+
+    def test_stacks_give_one_residual_per_time(self, precessing):
+        # A stack of times gives the residuals of each time, and a constant H
+        # is broadcast against the stack.
+        _, out = precessing
+        at = out.sample(np.array([0.4, 1.3]))
+        for h in (at.h_minus, out.system.h_plus):
+            stacked = lvn_residual(at.i_minus, h, at.i_dot)
+            hs = np.broadcast_to(h, at.i_minus.shape)
+            one_by_one = [lvn_residual(i, hk, di)
+                          for i, hk, di in zip(at.i_minus, hs, at.i_dot)]
+            assert stacked.shape == (2,)
+            assert np.allclose(stacked, one_by_one, rtol=1e-12, atol=1e-15)
 
 
 class TestIntertwining:
     def test_prescription_violates_while_invariant_holds(self, precessing):
         # The generality gap: Y+ = 0 but Y- d0 != 0.
         _, out = precessing
-        res = intertwining_residual(out.d, out.system.h_plus, out.h_minus, 1.0)
+        res = fd_intertwining_residual(d_map(out), out.h_minus, out.system.h_plus, 1.0)
         assert res > 0.1
-        assert lvn_residual(out.i_minus, out.h_minus, 1.0) < 1e-6
+        assert fd_lvn_residual(out.i_minus, out.h_minus, 1.0) < 1e-6
 
     def test_residual_equals_y_d0_norm(self, precessing):
         # Unitaries preserve Frobenius: residual = ||Y-(t) d0|| for Y+ = 0.
         _, out = precessing
         expected = np.linalg.norm(out.system.y_minus.diagonal(1.0)[:, None]
                                   * out.system.d0.entries)
-        res = intertwining_residual(out.d, out.system.h_plus, out.h_minus, 1.0)
+        res = fd_intertwining_residual(d_map(out), out.h_minus, out.system.h_plus, 1.0)
         assert res == pytest.approx(expected, abs=1e-6)
         assert expected == pytest.approx(0.25)
 
@@ -265,14 +279,13 @@ class TestIntertwining:
         spin = make_spin(0.5)
         out = run_prescription(spin_supersystem(
             spin, tf.parse("0.3*sin(t)"), tf.parse("0.7*t"), tf.const(0.0)))
-        res = intertwining_residual(out.d, out.system.h_plus, out.h_minus, 1.0)
+        res = fd_intertwining_residual(d_map(out), out.h_minus, out.system.h_plus, 1.0)
         assert res < 1e-6
 
     def test_constant_commuting_case(self):
         spin = make_spin(1)
-        d_map = lambda t: spin.J3
         h_map = lambda t: Operator(1.3 * spin.J3.entries)
-        assert intertwining_residual(d_map, h_map, h_map, 0.7) < 1e-12
+        assert fd_intertwining_residual(lambda t: spin.J3, h_map, h_map(0.0), 0.7) < 1e-12
 
 
 class TestBerryHolonomy:
@@ -289,7 +302,7 @@ class TestBerryHolonomy:
         spin = make_spin(0.5)
         out = run_prescription(spin_supersystem(
             spin, tf.const(theta0), tf.linear(2 * np.pi), tf.const(0.5)))
-        es0 = eigh(out.iminus_ref)
+        es0 = eigh(out.invariant.Iminus)
         v0 = es0.vectors[:, list(es0.degeneracy_groups[1])]
         frame = lambda s: out.system.w_minus.value(s) @ v0
         res = berry_holonomy(frame, 400)
@@ -303,7 +316,7 @@ class TestBerryHolonomy:
         spin = make_spin(1)
         out = run_prescription(spin_supersystem(
             spin, tf.const(np.pi / 3), tf.linear(2 * np.pi), tf.const(0.5)))
-        es0 = eigh(out.iminus_ref)
+        es0 = eigh(out.invariant.Iminus)
         v0 = es0.vectors[:, list(es0.degeneracy_groups[-1])]
         frame = lambda s: out.system.w_minus.value(s) @ v0
         reverse = lambda s: frame(1.0 - s)
@@ -316,7 +329,7 @@ class TestBerryHolonomy:
         spin = make_spin(1)
         out = run_prescription(spin_supersystem(
             spin, tf.const(np.pi / 3), tf.linear(2 * np.pi), tf.const(0.5)))
-        es0 = eigh(out.iminus_ref)
+        es0 = eigh(out.invariant.Iminus)
         v0 = es0.vectors[:, list(es0.degeneracy_groups[-1])]
         frame = lambda s: out.system.w_minus.value(s) @ v0
         rng = np.random.default_rng(2)
@@ -361,7 +374,7 @@ class TestBerryHolonomy:
         out = run_prescription(spin_supersystem(
             spin, tf.parse("0.6809 + 0.1446*sin(2*pi*t)"),
             tf.parse("2*pi*t + 0.2074*sin(2*pi*t)"), tf.const(0.4143)))
-        es0 = eigh(out.iminus_ref)
+        es0 = eigh(out.invariant.Iminus)
         groups = es0.degeneracy_groups
         assert (1, 2) in groups
         frame = lambda s: out.system.w_minus.value(s) @ es0.vectors
@@ -394,7 +407,7 @@ def j2_loop():
     out = run_prescription(spin_supersystem(
         spin, tf.parse("0.9 + 0.1*sin(2*pi*t)"), tf.parse("2*pi*t + 0.2*sin(2*pi*t)"),
         tf.const(0.6)))
-    es0 = eigh(out.iminus_ref)
+    es0 = eigh(out.invariant.Iminus)
     return (lambda s: out.system.w_minus.value(s) @ es0.vectors), es0.degeneracy_groups
 
 

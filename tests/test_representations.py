@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from susyinv import timefunc as tf
+from susyinv.construction import oscillator_supersystem
 from susyinv.operators import eigh
 from susyinv.representations import make_oscillator, make_spin
 
@@ -109,16 +111,33 @@ class TestOscillator:
         assert np.allclose(osc.K2.entries, 1j * (a @ a - adag @ adag) / 4, atol=1e-14)
         assert np.allclose(osc.K3.entries, (a @ adag + adag @ a) / 4, atol=1e-14)
 
+    @staticmethod
+    def unit_oscillator(osc):
+        """H = a^dag a + 1/2 from the truncated ladder operators."""
+        return osc.adag.entries @ osc.a.entries + 0.5 * np.eye(osc.N)
+
+    @staticmethod
+    def plus_sector(osc):
+        zero = tf.const(0.0)
+        return oscillator_supersystem(osc, zero, zero, zero)
+
     def test_hamiltonian_interior_spectrum(self):
+        # The plus sector's energies are the spectrum of a^dag a + 1/2, which
+        # is diagonal in the Fock basis.
         osc = make_oscillator(16, 4)
-        h = osc.hamiltonian_plus().entries
+        h = self.unit_oscillator(osc)
+        system = self.plus_sector(osc)
+        assert np.allclose(system.h_plus, h, atol=1e-13)
         interior = np.diag(h).real[:12]
+        assert np.allclose(system.plus_energies[:12], interior, atol=1e-13)
         assert np.allclose(interior, np.arange(12) + 0.5, atol=1e-13)
 
     def test_energy_expectation(self):
         osc = make_oscillator(32, 4)
         psi = np.zeros(32, dtype=complex)
         psi[5] = 1.0
-        value = np.real(np.vdot(psi, osc.hamiltonian_plus().entries @ psi))
-        assert abs(value - 5.5) < 1e-13
+        system = self.plus_sector(osc)
+        for h in (system.h_plus, self.unit_oscillator(osc)):
+            value = np.real(np.vdot(psi, h @ psi))
+            assert abs(value - 5.5) < 1e-13
 
