@@ -23,10 +23,10 @@ from functools import cached_property
 import numpy as np
 
 from .operators import (Operator, NonHermitianError, dagger, eigh, first_true,
-                        frobenius, groups_by_size, hermiticity_defect, per_time,
-                        stacked_columns, unitarity_defect)
+                        frobenius, hermiticity_defect, per_time, unitarity_defect)
 from .representations import OscillatorRep, SpinRep
-from .susy import ZERO_MODE_SCALE, SuperInvariant, build_invariant, build_supercharge
+from .susy import (SpectralPairing, SuperInvariant, build_invariant, build_supercharge,
+                   pair_spectra)
 from .timefunc import TimeFunction
 
 GAUGE_UNITARITY_TOL = 1e-10
@@ -147,19 +147,11 @@ class YSpec:
 
     def diagonal(self, t) -> np.ndarray:
         """Diagonal of Y(t): shape (d,) for a scalar t, (n, d) for an array."""
-        return self._combine(self.f(t), None if self.g is None else self.g(t))
+        return self.eigen_rate(self._d_diag, np.asarray(t)[..., None])
 
     def integral_diagonal(self, t) -> np.ndarray:
         """Diagonal of int_0^t Y(s) ds, exact through the antiderivatives."""
-        return self._combine(self.f.antiderivative()(t),
-                             None if self.g is None else self.g.antiderivative()(t))
-
-    def _combine(self, f_part, g_part) -> np.ndarray:
-        d = self._d_diag
-        out = np.multiply.outer(f_part, d)
-        if g_part is not None:
-            out = out + np.multiply.outer(g_part, d) * d
-        return out
+        return self.eigen_phase(self._d_diag, np.asarray(t)[..., None])
 
     def eigen_phase(self, mu, t):
         """int_0^t y(s) ds on a D-eigenvector with eigenvalue mu (broadcast over arrays)."""
@@ -295,14 +287,14 @@ class Levels:
 
 @dataclass(frozen=True)
 class PartnerOutput:
-    """Everything the prescription produces: the invariant I(0) of d0, the levels,
-    and H_-, U_- and I_- as maps of t or, from one W per time, as a :meth:`sample`."""
+    """Everything the prescription produces: the invariant I(0) of d0, its spectral
+    pairing and the levels taken from it, and H_-, U_- and I_- as maps of t or,
+    from one W per time, as a :meth:`sample`."""
 
     system: SuperSystem
     invariant: SuperInvariant
+    pairing: SpectralPairing
     levels: Levels
-    kernel_dim_plus: int
-    kernel_dim_minus: int
 
     def h_minus(self, t):
         return hamiltonian_from_gauge(self.system.w_minus, self.system.y_minus, t)
@@ -323,15 +315,11 @@ class PartnerOutput:
         # U+ is diagonal, so U+^dag scales the columns of W d0.
         return (w @ self.system.d0.entries) * phases.conj()[:, None, :]
 
-    def d_with_rate(self, at: _Sample) -> tuple[np.ndarray, np.ndarray]:
-        """d = W d0 U+^dag and dd/dt = W' d0 U+^dag + i d H+ at a sample's times,
-        from its W and W': U+^dag solves dU+^dag/dt = i U+^dag H+, and H+ is
-        diagonal, so d H+ scales the columns of d."""
+    def d_with_gauge_rate(self, at: _Sample) -> tuple[np.ndarray, np.ndarray]:
+        """d = W d0 U+^dag and its gauge rate W' d0 U+^dag at a sample's times;
+        dd/dt adds i d H+, as U+^dag solves dU+^dag/dt = i U+^dag H+."""
         phases = self.system.u_plus_phases(at.ts)
-        d = self._d_stack(at.w, phases)
-        d_dot = d * (1j * self.system.plus_energies)
-        d_dot += self._d_stack(at.w_dot, phases)
-        return d, d_dot
+        return self._d_stack(at.w, phases), self._d_stack(at.w_dot, phases)
 
     def mapped_solution(self, level, t) -> np.ndarray:
         """Exact minus-sector solution e^{-i int y} W(t) d0 |lam,+;0> / sqrt(2 lam).
@@ -382,27 +370,21 @@ class PartnerOutput:
 def run_prescription(system: SuperSystem) -> PartnerOutput:
     """Steps 1-4: reference invariants from d0, transported partners, solution levels.
 
-    Positive levels of I+(0) are split inside each degenerate cluster so every
-    mapped minus-sector vector is an eigenvector of the commuting generator;
-    the scalar solution phase is exact only in that sub-basis. The levels of
-    one cluster size are mapped, split and checked as one stack.
+    The positive levels of I+(0) come from the one spectral pairing,
+    :func:`susyinv.susy.pair_spectra`. Each is split so every mapped
+    minus-sector vector is an eigenvector of the commuting generator; the
+    scalar solution phase is exact only in that sub-basis. The levels of one
+    size are mapped, split and checked as one stack.
     """
     d0 = system.d0.entries
     invariant = build_invariant(build_supercharge(system.d0))
-    es = eigh(invariant.Iplus)
-    zero_tol = ZERO_MODE_SCALE * max(1.0, invariant.Iplus.norm())
+    pairing = pair_spectra(invariant)
     generator = system.y_minus.D.entries
 
     lams, mus, vms = [], [], []
-    kernel_plus = 0
-    for size, groups in groups_by_size(es.degeneracy_groups).items():
-        lam = es.values[groups].mean(axis=1)
-        positive = lam >= zero_tol
-        kernel_plus += size * int(np.count_nonzero(~positive))
-        lam, groups = lam[positive], groups[positive]
-        if not lam.size:
-            continue
-        vm = d0 @ stacked_columns(es.vectors, groups) / np.sqrt(2 * lam)[:, None, None]
+    for paired in pairing.by_size:
+        lam = paired.lam
+        vm = d0 @ paired.plus / np.sqrt(2 * lam)[:, None, None]
         # Split each cluster so each minus vector diagonalizes the generator.
         block = dagger(vm) @ generator @ vm
         block = (block + dagger(block)) / 2
@@ -416,16 +398,13 @@ def run_prescription(system: SuperSystem) -> PartnerOutput:
                 f"level {lam[n]:.6g} does not split into generator eigenvectors "
                 f"(residual {residual[n, k]:.3e}); the scalar-phase solution form "
                 "does not apply")
-        lams.append(np.repeat(lam, size))
+        lams.append(np.repeat(lam, vm.shape[-1]))
         mus.append(mu.ravel())
         vms.append(vm.transpose(1, 0, 2).reshape(d0.shape[0], -1))
     lam, mu = np.concatenate([np.empty(0), *lams]), np.concatenate([np.empty(0), *mus])
     order = np.lexsort((mu, lam))
     v_minus = np.concatenate([np.empty((d0.shape[0], 0)), *vms], axis=1)[:, order]
-    levels = Levels(lam[order], mu[order], v_minus)
-    # dim Ker(I-) = dim - rank(d0) = dim - (number of positive levels).
-    kernel_minus = invariant.Iminus.dim - len(levels)
-    return PartnerOutput(system, invariant, levels, kernel_plus, kernel_minus)
+    return PartnerOutput(system, invariant, pairing, Levels(lam[order], mu[order], v_minus))
 
 
 def spin_supersystem(rep: SpinRep, theta: TimeFunction, phi: TimeFunction,

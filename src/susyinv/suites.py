@@ -9,8 +9,8 @@ The gauge, lvn and unitarity residuals and the wrong-H cross-check
 (``SAMPLED``) come from one pass over the sample times: one W per chunk gives
 H_-, I_- and U_- to every selected one. The derivatives in the LvN,
 intertwining and Schrodinger residuals are exact: dW/dt by the chain rule from
-the W already built (``_Sample.w_dot``), and from it dI_-/dt, dd/dt and the
-rate of each mapped solution. The central difference stays only as a second
+the W already built (``_Sample.w_dot``), and from it dI_-/dt, W' d0 U+^dag and
+the rate of each mapped solution. The central difference stays only as a second
 bound on dW/dt itself, relative to max(1, ||dW/dt||_F), under the lvn verdict.
 The parts of one verdict are folded with np.max, which propagates a NaN, so
 a NaN fails; Python's max drops a NaN that is not its first argument.
@@ -27,11 +27,10 @@ from .config import RunConfig
 from .construction import (PartnerOutput, closed_form_operator, closed_form_osc_R,
                            closed_form_spin_R, oscillator_supersystem, quadrupole_partner,
                            run_prescription, spin_supersystem)
-from .dynamics import (central_difference, check_step, intertwining_residual, lvn_residual,
-                       propagate)
+from .dynamics import central_difference, check_step, lvn_residual, propagate
 from .operators import dagger, frobenius, over_chunks, project, unitarity_defect
 from .representations import OscillatorRep, SpinRep
-from .susy import SuperCharge, check_superalgebra, pair_spectra, pairing_residuals
+from .susy import SuperCharge, check_superalgebra, pairing_residuals
 
 SPIN_TOLS = {"superalgebra": 1e-12, "pairing": 1e-10, "gauge": 1e-9,
              "lvn": 1e-6, "unitarity": 1e-9, "solutions": 1e-5}
@@ -175,13 +174,12 @@ def _suite_superalgebra(run: _Run, tol) -> CheckResult:
 
 
 def _suite_pairing(run: _Run, tol) -> CheckResult:
-    cfg, rep = run.cfg, run.rep
-    inv = run.out.invariant
-    pairing = pair_spectra(inv)
+    """The pairing relation, unitaries and spin spectrum of the prescription's pairing."""
+    cfg, rep, pairing = run.cfg, run.rep, run.out.pairing
     parts = [0.0]
     for levels in pairing.by_size:
         v = levels.v
-        parts += [np.max(pairing_residuals(inv.d.entries, levels)),
+        parts += [np.max(pairing_residuals(run.out.invariant.d.entries, levels)),
                   np.max(frobenius(dagger(v) @ v - np.eye(v.shape[-1])))]
     if isinstance(rep, SpinRep) and cfg.d0_named in (None, "Jplus") \
             and cfg.d0_file is None:
@@ -221,13 +219,15 @@ def _suite_intertwining(run: _Run, lvn_tol) -> CheckResult:
     Passes when lvn < tol and the intertwining residual at t = 1 exceeds 0.1
     (the prescription uses Y+ = 0, so d0 Y+ = Y- d0 forces Y- d0 = 0; any
     nonzero f J3 d0 breaks it). For identically zero Y- the suite instead
-    requires the intertwining residual to vanish.
+    requires the intertwining residual to vanish. The residual is taken as
+    ||i W' d0 U+^dag - H_- d||: the i d H+ of dd/dt and the + d H+ cancel
+    exactly, and at large H+ their rounding would drown the rest.
     """
-    out, ts = run.out, np.ones(1)
-    at = out.sample(ts)
-    d, d_dot = out.d_with_rate(at)
-    res_inter = float(intertwining_residual(d, d_dot, at.h_minus, out.system.h_plus,
-                                            _projector(run.rep))[0])
+    out = run.out
+    at = out.sample(np.ones(1))
+    d, gauge_rate = out.d_with_gauge_rate(at)
+    res_inter = float(frobenius(project(1j * gauge_rate - at.h_minus @ d,
+                                        _projector(run.rep)))[0])
     invariant = _suite_lvn(run, lvn_tol).passed
     y_d0 = float(np.linalg.norm(out.system.y_minus.diagonal(1.0)[:, None]
                                 * out.system.d0.entries))

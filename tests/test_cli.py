@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from susyinv import cli, construction, dynamics, suites
+from susyinv import cli, construction, dynamics, suites, susy
 from susyinv import timefunc as tf
 from susyinv.cli import main
 from susyinv.config import ConfigError, load_config
 from susyinv.construction import oscillator_supersystem, run_prescription
-from susyinv.representations import make_oscillator
+from susyinv.representations import make_oscillator, make_spin
 from susyinv.susy import SuperalgebraReport
 
 
@@ -249,19 +249,22 @@ class TestVerify:
                                        "lvn, superalgebra"])
     def test_supercharge_built_once_per_call(self, tmp_path, config_dir, monkeypatch,
                                              names):
-        # superalgebra and pairing share the one supercharge and invariant that
-        # run_prescription builds.
+        # superalgebra and pairing share the one supercharge, invariant and
+        # spectral pairing that run_prescription builds. Each name is counted
+        # on every susyinv module that binds it.
         calls = []
-        for name in ("build_supercharge", "build_invariant"):
-            real = getattr(construction, name)
-            monkeypatch.setattr(construction, name, lambda *a, _real=real, _name=name, **kw:
-                                calls.append(_name) or _real(*a, **kw))
+        for name in ("build_supercharge", "build_invariant", "pair_spectra"):
+            real = getattr(susy, name)
+            for module in (susy, construction, suites):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name,
+                                        **kw: calls.append(_name) or _real(*a, **kw))
         text = (config_dir / "spin_default.ini").read_text()
         all_suites = "superalgebra, pairing, gauge, lvn, unitarity, intertwining, solutions"
         cfg = tmp_path / "suites.ini"
         cfg.write_text(text.replace(all_suites, names))
         suites.run_suites(load_config(cfg))
-        assert sorted(calls) == ["build_invariant", "build_supercharge"]
+        assert sorted(calls) == ["build_invariant", "build_supercharge", "pair_spectra"]
 
     def test_superalgebra_checks_the_identities_after_t0(self, config_dir, monkeypatch):
         # U+ scaled by 1.01 leaves I(0) and d0 alone, so the relations at t = 0
@@ -390,6 +393,20 @@ class TestVerify:
         assert run(["verify", "--config", config, "--out", out]) == 0
         checks = json.loads((out / "verify.json").read_text())["checks"]
         assert len(checks) == 7 and all(c["pass"] for c in checks)
+
+    def test_intertwining_survives_a_large_plus_sector(self, tmp_path, config_dir):
+        # At b = 1e16 the i d H+ of dd/dt and the + d H+ of the residual are
+        # each about 5e15; taken apart, their rounding drowned the O(1) rest
+        # (||Y_- d0|| = 0.25) and the suite read 0.
+        text = (config_dir / "spin_default.ini").read_text()
+        assert "b = 1.0" in text
+        config = tmp_path / "b16.ini"
+        config.write_text(text.replace("b = 1.0", "b = 1e16"))
+        out = tmp_path / "out"
+        assert run(["verify", "--config", config, "--out", out]) == 0
+        checks = {c["name"]: c for c in json.loads((out / "verify.json").read_text())["checks"]}
+        assert checks["intertwining"]["pass"]
+        assert float(checks["intertwining"]["max_residual"]) == pytest.approx(0.25, rel=1e-9)
 
     @pytest.mark.parametrize("suite, part", [("superalgebra", "closure"),
                                              ("superalgebra", "identities"),
@@ -804,11 +821,17 @@ class TestStepTooLarge:
         assert err.count("\n") == 1
 
 
+# I+ = diag(0.5, 2.5e-9): the small eigenvalue sits within 10x of the zero-mode
+# threshold, so the pairing is ambiguous.
+AMBIGUOUS_D0 = '{"real": [[1, 0], [0, 7.0710678118654756e-05]]}'
+
+
 class TestRuntimeInputErrors:
     # Bad [d0] files are rejected by load_config; a pairing too close to the
     # zero-mode threshold, a level that does not split into generator
     # eigenvectors and a loop open by less than the 1e-9 angle check are
-    # raised by the library. All exit 2 with one line, no traceback.
+    # raised by the library. All exit 2 with one line, no traceback. Every
+    # command takes its levels from the one pairing, so each exits 2 on it.
     @pytest.mark.parametrize("config, command, old, new, d0_text, message", [
         ("spin_default", "verify", "named = Jplus", "file = {d0}", None,
          "file not found"),
@@ -822,8 +845,13 @@ class TestRuntimeInputErrors:
          '{"real": [[NaN, 1], [0, 0]]}', "real and imag must be finite"),
         ("spin_default", "verify", "named = Jplus", "file = {d0}",
          '{"real": [[0, 1], [0, 0]], "imag": [[1]]}', "got (2, 2) and (1, 1)"),
-        ("spin_default", "verify", "named = Jplus", "file = {d0}",
-         '{"real": [[1, 0], [0, 7.0710678118654756e-05]]}',
+        ("spin_default", "verify", "named = Jplus", "file = {d0}", AMBIGUOUS_D0,
+         "too close to the zero-mode threshold"),
+        ("spin_default", "build", "named = Jplus", "file = {d0}", AMBIGUOUS_D0,
+         "too close to the zero-mode threshold"),
+        ("spin_default", "propagate", "named = Jplus", "file = {d0}", AMBIGUOUS_D0,
+         "too close to the zero-mode threshold"),
+        ("phase_loop", "phase", "named = Jplus", "file = {d0}", AMBIGUOUS_D0,
          "too close to the zero-mode threshold"),
         ("spin_default", "verify", "named = Jplus", "file = {d0}",
          '{"real": [[0, 1], [0, 0]], "imag": [[1, 1], [1, 1]]}',
@@ -832,8 +860,9 @@ class TestRuntimeInputErrors:
          'theta = "1.0471975511965976 + 0.0000000005*t"', None,
          "frame is not closed over the loop"),
     ], ids=["missing_d0_file", "truncated_d0_json", "non_square_d0", "d0_dimension",
-            "non_finite_d0", "d0_imag_shape", "pairing_ambiguity", "generator_split",
-            "loop_not_closed"])
+            "non_finite_d0", "d0_imag_shape", "pairing_ambiguity",
+            "pairing_ambiguity_build", "pairing_ambiguity_propagate",
+            "pairing_ambiguity_phase", "generator_split", "loop_not_closed"])
     def test_exit_2_with_one_line(self, tmp_path, config_dir, capsys, config, command,
                                   old, new, d0_text, message):
         d0 = tmp_path / "d0.json"
@@ -847,6 +876,94 @@ class TestRuntimeInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert err.count("\n") == 1
+
+    def test_pairing_ambiguity_one_line_for_every_command(self, tmp_path, config_dir,
+                                                          capsys):
+        # One config, one verdict: the same line from every command.
+        d0 = tmp_path / "d0.json"
+        d0.write_text(AMBIGUOUS_D0)
+        lines = set()
+        for config, command in (("spin_default", "build"), ("spin_default", "propagate"),
+                                ("spin_default", "verify"), ("phase_loop", "phase")):
+            text = (config_dir / f"{config}.ini").read_text()
+            cfg = tmp_path / f"{command}.ini"
+            cfg.write_text(text.replace("named = Jplus", f"file = {d0}"))
+            assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+            lines.add(capsys.readouterr().err)
+        assert len(lines) == 1
+
+    @pytest.mark.parametrize("command, suites_line", [
+        ("propagate", None), ("verify", "suites = solutions")])
+    def test_kernel_vector_near_a_level_exit_2_with_one_line(self, tmp_path, config_dir,
+                                                              capsys, command, suites_line):
+        # j = 1 with I+ = diag(0, 1, 2.965e-9): the last eigenvalue is within
+        # 10x of the zero-mode threshold. Clustered with the zero mode before
+        # the kernel was split off, it once made a "level" whose mapped state
+        # had norm 0.
+        d = np.zeros((3, 3))
+        d[0, 1], d[1, 2] = np.sqrt(2), 7.7e-5
+        d0 = tmp_path / "d0.json"
+        d0.write_text(json.dumps({"real": d.tolist()}))
+        text = (config_dir / "spin_default.ini").read_text()
+        text = text.replace("j = 1/2", "j = 1").replace("named = Jplus", f"file = {d0}") \
+            .replace("level = -1/2", "level = auto")
+        if suites_line:
+            text = text.replace(
+                "suites = superalgebra, pairing, gauge, lvn, unitarity, intertwining, "
+                "solutions", suites_line)
+        cfg = tmp_path / "kernel.ini"
+        cfg.write_text(text)
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: eigenvalue 2.965e-09 is too close to the "
+                              "zero-mode threshold")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("config, command", [
+        ("spin_default", "build"), ("spin_default", "propagate"),
+        ("spin_default", "verify"), ("phase_loop", "phase"), ("sweep_example", "sweep")])
+    def test_unpaired_level_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
+                                                 monkeypatch, config, command):
+        # pair_spectra takes eigh of I+, then of I-; the top value of I- moved
+        # by 1e-6 relative leaves the level of I+ with no partner.
+        real, calls = susy.eigh, []
+
+        def shifted(a):
+            es = real(a)
+            calls.append(1)
+            if len(calls) % 2:
+                return es
+            values = es.values.copy()
+            values[-1] *= 1 + 1e-6
+            return replace(es, values=values)
+
+        monkeypatch.setattr(susy, "eigh", shifted)
+        assert run([command, "--config", config_dir / f"{config}.ini",
+                    "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: positive level 0.5 of I+ has no partner in I-")
+        assert err.count("\n") == 1
+
+    def test_failed_pairing_relation_is_a_verdict(self, tmp_path, config_dir, capsys):
+        # j = 3/2 and d0 = diag(logspace(-5, 5, 4)) U^dag, U = exp(-0.7i J2): the
+        # pairing relation misses by about 5e-9 at level 1077.2. The pairing
+        # suite fails on it (exit 1); pair_spectra does not raise.
+        w, v = np.linalg.eigh(make_spin(1.5).J2.entries)
+        u = v @ np.diag(np.exp(-0.7j * w)) @ v.conj().T
+        d = np.diag(np.logspace(-5, 5, 4)) @ u.conj().T
+        d0 = tmp_path / "d0.json"
+        d0.write_text(json.dumps({"real": d.real.tolist(), "imag": d.imag.tolist()}))
+        text = (config_dir / "spin_default.ini").read_text()
+        cfg = tmp_path / "j32.ini"
+        cfg.write_text(text.replace("j = 1/2", "j = 3/2")
+                       .replace("named = Jplus", f"file = {d0}"))
+        out = tmp_path / "out"
+        assert run(["verify", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == ""
+        payload = json.loads((out / "verify.json").read_text())
+        pairing = next(c for c in payload["checks"] if c["name"] == "pairing")
+        assert not payload["all_pass"]
+        assert not pairing["pass"] and float(pairing["max_residual"]) > 1e-10
 
 
     @pytest.mark.parametrize("command", ["build", "propagate", "verify"])

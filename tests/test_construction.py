@@ -359,7 +359,7 @@ class TestPrescription:
         osc = make_oscillator(32, 8)
         theta, phi, f = tf.parse("0.01*sin(t)"), tf.parse("0.3*t"), tf.const(0.5)
         out = run_prescription(oscillator_supersystem(osc, theta, phi, f))
-        assert out.kernel_dim_minus == 1
+        assert out.pairing.kernel_dim_minus == 1
         assert out.levels.lam[0] == pytest.approx(0.5)   # I+ = a a^dag / 2 on |0>
         assert out.levels.mu[0] == pytest.approx(3 / 4)  # K3 eigenvalue of |1>
         r = closed_form_osc_R(f, theta, phi, 1.1)
@@ -410,7 +410,8 @@ class TestPrescription:
             return (m_map(ts + h) - m_map(ts - h)) / (2 * h)
 
         assert np.max(frobenius(at.i_dot - fd(out.i_minus))) < 1e-8
-        d, d_dot = out.d_with_rate(at)
+        d, gauge_rate = out.d_with_gauge_rate(at)
+        d_dot = gauge_rate + 1j * d * out.system.plus_energies
         assert np.array_equal(d, d_map(out)(ts))
         assert np.max(frobenius(d_dot - fd(d_map(out)))) < 1e-8
         levels = list(range(len(out.levels)))

@@ -85,8 +85,9 @@ def assert_required(metrics: dict, name: str) -> None:
 
 
 def test_traced_verify_calls_polar_unitary(verify_metrics):
-    # spin_grid's only polar calls come from pair_spectra in verify; a closed
-    # form inlined there would zero a required count.
+    # spin_grid's only polar calls come from pair_spectra, which every
+    # command's prescription calls once; a closed form inlined there would
+    # zero a required count.
     assert_required(verify_metrics, "operators.polar_calls")
 
 
