@@ -155,7 +155,8 @@ def cmd_propagate(cfg: RunConfig, out_override: str | None) -> int:
     try:
         level, label = _resolve_level(cfg, out)
     except (ValueError, KeyError) as exc:
-        print(f"config error: [propagate] level = {cfg.propagate_level!r}: {exc}",
+        reason = exc.args[0] if isinstance(exc, KeyError) else exc  # str() would quote it
+        print(f"config error: [propagate] level = {cfg.propagate_level!r}: {reason}",
               file=sys.stderr)
         return 2
 

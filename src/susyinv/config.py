@@ -34,6 +34,11 @@ KNOWN_SUITES = ("superalgebra", "pairing", "gauge", "lvn", "unitarity",
                 "intertwining", "solutions")
 DEFAULT_SUITES = KNOWN_SUITES
 MAX_STEPS = 10 ** 7
+# Complex (d, d) matrices that any command holds at its peak: the least of the
+# commands' traced peaks at d = 128, that of `verify` on an oscillator, is 33.7
+# of them (make_oscillator alone builds about ten). `build` holds far more, for
+# the text of its U_minus.json.
+HELD_MATRICES = 34
 
 
 class ConfigError(ValueError):
@@ -156,16 +161,17 @@ def _bool(cp: configparser.ConfigParser, section: str, key: str) -> bool:
 
 
 def _check_memory(option: str, dim: int) -> None:
-    """Raise ConfigError, before any array is built, when one complex (dim, dim)
-    matrix needs more bytes than the machine's physical memory."""
-    need = 16 * dim * dim
+    """Raise ConfigError, before any array is built, when the HELD_MATRICES complex
+    (dim, dim) matrices of a command need more bytes than the machine's physical memory."""
+    need = HELD_MATRICES * 16 * dim * dim
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf: no bound to hold to
         return
     if need > have:
-        raise ConfigError(f"{option}: one complex ({dim}, {dim}) matrix needs {need:.3g} "
-                          f"bytes, more than the {have:.3g} bytes of memory")
+        raise ConfigError(f"{option}: a command holds {HELD_MATRICES} complex ({dim}, {dim}) "
+                          f"matrices, {need:.3g} bytes, more than the {have:.3g} bytes "
+                          "of memory")
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -1,13 +1,18 @@
 """Generative core: gauge curves W(t), partner Hamiltonians H = W Y W^dag - i W dW^dag/dt,
 closed-form evolution operators, and the four-step pairing prescription.
 
-The gauge is W = e^{-i phi D3} e^{-i theta D2} e^{i phi D3}, with D2 diagonalized
-once. Each outer factor commutes with its generator, so the product rule gives
-H = W diag(y - phi' d3) W^dag + theta' E D2 E^dag + phi' D3 with E = e^{-i phi D3}:
-one matmul builds W and one the sandwich, and no finite difference enters.
-dW/dt is the chain rule on the three exponentials, from the factors of the W
-already built (``_Sample.w_dot``): a route independent of that product rule,
-which gives the residual checks exact derivatives of I_-, d and the solutions.
+The gauge is W = E R E^dag with E = e^{-i phi D3} diagonal and R = e^{-i theta D2}.
+D2 = iB is purely imaginary in both families, so R = e^{theta B} is real
+orthogonal (for spin, Wigner's small-d matrix): one real product
+R = (P cos(theta lam~) + P_sw sin(theta lam~)) P^T per time, from the real basis
+P of D2 built and checked orthogonal once (``GaugeCurve._d2_basis``). Each
+outer factor commutes with its generator, so the product rule gives
+H = E (R diag(y - phi' d3) R^T + theta' D2) E^dag + phi' D3: one more real
+product, one phase sandwich, and no finite difference. dW/dt is the chain rule
+on the three exponentials, theta' E R' E^dag - i phi' [D3, W] with R' = dR/dtheta
+another real product (``_Sample.w_dot``): a route independent of that product
+rule, which gives the residual checks exact derivatives of I_-, d and the
+solutions.
 
 Every map of t takes a scalar or an array of times. An array gives an
 (n, d, d) stack built with broadcasting and stacked matmul from one evaluation
@@ -25,8 +30,8 @@ import numpy as np
 from .operators import (Operator, NonHermitianError, dagger, eigh, first_true,
                         frobenius, hermiticity_defect, per_time, unitarity_defect)
 from .representations import OscillatorRep, SpinRep
-from .susy import (SpectralPairing, SuperInvariant, build_invariant, build_supercharge,
-                   pair_spectra)
+from .susy import (ZERO_MODE_SCALE, SpectralPairing, SuperInvariant, build_invariant,
+                   build_supercharge, pair_spectra)
 from .timefunc import TimeFunction
 
 GAUGE_UNITARITY_TOL = 1e-10
@@ -51,11 +56,29 @@ def _diag_or_none(m: np.ndarray) -> np.ndarray | None:
     return np.real(np.diag(m)).copy()
 
 
-def _sandwich(e: np.ndarray, m) -> np.ndarray:
-    """diag(e) M diag(e)^* for (n, d) diagonals and a (d, d) matrix or (n, d, d) stack."""
-    out = e[:, :, None] * m
+def _sandwich(e: np.ndarray, m, out: np.ndarray | None = None) -> np.ndarray:
+    """diag(e) M diag(e)^* for (n, d) diagonals and a (d, d) matrix or (n, d, d) stack,
+    written to ``out`` when given (which may be M itself)."""
+    out = np.multiply(e[:, :, None], m, out=out)
     out *= np.conj(e)[:, None, :]
     return out
+
+
+def _real_basis(vectors: np.ndarray) -> np.ndarray:
+    """A real orthonormal basis of the span of (d, k) orthonormal columns, for a span
+    closed under conjugation, such as the null space of a purely imaginary D2.
+
+    The real and imaginary parts of the columns span it; each of k Gram-Schmidt
+    steps takes the longest of them left. A phase per column would not do: with
+    two zero modes eigh may mix them by a complex rotation.
+    """
+    m = np.hstack([vectors.real, vectors.imag])
+    basis = np.empty(vectors.shape)
+    for k in range(vectors.shape[1]):
+        col = m[:, np.argmax(np.sum(m * m, axis=0))]
+        basis[:, k] = col / np.sqrt(col @ col)
+        m -= np.outer(basis[:, k], basis[:, k] @ m)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -84,38 +107,57 @@ class GaugeCurve:
         return diag
 
     @cached_property
-    def _d2_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors V2 of D2, V2 checked unitary once.
+    def _d2_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """lam~ and the real bases P = [X Y Z] and P_sw = [Y -X 0] of D2 = iB, P
+        checked orthogonal once.
 
-        W = E V2 Phi V2^dag E^dag with unit-modulus phase diagonals E and Phi,
-        so W is unitary at every finite angle wherever V2 is.
+        For each eigenvector v of D2 with eigenvalue lam > 0, x + iy = sqrt(2) v
+        gives B x = lam y and B y = -lam x; Z is a real orthonormal basis of the
+        null space, and lam~ = [lam, lam, 0]. So R(theta) = e^{-i theta D2} =
+        (P cos(theta lam~) + P_sw sin(theta lam~)) P^T, and W = E R E^dag is
+        unitary at every finite angle wherever P is orthogonal.
         """
+        d2 = self.d2.entries
+        if np.any(d2.real != 0):
+            raise ValueError("the rotation generator D2 must be purely imaginary in this basis")
         es = eigh(self.d2)
-        v2 = np.ascontiguousarray(es.vectors)
-        defect = unitarity_defect(v2)
-        if not defect <= GAUGE_UNITARITY_TOL * max(1.0, frobenius(v2)):
+        zero = np.abs(es.values) <= ZERO_MODE_SCALE * max(1.0, frobenius(d2))
+        positive = ~zero & (es.values > 0)
+        xy = np.sqrt(2.0) * es.vectors[:, positive]
+        z = _real_basis(es.vectors[:, zero])
+        p = np.hstack([xy.real, xy.imag, z])
+        # P P^T - 1 also catches a P that is not square.
+        defect = unitarity_defect(p.T)
+        if not defect <= GAUGE_UNITARITY_TOL * max(1.0, frobenius(p)):
             raise ValueError(f"gauge curve is not unitary: the eigenbasis of D2 has "
                              f"defect {defect:.3e}")
-        return es.values, v2
+        lam = es.values[positive]
+        return (np.concatenate([lam, lam, np.zeros(z.shape[1])]), p,
+                np.hstack([xy.imag, -xy.real, np.zeros_like(z)]))
 
     @property
     def dim(self) -> int:
         return self.d3.dim
 
     def _factors(self, t: np.ndarray):
-        """e^{-i phi D3} diagonals and e^{-i theta D2} eigenphases, each (n, d), and W."""
-        e1 = np.exp(-1j * self.phi(t)[:, None] * self._d3_diag)
-        e2_phases = np.exp(-1j * self.theta(t)[:, None] * self._d2_eig[0])
-        return e1, e2_phases, _sandwich(e1, self._in_d2_basis(e2_phases))
+        """E = e^{-i phi D3} diagonals and (cos, sin) of theta lam~, each (n, d), the
+        real rotations R = e^{-i theta D2} and W = E R E^dag, each (n, d, d)."""
+        e = np.exp(-1j * self.phi(t)[:, None] * self._d3_diag)
+        angles = self.theta(t)[:, None] * self._d2_basis[0]
+        cos_sin = np.cos(angles), np.sin(angles)
+        r = self._rotation(*cos_sin)
+        return e, cos_sin, r, _sandwich(e, r)
 
-    def _in_d2_basis(self, diagonals: np.ndarray) -> np.ndarray:
-        """V2 diag(x) V2^dag for each row x of an (n, d) array."""
-        v2 = self._d2_eig[1]
-        return (v2 * diagonals[:, None, :]) @ v2.conj().T
+    def _rotation(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(P diag(x) + P_sw diag(y)) P^T for each row x of a and y of b, (n, d) arrays."""
+        _, p, p_sw = self._d2_basis
+        m = p * a[:, None, :]
+        m += p_sw * b[:, None, :]
+        return m @ p.T
 
     def value(self, t):
         """W(t): an Operator for a scalar t, an (n, d, d) stack for an array."""
-        return per_time(t, lambda ts: self._factors(ts)[2])
+        return per_time(t, lambda ts: self._factors(ts)[-1])
 
     def derivative(self, t):
         """dW/dt by the chain rule on the three exponentials (:attr:`_Sample.w_dot`)."""
@@ -174,33 +216,35 @@ class _Sample:
     def __init__(self, w: GaugeCurve, y: YSpec | None, ts: np.ndarray,
                  i_ref: np.ndarray | None = None):
         self._gauge, self._y, self._i_ref, self.ts = w, y, i_ref, ts
-        self._e1, self._e2, self.w = w._factors(ts)
+        self._e, self._cos_sin, self._r, self.w = w._factors(ts)
 
     @cached_property
     def w_dot(self) -> np.ndarray:
-        """dW/dt by the chain rule: -i phi' [D3, W] from the outer factors, and
-        -i theta' E V2 diag(d2 e^{-i theta d2}) V2^dag E^dag from the middle one."""
-        g, ts, w = self._gauge, self.ts, self.w
-        d3 = g._d3_diag
-        out = _sandwich(self._e1, g._in_d2_basis(g._d2_eig[0] * self._e2))
-        out *= -1j * g.theta.derivative()(ts)[:, None, None]
-        term_phi = d3[:, None] * w
-        term_phi -= w * d3[None, :]
-        term_phi *= -1j * g.phi.derivative()(ts)[:, None, None]
-        out += term_phi
-        return out
+        """dW/dt by the chain rule on the three exponentials:
+        W' = E (theta' R' - i phi' [D3, R]) E^dag, with R' = (P_sw lam~ cos - P lam~ sin) P^T
+        from the middle factor and [D3, R]_jk = (d3_j - d3_k) R_jk from the outer ones."""
+        g, ts = self._gauge, self.ts
+        rate = g.theta.derivative()(ts)[:, None] * g._d2_basis[0]
+        cos, sin = self._cos_sin
+        out = np.empty(self.w.shape, complex)
+        out.real = g._rotation(-rate * sin, rate * cos)
+        np.multiply(np.subtract.outer(g._d3_diag, g._d3_diag), self._r, out=out.imag)
+        out.imag *= -g.phi.derivative()(ts)[:, None, None]
+        return _sandwich(self._e, out, out=out)
 
     @cached_property
     def h_minus(self) -> np.ndarray:
         """W diag(y) W^dag - i W dW^dag/dt, guarded as :func:`hamiltonian_from_gauge` says.
 
-        E = e^{-i phi D3} commutes with D3 and e^{-i theta D2} with D2, so
-        -i W dW^dag/dt = theta' E D2 E^dag + phi' (D3 - W D3 W^dag).
+        E = e^{-i phi D3} commutes with D3 and R = e^{-i theta D2} with D2, so
+        H = E (R diag(y - phi' d3) R^T + theta' D2) E^dag + phi' D3.
         """
-        g, ts, w = self._gauge, self.ts, self.w
+        g, ts, r = self._gauge, self.ts, self._r
         phi_dot = g.phi.derivative()(ts)[:, None]
-        h = (w * (self._y.diagonal(ts) - phi_dot * g._d3_diag)[:, None, :]) @ dagger(w)
-        h += g.theta.derivative()(ts)[:, None, None] * _sandwich(self._e1, g.d2.entries)
+        h = g.theta.derivative()(ts)[:, None, None] * g.d2.entries
+        h += (r * (self._y.diagonal(ts) - phi_dot * g._d3_diag)[:, None, :]) \
+            @ np.swapaxes(r, 1, 2)
+        _sandwich(self._e, h, out=h)
         idx = np.arange(g.dim)
         h[:, idx, idx] += phi_dot * g._d3_diag
         # An overflowing or non-finite H is caught by its norm; numpy need not warn.

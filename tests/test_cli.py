@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from susyinv import cli, construction, dynamics, suites, susy
 from susyinv import timefunc as tf
 from susyinv.cli import main
-from susyinv.config import ConfigError, load_config
+from susyinv.config import HELD_MATRICES, ConfigError, load_config
 from susyinv.construction import oscillator_supersystem, run_prescription
 from susyinv.representations import make_oscillator, make_spin
 from susyinv.susy import SuperalgebraReport
@@ -90,11 +91,11 @@ class TestConfig:
          "use one of 1, yes, true, on, 0, no, false, off"),
         # Sizes no machine holds: refused before any array is built.
         ("oscillator_default", "verify", "n = 32", "n = 10000000",
-         "[system] n = 10000000: one complex (10000000, 10000000) matrix needs 1.6e+15 "
-         "bytes, more than the "),
+         "[system] n = 10000000: a command holds 34 complex (10000000, 10000000) "
+         "matrices, 5.44e+16 bytes, more than the "),
         ("spin_default", "verify", "j = 1/2", "j = 1e7",
-         "[system] j = '1e7': one complex (20000001, 20000001) matrix needs 6.4e+15 "
-         "bytes, more than the "),
+         "[system] j = '1e7': a command holds 34 complex (20000001, 20000001) matrices, "
+         "2.18e+17 bytes, more than the "),
     ], ids=["half_integer_j", "integer_phase_steps", "buffer_range", "zero_step_grid",
             "non_finite_t_final", "non_finite_b", "overflowing_b", "overflowing_f",
             "f_without_antiderivative", "f_antiderivative_divides_by_zero",
@@ -110,6 +111,23 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")
         assert err.count("\n") == 1
+
+    def test_memory_bound_counts_the_matrices_a_command_holds(self, tmp_path, config_dir,
+                                                               capsys, monkeypatch):
+        # With 1 MiB of memory one complex (64, 64) matrix fits, but not the
+        # HELD_MATRICES of them a command holds; sysconf is faked, so no large
+        # array is built.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        text = (config_dir / "oscillator_default.ini").read_text()
+        cfg = tmp_path / "n.ini"
+        cfg.write_text(text.replace("n = 32", "n = 64"))
+        assert run(["verify", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [system] n = 64: a command holds 34 complex (64, 64) matrices, "
+            "2.23e+06 bytes, more than the 1.05e+06 bytes of memory\n")
+        assert not (tmp_path / "out").exists()
+        assert load_config(config_dir / "oscillator_default.ini").n == 32
 
     @pytest.mark.parametrize("command", ["build", "propagate", "verify"])
     def test_overflow_on_the_grid_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
@@ -345,6 +363,28 @@ class TestVerify:
         assert counts[("gauge", "lvn", "unitarity"), False] <= counts[("lvn",), False] + 1
         assert counts[("gauge", "lvn", "unitarity"), True] \
             == counts[("gauge", "lvn", "unitarity"), False]
+
+    def test_traced_verify_peak_within_the_memory_bound(self, tmp_path, config_dir):
+        # The peak that HELD_MATRICES bounds: an N = 128 oscillator verify
+        # (33.7 matrices when the bound was set). An extra held stack fails here.
+        text = (config_dir / "oscillator_default.ini").read_text()
+        edits = (("n = 32", "n = 128"), ("buffer = 8", "buffer = 16"),
+                 ("t_final = 3.0", "t_final = 0.1"), ("dt = 0.002", "dt = 0.0005"))
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "osc128.ini"
+        path.write_text(text)
+        cfg = load_config(path)
+        suites.run_suites(cfg)
+        tracemalloc.start()
+        try:
+            reports = suites.run_suites(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in reports)
+        assert peak <= HELD_MATRICES * 16 * 128 ** 2
 
     def test_planted_term_in_h_raises_exact_lvn_residual(self, config_dir, monkeypatch):
         # A Hermitian term of norm 1e-9 in H_- at N = 128 lifts the exact LvN
@@ -998,11 +1038,15 @@ class TestLevelAndFamilyGuards:
         cfg.write_text(text.replace('f = "0.5"', f'f = "0.5"\ng = "{g}"'))
         assert run(["verify", "--config", cfg, "--out", tmp_path / "out"]) == code
 
-    def test_unknown_level_exit_2(self, tmp_path, config_dir):
+    def test_unknown_level_exit_2(self, tmp_path, config_dir, capsys):
         text = (config_dir / "oscillator_default.ini").read_text()
         bad = tmp_path / "bad.ini"
         bad.write_text(text.replace("level = 0", "level = 99"))
         assert run(["propagate", "--config", bad, "--out", tmp_path / "out"]) == 2
+        # One line, with the message quoted once.
+        assert capsys.readouterr().err == ("config error: [propagate] level = '99': "
+                                           "no positive level with generator eigenvalue "
+                                           "50.25\n")
 
     @pytest.mark.parametrize("level, message", [("1/0", "zero denominator"),
                                                 ("inf", "must be finite"),

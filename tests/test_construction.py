@@ -91,6 +91,71 @@ class TestGaugeCurve:
             assert np.linalg.norm(gauge.derivative(t).entries - fd) < 1e-8
 
 
+def complex_route_w(gauge, t):
+    """W = E V2 Phi V2^dag E^dag at a scalar t, with V2 the complex eigenbasis of D2:
+    the reference for the real rotation."""
+    lam, v2 = np.linalg.eigh(gauge.d2.entries)
+    e = np.exp(-1j * gauge.phi(t) * np.real(np.diag(gauge.d3.entries)))
+    rotation = (v2 * np.exp(-1j * gauge.theta(t) * lam)) @ v2.conj().T
+    return e[:, None] * rotation * e.conj()[None, :]
+
+
+def make_gauge(family, size, theta, phi):
+    if family == "spin":
+        return GaugeCurve.spin(make_spin(size), theta, phi)
+    return GaugeCurve.oscillator(make_oscillator(size, 2), theta, phi)
+
+
+# K2 has two zero modes at N = 2 (mod 4), one at odd N and none at N = 0 (mod 4);
+# J2 has one at integer j.
+GAUGE_SIZES = [("oscillator", n) for n in (8, 9, 10, 33, 130)] + \
+    [("spin", j) for j in (0.5, 1, 5, 20)]
+
+
+class TestRealRotation:
+    THETA = tf.parse("0.7 + 0.3*sin(1.3*t)")
+    PHI = tf.parse("0.4*t + 0.2*cos(0.9*t)")
+    TIMES = np.linspace(0.0, 3.0, 7)
+
+    @pytest.mark.parametrize("family, size", GAUGE_SIZES)
+    def test_matches_complex_route_and_is_unitary(self, family, size):
+        gauge = make_gauge(family, size, self.THETA, self.PHI)
+        w = gauge.value(self.TIMES)
+        for k, t in enumerate(self.TIMES):
+            assert np.max(np.abs(w[k] - complex_route_w(gauge, t))) < 1e-13
+        assert np.max(unitarity_defect(w)) < 1e-13
+
+    @pytest.mark.parametrize("family, size", GAUGE_SIZES)
+    def test_real_without_phi(self, family, size):
+        gauge = make_gauge(family, size, self.THETA, tf.const(0.0))
+        assert np.all(gauge.value(self.TIMES).imag == 0)
+
+    @pytest.mark.parametrize("family, size", GAUGE_SIZES)
+    def test_derivative_matches_central_difference(self, family, size):
+        gauge = make_gauge(family, size, self.THETA, self.PHI)
+        ts = np.array([0.4, 2.1])
+        w_dot = gauge.derivative(ts)
+        fd = (gauge.value(ts + 1e-6) - gauge.value(ts - 1e-6)) / 2e-6
+        assert np.all(frobenius(w_dot - fd) < 1e-7 * np.maximum(1.0, frobenius(w_dot)))
+
+    def test_real_part_in_d2_rejected_once(self, monkeypatch):
+        # Checked when the basis is first built, before D2 is diagonalized.
+        osc = make_oscillator(8, 2)
+        calls = []
+        real = construction.eigh
+        monkeypatch.setattr(construction, "eigh", lambda op: calls.append(1) or real(op))
+        gauge = GaugeCurve(osc.K3, osc.K1, self.THETA, self.PHI)
+        with pytest.raises(ValueError) as exc:
+            gauge.value(self.TIMES)
+        assert str(exc.value) == \
+            "the rotation generator D2 must be purely imaginary in this basis"
+        assert not calls
+        good = GaugeCurve.oscillator(osc, self.THETA, self.PHI)
+        good.value(self.TIMES)
+        good.derivative(self.TIMES)
+        assert len(calls) == 1
+
+
 class TestYSpec:
     def test_commutes_with_reference_invariant(self, spin_setup):
         spin, _, _, f = spin_setup
