@@ -88,13 +88,16 @@ def cmd_build(cfg: RunConfig, out_override: str | None) -> int:
 
     if "json" in cfg.formats:
         # The bytes _write_json gives {"family": ..., "samples": [{"t": _fmt(t),
-        # "U": _complex_payload(u)}, ...]}, with no call per number.
+        # "U": _complex_payload(u)}, ...]}, with no call per number, written a
+        # chunk of samples at a time.
         times = grid[::max(1, (grid.size - 1) // 100)]
-        samples = ", ".join('{"U": %s, "t": "%.17g"}' % (_json_complex(u), t)
-                            for sl in chunks(times.size, rep.dim)
-                            for t, u in zip(times[sl], out.u_minus(times[sl])))
-        (out_dir / "U_minus.json").write_text(
-            '{"family": %s, "samples": [%s]}\n' % (json.dumps(cfg.family), samples))
+        with (out_dir / "U_minus.json").open("w") as fh:
+            fh.write('{"family": %s, "samples": [' % json.dumps(cfg.family))
+            for sl in chunks(times.size, rep.dim):
+                fh.write((", " if sl.start else "") + ", ".join(
+                    '{"U": %s, "t": "%.17g"}' % (_json_complex(u), t)
+                    for t, u in zip(times[sl], out.u_minus(times[sl]))))
+            fh.write("]}\n")
     print(f"wrote build outputs to {out_dir}")
     return 0
 

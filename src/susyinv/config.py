@@ -34,10 +34,11 @@ KNOWN_SUITES = ("superalgebra", "pairing", "gauge", "lvn", "unitarity",
                 "intertwining", "solutions")
 DEFAULT_SUITES = KNOWN_SUITES
 MAX_STEPS = 10 ** 7
-# Complex (d, d) matrices that any command holds at its peak: the least of the
-# commands' traced peaks at d = 128, that of `verify` on an oscillator, is 33.7
-# of them (make_oscillator alone builds about ten). `build` holds far more, for
-# the text of its U_minus.json.
+# Complex (d, d) matrices that a command holds at its peak, from traced peaks on
+# a d = 128 oscillator with a 201-point grid: `verify` held 33.7 of them when the
+# bound was set, and 29.8 since it takes its sampled residuals and solutions in
+# the two parity blocks; `build` holds 21.9, as it writes U_minus.json a chunk
+# at a time, and `propagate` 47 (make_oscillator alone builds about ten).
 HELD_MATRICES = 34
 
 

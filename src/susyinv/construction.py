@@ -18,6 +18,13 @@ Every map of t takes a scalar or an array of times. An array gives an
 (n, d, d) stack built with broadcasting and stacked matmul from one evaluation
 of theta, phi, f, g and their derivatives and antiderivatives; a scalar gives
 the same numbers as an Operator.
+
+A GaugeCurve or YSpec whose generators are the blocks of a set of indices that
+D2, D3 and Y's generator do not couple to the rest is the curve, or Y, on that
+set, and :meth:`Levels.mapped` takes the minus vectors' rows there: the verify
+suites take the oscillator so, in its two Fock-parity sectors
+(:mod:`susyinv.suites`). ``build``, ``propagate`` and ``phase`` take the whole
+space.
 """
 
 from __future__ import annotations
@@ -328,6 +335,23 @@ class Levels:
     def __len__(self) -> int:
         return self.lam.size
 
+    def mapped(self, y: YSpec, index: np.ndarray, ts: np.ndarray, w) -> np.ndarray:
+        """``w`` times the minus vectors of the levels ``index``, each with its phase
+        e^{-i int_0^t y}: the mapped solutions where ``w`` is W(ts)."""
+        mus = self.mu[index]
+        phases = np.exp(-1j * y.eigen_phase(mus, ts[..., None]))
+        return (w @ self.v_minus[:, index]) * phases[..., None, :]
+
+    def mapped_with_rate(self, y: YSpec, index: np.ndarray,
+                         at: _Sample) -> tuple[np.ndarray, np.ndarray]:
+        """The mapped solutions psi of the levels ``index`` at a sample's times, and
+        dpsi/dt = W' V phi - i (y mu) psi from its W and W': each (n, dim, len(index))."""
+        psi = self.mapped(y, index, at.ts, at.w)
+        rate = y.eigen_rate(self.mu[index], at.ts[:, None])
+        dpsi = self.mapped(y, index, at.ts, at.w_dot)
+        dpsi -= 1j * rate[:, None, :] * psi
+        return psi, dpsi
+
 
 @dataclass(frozen=True)
 class PartnerOutput:
@@ -373,24 +397,9 @@ class PartnerOutput:
         """
         index = np.asarray(level)
         ts = np.asarray(t, dtype=float)
-        psi = self._mapped(np.atleast_1d(index), ts, self.system.w_minus.value(ts))
+        psi = self.levels.mapped(self.system.y_minus, np.atleast_1d(index), ts,
+                                 self.system.w_minus.value(ts))
         return psi if index.ndim else psi[..., 0]
-
-    def mapped_with_rate(self, levels, at: _Sample) -> tuple[np.ndarray, np.ndarray]:
-        """The mapped solutions psi of a sequence of levels at a sample's times, and
-        dpsi/dt = W' V phi - i (y mu) psi from its W and W': each (n, dim, len(levels))."""
-        index = np.asarray(levels)
-        psi = self._mapped(index, at.ts, at.w)
-        rate = self.system.y_minus.eigen_rate(self.levels.mu[index], at.ts[:, None])
-        dpsi = self._mapped(index, at.ts, at.w_dot)
-        dpsi -= 1j * rate[:, None, :] * psi
-        return psi, dpsi
-
-    def _mapped(self, index: np.ndarray, ts: np.ndarray, w) -> np.ndarray:
-        """``w`` times the minus vectors of the levels ``index``, each with its phase."""
-        mus = self.levels.mu[index]
-        phases = np.exp(-1j * self.system.y_minus.eigen_phase(mus, ts[..., None]))
-        return (w @ self.levels.v_minus[:, index]) * phases[..., None, :]
 
     def level_for_label(self, mu: float) -> int:
         """Locate a level by its commuting-generator eigenvalue mu."""

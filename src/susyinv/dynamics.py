@@ -36,14 +36,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .operators import (NonFiniteMatrixError, Operator, SingularMatrixError, _mat,
-                        check_finite, chunks, dagger, expm_i_hermitian, first_true, frobenius,
-                        over_chunks, polar_unitary, project, unitarity_defect)
+                        check_finite, chunks, dagger, direct_sum, expm_i_hermitian,
+                        first_true, frobenius, over_chunks, polar_unitary, project,
+                        unitarity_defect)
 
 FD_STEP = 1e-5
 STEP_NORM_LIMIT = 0.5
@@ -71,9 +73,9 @@ class NonClosedLoopError(ValueError):
     pass
 
 
-def _stack(m_map: Callable, ts: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """m_map at an array of times as a stack; a constant map's one matrix is broadcast."""
-    return np.broadcast_to(_mat(m_map(ts)).reshape(-1, *shape), (ts.size, *shape))
+def _stack(m, n: int, shape: tuple[int, ...]) -> np.ndarray:
+    """A map's value at n times as a stack; a constant map's one matrix is broadcast."""
+    return np.broadcast_to(_mat(m).reshape(-1, *shape), (n, *shape))
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,15 @@ def _check_grid(times: np.ndarray) -> np.ndarray:
     return times
 
 
-def check_step(hs: np.ndarray, dt) -> None:
-    """Raise at the first H of a stack that is not finite, else at ||H||_F dt >= the limit."""
+def check_step(hs, dt) -> None:
+    """Raise at the first H of a stack that is not finite, else at ||H||_F dt >= the limit.
+
+    ``hs`` may be a tuple of the stacks of the sectors of a block-diagonal H:
+    their norms are combined by hypot, so the guard reads the whole H.
+    """
     with np.errstate(invalid="ignore", over="ignore"):  # caught below, with no warning
-        norms = frobenius(hs)
+        norms = reduce(np.hypot, map(frobenius, hs)) if isinstance(hs, tuple) \
+            else frobenius(hs)
     check_finite(np.isfinite(norms))
     dts = np.broadcast_to(dt, norms.shape)
     k = first_true(norms * dts >= STEP_NORM_LIMIT)
@@ -105,9 +112,14 @@ def check_step(hs: np.ndarray, dt) -> None:
         raise StepSizeError(float(norms[k]), float(dts[k]))
 
 
-def _step_factors(h: Callable[[float], Operator], times: np.ndarray, dim: int,
-                  order: int):
+def _step_factors(h: Callable[[float], Operator], times: np.ndarray,
+                  dims: int | tuple[int, ...], order: int):
     """Step unitaries in the order they apply, computed as stacks one chunk at a time.
+
+    ``dims`` is the dimension, or a tuple of those of the sectors of a
+    block-diagonal H: ``h`` then gives a tuple of stacks, one per sector, and
+    each step unitary is a tuple of one block per sector. Chunks are sized by
+    the whole dimension.
 
     Order 2 gives one midpoint exponential per step, and every step is
     checked: the first with ||H|| dt >= STEP_NORM_LIMIT raises. Order 4 gives
@@ -116,29 +128,43 @@ def _step_factors(h: Callable[[float], Operator], times: np.ndarray, dim: int,
     and both factors in one exponential: a stack of two matrices per step.
     A non-finite H raises NonFiniteMatrixError naming the first step it enters.
     """
+    sectored = isinstance(dims, tuple)
+    sizes = dims if sectored else (dims,)
+
+    def stacks(ts):
+        hs = h(ts) if sectored else (h(ts),)
+        return tuple(_stack(m, ts.size, (d, d)) for m, d in zip(hs, sizes))
+
     dts = np.diff(times)
-    for sl in chunks(dts.size, dim, per_point=1 if order == 2 else 2):
+    for sl in chunks(dts.size, sum(sizes), per_point=1 if order == 2 else 2):
         t0, dt = times[:-1][sl], dts[sl]
         k = dt.size
         try:
             if order == 2:
-                hm = _stack(h, t0 + dt / 2, (dim, dim))
-                check_step(hm, dt)
-                yield from expm_i_hermitian(hm, dt)
-                continue
-            hs = _stack(h, np.concatenate([t0 + c * dt for c in GAUSS_NODES]), (dim, dim))
-            # Both exponents first, so that H at the nodes is freed before the
-            # exponential takes its workspace (and catches a non-finite exponent).
-            with np.errstate(invalid="ignore", over="ignore"):
-                exponents = np.concatenate([a * hs[:k] + b * hs[k:] for a, b in CF4_WEIGHTS])
-            del hs
-            factors = expm_i_hermitian(exponents, np.concatenate([dt, dt]))
+                hs = stacks(t0 + dt / 2)
+                check_step(hs, dt)
+                factors = [expm_i_hermitian(m, dt) for m in hs]
+            else:
+                hs = stacks(np.concatenate([t0 + c * dt for c in GAUSS_NODES]))
+                # Both exponents first, so that H at the nodes is freed before the
+                # exponential takes its workspace (and catches a non-finite exponent).
+                with np.errstate(invalid="ignore", over="ignore"):
+                    exponents = [np.concatenate([a * m[:k] + b * m[k:] for a, b in CF4_WEIGHTS])
+                                 for m in hs]
+                del hs
+                factors = [expm_i_hermitian(m, np.concatenate([dt, dt])) for m in exponents]
         except NonFiniteMatrixError as exc:
             step = sl.start + exc.index % k
             raise NonFiniteMatrixError(step, f"H on step {step + 1} of {dts.size}, t = "
                                        f"{times[step]:.6g} to {times[step + 1]:.6g}") from None
-        for pair in zip(factors[:k], factors[k:]):
-            yield from pair
+        # Factor i of the chunk: one matrix, or a tuple of one block per sector.
+        factors = list(zip(*factors)) if sectored else factors[0]
+        if order == 2:
+            yield from factors
+        else:
+            for pair in zip(factors[:k], factors[k:]):
+                yield from pair
+        del factors  # before the next chunk's are formed
 
 
 def propagate(h: Callable[[float], Operator], psi0: np.ndarray, times: np.ndarray,
@@ -146,18 +172,25 @@ def propagate(h: Callable[[float], Operator], psi0: np.ndarray, times: np.ndarra
     """Propagation of a state or a block of states under H(t).
 
     ``psi0`` is one normalized state ``(dim,)`` or a block ``(dim, k)`` of
-    normalized columns, all stepped together. ``keep`` is an optional array of
-    grid indices: only those points are stored (``times``, ``states`` and
-    ``norm_drift`` follow its order) and the steps stop at the last of them.
-    By default the whole trajectory is stored. ``norm_drift`` is the largest
-    drift over the columns of a block. ``order`` picks the step rule: 2 for
-    the guarded midpoint exponential, 4 for CF4:2 (see the module docstring).
+    normalized columns, all stepped together. It may also be a tuple of
+    blocks ``(dim_s, k_s)``, one per sector of a block-diagonal H: ``h`` then
+    gives a tuple of stacks, one per sector, each block steps under its own,
+    and ``states`` holds their direct sum (:func:`susyinv.operators.direct_sum`).
+    ``keep`` is an optional array of grid indices: only those points are
+    stored (``times``, ``states`` and ``norm_drift`` follow its order) and the
+    steps stop at the last of them. By default the whole trajectory is
+    stored. ``norm_drift`` is the largest drift over the columns of a block.
+    ``order`` picks the step rule: 2 for the guarded midpoint exponential, 4
+    for CF4:2 (see the module docstring).
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order!r}")
     times = _check_grid(times)
-    psi = np.asarray(psi0, dtype=complex)
-    norm0 = np.linalg.norm(psi, axis=0)
+    sectored = isinstance(psi0, tuple)
+    psi = [np.asarray(b, dtype=complex) for b in psi0] if sectored \
+        else np.asarray(psi0, dtype=complex)
+    whole = direct_sum(psi) if sectored else psi
+    norm0 = np.linalg.norm(whole, axis=0)
     if np.any(np.abs(norm0 - 1.0) > 1e-9):
         raise ValueError(f"initial state must be normalized, got norm {norm0}")
     keep = np.arange(times.size) if keep is None else np.asarray(keep, dtype=int)
@@ -166,14 +199,15 @@ def propagate(h: Callable[[float], Operator], psi0: np.ndarray, times: np.ndarra
     wanted = np.zeros(times.size, dtype=bool)
     wanted[keep] = True
     stored = np.flatnonzero(wanted)
-    states = np.empty((stored.size, *psi.shape), dtype=complex)
-    factors = _step_factors(h, times[:stored[-1] + 1], psi.shape[0], order)
+    states = np.empty((stored.size, *whole.shape), dtype=complex)
+    dims = tuple(b.shape[0] for b in psi) if sectored else whole.shape[0]
+    factors = _step_factors(h, times[:stored[-1] + 1], dims, order)
     per_step = 1 if order == 2 else len(CF4_WEIGHTS)
     at = 0
     for n, k in enumerate(stored):
         for u in islice(factors, per_step * (k - at)):
-            psi = u @ psi
-        states[n], at = psi, k
+            psi = [f @ b for f, b in zip(u, psi)] if sectored else u @ psi
+        states[n], at = direct_sum(psi) if sectored else psi, k
     if not np.array_equal(stored, keep):
         states = states[np.cumsum(wanted)[keep] - 1]
     drift = np.abs(np.linalg.norm(states, axis=1) - norm0).reshape(keep.size, -1)
@@ -280,7 +314,7 @@ def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int,
     prev = v0
     interior = period * np.arange(1, steps) / steps
     for sl in chunks(interior.size, v0.shape[0]):
-        cur = _stack(frame, interior[sl], v0.shape)
+        cur = _stack(frame(interior[sl]), interior[sl].size, v0.shape)
         overlaps = dagger(cur) @ np.concatenate([prev[None], cur[:-1]])
         prev = cur[-1].copy()
         # The chunk's d x d stacks go before the next frame stack is evaluated.

@@ -196,6 +196,18 @@ def groups_by_size(groups) -> dict[int, np.ndarray]:
     return {k: np.array(by_size[k], dtype=int) for k in sorted(by_size)}
 
 
+def direct_sum(blocks) -> np.ndarray:
+    """The block-diagonal arrangement of (..., d_i, k_i) blocks, (..., sum d_i, sum k_i),
+    zero off the blocks; one block is returned as it is."""
+    if len(blocks) == 1:
+        return blocks[0]
+    rows, cols = np.cumsum([(0, 0), *(b.shape[-2:] for b in blocks)], axis=0).T
+    out = np.zeros(blocks[0].shape[:-2] + (rows[-1], cols[-1]), dtype=complex)
+    for b, r, c in zip(blocks, rows, cols):
+        out[..., r:r + b.shape[-2], c:c + b.shape[-1]] = b
+    return out
+
+
 def stacked_columns(vectors: np.ndarray, groups: np.ndarray) -> np.ndarray:
     """The columns of ``vectors`` that each row of an (n, k) index array names, as a
     contiguous (n, dim, k) stack."""

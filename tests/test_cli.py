@@ -343,12 +343,14 @@ class TestVerify:
         # central-difference bound on W'; W' itself comes from the factors of
         # the W at t, with no build of its own. gauge and unitarity take theirs
         # from the same W at t, plus one W(0), and so does the wrong-H
-        # cross-check, with no build of its own.
+        # cross-check, with no build of its own. The oscillator's W is built
+        # in its two parity blocks, so each build counts its dimension: one W
+        # at a time is N of them.
         points = []
         real = construction.GaugeCurve._factors
 
         def counting(gauge, t):
-            points.append(np.size(t))
+            points.append(np.size(t) * gauge.dim)
             return real(gauge, t)
 
         monkeypatch.setattr(construction.GaugeCurve, "_factors", counting)
@@ -359,8 +361,9 @@ class TestVerify:
             points.clear()
             suites.run_suites(replace(cfg, suites=names, cross_check_wrong_h=cross))
             counts[names, cross] = sum(points)
-        assert counts[("lvn",), False] == 3 * len(suites._sample_times(cfg))
-        assert counts[("gauge", "lvn", "unitarity"), False] <= counts[("lvn",), False] + 1
+        assert counts[("lvn",), False] == 3 * len(suites._sample_times(cfg)) * cfg.n
+        assert counts[("gauge", "lvn", "unitarity"), False] \
+            <= counts[("lvn",), False] + cfg.n
         assert counts[("gauge", "lvn", "unitarity"), True] \
             == counts[("gauge", "lvn", "unitarity"), False]
 
@@ -388,14 +391,16 @@ class TestVerify:
 
     def test_planted_term_in_h_raises_exact_lvn_residual(self, config_dir, monkeypatch):
         # A Hermitian term of norm 1e-9 in H_- at N = 128 lifts the exact LvN
-        # residual far above its rounding floor.
+        # residual far above its rounding floor. H_- is taken in its two 64 x 64
+        # parity blocks, so the term is planted in each, off the 8 edge states
+        # of each block.
         cfg = replace(load_config(config_dir / "oscillator_default.ini"), n=128, buffer=16,
                       t_final=0.1, suites=("lvn",))
         rng = np.random.default_rng(3)
-        term = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+        term = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
         term = term + term.conj().T
-        term[112:], term[:, 112:] = 0, 0
-        term *= 1e-9 / np.linalg.norm(term)
+        term[56:], term[:, 56:] = 0, 0
+        term *= 1e-9 / np.sqrt(2) / np.linalg.norm(term)
         [clean] = suites.run_suites(cfg)
         real = construction._Sample.h_minus.func
         monkeypatch.setattr(construction._Sample, "h_minus",
@@ -572,12 +577,14 @@ class TestSolutionsSuite:
     def test_osc_verify_shape_stops_at_one_and_two_steps(self, tmp_path, config_dir,
                                                          monkeypatch):
         # N = 128 over 200 config steps: the first pair already meets the
-        # margin, so the suite exponentiates 2 + 4 steps of two factors each.
+        # margin, so the suite exponentiates 2 + 4 steps of two factors each,
+        # in each of the two 64 x 64 parity blocks.
         calls = self.propagations(monkeypatch)
         matrices = []
         real = dynamics.expm_i_hermitian
 
         def counting(h, tau):
+            assert np.shape(h)[-1] == 64
             matrices.append(1 if np.ndim(h) == 2 else len(h))
             return real(h, tau)
 
@@ -587,7 +594,7 @@ class TestSolutionsSuite:
             ("buffer = 8", "buffer = 16"), ("t_final = 3.0", "t_final = 0.1"),
             ("dt = 0.002", "dt = 0.0005"))
         assert [steps for steps, _ in calls] == [2, 4]
-        assert sum(matrices) == 12
+        assert sum(matrices) == 2 * 12
         assert result.passed and result.max_residual < suites.ERROR_BAR_MARGIN * 1e-5
 
     def test_oscillatory_gauge_doubles_past_its_wiggles(self, tmp_path, config_dir,

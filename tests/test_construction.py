@@ -480,7 +480,7 @@ class TestPrescription:
         assert np.array_equal(d, d_map(out)(ts))
         assert np.max(frobenius(d_dot - fd(d_map(out)))) < 1e-8
         levels = list(range(len(out.levels)))
-        psi, dpsi = out.mapped_with_rate(levels, at)
+        psi, dpsi = out.levels.mapped_with_rate(out.system.y_minus, np.array(levels), at)
         assert np.array_equal(psi, out.mapped_solution(levels, ts))
         assert np.max(np.abs(dpsi - fd(lambda t: out.mapped_solution(levels, t)))) < 1e-8
 

@@ -7,7 +7,7 @@ from susyinv.construction import run_prescription, spin_supersystem
 from susyinv.dynamics import (NonClosedLoopError, StepSizeError, berry_holonomy,
                               lvn_residual, propagate, propagate_unitary)
 from susyinv.operators import (NonFiniteMatrixError, Operator, SingularMatrixError, dagger,
-                               eigh)
+                               direct_sum, eigh)
 from susyinv.representations import make_spin
 
 from fd_reference import d_map, fd_intertwining_residual, fd_lvn_residual
@@ -209,6 +209,36 @@ class TestBlockAndKeep:
         spin = make_spin(0.5)
         with pytest.raises(ValueError, match="kept indices"):
             propagate(lambda t: spin.J3, basis_state(spin, 0.5), grid(0.1, 0.01), keep=keep)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_sector_blocks_equal_the_dense_direct_sum(self, order):
+        # A block-diagonal H(t) stepped as a tuple of its 3 x 3 and 2 x 2 blocks
+        # gives the states of the dense run, kept as the direct sum of the blocks.
+        rng = np.random.default_rng(5)
+
+        def hermitian(d):
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            return m + m.conj().T
+
+        (a3, b3), (a2, b2) = (hermitian(3), hermitian(3)), (hermitian(2), hermitian(2))
+        blocks = lambda t: (a3 + np.multiply.outer(np.sin(t), b3),
+                            a2 + np.multiply.outer(np.cos(t), b2))
+        dense = lambda t: direct_sum(blocks(t))
+        psi0 = (self.block(3, 2, 3), self.block(2, 1, 4))
+        times = grid(0.3, 1e-3 if order == 2 else 0.05)
+        sectored = propagate(blocks, psi0, times, order=order)
+        whole = propagate(dense, direct_sum(psi0), times, order=order)
+        assert sectored.states.shape == (times.size, 5, 3)
+        assert np.max(np.abs(sectored.states - whole.states)) < 1e-12
+        assert np.array_equal(sectored.states[:, 3:, :2], np.zeros((times.size, 2, 2)))
+
+    def test_step_guard_of_sector_blocks_reads_the_whole_h(self):
+        # Each block alone has ||H||_F dt = 0.4, the whole H 0.4 sqrt(2) = 0.57.
+        h = lambda t: (np.broadcast_to(np.diag([40.0, 0.0]), (np.size(t), 2, 2)),
+                       np.broadcast_to(np.diag([0.0, 40.0]), (np.size(t), 2, 2)))
+        psi0 = (np.eye(2)[:, :1], np.eye(2)[:, 1:])
+        with pytest.raises(StepSizeError, match=r"\|\|H\|\|\*dt = 0\.566"):
+            propagate(h, psi0, grid(0.1, 0.01))
 
     def test_unitary_is_identity_block(self, spin_two):
         times = grid(0.5, 1e-3)
