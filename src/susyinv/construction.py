@@ -23,7 +23,7 @@ A GaugeCurve or YSpec whose generators are the blocks of a set of indices that
 D2, D3 and Y's generator do not couple to the rest is the curve, or Y, on that
 set, and :meth:`Levels.mapped` takes the minus vectors' rows there: the verify
 suites take the oscillator so, in its two Fock-parity sectors
-(:mod:`susyinv.suites`). ``build``, ``propagate`` and ``phase`` take the whole
+(:mod:`susyinv.sectors`). ``build``, ``propagate`` and ``phase`` take the whole
 space.
 """
 

@@ -13,8 +13,9 @@ than order here because unitarity defects would masquerade as superalgebra
 violations. The step exponential is the truncated Taylor series of
 :func:`susyinv.operators.expm_i_hermitian`, whose degree keeps the backward
 error below the unit roundoff (the theta_m bounds of Al-Mohy & Higham 2011),
-so each step is unitary to rounding. States are stepped as a block and only
-the kept grid points are stored.
+so each step is unitary to rounding. States are stepped as a block, or as the
+blocks of the sectors of a block-diagonal H, one chunk of step unitaries and
+one sector at a time, and only the kept grid points are stored.
 
 The LvN and intertwining residuals take matrices or (n, d, d) stacks, with the
 derivative their caller holds (:meth:`susyinv.construction.PartnerOutput.sample`).
@@ -35,9 +36,9 @@ the level, rather than taking an arbitrary unitary.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,15 +97,14 @@ def _check_grid(times: np.ndarray) -> np.ndarray:
     return times
 
 
-def check_step(hs, dt) -> None:
+def check_step(hs: tuple, dt) -> None:
     """Raise at the first H of a stack that is not finite, else at ||H||_F dt >= the limit.
 
-    ``hs`` may be a tuple of the stacks of the sectors of a block-diagonal H:
-    their norms are combined by hypot, so the guard reads the whole H.
+    ``hs`` holds the stacks of the sectors of a block-diagonal H, or its one
+    stack: their norms combine by hypot, so the guard reads the whole H.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # caught below, with no warning
-        norms = reduce(np.hypot, map(frobenius, hs)) if isinstance(hs, tuple) \
-            else frobenius(hs)
+        norms = reduce(np.hypot, map(frobenius, hs))
     check_finite(np.isfinite(norms))
     dts = np.broadcast_to(dt, norms.shape)
     k = first_true(norms * dts >= STEP_NORM_LIMIT)
@@ -112,14 +112,13 @@ def check_step(hs, dt) -> None:
         raise StepSizeError(float(norms[k]), float(dts[k]))
 
 
-def _step_factors(h: Callable[[float], Operator], times: np.ndarray,
-                  dims: int | tuple[int, ...], order: int):
-    """Step unitaries in the order they apply, computed as stacks one chunk at a time.
+def _step_factors(h: Callable, times: np.ndarray, dims: tuple[int, ...], order: int):
+    """Step unitaries, computed as stacks one chunk of steps at a time.
 
-    ``dims`` is the dimension, or a tuple of those of the sectors of a
-    block-diagonal H: ``h`` then gives a tuple of stacks, one per sector, and
-    each step unitary is a tuple of one block per sector. Chunks are sized by
-    the whole dimension.
+    ``h`` gives a tuple of stacks, one per sector of a block-diagonal H of
+    sector dimensions ``dims`` (one sector for a dense H). Each chunk yields a
+    list with one list per sector of its step unitaries in the order they
+    apply. Chunks are sized by the whole dimension.
 
     Order 2 gives one midpoint exponential per step, and every step is
     checked: the first with ||H|| dt >= STEP_NORM_LIMIT raises. Order 4 gives
@@ -128,42 +127,30 @@ def _step_factors(h: Callable[[float], Operator], times: np.ndarray,
     and both factors in one exponential: a stack of two matrices per step.
     A non-finite H raises NonFiniteMatrixError naming the first step it enters.
     """
-    sectored = isinstance(dims, tuple)
-    sizes = dims if sectored else (dims,)
-
-    def stacks(ts):
-        hs = h(ts) if sectored else (h(ts),)
-        return tuple(_stack(m, ts.size, (d, d)) for m, d in zip(hs, sizes))
-
     dts = np.diff(times)
-    for sl in chunks(dts.size, sum(sizes), per_point=1 if order == 2 else 2):
+    for sl in chunks(dts.size, sum(dims), per_point=1 if order == 2 else 2):
         t0, dt = times[:-1][sl], dts[sl]
         k = dt.size
         try:
             if order == 2:
-                hs = stacks(t0 + dt / 2)
+                hs = [_stack(m, k, (d, d)) for m, d in zip(h(t0 + dt / 2), dims)]
                 check_step(hs, dt)
-                factors = [expm_i_hermitian(m, dt) for m in hs]
-            else:
-                hs = stacks(np.concatenate([t0 + c * dt for c in GAUSS_NODES]))
-                # Both exponents first, so that H at the nodes is freed before the
-                # exponential takes its workspace (and catches a non-finite exponent).
-                with np.errstate(invalid="ignore", over="ignore"):
-                    exponents = [np.concatenate([a * m[:k] + b * m[k:] for a, b in CF4_WEIGHTS])
-                                 for m in hs]
-                del hs
-                factors = [expm_i_hermitian(m, np.concatenate([dt, dt])) for m in exponents]
+                yield [list(expm_i_hermitian(m, dt)) for m in hs]
+                continue
+            ts = np.concatenate([t0 + c * dt for c in GAUSS_NODES])
+            hs = [_stack(m, ts.size, (d, d)) for m, d in zip(h(ts), dims)]
+            # Both exponents first, so that H at the nodes is freed before the
+            # exponential takes its workspace (and catches a non-finite exponent).
+            with np.errstate(invalid="ignore", over="ignore"):
+                exponents = [np.concatenate([a * m[:k] + b * m[k:] for a, b in CF4_WEIGHTS])
+                             for m in hs]
+            del hs
+            factors = [expm_i_hermitian(m, np.concatenate([dt, dt])) for m in exponents]
         except NonFiniteMatrixError as exc:
             step = sl.start + exc.index % k
             raise NonFiniteMatrixError(step, f"H on step {step + 1} of {dts.size}, t = "
                                        f"{times[step]:.6g} to {times[step + 1]:.6g}") from None
-        # Factor i of the chunk: one matrix, or a tuple of one block per sector.
-        factors = list(zip(*factors)) if sectored else factors[0]
-        if order == 2:
-            yield from factors
-        else:
-            for pair in zip(factors[:k], factors[k:]):
-                yield from pair
+        yield [[u for pair in zip(m[:k], m[k:]) for u in pair] for m in factors]
         del factors  # before the next chunk's are formed
 
 
@@ -187,10 +174,8 @@ def propagate(h: Callable[[float], Operator], psi0: np.ndarray, times: np.ndarra
         raise ValueError(f"order must be 2 or 4, got {order!r}")
     times = _check_grid(times)
     sectored = isinstance(psi0, tuple)
-    psi = [np.asarray(b, dtype=complex) for b in psi0] if sectored \
-        else np.asarray(psi0, dtype=complex)
-    whole = direct_sum(psi) if sectored else psi
-    norm0 = np.linalg.norm(whole, axis=0)
+    psi = [np.asarray(b, dtype=complex) for b in (psi0 if sectored else (psi0,))]
+    norm0 = np.linalg.norm(direct_sum(psi), axis=0)
     if np.any(np.abs(norm0 - 1.0) > 1e-9):
         raise ValueError(f"initial state must be normalized, got norm {norm0}")
     keep = np.arange(times.size) if keep is None else np.asarray(keep, dtype=int)
@@ -199,15 +184,31 @@ def propagate(h: Callable[[float], Operator], psi0: np.ndarray, times: np.ndarra
     wanted = np.zeros(times.size, dtype=bool)
     wanted[keep] = True
     stored = np.flatnonzero(wanted)
-    states = np.empty((stored.size, *whole.shape), dtype=complex)
-    dims = tuple(b.shape[0] for b in psi) if sectored else whole.shape[0]
-    factors = _step_factors(h, times[:stored[-1] + 1], dims, order)
-    per_step = 1 if order == 2 else len(CF4_WEIGHTS)
-    at = 0
-    for n, k in enumerate(stored):
-        for u in islice(factors, per_step * (k - at)):
-            psi = [f @ b for f, b in zip(u, psi)] if sectored else u @ psi
-        states[n], at = direct_sum(psi) if sectored else psi, k
+    # Each sector's blocks at the stored points, and how many factors precede each:
+    # a stored start precedes them all.
+    kept = [np.empty((stored.size, *b.shape), dtype=complex) for b in psi]
+    marks = ((1 if order == 2 else len(CF4_WEIGHTS)) * stored).tolist()
+    first = int(marks[0] == 0)
+    for blocks, b in zip(kept, psi):
+        blocks[:first] = b
+    factors = _step_factors(h if sectored else (lambda ts: (h(ts),)),
+                            times[:stored[-1] + 1], tuple(b.shape[0] for b in psi), order)
+    done = 0
+    for chunk in factors:
+        last = bisect_right(marks, done + len(chunk[0]))
+        ends = [m - done for m in marks[first:last]]  # the chunk's stored points
+        for s, us in enumerate(chunk):  # each sector through the chunk's steps
+            b, at, blocks = psi[s], 0, kept[s]
+            for n, end in enumerate(ends, first):
+                for u in us[at:end]:
+                    b = u @ b
+                blocks[n], at = b, end
+            for u in us[at:]:
+                b = u @ b
+            psi[s] = b
+        done, first = done + len(chunk[0]), last
+        del chunk, us  # before the next chunk's factors are formed
+    states = direct_sum(kept)
     if not np.array_equal(stored, keep):
         states = states[np.cumsum(wanted)[keep] - 1]
     drift = np.abs(np.linalg.norm(states, axis=1) - norm0).reshape(keep.size, -1)

@@ -15,17 +15,10 @@ bound on dW/dt itself, relative to max(1, ||dW/dt||_F), under the lvn verdict.
 The parts of one verdict are folded with np.max, which propagates a NaN, so
 a NaN fails; Python's max drops a NaN that is not its first argument.
 
-The sampled residuals and the solutions suite are taken in sectors: the
-connected components of the off-diagonal nonzeros of D2, I_-(0) and the
-closed-form generators, joined by the support of each checkable level's minus
-vector, found once per run (:func:`find_sectors`). K1, K2 and K3 are quadratic
-in a and a^dag and conserve Fock parity: the one-mode realization of su(1,1)
-is the sum of its k = 1/4 (even) and k = 3/4 (odd) irreps (Perelomov,
-*Generalized Coherent States and Their Applications*, 1986, ch. 5). So with
-d0 = a^dag the oscillator splits into its even and odd Fock states, and W,
-H_-, U_- and I_- are taken as two blocks of about N/2; J1 couples every m, so
-spin is one sector, and so is a d0 whose I_-(0) couples the parities. One
-sector is the run's own objects, with no copy and no combine step. The
+The sampled residuals and the solutions suite are taken in sectors, found
+once per run (:mod:`susyinv.sectors`): the oscillator's even and odd Fock
+states, as su(1,1) conserves Fock parity, and one sector, the run's own
+objects with no combine step, for spin or a d0 that couples the parities. The
 Frobenius norms of all sectors at one time combine by hypot, before the max
 over times, as the squared norm of a block-diagonal matrix is the sum of its
 blocks'. The solutions suite steps the sectors' blocks together, and its step
@@ -36,20 +29,19 @@ the sectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
 from .config import RunConfig
-from .construction import (GaugeCurve, Levels, PartnerOutput, YSpec, _Sample,
-                           closed_form_operator, closed_form_osc_R, closed_form_spin_R,
-                           hamiltonian_from_gauge, oscillator_supersystem, quadrupole_partner,
-                           run_prescription, spin_supersystem)
+from .construction import (PartnerOutput, closed_form_operator, closed_form_osc_R,
+                           closed_form_spin_R, hamiltonian_from_gauge, oscillator_supersystem,
+                           quadrupole_partner, run_prescription, spin_supersystem)
 from .dynamics import central_difference, check_step, lvn_residual, propagate
-from .operators import (Operator, dagger, direct_sum, frobenius, over_chunks, project,
-                        unitarity_defect)
+from .operators import dagger, direct_sum, frobenius, over_chunks, project, unitarity_defect
 from .representations import OscillatorRep, SpinRep
+from .sectors import Sector, split
 from .susy import SuperCharge, check_superalgebra, pairing_residuals
 
 SPIN_TOLS = {"superalgebra": 1e-12, "pairing": 1e-10, "gauge": 1e-9,
@@ -101,100 +93,7 @@ def _projector(rep) -> np.ndarray | None:
     return None
 
 
-def _generators(rep) -> tuple[Operator, Operator, Operator]:
-    """The closed-form generators: (J1, J2, J3) or (K1, K2, K3)."""
-    if isinstance(rep, SpinRep):
-        return rep.J1, rep.J2, rep.J3
-    return rep.K1, rep.K2, rep.K3
-
-
-def find_sectors(matrices, vectors: np.ndarray) -> list[np.ndarray]:
-    """The connected components of the off-diagonal nonzeros of (d, d) ``matrices``
-    and of the support of each column of ``vectors``, as ascending index arrays
-    ordered by their first index."""
-    # A matrix that couples each index to the next one joins them all.
-    if any(np.all(np.diagonal(m, 1) != 0) for m in matrices):
-        return [np.arange(matrices[0].shape[0])]
-    coupled = np.any(np.stack(matrices) != 0, axis=0)
-    # A vector joins each index it touches to the first of them.
-    rows, cols = np.nonzero(vectors)
-    coupled[rows, np.argmax(vectors != 0, axis=0)[cols]] = True
-    i, j = np.nonzero(coupled | coupled.T)
-    # Each index takes the least label of its neighbours, then its label's label,
-    # until nothing moves: every index is then labelled by its component's first,
-    # the one index that labels itself.
-    index = np.arange(coupled.shape[0])
-    labels = index
-    while True:
-        hooked = labels.copy()
-        np.minimum.at(hooked, i, labels[j])
-        hooked = hooked[hooked]
-        if np.array_equal(hooked, labels):
-            return [np.flatnonzero(labels == first) for first in index[labels == index]]
-        labels = hooked
-
-
-@dataclass(frozen=True)
-class _Sector:
-    """What the sampled residuals and the solutions suite read, restricted to the
-    indices ``rows`` of one sector, or the run's own objects where one sector is the
-    whole space (``rows`` None): the gauge, Y, I_-(0), the projector, the diagonal of
-    H+, the closed-form generators, the levels (their minus vectors restricted to
-    ``rows``) and the indices of the checkable levels that live there."""
-
-    rows: np.ndarray | None
-    gauge: GaugeCurve
-    y: YSpec
-    i_ref: np.ndarray
-    projector: np.ndarray | None
-    plus_energies: np.ndarray
-    generators: tuple[Operator, ...]
-    levels: Levels
-    checkable: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.gauge.dim
-
-    def sample(self, ts: np.ndarray) -> _Sample:
-        return _Sample(self.gauge, self.y, ts, self.i_ref)
-
-    def mapped(self, ts: np.ndarray) -> np.ndarray:
-        """The mapped solutions of the checkable levels at a time or an array of them."""
-        return self.levels.mapped(self.y, self.checkable, ts, self.gauge.value(ts))
-
-
-def _sectors(rep, out: PartnerOutput) -> tuple[_Sector, ...]:
-    """The sectors of D2, I_-(0), the closed-form generators and the minus vectors of
-    the checkable levels (:func:`find_sectors`): su(1,1) is quadratic in a and a^dag,
-    so the oscillator splits into its even and odd Fock states; J1 couples every m."""
-    system, generators, projector = out.system, _generators(rep), _projector(rep)
-    w, i_ref, levels = system.w_minus, out.invariant.Iminus.entries, out.levels
-    checkable = np.asarray(_checkable_levels(rep, out), dtype=int)
-    parts = find_sectors([w.d2.entries, i_ref, *(g.entries for g in generators)],
-                         levels.v_minus[:, checkable])
-    if len(parts) == 1:
-        return (_Sector(None, w, system.y_minus, i_ref, projector, system.plus_energies,
-                        generators, levels, checkable),)
-    # Each checkable level lives in the sector of the first row its minus vector touches.
-    home = np.argmax(levels.v_minus[:, checkable] != 0, axis=0)
-    sectors = []
-    for rows in parts:
-        block = np.ix_(rows, rows)
-
-        def op(m: Operator) -> Operator:
-            return Operator(m.entries[block])
-
-        sectors.append(_Sector(
-            rows, replace(w, d3=op(w.d3), d2=op(w.d2)),
-            replace(system.y_minus, D=op(system.y_minus.D)), i_ref[block],
-            None if projector is None else projector[block], system.plus_energies[rows],
-            tuple(map(op, generators)), replace(levels, v_minus=levels.v_minus[rows]),
-            checkable[np.isin(home, rows)]))
-    return tuple(sectors)
-
-
-def _gauge_residuals(run: _Run, sector: _Sector, at, origin) -> tuple:
+def _gauge_residuals(run: _Run, sector: Sector, at, origin) -> tuple:
     """Closed-form coefficients against the independent matrix gauge route."""
     cfg, rep, ts = run.cfg, run.rep, at.ts
     if isinstance(rep, SpinRep):
@@ -209,17 +108,17 @@ def _gauge_residuals(run: _Run, sector: _Sector, at, origin) -> tuple:
     return (frobenius(project(at.h_minus - h_closed, sector.projector)),)
 
 
-def _lvn_residuals(run: _Run, sector: _Sector, at, origin) -> tuple:
+def _lvn_residuals(run: _Run, sector: Sector, at, origin) -> tuple:
     return (lvn_residual(at.i_minus, at.h_minus, at.i_dot, sector.projector),)
 
 
-def _lvn_wrong_h_residuals(run: _Run, sector: _Sector, at, origin) -> tuple:
+def _lvn_wrong_h_residuals(run: _Run, sector: Sector, at, origin) -> tuple:
     """The cross-check: the LvN residual of I_- against H+ in place of H_-."""
     h_plus = np.diag(sector.plus_energies).astype(complex)
     return (lvn_residual(at.i_minus, h_plus, at.i_dot, sector.projector),)
 
 
-def _w_dot_residuals(run: _Run, sector: _Sector, at, origin) -> tuple:
+def _w_dot_residuals(run: _Run, sector: Sector, at, origin) -> tuple:
     """The exact dW/dt's distance from its central difference, and its norm: the
     bound under lvn is their ratio, relative to max(1, ||dW/dt||_F) as the
     difference's own error grows with W's derivatives."""
@@ -228,7 +127,7 @@ def _w_dot_residuals(run: _Run, sector: _Sector, at, origin) -> tuple:
             frobenius(w_dot))
 
 
-def _unitarity_residuals(run: _Run, sector: _Sector, at, origin) -> tuple:
+def _unitarity_residuals(run: _Run, sector: Sector, at, origin) -> tuple:
     """U_-(t) unitarity and the invariant transport U I(0) U^dag = I(t), where
     U = U_-(t) U_-(0)^dag: for offset starts (theta(0) != 0) U_-(t) alone does not."""
     u0, i0 = origin
@@ -237,7 +136,7 @@ def _unitarity_residuals(run: _Run, sector: _Sector, at, origin) -> tuple:
             frobenius(project(u @ i0 @ dagger(u) - at.i_minus, sector.projector)))
 
 
-def _origin(sector: _Sector) -> tuple[np.ndarray, np.ndarray]:
+def _origin(sector: Sector) -> tuple[np.ndarray, np.ndarray]:
     at = sector.sample(np.zeros(1))
     return at.u_minus[0], at.i_minus[0]
 
@@ -270,15 +169,16 @@ class _Run:
         return self.cfg.suites + (("lvn_wrong_h",) if self.cfg.cross_check_wrong_h else ())
 
     @cached_property
-    def sectors(self) -> tuple[_Sector, ...]:
-        return _sectors(self.rep, self.out)
+    def sectors(self) -> tuple[Sector, ...]:
+        return split(self.rep, self.out, _projector(self.rep),
+                     np.asarray(_checkable_levels(self.rep, self.out), dtype=int))
 
     @cached_property
     def sampled(self) -> dict[str, float]:
         names = [n for n in SAMPLED if any(n in READS.get(s, ()) for s in self.selected)]
         times = _sample_times(self.cfg)
 
-        def parts(sector: _Sector) -> np.ndarray:
+        def parts(sector: Sector) -> np.ndarray:
             origin = _origin(sector) if "unitarity" in names else None
 
             def per_chunk(ts):  # one W for every residual, one chunk at a time
@@ -387,11 +287,6 @@ def _internal_grid(bounds: np.ndarray, n: int) -> np.ndarray:
     return np.append(starts.ravel(), bounds[-1])
 
 
-def _blocks(blocks: tuple):
-    """What :func:`propagate` steps: a tuple of the sectors' blocks, or the one block."""
-    return blocks if len(blocks) > 1 else blocks[0]
-
-
 def _suite_solutions(run: _Run, tol) -> CheckResult:
     """Mapped solutions satisfy the minus-sector Schrodinger equation and match
     numerical propagation from the same initial states.
@@ -419,7 +314,7 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
     if not active:
         return CheckResult("solutions", 0.0, tol, True)
 
-    def schrodinger_residuals(sector: _Sector) -> np.ndarray:
+    def schrodinger_residuals(sector: Sector) -> np.ndarray:
         # Schrodinger residual of the closed form, per level, with its exact rate.
         def per_chunk(ts):
             at = sector.sample(ts)
@@ -435,14 +330,14 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
         # H_- at internal nodes, held to the step guard of the config grid.
         hs = tuple(hamiltonian_from_gauge(s.gauge, s.y, ts) for s in sectors)
         check_step(hs, cfg.dt)
-        return _blocks(tuple(m for m, s in zip(hs, sectors) if s.checkable.size))
+        return tuple(m for m, s in zip(hs, sectors) if s.checkable.size)
 
     grid = cfg.grid()
     checks = grid[[grid.size // 2, grid.size - 1]]
     # 0 < t_mid <= t_final: the check times coincide on a one-step grid.
     bounds = np.append(0.0, checks if checks[0] < checks[1] else checks[1:])
     segments = bounds.size - 1
-    psi0 = _blocks(tuple(s.mapped(np.asarray(0.0)) for s in active))
+    psi0 = tuple(s.mapped(np.asarray(0.0)) for s in active)
 
     def numeric(steps):
         keep = steps * np.searchsorted(bounds, checks)

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 
-from susyinv import suites
+from susyinv import sectors, suites
 from susyinv.construction import closed_form_operator, closed_form_osc_R, closed_form_spin_R
 from susyinv.dynamics import central_difference, lvn_residual
 from susyinv.operators import dagger, frobenius, project, unitarity_defect
@@ -47,5 +47,5 @@ def solutions_result(cfg, tol: float):
     """The solutions suite with the whole space as its one sector."""
     run = suites._Run(cfg, *suites.build_system(cfg))
     whole = [np.arange(run.rep.dim)]
-    with mock.patch.object(suites, "find_sectors", lambda matrices, vectors: whole):
+    with mock.patch.object(sectors, "find_sectors", lambda matrices, vectors: whole):
         return suites._suite_solutions(run, tol)

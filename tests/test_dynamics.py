@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from susyinv import dynamics
+from susyinv import dynamics, operators
 from susyinv import timefunc as tf
 from susyinv.construction import run_prescription, spin_supersystem
 from susyinv.dynamics import (NonClosedLoopError, StepSizeError, berry_holonomy,
@@ -231,6 +231,24 @@ class TestBlockAndKeep:
         assert sectored.states.shape == (times.size, 5, 3)
         assert np.max(np.abs(sectored.states - whole.states)) < 1e-12
         assert np.array_equal(sectored.states[:, 3:, :2], np.zeros((times.size, 2, 2)))
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_kept_points_across_chunks(self, order, monkeypatch):
+        # Chunks of six steps at order 2 and three at order 4, with kept points
+        # inside them, on their edges and out of order, give the states of the
+        # whole trajectory.
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a3, a2 = m + m.conj().T, np.diag([1.0, -2.0])
+        blocks = lambda t: (np.multiply.outer(1 + np.sin(t), a3),
+                            np.multiply.outer(np.cos(t), a2))
+        psi0 = (self.block(3, 2, 3), self.block(2, 1, 4))
+        times = grid(0.3, 0.01)
+        whole = propagate(blocks, psi0, times, order=order).states
+        monkeypatch.setattr(operators, "CHUNK_BYTES", 16 * 25 * 6)
+        keep = [17, 0, 5, 6, 12, 30, 29]
+        kept = propagate(blocks, psi0, times, keep=keep, order=order)
+        assert np.max(np.abs(kept.states - whole[keep])) < 1e-13
 
     def test_step_guard_of_sector_blocks_reads_the_whole_h(self):
         # Each block alone has ||H||_F dt = 0.4, the whole H 0.4 sqrt(2) = 0.57.

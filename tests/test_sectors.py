@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dense_reference import sampled_residuals, solutions_result
-from susyinv import suites
+from susyinv import sectors, suites
 from susyinv.cli import main
 from susyinv.config import load_config
 from susyinv.dynamics import FD_STEP
@@ -15,7 +15,7 @@ from susyinv.representations import make_oscillator
 from susyinv.susy import build_invariant, build_supercharge
 
 
-def sectors(cfg) -> list[np.ndarray]:
+def sector_rows(cfg) -> list[np.ndarray]:
     run = suites._Run(cfg, *suites.build_system(cfg))
     return [np.arange(run.rep.dim) if s.rows is None else s.rows for s in run.sectors]
 
@@ -27,19 +27,25 @@ def oscillator(config_dir, n: int, buffer: int, **changes):
 
 class TestFindSectors:
     def test_oscillator_splits_into_even_and_odd_fock_states(self, config_dir):
-        even, odd = sectors(oscillator(config_dir, 128, 16))
+        even, odd = sector_rows(oscillator(config_dir, 128, 16))
         assert np.array_equal(even, np.arange(0, 128, 2))
         assert np.array_equal(odd, np.arange(1, 128, 2))
 
     def test_odd_truncation_splits_17_and_16(self, config_dir):
-        even, odd = sectors(oscillator(config_dir, 33, 8))
+        even, odd = sector_rows(oscillator(config_dir, 33, 8))
         assert np.array_equal(even, np.arange(0, 33, 2))
         assert np.array_equal(odd, np.arange(1, 33, 2))
         assert (even.size, odd.size) == (17, 16)
 
     def test_spin_is_one_sector(self, config_dir):
         cfg = replace(load_config(config_dir / "spin_default.ini"), j=5.0)
-        run = suites._Run(cfg, *suites.build_system(cfg))
+        rep, out = suites.build_system(cfg)
+        # J1 couples every m: the finder joins all 11, and the run takes spin as
+        # one sector without searching.
+        matrices = [out.system.w_minus.d2.entries, out.invariant.Iminus.entries,
+                    rep.J1.entries, rep.J2.entries, rep.J3.entries]
+        assert [p.size for p in sectors.find_sectors(matrices, out.levels.v_minus)] == [11]
+        run = suites._Run(cfg, rep, out)
         [sector] = run.sectors
         # One sector keeps the run's own objects.
         assert sector.rows is None and sector.gauge is run.out.system.w_minus
@@ -65,7 +71,7 @@ class TestFindSectors:
 
         def parts(d0):
             i_minus = build_invariant(build_supercharge(d0)).Iminus.entries
-            return suites.find_sectors(
+            return sectors.find_sectors(
                 [rep.K2.entries, i_minus, rep.K1.entries, rep.K3.entries], np.zeros((16, 0)))
 
         assert [p.size for p in parts(cfg.d0_for(rep))] == [16]
@@ -74,7 +80,7 @@ class TestFindSectors:
     def test_a_vector_joins_the_indices_it_touches(self):
         vectors = np.zeros((4, 1))
         vectors[[0, 3], 0] = 1.0
-        parts = suites.find_sectors([np.eye(4)], vectors)
+        parts = sectors.find_sectors([np.eye(4)], vectors)
         assert [p.tolist() for p in parts] == [[0, 3], [1], [2]]
 
 
