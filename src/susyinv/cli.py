@@ -15,30 +15,43 @@ import configparser
 import json
 import sys
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .construction import (GeneratorSplitError, NonFiniteHamiltonianError, closed_form_osc_R,
-                           closed_form_spin_R)
+                           closed_form_spin_R, evolution_from_gauge)
 from .dynamics import (HolonomyResult, NonClosedLoopError, StepSizeError, berry_holonomy,
                        propagate)
-from .operators import (NonHermitianError, SingularMatrixError, chunks, eigh, eigvalsh,
-                        hermiticity_defect, over_chunks)
-from .suites import build_system, run_suites
+from .operators import (NonHermitianError, SingularMatrixError, chunks, direct_sum, eigh,
+                        eigvalsh, hermiticity_defect, over_chunks)
+from .suites import build_system, run_suites, stepped_hamiltonian
 from .susy import PairingAmbiguityError
+
+
+# Numbers of a CSV file formatted per write. glibc's malloc sets its trim
+# threshold to twice the largest mmapped block a process has freed: with 32 Ki
+# numbers per write, spin_grid's passes kept it below build's per-chunk stacks,
+# which were then paged in afresh at every chunk (4 000 minor faults a build).
+CSV_CHUNK = 64 * 1024
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
-    """One row per line of a 2-D table, every number as %.17g."""
-    row = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)] + [row % tuple(r) for r in np.asarray(table).tolist()]
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """One row per line of the table whose columns are the (n,) and (n, k) arrays
+    ``columns``, every number as %.17g, written CSV_CHUNK numbers at a time."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    step = max(1, CSV_CHUNK // len(header))
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), step):
+            table = np.column_stack([c[start:start + step] for c in columns])
+            fh.write("".join([row % tuple(r.tolist()) for r in table]))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -46,13 +59,9 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _complex_payload(m: np.ndarray) -> dict:
-    return {"real": [[_fmt(v) for v in row] for row in m.real],
-            "imag": [[_fmt(v) for v in row] for row in m.imag]}
-
-
 def _json_complex(m: np.ndarray) -> str:
-    """``json.dumps(_complex_payload(m), sort_keys=True)``, with one % per matrix."""
+    """The sorted-key JSON object of the real and imaginary parts of a matrix, as
+    rows of %.17g strings, with one % per matrix."""
     def rows(part: np.ndarray) -> str:
         row = "[" + ", ".join(['"%.17g"'] * part.shape[1]) + "]"
         return ("[" + ", ".join([row] * part.shape[0]) + "]") % tuple(part.ravel().tolist())
@@ -73,30 +82,34 @@ def cmd_build(cfg: RunConfig, out_override: str | None) -> int:
 
     grid = cfg.grid()
     if "csv" in cfg.formats:
-        def per_chunk(ts):  # one W per chunk gives both H_- and I_- there
-            at = out.sample(ts)
-            return np.column_stack([hermiticity_defect(at.h_minus), eigvalsh(at.i_minus)])
+        # One W per chunk and sector gives both H_- and I_- there; a chunk is sized by
+        # the largest sector.
+        def per_chunk(ts):
+            samples = [s.sample(ts) for s in out.sectors]
+            defect = reduce(np.hypot, [hermiticity_defect(at.h_minus) for at in samples])
+            spectrum = np.concatenate([eigvalsh(at.i_minus) for at in samples], axis=1)
+            return np.column_stack([defect, np.sort(spectrum, axis=1)])
 
-        checks = over_chunks(grid, rep.dim, per_chunk)
+        checks = over_chunks(grid, max(s.dim for s in out.sectors), per_chunk)
         r = closed_form(cfg.f, cfg.theta, cfg.phi, grid)
-        _write_csv(out_dir / "H_minus.csv",
-                   ["t", "R1", "R2", "R3", "hermiticity_defect"],
-                   np.column_stack([grid, *r, checks[:, 0]]))
+        _write_csv(out_dir / "H_minus.csv", ["t", "R1", "R2", "R3", "hermiticity_defect"],
+                   [grid, *r, checks[:, 0]])
         _write_csv(out_dir / "invariant_spectrum.csv",
-                   ["t"] + [f"lambda_{i}" for i in range(rep.dim)],
-                   np.column_stack([grid, checks[:, 1:]]))
+                   ["t"] + [f"lambda_{i}" for i in range(rep.dim)], [grid, checks[:, 1:]])
 
     if "json" in cfg.formats:
-        # The bytes _write_json gives {"family": ..., "samples": [{"t": _fmt(t),
-        # "U": _complex_payload(u)}, ...]}, with no call per number, written a
-        # chunk of samples at a time.
+        # The bytes json.dumps(..., sort_keys=True) gives {"family": ..., "samples":
+        # [{"t": "%.17g", "U": _json_complex(u)}, ...]}, with no call per number,
+        # written a chunk of samples at a time; U_- is the direct sum of the sectors'.
         times = grid[::max(1, (grid.size - 1) // 100)]
         with (out_dir / "U_minus.json").open("w") as fh:
             fh.write('{"family": %s, "samples": [' % json.dumps(cfg.family))
             for sl in chunks(times.size, rep.dim):
+                us = out.assemble([evolution_from_gauge(s.gauge, s.y, times[sl])
+                                   for s in out.sectors])
                 fh.write((", " if sl.start else "") + ", ".join(
                     '{"U": %s, "t": "%.17g"}' % (_json_complex(u), t)
-                    for t, u in zip(times[sl], out.u_minus(times[sl]))))
+                    for t, u in zip(times[sl], us)))
             fh.write("]}\n")
     print(f"wrote build outputs to {out_dir}")
     return 0
@@ -150,6 +163,29 @@ def _resolve_level(cfg: RunConfig, out) -> tuple[int | None, str]:
     return out.level_for_label(mu), f"level {text}"
 
 
+def _propagated(out, cfg: RunConfig, psi0: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The midpoint rule's states from ``psi0`` on the grid. Only the sectors that
+    psi0 touches are stepped, as the one block of their direct sum; the step guard
+    reads the whole H (:func:`susyinv.suites.stepped_hamiltonian`)."""
+    used = [s.rows is None or bool(np.any(psi0[s.rows])) for s in out.sectors]
+    rows = np.concatenate([np.arange(s.dim) if s.rows is None else s.rows
+                           for s, u in zip(out.sectors, used) if u])
+    h = stepped_hamiltonian(out, cfg.dt, used)
+    states = np.zeros((grid.size, psi0.size), dtype=complex)
+    states[:, rows] = propagate(lambda ts: direct_sum(h(ts)), psi0[rows], grid).states
+    return states
+
+
+def _state_columns(grid: np.ndarray, states: dict) -> tuple[list[str], list]:
+    """The header and columns of solution.csv: t, then the real and the imaginary
+    parts of each named (n, dim) array of states."""
+    header, columns = ["t"], [grid]
+    for name, psi in states.items():
+        header += [f"{part}_{name}_{i}" for part in ("re", "im") for i in range(psi.shape[1])]
+        columns += [psi.real, psi.imag]
+    return header, columns
+
+
 def cmd_propagate(cfg: RunConfig, out_override: str | None) -> int:
     """Compare numerical propagation with the closed-form solution."""
     out_dir = _out_dir(cfg, out_override)
@@ -165,28 +201,16 @@ def cmd_propagate(cfg: RunConfig, out_override: str | None) -> int:
 
     if level is None:
         print(f"warning: {label} has no superpartner; writing numeric-only columns")
-        i0 = eigh(out.i_minus(0.0))
-        psi0 = i0.vectors[:, 0]
-        numeric = propagate(out.h_minus, psi0, grid).states
-        dim = psi0.size
-        header = ["t"] + [f"re_num_{i}" for i in range(dim)] + \
-            [f"im_num_{i}" for i in range(dim)]
-        _write_csv(out_dir / "solution.csv", header,
-                   np.column_stack([grid, numeric.real, numeric.imag]))
+        numeric = _propagated(out, cfg, eigh(out.i_minus(0.0)).vectors[:, 0], grid)
+        _write_csv(out_dir / "solution.csv", *_state_columns(grid, {"num": numeric}))
         return 0
 
-    psi0 = out.mapped_solution(level, 0.0)
-    numeric = propagate(out.h_minus, psi0, grid).states
-    closed = over_chunks(grid, rep.dim, lambda ts: out.mapped_solution(level, ts))
+    numeric = _propagated(out, cfg, out.mapped_solution(level, 0.0), grid)
+    closed = over_chunks(grid, max(s.dim for s in out.sectors),
+                         lambda ts: out.mapped_solution(level, ts))
     infid = 1.0 - np.abs(np.sum(closed.conj() * numeric, axis=1))
-    dim = psi0.size
-    header = (["t"] + [f"re_num_{i}" for i in range(dim)]
-              + [f"im_num_{i}" for i in range(dim)]
-              + [f"re_closed_{i}" for i in range(dim)]
-              + [f"im_closed_{i}" for i in range(dim)] + ["infidelity"])
-    _write_csv(out_dir / "solution.csv", header,
-               np.column_stack([grid, numeric.real, numeric.imag,
-                                closed.real, closed.imag, infid]))
+    header, columns = _state_columns(grid, {"num": numeric, "closed": closed})
+    _write_csv(out_dir / "solution.csv", header + ["infidelity"], columns + [infid])
     print(f"propagated {label}: max infidelity {np.max(infid):.3e}")
     return 0
 
@@ -215,23 +239,19 @@ def cmd_phase(cfg: RunConfig, out_override: str | None, reverse_flag: bool) -> i
 
     res = berry_holonomy(frame, steps, period=T, groups=groups)
     res2 = berry_holonomy(frame, 2 * steps, period=T, groups=groups)
-    levels_payload = []
+    # The bytes json.dumps(..., sort_keys=True) gives, with each gamma from _json_complex.
+    levels = []
     for gi, group in enumerate(groups):
         block = np.ix_(group, group)
         level = HolonomyResult(res.gamma[block])
-        delta = float(np.linalg.norm(level.gamma - res2.gamma[block]))
-        levels_payload.append({
-            "level": gi,
-            "invariant_eigenvalue": _fmt(float(es0.values[list(group)].mean())),
-            "degeneracy": len(group),
-            "gamma": _complex_payload(level.gamma),
-            "unitarity_defect": _fmt(level.unitarity()),
-            "resolution_doubling_delta": _fmt(delta),
-            "steps": steps,
-        })
-    _write_json(out_dir / "holonomy.json",
-                {"reverse": reverse, "levels": levels_payload})
-    print(f"wrote holonomy.json with {len(levels_payload)} levels")
+        levels.append(
+            '{"degeneracy": %d, "gamma": %s, "invariant_eigenvalue": "%.17g", "level": %d, '
+            '"resolution_doubling_delta": "%.17g", "steps": %d, "unitarity_defect": "%.17g"}'
+            % (len(group), _json_complex(level.gamma), es0.values[list(group)].mean(), gi,
+               np.linalg.norm(level.gamma - res2.gamma[block]), steps, level.unitarity()))
+    (out_dir / "holonomy.json").write_text(
+        '{"levels": [%s], "reverse": %s}\n' % (", ".join(levels), json.dumps(reverse)))
+    print(f"wrote holonomy.json with {len(levels)} levels")
     return 0
 
 
@@ -277,7 +297,7 @@ def cmd_sweep(cfg: RunConfig, config_path: str, out_override: str | None,
         rows.append((index, worst, 1.0 if cell_pass else 0.0))
         print(f"cell {index:3d}  {cfg.sweep_key} = {value:20s}  "
               f"worst residual {worst:.6e}  {'pass' if cell_pass else 'FAIL'}")
-    _write_csv(out_dir / "sweep.csv", ["cell", "worst_residual", "pass"], rows)
+    _write_csv(out_dir / "sweep.csv", ["cell", "worst_residual", "pass"], [np.array(rows)])
     return 0 if all_pass else 1
 
 

@@ -36,9 +36,9 @@ DEFAULT_SUITES = KNOWN_SUITES
 MAX_STEPS = 10 ** 7
 # Complex (d, d) matrices that a command holds at its peak, from traced peaks on
 # a d = 128 oscillator with a 201-point grid: `verify` held 33.7 of them when the
-# bound was set, and 29.8 since it takes its sampled residuals and solutions in
-# the two parity blocks; `build` holds 21.9, as it writes U_minus.json a chunk
-# at a time, and `propagate` 47 (make_oscillator alone builds about ten).
+# bound was set; in the parity sectors `verify` holds 28.7, `build` 27.1 and
+# `propagate` 26.4, as both write their files a chunk at a time (make_oscillator
+# alone builds about ten). propagate's states grow with the grid, as (nt, d).
 HELD_MATRICES = 34
 
 

@@ -19,22 +19,23 @@ Every map of t takes a scalar or an array of times. An array gives an
 of theta, phi, f, g and their derivatives and antiderivatives; a scalar gives
 the same numbers as an Operator.
 
-A GaugeCurve or YSpec whose generators are the blocks of a set of indices that
-D2, D3 and Y's generator do not couple to the rest is the curve, or Y, on that
-set, and :meth:`Levels.mapped` takes the minus vectors' rows there: the verify
-suites take the oscillator so, in its two Fock-parity sectors
-(:mod:`susyinv.sectors`). ``build``, ``propagate`` and ``phase`` take the whole
-space.
+A :class:`Block` holds the gauge, Y, I_-(0), the diagonal of H+ and the levels
+on the whole space, or their blocks on a sector (:mod:`susyinv.sectors`).
+:attr:`PartnerOutput.sectors` finds the sectors on first use, and the whole
+space is their one-sector case. ``build``, ``propagate`` and the verify suites
+take the sectors; ``phase`` and the maps of t ``h_minus`` and ``u_minus`` take
+the whole space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .operators import (Operator, NonHermitianError, dagger, eigh, first_true,
+from . import sectors
+from .operators import (Operator, NonHermitianError, _mat, dagger, eigh, first_true,
                         frobenius, hermiticity_defect, per_time, unitarity_defect)
 from .representations import OscillatorRep, SpinRep
 from .susy import (ZERO_MODE_SCALE, SpectralPairing, SuperInvariant, build_invariant,
@@ -190,10 +191,6 @@ class YSpec:
     def _d_diag(self) -> np.ndarray:
         return _diag_or_none(self.D.entries)
 
-    @property
-    def dim(self) -> int:
-        return self.D.dim
-
     def diagonal(self, t) -> np.ndarray:
         """Diagonal of Y(t): shape (d,) for a scalar t, (n, d) for an array."""
         return self.eigen_rate(self._d_diag, np.asarray(t)[..., None])
@@ -335,70 +332,125 @@ class Levels:
     def __len__(self) -> int:
         return self.lam.size
 
-    def mapped(self, y: YSpec, index: np.ndarray, ts: np.ndarray, w) -> np.ndarray:
-        """``w`` times the minus vectors of the levels ``index``, each with its phase
-        e^{-i int_0^t y}: the mapped solutions where ``w`` is W(ts)."""
-        mus = self.mu[index]
-        phases = np.exp(-1j * y.eigen_phase(mus, ts[..., None]))
-        return (w @ self.v_minus[:, index]) * phases[..., None, :]
 
-    def mapped_with_rate(self, y: YSpec, index: np.ndarray,
-                         at: _Sample) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class Block:
+    """The minus side on the indices ``rows`` of a sector, or on the whole space
+    (``rows`` None): the gauge, Y, I_-(0), the diagonal of H+ and the levels, their
+    minus vectors restricted to ``rows``. Every level lives in one sector, where its
+    minus vector is nonzero (:meth:`holds`)."""
+
+    rows: np.ndarray | None
+    gauge: GaugeCurve
+    y: YSpec
+    i_ref: np.ndarray
+    plus_energies: np.ndarray
+    levels: Levels
+
+    @property
+    def dim(self) -> int:
+        return self.gauge.dim
+
+    def restricted(self, rows: np.ndarray) -> Block:
+        """The blocks of this whole-space block on ``rows``, indices that D2, D3, Y's
+        generator and I_-(0) do not couple to the rest."""
+        ix = np.ix_(rows, rows)
+        return Block(rows, replace(self.gauge, d3=Operator(self.gauge.d3.entries[ix]),
+                                   d2=Operator(self.gauge.d2.entries[ix])),
+                     replace(self.y, D=Operator(self.y.D.entries[ix])), self.i_ref[ix],
+                     self.plus_energies[rows],
+                     replace(self.levels, v_minus=self.levels.v_minus[rows]))
+
+    def holds(self, index: np.ndarray) -> np.ndarray:
+        """Which of the levels ``index`` live here."""
+        return np.any(self.levels.v_minus[:, index] != 0, axis=0)
+
+    def sample(self, ts: np.ndarray) -> _Sample:
+        """H_-, I_- and U_- at an array of times, from one build of W there."""
+        return _Sample(self.gauge, self.y, ts, self.i_ref)
+
+    def mapped(self, index: np.ndarray, ts, w=None) -> np.ndarray:
+        """W(ts), or ``w`` when given, times the minus vectors of the levels ``index``,
+        each with its phase e^{-i int_0^t y}: the mapped solutions at the times ``ts``."""
+        phases = np.exp(-1j * self.y.eigen_phase(self.levels.mu[index], ts[..., None]))
+        w = self.gauge.value(ts) if w is None else w
+        return (w @ self.levels.v_minus[:, index]) * phases[..., None, :]
+
+    def mapped_with_rate(self, index: np.ndarray, at: _Sample) -> tuple[np.ndarray, np.ndarray]:
         """The mapped solutions psi of the levels ``index`` at a sample's times, and
         dpsi/dt = W' V phi - i (y mu) psi from its W and W': each (n, dim, len(index))."""
-        psi = self.mapped(y, index, at.ts, at.w)
-        rate = y.eigen_rate(self.mu[index], at.ts[:, None])
-        dpsi = self.mapped(y, index, at.ts, at.w_dot)
-        dpsi -= 1j * rate[:, None, :] * psi
-        return psi, dpsi
+        psi = self.mapped(index, at.ts, at.w)
+        rate = self.y.eigen_rate(self.levels.mu[index], at.ts[:, None])
+        return psi, self.mapped(index, at.ts, at.w_dot) - 1j * rate[:, None, :] * psi
 
 
 @dataclass(frozen=True)
 class PartnerOutput:
     """Everything the prescription produces: the invariant I(0) of d0, its spectral
-    pairing and the levels taken from it, and H_-, U_- and I_- as maps of t or,
-    from one W per time, as a :meth:`sample`."""
+    pairing, the minus side on the whole space (``whole``) with the levels taken
+    from the pairing, and its sectors, found on first use (:attr:`sectors`)."""
 
     system: SuperSystem
     invariant: SuperInvariant
     pairing: SpectralPairing
-    levels: Levels
+    whole: Block
+
+    @property
+    def levels(self) -> Levels:
+        return self.whole.levels
+
+    @cached_property
+    def sectors(self) -> tuple[Block, ...]:
+        """The sectors of D2, I_-(0), the closed-form generators and the minus vectors
+        (:func:`susyinv.sectors.split`), each holding the blocks of the whole's on its
+        indices: ``whole`` itself where there is one."""
+        w = self.whole
+        parts = sectors.split(self.system.rep, w.gauge.d2.entries, w.i_ref, w.levels.v_minus)
+        return (w,) if len(parts) == 1 else tuple(map(w.restricted, parts))
+
+    def assemble(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """The whole space's (n, d, d) stack from one (n, d_s, d_s) block per sector:
+        their direct sum, permuted back."""
+        if len(blocks) == 1:
+            return blocks[0]
+        whole = np.zeros(blocks[0].shape[:-2] + (self.whole.dim,) * 2, dtype=complex)
+        for s, b in zip(self.sectors, blocks):
+            whole[..., s.rows[:, None], s.rows] = b
+        return whole
 
     def h_minus(self, t):
-        return hamiltonian_from_gauge(self.system.w_minus, self.system.y_minus, t)
+        return hamiltonian_from_gauge(self.whole.gauge, self.whole.y, t)
 
     def u_minus(self, t):
-        return evolution_from_gauge(self.system.w_minus, self.system.y_minus, t)
+        return evolution_from_gauge(self.whole.gauge, self.whole.y, t)
 
     def i_minus(self, t):
         """I-(t) = W(t) I-(0) W(t)^dag."""
-        return per_time(t, lambda ts: self.sample(ts).i_minus)
+        return per_time(t, lambda ts: self.assemble([s.sample(ts).i_minus for s in self.sectors]))
 
-    def sample(self, ts: np.ndarray) -> _Sample:
-        """H_-, I_- and U_- at an array of times, from one build of W there."""
-        return _Sample(self.system.w_minus, self.system.y_minus, ts,
-                       self.invariant.Iminus.entries)
-
-    def _d_stack(self, w: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    def d_stack(self, ts: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """d = W d0 U+^dag at the times ``ts`` from W there, or with W' in place of W its
+        gauge rate; dd/dt adds i d H+, as U+^dag solves dU+^dag/dt = i U+^dag H+."""
         # U+ is diagonal, so U+^dag scales the columns of W d0.
-        return (w @ self.system.d0.entries) * phases.conj()[:, None, :]
-
-    def d_with_gauge_rate(self, at: _Sample) -> tuple[np.ndarray, np.ndarray]:
-        """d = W d0 U+^dag and its gauge rate W' d0 U+^dag at a sample's times;
-        dd/dt adds i d H+, as U+^dag solves dU+^dag/dt = i U+^dag H+."""
-        phases = self.system.u_plus_phases(at.ts)
-        return self._d_stack(at.w, phases), self._d_stack(at.w_dot, phases)
+        return (w @ self.system.d0.entries) * self.system.u_plus_phases(ts).conj()[:, None, :]
 
     def mapped_solution(self, level, t) -> np.ndarray:
-        """Exact minus-sector solution e^{-i int y} W(t) d0 |lam,+;0> / sqrt(2 lam).
+        """Exact minus-sector solution e^{-i int y} W(t) d0 |lam,+;0> / sqrt(2 lam),
+        taken in the sector of each level.
 
         ``level`` is one index or a sequence of them, ``t`` a scalar or a 1-D
         array of times; the result has shape ``t.shape + (dim,) + level.shape``.
         """
         index = np.asarray(level)
         ts = np.asarray(t, dtype=float)
-        psi = self.levels.mapped(self.system.y_minus, np.atleast_1d(index), ts,
-                                 self.system.w_minus.value(ts))
+        flat = np.atleast_1d(index)
+        if len(self.sectors) == 1:
+            psi = self.whole.mapped(flat, ts)
+        else:  # each level lives in one sector, zero off its rows
+            psi = np.zeros(ts.shape + (self.whole.dim, flat.size), dtype=complex)
+            for s in self.sectors:
+                if (mine := np.flatnonzero(s.holds(flat))).size:
+                    psi[..., s.rows[:, None], mine] = s.mapped(flat[mine], ts)
         return psi if index.ndim else psi[..., 0]
 
     def level_for_label(self, mu: float) -> int:
@@ -411,13 +463,13 @@ class PartnerOutput:
     def identity_defects(self, ts) -> dict[str, float]:
         """Largest residuals of I+(t) = d^dag d / 2 and I-(t) = d d^dag / 2 over times ts."""
         ts = np.asarray(ts, dtype=float)
-        at = self.sample(ts)
-        phases = self.system.u_plus_phases(ts)
-        dm = self._d_stack(at.w, phases)
+        samples = [s.sample(ts) for s in self.sectors]
+        dm = self.d_stack(ts, self.assemble([at.w for at in samples]))
         # I+(t) = U+ I+(0) U+^dag, with U+ diagonal.
-        i_plus, i_minus = _sandwich(phases, self.invariant.Iplus.entries), at.i_minus
+        i_plus = _sandwich(self.system.u_plus_phases(ts), self.invariant.Iplus.entries)
         return {"iplus": float(np.max(frobenius(dagger(dm) @ dm / 2 - i_plus))),
-                "iminus": float(np.max(frobenius(dm @ dagger(dm) / 2 - i_minus)))}
+                "iminus": float(np.max(frobenius(
+                    dm @ dagger(dm) / 2 - self.assemble([at.i_minus for at in samples]))))}
 
 
 def run_prescription(system: SuperSystem) -> PartnerOutput:
@@ -457,7 +509,10 @@ def run_prescription(system: SuperSystem) -> PartnerOutput:
     lam, mu = np.concatenate([np.empty(0), *lams]), np.concatenate([np.empty(0), *mus])
     order = np.lexsort((mu, lam))
     v_minus = np.concatenate([np.empty((d0.shape[0], 0)), *vms], axis=1)[:, order]
-    return PartnerOutput(system, invariant, pairing, Levels(lam[order], mu[order], v_minus))
+    levels = Levels(lam[order], mu[order], v_minus)
+    return PartnerOutput(system, invariant, pairing,
+                         Block(None, system.w_minus, system.y_minus, invariant.Iminus.entries,
+                               system.plus_energies, levels))
 
 
 def spin_supersystem(rep: SpinRep, theta: TimeFunction, phi: TimeFunction,
@@ -507,7 +562,7 @@ def closed_form_osc_R(f: TimeFunction, theta: TimeFunction, phi: TimeFunction, t
 
 def closed_form_operator(r, generators) -> np.ndarray:
     """sum_i R^i G_i: one matrix for scalar coefficients, a stack for arrays."""
-    return sum(np.multiply.outer(ri, g.entries) for ri, g in zip(r, generators))
+    return sum(np.multiply.outer(ri, _mat(g)) for ri, g in zip(r, generators))
 
 
 def quadrupole_partner(spin: SpinRep, f: TimeFunction, g: TimeFunction,

@@ -18,7 +18,7 @@ blocks of the sectors of a block-diagonal H, one chunk of step unitaries and
 one sector at a time, and only the kept grid points are stored.
 
 The LvN and intertwining residuals take matrices or (n, d, d) stacks, with the
-derivative their caller holds (:meth:`susyinv.construction.PartnerOutput.sample`).
+derivative their caller holds (:meth:`susyinv.construction.Block.sample`).
 Maps of t (Hamiltonians, frames) are called with arrays of times and return
 (n, d, d) stacks, or one matrix when they are constant. Grids are
 evaluated chunk by chunk (:func:`susyinv.operators.chunks`); only the product

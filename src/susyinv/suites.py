@@ -15,33 +15,35 @@ bound on dW/dt itself, relative to max(1, ||dW/dt||_F), under the lvn verdict.
 The parts of one verdict are folded with np.max, which propagates a NaN, so
 a NaN fails; Python's max drops a NaN that is not its first argument.
 
-The sampled residuals and the solutions suite are taken in sectors, found
-once per run (:mod:`susyinv.sectors`): the oscillator's even and odd Fock
-states, as su(1,1) conserves Fock parity, and one sector, the run's own
-objects with no combine step, for spin or a d0 that couples the parities. The
-Frobenius norms of all sectors at one time combine by hypot, before the max
-over times, as the squared norm of a block-diagonal matrix is the sum of its
-blocks'. The solutions suite steps the sectors' blocks together, and its step
-guard reads the whole H at every node: the hypot of the sectors' norms. The
-superalgebra, pairing and intertwining suites stay dense, as d0 maps between
-the sectors.
+Every suite takes the output's sectors (:attr:`PartnerOutput.sectors`): the
+oscillator's even and odd Fock states, as su(1,1) conserves Fock parity, and
+one sector, the whole space, for spin or a d0 that couples the parities. The
+projector, the closed-form generators and the checkable levels are cut to
+each (:class:`_Cut`). The Frobenius norms of all sectors at one time combine
+by hypot, before the max over times, as the squared norm of a block-diagonal
+matrix is the sum of its blocks'. The solutions suite steps the sectors'
+blocks together, and its step guard reads the whole H at every node: the hypot
+of the sectors' norms (:func:`stepped_hamiltonian`). d0 maps between the
+sectors, so the superalgebra and intertwining suites take W, W' and H_- as the
+direct sum of the sectors' blocks, permuted back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import RunConfig
-from .construction import (PartnerOutput, closed_form_operator, closed_form_osc_R,
+from .construction import (Block, PartnerOutput, closed_form_operator, closed_form_osc_R,
                            closed_form_spin_R, hamiltonian_from_gauge, oscillator_supersystem,
                            quadrupole_partner, run_prescription, spin_supersystem)
 from .dynamics import central_difference, check_step, lvn_residual, propagate
 from .operators import dagger, direct_sum, frobenius, over_chunks, project, unitarity_defect
 from .representations import OscillatorRep, SpinRep
-from .sectors import Sector, split
+from .sectors import generators
 from .susy import SuperCharge, check_superalgebra, pairing_residuals
 
 SPIN_TOLS = {"superalgebra": 1e-12, "pairing": 1e-10, "gauge": 1e-9,
@@ -87,13 +89,40 @@ def _tols(cfg: RunConfig, scale: float) -> dict[str, float]:
     return {k: v * scale for k, v in base.items()}
 
 
-def _projector(rep) -> np.ndarray | None:
+def _cut(m: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """The block of a (d, d) matrix on ``rows``; the matrix itself for the whole space."""
+    return m if rows is None else m[np.ix_(rows, rows)]
+
+
+def _projector(rep, rows: np.ndarray | None = None) -> np.ndarray | None:
+    """The oscillator's interior projector, cut to ``rows``; None for spin."""
     if isinstance(rep, OscillatorRep):
-        return rep.projector_interior.entries
+        return _cut(rep.projector_interior.entries, rows)
     return None
 
 
-def _gauge_residuals(run: _Run, sector: Sector, at, origin) -> tuple:
+def stepped_hamiltonian(out: PartnerOutput, dt: float, used):
+    """H_- at an array of times in the sectors that the mask ``used`` picks from
+    ``out.sectors``, held to the step guard at ``dt`` by the whole H: the hypot of
+    every sector's norm (:func:`susyinv.dynamics.check_step`)."""
+    def h(ts):
+        hs = [hamiltonian_from_gauge(s.gauge, s.y, ts) for s in out.sectors]
+        check_step(hs, dt)
+        return tuple(m for m, u in zip(hs, used) if u)
+    return h
+
+
+class _Cut(NamedTuple):
+    """A sector of the output, with the run's projector, closed-form generators and
+    checkable levels cut to it."""
+
+    sector: Block
+    projector: np.ndarray | None
+    generators: tuple[np.ndarray, ...]
+    checkable: np.ndarray
+
+
+def _gauge_residuals(run: _Run, cut: _Cut, at, origin) -> tuple:
     """Closed-form coefficients against the independent matrix gauge route."""
     cfg, rep, ts = run.cfg, run.rep, at.ts
     if isinstance(rep, SpinRep):
@@ -101,47 +130,47 @@ def _gauge_residuals(run: _Run, sector: Sector, at, origin) -> tuple:
             h_closed = quadrupole_partner(rep, cfg.f, cfg.g, cfg.theta, cfg.phi, ts)
         else:
             h_closed = closed_form_operator(closed_form_spin_R(cfg.f, cfg.theta, cfg.phi, ts),
-                                            sector.generators)
+                                            cut.generators)
     else:
         h_closed = closed_form_operator(
-            closed_form_osc_R(cfg.f, cfg.theta, cfg.phi, ts), sector.generators)
-    return (frobenius(project(at.h_minus - h_closed, sector.projector)),)
+            closed_form_osc_R(cfg.f, cfg.theta, cfg.phi, ts), cut.generators)
+    return (frobenius(project(at.h_minus - h_closed, cut.projector)),)
 
 
-def _lvn_residuals(run: _Run, sector: Sector, at, origin) -> tuple:
-    return (lvn_residual(at.i_minus, at.h_minus, at.i_dot, sector.projector),)
+def _lvn_residuals(run: _Run, cut: _Cut, at, origin) -> tuple:
+    return (lvn_residual(at.i_minus, at.h_minus, at.i_dot, cut.projector),)
 
 
-def _lvn_wrong_h_residuals(run: _Run, sector: Sector, at, origin) -> tuple:
+def _lvn_wrong_h_residuals(run: _Run, cut: _Cut, at, origin) -> tuple:
     """The cross-check: the LvN residual of I_- against H+ in place of H_-."""
-    h_plus = np.diag(sector.plus_energies).astype(complex)
-    return (lvn_residual(at.i_minus, h_plus, at.i_dot, sector.projector),)
+    h_plus = np.diag(cut.sector.plus_energies).astype(complex)
+    return (lvn_residual(at.i_minus, h_plus, at.i_dot, cut.projector),)
 
 
-def _w_dot_residuals(run: _Run, sector: Sector, at, origin) -> tuple:
+def _w_dot_residuals(run: _Run, cut: _Cut, at, origin) -> tuple:
     """The exact dW/dt's distance from its central difference, and its norm: the
     bound under lvn is their ratio, relative to max(1, ||dW/dt||_F) as the
     difference's own error grows with W's derivatives."""
     w_dot = at.w_dot
-    return (frobenius(w_dot - central_difference(sector.gauge.value, at.ts)),
+    return (frobenius(w_dot - central_difference(cut.sector.gauge.value, at.ts)),
             frobenius(w_dot))
 
 
-def _unitarity_residuals(run: _Run, sector: Sector, at, origin) -> tuple:
+def _unitarity_residuals(run: _Run, cut: _Cut, at, origin) -> tuple:
     """U_-(t) unitarity and the invariant transport U I(0) U^dag = I(t), where
     U = U_-(t) U_-(0)^dag: for offset starts (theta(0) != 0) U_-(t) alone does not."""
     u0, i0 = origin
     u = at.u_minus @ u0.conj().T
     return (unitarity_defect(at.u_minus),
-            frobenius(project(u @ i0 @ dagger(u) - at.i_minus, sector.projector)))
+            frobenius(project(u @ i0 @ dagger(u) - at.i_minus, cut.projector)))
 
 
-def _origin(sector: Sector) -> tuple[np.ndarray, np.ndarray]:
+def _origin(sector: Block) -> tuple[np.ndarray, np.ndarray]:
     at = sector.sample(np.zeros(1))
     return at.u_minus[0], at.i_minus[0]
 
 
-# Residual -> its Frobenius norms at one chunk of one sector, f(run, sector, sample
+# Residual -> its Frobenius norms at one chunk of one sector, f(run, cut, sample
 # there, the sector's (U_-(0), I_-(0)) or None): one part, or two that FOLDS joins.
 SAMPLED = {"gauge": _gauge_residuals, "lvn": _lvn_residuals, "w_dot": _w_dot_residuals,
            "unitarity": _unitarity_residuals, "lvn_wrong_h": _lvn_wrong_h_residuals}
@@ -156,8 +185,8 @@ READS = {"gauge": ("gauge",), "lvn": ("lvn", "w_dot"), "unitarity": ("unitarity"
 @dataclass
 class _Run:
     """What the suites of one run_suites call share, each computed when a suite first
-    needs it: the configured system, its sectors, and the worst of each SAMPLED
-    residual that a selected suite reads."""
+    needs it: the configured system, the cuts of its sectors, and the worst of each
+    SAMPLED residual that a selected suite reads."""
 
     cfg: RunConfig
     rep: SpinRep | OscillatorRep
@@ -169,27 +198,30 @@ class _Run:
         return self.cfg.suites + (("lvn_wrong_h",) if self.cfg.cross_check_wrong_h else ())
 
     @cached_property
-    def sectors(self) -> tuple[Sector, ...]:
-        return split(self.rep, self.out, _projector(self.rep),
-                     np.asarray(_checkable_levels(self.rep, self.out), dtype=int))
+    def cuts(self) -> list[_Cut]:
+        checkable = np.asarray(_checkable_levels(self.rep, self.out), dtype=int)
+        return [_Cut(s, _projector(self.rep, s.rows),
+                     tuple(_cut(g.entries, s.rows) for g in generators(self.rep)),
+                     checkable[s.holds(checkable)])
+                for s in self.out.sectors]
 
     @cached_property
     def sampled(self) -> dict[str, float]:
         names = [n for n in SAMPLED if any(n in READS.get(s, ()) for s in self.selected)]
         times = _sample_times(self.cfg)
 
-        def parts(sector: Sector) -> np.ndarray:
-            origin = _origin(sector) if "unitarity" in names else None
+        def parts(cut: _Cut) -> np.ndarray:
+            origin = _origin(cut.sector) if "unitarity" in names else None
 
             def per_chunk(ts):  # one W for every residual, one chunk at a time
-                at = sector.sample(ts)
-                return np.stack([p for n in names for p in SAMPLED[n](self, sector, at, origin)],
+                at = cut.sector.sample(ts)
+                return np.stack([p for n in names for p in SAMPLED[n](self, cut, at, origin)],
                                 axis=1)
 
-            return over_chunks(times, sector.dim, per_chunk)
+            return over_chunks(times, cut.sector.dim, per_chunk)
 
         # The parts of all sectors at one time combine by hypot, before the max over times.
-        whole = iter(reduce(np.hypot, map(parts, self.sectors)).T)
+        whole = iter(reduce(np.hypot, map(parts, self.cuts)).T)
         values = [next(whole) if n not in FOLDS else FOLDS[n](next(whole), next(whole))
                   for n in names]
         return dict(zip(names, map(float, np.max(values, axis=1))))
@@ -255,10 +287,11 @@ def _suite_intertwining(run: _Run, lvn_tol) -> CheckResult:
     ||i W' d0 U+^dag - H_- d||: the i d H+ of dd/dt and the + d H+ cancel
     exactly, and at large H+ their rounding would drown the rest.
     """
-    out = run.out
-    at = out.sample(np.ones(1))
-    d, gauge_rate = out.d_with_gauge_rate(at)
-    res_inter = float(frobenius(project(1j * gauge_rate - at.h_minus @ d,
+    out, ts = run.out, np.ones(1)
+    samples = [s.sample(ts) for s in out.sectors]
+    w, w_dot, h = (out.assemble([getattr(at, name) for at in samples])
+                   for name in ("w", "w_dot", "h_minus"))
+    res_inter = float(frobenius(project(1j * out.d_stack(ts, w_dot) - h @ out.d_stack(ts, w),
                                         _projector(run.rep)))[0])
     invariant = _suite_lvn(run, lvn_tol).passed
     y_d0 = float(np.linalg.norm(out.system.y_minus.diagonal(1.0)[:, None]
@@ -302,42 +335,33 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
     residual takes dpsi/dt exactly, W' V phi - i (y mu) psi, with W, W' and H_-
     from one sample of W. The residual is the largest of the Schrodinger
     residual, the infidelity, the state error of the 2n run and the error
-    bar. A config with no checkable level propagates nothing.
-
-    Each level lives in one sector, so all of this is taken per sector: the
-    sectors' blocks step together, with their H at each node held to the
-    guard by the whole H's norm (the hypot of theirs), and the states are
-    compared as the direct sum of the blocks.
+    bar. A config with no checkable level propagates nothing. Each level lives
+    in one sector, where all of this is taken; the states are compared as the
+    direct sum of the sectors' blocks.
     """
-    cfg, sectors = run.cfg, run.sectors
-    active = [s for s in sectors if s.checkable.size]
+    cfg, cuts = run.cfg, run.cuts
+    active = [c for c in cuts if c.checkable.size]
     if not active:
         return CheckResult("solutions", 0.0, tol, True)
 
-    def schrodinger_residuals(sector: Sector) -> np.ndarray:
+    def schrodinger_residuals(cut: _Cut) -> np.ndarray:
         # Schrodinger residual of the closed form, per level, with its exact rate.
         def per_chunk(ts):
-            at = sector.sample(ts)
-            psi, dpsi = sector.levels.mapped_with_rate(sector.y, sector.checkable, at)
+            at = cut.sector.sample(ts)
+            psi, dpsi = cut.sector.mapped_with_rate(cut.checkable, at)
             res = 1j * dpsi - at.h_minus @ psi
-            return np.linalg.norm(res if sector.projector is None else sector.projector @ res,
+            return np.linalg.norm(res if cut.projector is None else cut.projector @ res,
                                   axis=-2)
-        return np.max(over_chunks(_sample_times(cfg, count=5), sector.dim, per_chunk))
+        return np.max(over_chunks(_sample_times(cfg, count=5), cut.sector.dim, per_chunk))
 
-    worst = float(np.max([schrodinger_residuals(s) for s in active]))
-
-    def h(ts):
-        # H_- at internal nodes, held to the step guard of the config grid.
-        hs = tuple(hamiltonian_from_gauge(s.gauge, s.y, ts) for s in sectors)
-        check_step(hs, cfg.dt)
-        return tuple(m for m, s in zip(hs, sectors) if s.checkable.size)
-
+    worst = float(np.max([schrodinger_residuals(c) for c in active]))
+    h = stepped_hamiltonian(run.out, cfg.dt, [c.checkable.size > 0 for c in cuts])
     grid = cfg.grid()
     checks = grid[[grid.size // 2, grid.size - 1]]
     # 0 < t_mid <= t_final: the check times coincide on a one-step grid.
     bounds = np.append(0.0, checks if checks[0] < checks[1] else checks[1:])
     segments = bounds.size - 1
-    psi0 = tuple(s.mapped(np.asarray(0.0)) for s in active)
+    psi0 = tuple(c.sector.mapped(c.checkable, np.asarray(0.0)) for c in active)
 
     def numeric(steps):
         keep = steps * np.searchsorted(bounds, checks)
@@ -350,7 +374,7 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
         if bar < ERROR_BAR_MARGIN * tol or segments * 4 * n > grid.size - 1:
             break
         n, coarse = 2 * n, fine
-    closed = direct_sum([s.mapped(checks) for s in active])
+    closed = direct_sum([c.sector.mapped(c.checkable, checks) for c in active])
     error = float(np.max(np.linalg.norm(fine - closed, axis=1)))
     infidelity = float(np.max(1.0 - np.abs(np.sum(closed.conj() * fine, axis=1))))
     worst = float(np.max([worst, infidelity, error, bar]))

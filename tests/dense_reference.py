@@ -1,10 +1,9 @@
-"""Dense references for the verify suites that take the oscillator in sectors.
+"""Dense references for the commands that take the oscillator in sectors.
 
-The suites take the sampled residuals (gauge, lvn, the bound on dW/dt,
-unitarity, the wrong-H cross-check) and the solutions suite sector by sector.
-These helpers take the same quantities on the whole N x N matrices of the
-prescription's output: the sampled residuals from the formulas themselves, and
-the solutions suite with the whole space as its one sector.
+Every command takes the oscillator sector by sector. These helpers take the
+same quantities on the whole N x N matrices of the prescription's output: the
+sampled residuals from the formulas themselves, and the solutions suite, or
+any command, with the whole space as its one sector (:func:`one_sector`).
 """
 
 from unittest import mock
@@ -24,11 +23,11 @@ def sampled_residuals(cfg) -> dict[str, float]:
     spin = isinstance(rep, SpinRep)
     proj = None if spin else rep.projector_interior.entries
     ts = suites._sample_times(cfg)
-    at = out.sample(ts)
+    at = out.whole.sample(ts)
     closed_form = closed_form_spin_R if spin else closed_form_osc_R
     generators = (rep.J1, rep.J2, rep.J3) if spin else (rep.K1, rep.K2, rep.K3)
     h_closed = closed_form_operator(closed_form(cfg.f, cfg.theta, cfg.phi, ts), generators)
-    origin = out.sample(np.zeros(1))
+    origin = out.whole.sample(np.zeros(1))
     u = at.u_minus @ dagger(origin.u_minus[0])
     transport = u @ origin.i_minus[0] @ dagger(u) - at.i_minus
     w_dot_error = frobenius(at.w_dot - central_difference(out.system.w_minus.value, ts))
@@ -43,9 +42,15 @@ def sampled_residuals(cfg) -> dict[str, float]:
     return {name: float(np.max(values)) for name, values in residuals.items()}
 
 
+def one_sector():
+    """Within it, the sector search finds the whole space: every command takes the
+    dense route, as its one sector."""
+    return mock.patch.object(sectors, "find_sectors",
+                             lambda matrices, vectors: [np.arange(len(vectors))])
+
+
 def solutions_result(cfg, tol: float):
     """The solutions suite with the whole space as its one sector."""
     run = suites._Run(cfg, *suites.build_system(cfg))
-    whole = [np.arange(run.rep.dim)]
-    with mock.patch.object(sectors, "find_sectors", lambda matrices, vectors: whole):
+    with one_sector():
         return suites._suite_solutions(run, tol)

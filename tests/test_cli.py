@@ -197,7 +197,9 @@ class TestBuild:
             + 1j * rng.normal(size=shape)
         m.flat[0] = complex(-0.0, np.inf)
         m.flat[-1] = complex(np.nan, 1e-320)
-        assert cli._json_complex(m) == json.dumps(cli._complex_payload(m), sort_keys=True)
+        payload = {"real": [[f"{float(v):.17g}" for v in row] for row in m.real],
+                   "imag": [[f"{float(v):.17g}" for v in row] for row in m.imag]}
+        assert cli._json_complex(m) == json.dumps(payload, sort_keys=True)
 
     def test_byte_determinism(self, tmp_path, config_dir):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -367,9 +369,9 @@ class TestVerify:
         assert counts[("gauge", "lvn", "unitarity"), True] \
             == counts[("gauge", "lvn", "unitarity"), False]
 
-    def test_traced_verify_peak_within_the_memory_bound(self, tmp_path, config_dir):
-        # The peak that HELD_MATRICES bounds: an N = 128 oscillator verify
-        # (33.7 matrices when the bound was set). An extra held stack fails here.
+    @staticmethod
+    def osc128(tmp_path, config_dir) -> Path:
+        """An N = 128, buffer 16 oscillator on a 201-point grid."""
         text = (config_dir / "oscillator_default.ini").read_text()
         edits = (("n = 32", "n = 128"), ("buffer = 8", "buffer = 16"),
                  ("t_final = 3.0", "t_final = 0.1"), ("dt = 0.002", "dt = 0.0005"))
@@ -378,7 +380,12 @@ class TestVerify:
             text = text.replace(old, new)
         path = tmp_path / "osc128.ini"
         path.write_text(text)
-        cfg = load_config(path)
+        return path
+
+    def test_traced_verify_peak_within_the_memory_bound(self, tmp_path, config_dir):
+        # The peak that HELD_MATRICES bounds: an N = 128 oscillator verify
+        # (33.7 matrices when the bound was set). An extra held stack fails here.
+        cfg = load_config(self.osc128(tmp_path, config_dir))
         suites.run_suites(cfg)
         tracemalloc.start()
         try:
@@ -387,6 +394,22 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert all(r.passed for r in reports)
+        assert peak <= HELD_MATRICES * 16 * 128 ** 2
+
+    def test_traced_propagate_peak_within_the_memory_bound(self, tmp_path, config_dir):
+        # The same bound holds propagate on that oscillator: its writer formats
+        # one chunk of solution.csv's rows at a time, and only the sector of the
+        # state is stepped.
+        args = ["propagate", "--config", self.osc128(tmp_path, config_dir),
+                "--out", tmp_path / "out"]
+        assert run(args) == 0
+        tracemalloc.start()
+        try:
+            code = run(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
         assert peak <= HELD_MATRICES * 16 * 128 ** 2
 
     def test_planted_term_in_h_raises_exact_lvn_residual(self, config_dir, monkeypatch):

@@ -469,18 +469,18 @@ class TestPrescription:
         spin, theta, phi, f = spin_setup
         out = run_prescription(spin_supersystem(spin, theta, phi, f, b=1.3))
         ts, h = np.array([0.3, 1.1]), 1e-6
-        at = out.sample(ts)
+        at = out.whole.sample(ts)
 
         def fd(m_map):
             return (m_map(ts + h) - m_map(ts - h)) / (2 * h)
 
         assert np.max(frobenius(at.i_dot - fd(out.i_minus))) < 1e-8
-        d, gauge_rate = out.d_with_gauge_rate(at)
+        d, gauge_rate = out.d_stack(ts, at.w), out.d_stack(ts, at.w_dot)
         d_dot = gauge_rate + 1j * d * out.system.plus_energies
         assert np.array_equal(d, d_map(out)(ts))
         assert np.max(frobenius(d_dot - fd(d_map(out)))) < 1e-8
         levels = list(range(len(out.levels)))
-        psi, dpsi = out.levels.mapped_with_rate(out.system.y_minus, np.array(levels), at)
+        psi, dpsi = out.whole.mapped_with_rate(np.array(levels), at)
         assert np.array_equal(psi, out.mapped_solution(levels, ts))
         assert np.max(np.abs(dpsi - fd(lambda t: out.mapped_solution(levels, t)))) < 1e-8
 

@@ -296,7 +296,7 @@ class TestLvnResidual:
         # A stack of times gives the residuals of each time, and a constant H
         # is broadcast against the stack.
         _, out = precessing
-        at = out.sample(np.array([0.4, 1.3]))
+        at = out.whole.sample(np.array([0.4, 1.3]))
         for h in (at.h_minus, out.system.h_plus):
             stacked = lvn_residual(at.i_minus, h, at.i_dot)
             hs = np.broadcast_to(h, at.i_minus.shape)

@@ -1,12 +1,13 @@
-"""The sectors that verify takes the oscillator in, and their dense references."""
+"""The sectors that every command takes the oscillator in, and their dense references."""
 
 import json
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dense_reference import sampled_residuals, solutions_result
+from dense_reference import one_sector, sampled_residuals, solutions_result
 from susyinv import sectors, suites
 from susyinv.cli import main
 from susyinv.config import load_config
@@ -16,8 +17,8 @@ from susyinv.susy import build_invariant, build_supercharge
 
 
 def sector_rows(cfg) -> list[np.ndarray]:
-    run = suites._Run(cfg, *suites.build_system(cfg))
-    return [np.arange(run.rep.dim) if s.rows is None else s.rows for s in run.sectors]
+    rep, out = suites.build_system(cfg)
+    return [np.arange(rep.dim) if s.rows is None else s.rows for s in out.sectors]
 
 
 def oscillator(config_dir, n: int, buffer: int, **changes):
@@ -45,11 +46,11 @@ class TestFindSectors:
         matrices = [out.system.w_minus.d2.entries, out.invariant.Iminus.entries,
                     rep.J1.entries, rep.J2.entries, rep.J3.entries]
         assert [p.size for p in sectors.find_sectors(matrices, out.levels.v_minus)] == [11]
-        run = suites._Run(cfg, rep, out)
-        [sector] = run.sectors
-        # One sector keeps the run's own objects.
-        assert sector.rows is None and sector.gauge is run.out.system.w_minus
-        assert sector.i_ref is run.out.invariant.Iminus.entries
+        # One sector is the whole space, with the system's own objects.
+        [sector] = out.sectors
+        assert sector is out.whole and sector.rows is None
+        assert sector.gauge is out.system.w_minus
+        assert sector.i_ref is out.invariant.Iminus.entries
 
     def test_d0_file_that_couples_parities_is_one_sector(self, tmp_path, config_dir):
         # I_-(0) = d0 d0^dag / 2 of d0 = a^dag + a^dag^2 holds a^dag a^dag a, which
@@ -92,7 +93,7 @@ class TestAgainstDense:
         # it is held to a tenth of that, the residuals to 1e-12.
         cfg = oscillator(config_dir, n, buffer, cross_check_wrong_h=True)
         run = suites._Run(cfg, *suites.build_system(cfg))
-        assert len(run.sectors) == 2
+        assert len(run.out.sectors) == 2
         dense = sampled_residuals(cfg)
         assert set(run.sampled) == set(dense)
         floor = np.finfo(float).eps * np.sqrt(n) / FD_STEP
@@ -108,14 +109,69 @@ class TestAgainstDense:
         assert abs(sectored.max_residual - dense.max_residual) <= 1e-12
 
 
-def test_step_guard_reads_the_whole_h(tmp_path, config_dir, capsys):
+    def test_build_and_propagate_files(self, tmp_path, config_dir, n, buffer):
+        # build's three files and propagate's solution.csv, sectored and dense,
+        # agree within 1e-12 of each file's largest entry.
+        text = (config_dir / "oscillator_default.ini").read_text()
+        for old, new in (("n = 32", f"n = {n}"), ("buffer = 8", f"buffer = {buffer}")):
+            text = text.replace(old, new)
+        config = tmp_path / "osc.ini"
+        config.write_text(text)
+        cfg = load_config(config)
+        assert len(suites.build_system(cfg)[1].sectors) == 2
+        for route in ("sectored", "dense"):
+            with one_sector() if route == "dense" else nullcontext():
+                for command in ("build", "propagate"):
+                    assert main([command, "--config", str(config),
+                                 "--out", str(tmp_path / route)]) == 0
+        for name in ("H_minus.csv", "invariant_spectrum.csv", "U_minus.json",
+                     "solution.csv"):
+            sectored, dense = (numbers(tmp_path / route / name)
+                               for route in ("sectored", "dense"))
+            assert sectored.shape == dense.shape
+            assert np.max(np.abs(sectored - dense)) <= 1e-12 * np.max(np.abs(dense)), name
+
+
+def numbers(path) -> np.ndarray:
+    """Every number of a CSV table, or of the samples of U_minus.json."""
+    if path.suffix == ".csv":
+        return np.loadtxt(path, delimiter=",", skiprows=1)
+    samples = json.loads(path.read_text())["samples"]
+    return np.array([[float(s["t"])] + [float(x) for part in ("real", "imag")
+                                        for row in s["U"][part] for x in row]
+                     for s in samples])
+
+
+def test_verify_builds_no_whole_space_gauge(config_dir, monkeypatch):
+    # Every suite takes W in the sectors, the superalgebra and intertwining
+    # suites as the direct sum of their blocks: the eigenbasis of the whole D2
+    # is never built.
+    outputs = []
+    real = suites.build_system
+
+    def capture(cfg):
+        rep, out = real(cfg)
+        outputs.append(out)
+        return rep, out
+
+    monkeypatch.setattr(suites, "build_system", capture)
+    results = suites.run_suites(oscillator(config_dir, 32, 8))
+    [out] = outputs
+    assert all(r.passed for r in results) and len(results) == 7
+    assert "_d2_basis" not in vars(out.system.w_minus)
+    assert len(out.sectors) == 2 and all("_d2_basis" in vars(s.gauge) for s in out.sectors)
+
+
+@pytest.mark.parametrize("command", ["verify", "propagate"])
+def test_step_guard_reads_the_whole_h(tmp_path, config_dir, capsys, command):
     # At dt = 0.024 the whole H_- has ||H||_F dt = 0.605, while its even and odd
     # blocks, of norms up to 18.04 and 17.62, reach only 0.433 and 0.423 against
     # the limit of 0.5: a guard taken per sector would let this grid through.
+    # propagate steps only the sector of its state, and still reads the whole H.
     text = (config_dir / "oscillator_default.ini").read_text()
     assert "dt = 0.002" in text
     config = tmp_path / "coarse.ini"
     config.write_text(text.replace("dt = 0.002", "dt = 0.024"))
-    assert main(["verify", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == ("config error: step too large: ||H||*dt = 0.605 "
                                        ">= 0.5 (try dt <= 0.0159)\n")
