@@ -2,8 +2,8 @@
 
 Subcommands: build, verify, propagate, phase, sweep. All numeric output uses
 17 significant digits so files round-trip doubles and runs are byte-identical
-for identical configs. Exit codes: 0 success, 1 failed checks, 2 bad config
-or bad loop geometry.
+for identical configs. Exit codes: 0 success, 1 failed checks, 2 bad config,
+bad loop geometry or an output directory that cannot be made.
 
 Time-function strings in config files follow the grammar of :mod:`susyinv.timefunc`.
 """
@@ -23,11 +23,10 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .construction import (GeneratorSplitError, NonFiniteHamiltonianError, closed_form_osc_R,
                            closed_form_spin_R, evolution_from_gauge)
-from .dynamics import (HolonomyResult, NonClosedLoopError, StepSizeError, berry_holonomy,
-                       propagate)
-from .operators import (NonHermitianError, SingularMatrixError, chunks, direct_sum, eigh,
+from .dynamics import HolonomyResult, NonClosedLoopError, StepSizeError, berry_holonomy
+from .operators import (NonHermitianError, SingularMatrixError, chunks, eigh,
                         eigvalsh, hermiticity_defect, over_chunks)
-from .suites import build_system, run_suites, stepped_hamiltonian
+from .suites import build_system, run_suites, stepped_states
 from .susy import PairingAmbiguityError
 
 
@@ -70,7 +69,11 @@ def _json_complex(m: np.ndarray) -> str:
 
 def _out_dir(cfg: RunConfig, out_override: str | None) -> Path:
     out_dir = Path(out_override or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use the output directory {str(out_dir)!r}: "
+                          f"{exc.strerror}") from None
     return out_dir
 
 
@@ -163,19 +166,6 @@ def _resolve_level(cfg: RunConfig, out) -> tuple[int | None, str]:
     return out.level_for_label(mu), f"level {text}"
 
 
-def _propagated(out, cfg: RunConfig, psi0: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """The midpoint rule's states from ``psi0`` on the grid. Only the sectors that
-    psi0 touches are stepped, as the one block of their direct sum; the step guard
-    reads the whole H (:func:`susyinv.suites.stepped_hamiltonian`)."""
-    used = [s.rows is None or bool(np.any(psi0[s.rows])) for s in out.sectors]
-    rows = np.concatenate([np.arange(s.dim) if s.rows is None else s.rows
-                           for s, u in zip(out.sectors, used) if u])
-    h = stepped_hamiltonian(out, cfg.dt, used)
-    states = np.zeros((grid.size, psi0.size), dtype=complex)
-    states[:, rows] = propagate(lambda ts: direct_sum(h(ts)), psi0[rows], grid).states
-    return states
-
-
 def _state_columns(grid: np.ndarray, states: dict) -> tuple[list[str], list]:
     """The header and columns of solution.csv: t, then the real and the imaginary
     parts of each named (n, dim) array of states."""
@@ -201,11 +191,11 @@ def cmd_propagate(cfg: RunConfig, out_override: str | None) -> int:
 
     if level is None:
         print(f"warning: {label} has no superpartner; writing numeric-only columns")
-        numeric = _propagated(out, cfg, eigh(out.i_minus(0.0)).vectors[:, 0], grid)
+        numeric = stepped_states(out, cfg.dt, eigh(out.i_minus(0.0)).vectors[:, 0], grid)
         _write_csv(out_dir / "solution.csv", *_state_columns(grid, {"num": numeric}))
         return 0
 
-    numeric = _propagated(out, cfg, out.mapped_solution(level, 0.0), grid)
+    numeric = stepped_states(out, cfg.dt, out.mapped_solution(level, 0.0), grid)
     closed = over_chunks(grid, max(s.dim for s in out.sectors),
                          lambda ts: out.mapped_solution(level, ts))
     infid = 1.0 - np.abs(np.sum(closed.conj() * numeric, axis=1))
@@ -259,7 +249,7 @@ def _sweep_cell(index: int, cfg_text: str, key: str, value: str, out_dir: Path,
                 tolerance_scale: float) -> list:
     """Write and verify one cell config; return its suite results."""
     section, option = key.split(".", 1)
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     cp.read_string(cfg_text)
     if not cp.has_section(section):
         cp.add_section(section)

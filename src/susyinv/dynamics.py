@@ -13,9 +13,9 @@ than order here because unitarity defects would masquerade as superalgebra
 violations. The step exponential is the truncated Taylor series of
 :func:`susyinv.operators.expm_i_hermitian`, whose degree keeps the backward
 error below the unit roundoff (the theta_m bounds of Al-Mohy & Higham 2011),
-so each step is unitary to rounding. States are stepped as a block, or as the
-blocks of the sectors of a block-diagonal H, one chunk of step unitaries and
-one sector at a time, and only the kept grid points are stored.
+so each step is unitary to rounding. States are stepped as a block, in the
+sectors of a block-diagonal H (each on its own rows), one chunk of step
+unitaries and one sector at a time, and only the kept grid points are stored.
 
 The LvN and intertwining residuals take matrices or (n, d, d) stacks, with the
 derivative their caller holds (:meth:`susyinv.construction.Block.sample`).
@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import (NonFiniteMatrixError, Operator, SingularMatrixError, _mat,
-                        check_finite, chunks, dagger, direct_sum, expm_i_hermitian,
+                        check_finite, chunks, dagger, expm_i_hermitian,
                         first_true, frobenius, over_chunks, polar_unitary, project,
                         unitarity_defect)
 
@@ -100,8 +100,8 @@ def _check_grid(times: np.ndarray) -> np.ndarray:
 def check_step(hs: tuple, dt) -> None:
     """Raise at the first H of a stack that is not finite, else at ||H||_F dt >= the limit.
 
-    ``hs`` holds the stacks of the sectors of a block-diagonal H, or its one
-    stack: their norms combine by hypot, so the guard reads the whole H.
+    ``hs`` holds the stacks of the sectors of a block-diagonal H: their norms
+    combine by hypot, so the guard reads the whole H.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # caught below, with no warning
         norms = reduce(np.hypot, map(frobenius, hs))
@@ -112,13 +112,13 @@ def check_step(hs: tuple, dt) -> None:
         raise StepSizeError(float(norms[k]), float(dts[k]))
 
 
-def _step_factors(h: Callable, times: np.ndarray, dims: tuple[int, ...], order: int):
+def _step_factors(h: Callable, times: np.ndarray, dims: list, stepped: list, order: int):
     """Step unitaries, computed as stacks one chunk of steps at a time.
 
-    ``h`` gives a tuple of stacks, one per sector of a block-diagonal H of
-    sector dimensions ``dims`` (one sector for a dense H). Each chunk yields a
-    list with one list per sector of its step unitaries in the order they
-    apply. Chunks are sized by the whole dimension.
+    ``h`` gives one stack per sector of a block-diagonal H of sector
+    dimensions ``dims``, and only the sectors ``stepped`` are exponentiated:
+    each chunk yields one list per stepped sector of its step unitaries in the
+    order they apply. Chunks are sized by the stepped sectors' dimensions.
 
     Order 2 gives one midpoint exponential per step, and every step is
     checked: the first with ||H|| dt >= STEP_NORM_LIMIT raises. Order 4 gives
@@ -128,22 +128,23 @@ def _step_factors(h: Callable, times: np.ndarray, dims: tuple[int, ...], order: 
     A non-finite H raises NonFiniteMatrixError naming the first step it enters.
     """
     dts = np.diff(times)
-    for sl in chunks(dts.size, sum(dims), per_point=1 if order == 2 else 2):
+    for sl in chunks(dts.size, sum(dims[s] for s in stepped),
+                     per_point=1 if order == 2 else 2):
         t0, dt = times[:-1][sl], dts[sl]
         k = dt.size
         try:
             if order == 2:
                 hs = [_stack(m, k, (d, d)) for m, d in zip(h(t0 + dt / 2), dims)]
                 check_step(hs, dt)
-                yield [list(expm_i_hermitian(m, dt)) for m in hs]
+                yield [list(expm_i_hermitian(hs[s], dt)) for s in stepped]
                 continue
             ts = np.concatenate([t0 + c * dt for c in GAUSS_NODES])
             hs = [_stack(m, ts.size, (d, d)) for m, d in zip(h(ts), dims)]
             # Both exponents first, so that H at the nodes is freed before the
             # exponential takes its workspace (and catches a non-finite exponent).
             with np.errstate(invalid="ignore", over="ignore"):
-                exponents = [np.concatenate([a * m[:k] + b * m[k:] for a, b in CF4_WEIGHTS])
-                             for m in hs]
+                exponents = [np.concatenate([a * hs[s][:k] + b * hs[s][k:]
+                                             for a, b in CF4_WEIGHTS]) for s in stepped]
             del hs
             factors = [expm_i_hermitian(m, np.concatenate([dt, dt])) for m in exponents]
         except NonFiniteMatrixError as exc:
@@ -155,14 +156,17 @@ def _step_factors(h: Callable, times: np.ndarray, dims: tuple[int, ...], order: 
 
 
 def propagate(h: Callable[[float], Operator], psi0: np.ndarray, times: np.ndarray,
-              keep=None, order: int = 2) -> Trajectory:
+              keep=None, order: int = 2, sectors: Sequence | None = None) -> Trajectory:
     """Propagation of a state or a block of states under H(t).
 
     ``psi0`` is one normalized state ``(dim,)`` or a block ``(dim, k)`` of
-    normalized columns, all stepped together. It may also be a tuple of
-    blocks ``(dim_s, k_s)``, one per sector of a block-diagonal H: ``h`` then
-    gives a tuple of stacks, one per sector, each block steps under its own,
-    and ``states`` holds their direct sum (:func:`susyinv.operators.direct_sum`).
+    normalized columns, all stepped together. ``sectors`` holds the row index
+    arrays of the sectors of a block-diagonal H, or ``[None]`` for the whole
+    space as its one sector; ``h`` then gives one stack per sector. A sector
+    steps, under its stack, the columns of ``psi0`` from the first to the last
+    that is nonzero on its rows, and one with none is not exponentiated. By
+    default the whole space is the one sector and ``h`` gives its stack.
+    ``states`` keep the rows of ``psi0``.
     ``keep`` is an optional array of grid indices: only those points are
     stored (``times``, ``states`` and ``norm_drift`` follow its order) and the
     steps stop at the last of them. By default the whole trajectory is
@@ -173,9 +177,8 @@ def propagate(h: Callable[[float], Operator], psi0: np.ndarray, times: np.ndarra
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order!r}")
     times = _check_grid(times)
-    sectored = isinstance(psi0, tuple)
-    psi = [np.asarray(b, dtype=complex) for b in (psi0 if sectored else (psi0,))]
-    norm0 = np.linalg.norm(direct_sum(psi), axis=0)
+    psi = np.asarray(psi0, dtype=complex)
+    norm0 = np.linalg.norm(psi, axis=0)
     if np.any(np.abs(norm0 - 1.0) > 1e-9):
         raise ValueError(f"initial state must be normalized, got norm {norm0}")
     keep = np.arange(times.size) if keep is None else np.asarray(keep, dtype=int)
@@ -184,31 +187,48 @@ def propagate(h: Callable[[float], Operator], psi0: np.ndarray, times: np.ndarra
     wanted = np.zeros(times.size, dtype=bool)
     wanted[keep] = True
     stored = np.flatnonzero(wanted)
-    # Each sector's blocks at the stored points, and how many factors precede each:
-    # a stored start precedes them all.
-    kept = [np.empty((stored.size, *b.shape), dtype=complex) for b in psi]
+    if sectors is None:
+        sectors, h = [None], (lambda ts, whole=h: (whole(ts),))
+    # Each stepped sector's index into psi, () for the whole space: its rows and, for a
+    # block, the span of its nonzero columns as one slice, cheaper than an index array.
+    nonzero = psi != 0
+    index = {}
+    for s, rows in enumerate(sectors):
+        if rows is None:
+            index[s] = ()
+        elif (cols := np.flatnonzero(np.any(nonzero[rows], axis=0))).size:
+            index[s] = (rows, slice(cols[0], cols[-1] + 1))[:psi.ndim]
+    parts = [psi[i] for i in index.values()]
+    # Each stepped sector's blocks at the stored points, and how many factors
+    # precede each: a stored start precedes them all.
+    kept = [np.empty((stored.size, *b.shape), dtype=complex) for b in parts]
     marks = ((1 if order == 2 else len(CF4_WEIGHTS)) * stored).tolist()
     first = int(marks[0] == 0)
-    for blocks, b in zip(kept, psi):
+    for blocks, b in zip(kept, parts):
         blocks[:first] = b
-    factors = _step_factors(h if sectored else (lambda ts: (h(ts),)),
-                            times[:stored[-1] + 1], tuple(b.shape[0] for b in psi), order)
+    dims = [psi.shape[0] if rows is None else len(rows) for rows in sectors]
+    factors = _step_factors(h, times[:stored[-1] + 1], dims, list(index), order)
     done = 0
     for chunk in factors:
         last = bisect_right(marks, done + len(chunk[0]))
         ends = [m - done for m in marks[first:last]]  # the chunk's stored points
         for s, us in enumerate(chunk):  # each sector through the chunk's steps
-            b, at, blocks = psi[s], 0, kept[s]
+            b, at, blocks = parts[s], 0, kept[s]
             for n, end in enumerate(ends, first):
                 for u in us[at:end]:
                     b = u @ b
                 blocks[n], at = b, end
             for u in us[at:]:
                 b = u @ b
-            psi[s] = b
+            parts[s] = b
         done, first = done + len(chunk[0]), last
         del chunk, us  # before the next chunk's factors are formed
-    states = direct_sum(kept)
+    if sectors[0] is None:  # the whole space's one block: no copy
+        states = kept[0]
+    else:
+        states = np.zeros((stored.size, *psi.shape), dtype=complex)
+        for i, blocks in zip(index.values(), kept):
+            states[(slice(None), *i)] = blocks
     if not np.array_equal(stored, keep):
         states = states[np.cumsum(wanted)[keep] - 1]
     drift = np.abs(np.linalg.norm(states, axis=1) - norm0).reshape(keep.size, -1)

@@ -21,11 +21,11 @@ one sector, the whole space, for spin or a d0 that couples the parities. The
 projector, the closed-form generators and the checkable levels are cut to
 each (:class:`_Cut`). The Frobenius norms of all sectors at one time combine
 by hypot, before the max over times, as the squared norm of a block-diagonal
-matrix is the sum of its blocks'. The solutions suite steps the sectors'
-blocks together, and its step guard reads the whole H at every node: the hypot
-of the sectors' norms (:func:`stepped_hamiltonian`). d0 maps between the
-sectors, so the superalgebra and intertwining suites take W, W' and H_- as the
-direct sum of the sectors' blocks, permuted back.
+matrix is the sum of its blocks'. The solutions suite and the propagate
+command step whole-space states in the sectors, with the step guard on the
+whole H at every node (:func:`stepped_states`). d0 maps between the sectors, so
+the superalgebra and intertwining suites take W, W' and H_- as the direct sum
+of the sectors' blocks, permuted back.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .construction import (Block, PartnerOutput, closed_form_operator, closed_fo
                            closed_form_spin_R, hamiltonian_from_gauge, oscillator_supersystem,
                            quadrupole_partner, run_prescription, spin_supersystem)
 from .dynamics import central_difference, check_step, lvn_residual, propagate
-from .operators import dagger, direct_sum, frobenius, over_chunks, project, unitarity_defect
+from .operators import dagger, frobenius, over_chunks, project, unitarity_defect
 from .representations import OscillatorRep, SpinRep
 from .sectors import generators
 from .susy import SuperCharge, check_superalgebra, pairing_residuals
@@ -101,15 +101,16 @@ def _projector(rep, rows: np.ndarray | None = None) -> np.ndarray | None:
     return None
 
 
-def stepped_hamiltonian(out: PartnerOutput, dt: float, used):
-    """H_- at an array of times in the sectors that the mask ``used`` picks from
-    ``out.sectors``, held to the step guard at ``dt`` by the whole H: the hypot of
-    every sector's norm (:func:`susyinv.dynamics.check_step`)."""
+def stepped_states(out: PartnerOutput, dt: float, psi0: np.ndarray, times: np.ndarray,
+                   **options) -> np.ndarray:
+    """The states from ``psi0`` on ``times`` under H_-, stepped in the sectors of ``out``
+    by :func:`susyinv.dynamics.propagate` with ``options``, every H held to the step
+    guard at ``dt`` by the whole H: the hypot of every sector's norm."""
     def h(ts):
         hs = [hamiltonian_from_gauge(s.gauge, s.y, ts) for s in out.sectors]
         check_step(hs, dt)
-        return tuple(m for m, u in zip(hs, used) if u)
-    return h
+        return hs
+    return propagate(h, psi0, times, sectors=[s.rows for s in out.sectors], **options).states
 
 
 class _Cut(NamedTuple):
@@ -336,8 +337,7 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
     from one sample of W. The residual is the largest of the Schrodinger
     residual, the infidelity, the state error of the 2n run and the error
     bar. A config with no checkable level propagates nothing. Each level lives
-    in one sector, where all of this is taken; the states are compared as the
-    direct sum of the sectors' blocks.
+    in one sector, where its residual is taken and its state stepped.
     """
     cfg, cuts = run.cfg, run.cuts
     active = [c for c in cuts if c.checkable.size]
@@ -355,17 +355,18 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
         return np.max(over_chunks(_sample_times(cfg, count=5), cut.sector.dim, per_chunk))
 
     worst = float(np.max([schrodinger_residuals(c) for c in active]))
-    h = stepped_hamiltonian(run.out, cfg.dt, [c.checkable.size > 0 for c in cuts])
     grid = cfg.grid()
     checks = grid[[grid.size // 2, grid.size - 1]]
     # 0 < t_mid <= t_final: the check times coincide on a one-step grid.
     bounds = np.append(0.0, checks if checks[0] < checks[1] else checks[1:])
     segments = bounds.size - 1
-    psi0 = tuple(c.sector.mapped(c.checkable, np.asarray(0.0)) for c in active)
+    levels = np.concatenate([c.checkable for c in active])
+    psi0 = run.out.mapped_solution(levels, 0.0)
 
     def numeric(steps):
         keep = steps * np.searchsorted(bounds, checks)
-        return propagate(h, psi0, _internal_grid(bounds, steps), keep=keep, order=4).states
+        return stepped_states(run.out, cfg.dt, psi0, _internal_grid(bounds, steps),
+                              keep=keep, order=4)
 
     n, coarse = 1, numeric(1)
     while True:
@@ -374,7 +375,7 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
         if bar < ERROR_BAR_MARGIN * tol or segments * 4 * n > grid.size - 1:
             break
         n, coarse = 2 * n, fine
-    closed = direct_sum([c.sector.mapped(c.checkable, checks) for c in active])
+    closed = run.out.mapped_solution(levels, checks)
     error = float(np.max(np.linalg.norm(fine - closed, axis=1)))
     infidelity = float(np.max(1.0 - np.abs(np.sum(closed.conj() * fine, axis=1))))
     worst = float(np.max([worst, infidelity, error, bar]))

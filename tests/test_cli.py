@@ -96,11 +96,16 @@ class TestConfig:
         ("spin_default", "verify", "j = 1/2", "j = 1e7",
          "[system] j = '1e7': a command holds 34 complex (20000001, 20000001) matrices, "
          "2.18e+17 bytes, more than the "),
+        # A % is a character of the value, never configparser's interpolation.
+        ("spin_default", "verify", 'f = "0.5"', 'f = "1 % 2"',
+         "[y] f = '\"1 % 2\"': unexpected character '%' in '1 % 2'\n"),
+        ("sweep_example", "sweep", '"1.0 + 0.2*sin(t)"', '"50%"',
+         "[y] f = '\"50%\"': unexpected character '%' in '50%'\n"),
     ], ids=["half_integer_j", "integer_phase_steps", "buffer_range", "zero_step_grid",
             "non_finite_t_final", "non_finite_b", "overflowing_b", "overflowing_f",
             "f_without_antiderivative", "f_antiderivative_divides_by_zero",
             "misspelt_cross_check_wrong_h", "misspelt_phase_reverse", "oversized_n",
-            "oversized_j"])
+            "oversized_j", "percent_in_a_value", "percent_in_a_sweep_value"])
     def test_static_error_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
                                                config, command, old, new, message):
         text = (config_dir / f"{config}.ini").read_text()
@@ -111,6 +116,29 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("config, command", [
+        ("spin_default", "build"), ("spin_default", "verify"), ("spin_default", "propagate"),
+        ("phase_loop", "phase"), ("sweep_example", "sweep")])
+    @pytest.mark.parametrize("where", ["an_existing_file", "under_a_file", "not_permitted"])
+    def test_unusable_out_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
+                                               monkeypatch, config, command, where):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "out" if where == "under_a_file" else taken
+        if where == "not_permitted":  # a read-only parent, which root would ignore
+            out = tmp_path / "read_only" / "out"
+
+            def mkdir(path, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(path))
+
+            monkeypatch.setattr(Path, "mkdir", mkdir)
+        reason = {"an_existing_file": "File exists", "under_a_file": "Not a directory",
+                  "not_permitted": "Permission denied"}[where]
+        assert run([command, "--config", config_dir / f"{config}.ini", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot use the output directory {str(out)!r}: {reason}\n")
+        assert taken.read_text() == ""
 
     def test_memory_bound_counts_the_matrices_a_command_holds(self, tmp_path, config_dir,
                                                                capsys, monkeypatch):
@@ -557,8 +585,8 @@ class TestSolutionsSuite:
         calls = []
         real = suites.propagate
 
-        def spy(h, psi0, times, keep=None, order=2):
-            traj = real(h, psi0, times, keep=keep, order=order)
+        def spy(h, psi0, times, **kwargs):
+            traj = real(h, psi0, times, **kwargs)
             calls.append((times.size - 1, traj.states))
             return traj
 
@@ -666,9 +694,9 @@ class TestSolutionsSuite:
         calls = []
         real = suites.propagate
 
-        def spy(h, psi0, times, keep=None, order=2):
+        def spy(h, psi0, times, keep=None, **kwargs):
             calls.append((times[-1], list(keep)))
-            return real(h, psi0, times, keep=keep, order=order)
+            return real(h, psi0, times, keep=keep, **kwargs)
 
         monkeypatch.setattr(suites, "propagate", spy)
         text = (config_dir / "spin_default.ini").read_text()
@@ -845,9 +873,9 @@ class TestD0File:
         calls = []
         real = suites.propagate
 
-        def spy(h, psi0, times, keep=None, order=2):
+        def spy(h, psi0, times, keep=None, order=2, **kwargs):
             calls.append((times, list(keep), order))
-            return real(h, psi0, times, keep=keep, order=order)
+            return real(h, psi0, times, keep=keep, order=order, **kwargs)
 
         monkeypatch.setattr(suites, "propagate", spy)
         d0 = tmp_path / "zero.json"

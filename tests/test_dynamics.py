@@ -7,7 +7,7 @@ from susyinv.construction import run_prescription, spin_supersystem
 from susyinv.dynamics import (NonClosedLoopError, StepSizeError, berry_holonomy,
                               lvn_residual, propagate, propagate_unitary)
 from susyinv.operators import (NonFiniteMatrixError, Operator, SingularMatrixError, dagger,
-                               direct_sum, eigh)
+                               eigh)
 from susyinv.representations import make_spin
 
 from fd_reference import d_map, fd_intertwining_residual, fd_lvn_residual
@@ -210,10 +210,19 @@ class TestBlockAndKeep:
         with pytest.raises(ValueError, match="kept indices"):
             propagate(lambda t: spin.J3, basis_state(spin, 0.5), grid(0.1, 0.01), keep=keep)
 
+    @staticmethod
+    def direct_sum(a, b):
+        """The block-diagonal arrangement of a (..., r, c) and a (..., r', c') block."""
+        (r, c), (r2, c2) = a.shape[-2:], b.shape[-2:]
+        out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (r + r2, c + c2),
+                       dtype=complex)
+        out[..., :r, :c], out[..., r:, c:] = a, b
+        return out
+
     @pytest.mark.parametrize("order", [2, 4])
     def test_sector_blocks_equal_the_dense_direct_sum(self, order):
-        # A block-diagonal H(t) stepped as a tuple of its 3 x 3 and 2 x 2 blocks
-        # gives the states of the dense run, kept as the direct sum of the blocks.
+        # A block-diagonal H(t) stepped in its 3 x 3 and 2 x 2 sectors gives the
+        # states of the dense run, in the rows of the whole space.
         rng = np.random.default_rng(5)
 
         def hermitian(d):
@@ -223,11 +232,12 @@ class TestBlockAndKeep:
         (a3, b3), (a2, b2) = (hermitian(3), hermitian(3)), (hermitian(2), hermitian(2))
         blocks = lambda t: (a3 + np.multiply.outer(np.sin(t), b3),
                             a2 + np.multiply.outer(np.cos(t), b2))
-        dense = lambda t: direct_sum(blocks(t))
-        psi0 = (self.block(3, 2, 3), self.block(2, 1, 4))
+        dense = lambda t: self.direct_sum(*blocks(t))
+        psi0 = self.direct_sum(self.block(3, 2, 3), self.block(2, 1, 4))
         times = grid(0.3, 1e-3 if order == 2 else 0.05)
-        sectored = propagate(blocks, psi0, times, order=order)
-        whole = propagate(dense, direct_sum(psi0), times, order=order)
+        sectored = propagate(blocks, psi0, times, order=order,
+                             sectors=[np.arange(3), np.arange(3, 5)])
+        whole = propagate(dense, psi0, times, order=order)
         assert sectored.states.shape == (times.size, 5, 3)
         assert np.max(np.abs(sectored.states - whole.states)) < 1e-12
         assert np.array_equal(sectored.states[:, 3:, :2], np.zeros((times.size, 2, 2)))
@@ -242,21 +252,74 @@ class TestBlockAndKeep:
         a3, a2 = m + m.conj().T, np.diag([1.0, -2.0])
         blocks = lambda t: (np.multiply.outer(1 + np.sin(t), a3),
                             np.multiply.outer(np.cos(t), a2))
-        psi0 = (self.block(3, 2, 3), self.block(2, 1, 4))
+        psi0 = self.direct_sum(self.block(3, 2, 3), self.block(2, 1, 4))
+        sectors = [np.arange(3), np.arange(3, 5)]
         times = grid(0.3, 0.01)
-        whole = propagate(blocks, psi0, times, order=order).states
+        whole = propagate(blocks, psi0, times, order=order, sectors=sectors).states
         monkeypatch.setattr(operators, "CHUNK_BYTES", 16 * 25 * 6)
         keep = [17, 0, 5, 6, 12, 30, 29]
-        kept = propagate(blocks, psi0, times, keep=keep, order=order)
+        kept = propagate(blocks, psi0, times, keep=keep, order=order, sectors=sectors)
         assert np.max(np.abs(kept.states - whole[keep])) < 1e-13
 
     def test_step_guard_of_sector_blocks_reads_the_whole_h(self):
         # Each block alone has ||H||_F dt = 0.4, the whole H 0.4 sqrt(2) = 0.57.
         h = lambda t: (np.broadcast_to(np.diag([40.0, 0.0]), (np.size(t), 2, 2)),
                        np.broadcast_to(np.diag([0.0, 40.0]), (np.size(t), 2, 2)))
-        psi0 = (np.eye(2)[:, :1], np.eye(2)[:, 1:])
+        psi0 = self.direct_sum(np.eye(2)[:, :1], np.eye(2)[:, 1:])
         with pytest.raises(StepSizeError, match=r"\|\|H\|\|\*dt = 0\.566"):
-            propagate(h, psi0, grid(0.1, 0.01))
+            propagate(h, psi0, grid(0.1, 0.01), sectors=[np.arange(2), np.arange(2, 4)])
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_a_sector_with_no_column_is_not_exponentiated(self, order, monkeypatch):
+        # The sectors interleave. A state on the rows of the first steps only
+        # there, and comes back in the rows of the whole space, zero on the rest.
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a3, a2 = m + m.conj().T, np.diag([1.0, -2.0])
+        blocks = lambda t: (np.multiply.outer(1 + np.sin(t), a3),
+                            np.multiply.outer(np.cos(t), a2))
+        at = [0, 3, 1, 4, 2]  # each row's place in the direct sum
+        dense = lambda t: self.direct_sum(*blocks(t))[..., at, :][..., at]
+        psi0 = np.zeros((5, 2), dtype=complex)
+        psi0[[0, 2, 4]] = self.block(3, 2, 6)
+        shapes = []
+        real = dynamics.expm_i_hermitian
+
+        def spy(h, tau):
+            shapes.append(np.shape(h)[-2:])
+            return real(h, tau)
+
+        monkeypatch.setattr(dynamics, "expm_i_hermitian", spy)
+        times = grid(0.3, 0.01)
+        sectored = propagate(blocks, psi0, times, order=order,
+                             sectors=[np.array([0, 2, 4]), np.array([1, 3])])
+        assert shapes and set(shapes) == {(3, 3)}
+        whole = propagate(dense, psi0, times, order=order)
+        assert np.max(np.abs(sectored.states - whole.states)) < 1e-12
+        assert not np.any(sectored.states[:, [1, 3]])
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_columns_of_two_sectors_interleave(self, order):
+        # A sector steps the span of its nonzero columns. The middle column
+        # belongs to the other sector: it is zero on this sector's rows, and
+        # stays zero there.
+        rng = np.random.default_rng(13)
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a3, a2 = m + m.conj().T, np.diag([1.0, -2.0])
+        blocks = lambda t: (np.multiply.outer(1 + np.sin(t), a3),
+                            np.multiply.outer(np.cos(t), a2))
+        at = [0, 3, 1, 4, 2]  # each row's place in the direct sum
+        dense = lambda t: self.direct_sum(*blocks(t))[..., at, :][..., at]
+        psi0 = np.zeros((5, 3), dtype=complex)
+        psi0[np.ix_([0, 2, 4], [0, 2])] = self.block(3, 2, 8)
+        psi0[np.ix_([1, 3], [1])] = self.block(2, 1, 9)
+        times = grid(0.3, 0.01)
+        sectored = propagate(blocks, psi0, times, order=order,
+                             sectors=[np.array([0, 2, 4]), np.array([1, 3])])
+        whole = propagate(dense, psi0, times, order=order)
+        assert np.max(np.abs(sectored.states - whole.states)) < 1e-12
+        assert not np.any(sectored.states[:, [0, 2, 4], 1])
+        assert not np.any(sectored.states[:, [1, 3]][..., [0, 2]])
 
     def test_unitary_is_identity_block(self, spin_two):
         times = grid(0.5, 1e-3)

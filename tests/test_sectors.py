@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dense_reference import one_sector, sampled_residuals, solutions_result
-from susyinv import sectors, suites
+from susyinv import dynamics, sectors, suites
 from susyinv.cli import main
 from susyinv.config import load_config
 from susyinv.dynamics import FD_STEP
@@ -130,6 +130,38 @@ class TestAgainstDense:
                                for route in ("sectored", "dense"))
             assert sectored.shape == dense.shape
             assert np.max(np.abs(sectored - dense)) <= 1e-12 * np.max(np.abs(dense)), name
+
+    def test_kernel_level_propagate(self, tmp_path, config_dir, monkeypatch, n, buffer):
+        # The kernel state, an eigenvector of the assembled I_-(0), holds rounding
+        # (about 1e-31) on the odd Fock states: each sector steps its own rows, and
+        # no step exponential is N x N. Its solution.csv agrees with the dense
+        # route within 1e-12 of its largest entry.
+        text = (config_dir / "oscillator_default.ini").read_text()
+        for old, new in (("n = 32", f"n = {n}"), ("buffer = 8", f"buffer = {buffer}"),
+                         ("level = 0", "level = kernel")):
+            assert old in text
+            text = text.replace(old, new)
+        config = tmp_path / "kernel.ini"
+        config.write_text(text)
+        shapes = []
+        real = dynamics.expm_i_hermitian
+
+        def spy(h, tau):
+            shapes.append(np.shape(h)[-2:])
+            return real(h, tau)
+
+        monkeypatch.setattr(dynamics, "expm_i_hermitian", spy)
+        assert main(["propagate", "--config", str(config),
+                     "--out", str(tmp_path / "sectored")]) == 0
+        assert shapes and (n, n) not in shapes
+        assert set(shapes) == {(n - n // 2, n - n // 2), (n // 2, n // 2)}
+        with one_sector():
+            assert main(["propagate", "--config", str(config),
+                         "--out", str(tmp_path / "dense")]) == 0
+        sectored, dense = (numbers(tmp_path / route / "solution.csv")
+                           for route in ("sectored", "dense"))
+        assert sectored.shape == dense.shape
+        assert np.max(np.abs(sectored - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def numbers(path) -> np.ndarray:

@@ -11,7 +11,8 @@ Run from the root of a source checkout. The rungs edit the shipped configs:
   (2 000 steps) for ``phase``;
 - oscillator N = 32, 128: ``oscillator_default.ini`` with ``n`` edited, and
   ``buffer = 16`` at N = 128 (1 501 grid points), for ``build``,
-  ``propagate`` and ``verify``.
+  ``propagate`` and ``verify``; at N = 128 also ``propagate`` with
+  ``[propagate] level = kernel``, whose state touches both parity sectors.
 
 Each command is timed once around ``susyinv.cli.main`` in this process, with
 OpenBLAS on one thread as in perfbench. Then
@@ -70,6 +71,9 @@ def rungs() -> list[tuple[str, str, str]]:
         edits = {"n = 32": f"n = {n}"} | ({"buffer = 8": "buffer = 16"} if n == 128 else {})
         osc = _edited("oscillator_default.ini", edits)
         calls += [(f"oscillator N = {n}", c, osc) for c in ("build", "propagate", "verify")]
+    kernel = _edited("oscillator_default.ini", {"n = 32": "n = 128", "buffer = 8": "buffer = 16",
+                                                "level = 0": "level = kernel"})
+    calls.append(("oscillator N = 128, level = kernel", "propagate", kernel))
     return calls
 
 
@@ -84,7 +88,7 @@ def ladder() -> list[dict]:
                 code = main([command, "--config", str(config), "--out", str(Path(tmp) / "out")])
             wall = time.perf_counter() - start
             rows.append({"rung": rung, "command": command, "wall_s": wall, "exit": code})
-            print(f"{rung:20s} {command:10s} {wall:8.3f} s  exit {code}", flush=True)
+            print(f"{rung:34s} {command:10s} {wall:8.3f} s  exit {code}", flush=True)
     return rows
 
 
