@@ -22,7 +22,7 @@ from .construction import (GaugeCurve, PartnerOutput, SuperSystem, YSpec,
                            evolution_from_gauge, hamiltonian_from_gauge,
                            oscillator_supersystem, quadrupole_partner,
                            run_prescription, spin_supersystem)
-from .dynamics import (HolonomyResult, Trajectory, berry_holonomy,
+from .dynamics import (Trajectory, berry_holonomy,
                        intertwining_residual, lvn_residual, propagate,
                        propagate_unitary)
 

@@ -23,9 +23,9 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .construction import (GeneratorSplitError, NonFiniteHamiltonianError, closed_form_osc_R,
                            closed_form_spin_R, evolution_from_gauge)
-from .dynamics import HolonomyResult, NonClosedLoopError, StepSizeError, berry_holonomy
+from .dynamics import NonClosedLoopError, StepSizeError, berry_holonomy
 from .operators import (NonHermitianError, SingularMatrixError, chunks, eigh,
-                        eigvalsh, hermiticity_defect, over_chunks)
+                        eigvalsh, hermiticity_defect, over_chunks, unitarity_defect)
 from .suites import build_system, run_suites, stepped_states
 from .susy import PairingAmbiguityError
 
@@ -227,20 +227,19 @@ def cmd_phase(cfg: RunConfig, out_override: str | None, reverse_flag: bool) -> i
         time = T - s if reverse else s
         return out.system.w_minus.value(time) @ es0.vectors
 
-    res = berry_holonomy(frame, steps, period=T, groups=groups)
-    res2 = berry_holonomy(frame, 2 * steps, period=T, groups=groups)
-    # The bytes json.dumps(..., sort_keys=True) gives, with each gamma from _json_complex.
-    levels = []
-    for gi, group in enumerate(groups):
-        block = np.ix_(group, group)
-        level = HolonomyResult(res.gamma[block])
-        levels.append(
-            '{"degeneracy": %d, "gamma": %s, "invariant_eigenvalue": "%.17g", "level": %d, '
-            '"resolution_doubling_delta": "%.17g", "steps": %d, "unitarity_defect": "%.17g"}'
-            % (len(group), _json_complex(level.gamma), es0.values[list(group)].mean(), gi,
-               np.linalg.norm(level.gamma - res2.gamma[block]), steps, level.unitarity()))
-    (out_dir / "holonomy.json").write_text(
-        '{"levels": [%s], "reverse": %s}\n' % (", ".join(levels), json.dumps(reverse)))
+    gammas = berry_holonomy(frame, steps, period=T, groups=groups)
+    doubled = berry_holonomy(frame, 2 * steps, period=T, groups=groups)
+
+    def rows(part: np.ndarray) -> list:
+        return [[_fmt(x) for x in row] for row in part.tolist()]
+
+    levels = [{"degeneracy": len(group),
+               "gamma": {"imag": rows(g.imag), "real": rows(g.real)},
+               "invariant_eigenvalue": _fmt(es0.values[list(group)].mean()), "level": gi,
+               "resolution_doubling_delta": _fmt(np.linalg.norm(g - g2)), "steps": steps,
+               "unitarity_defect": _fmt(unitarity_defect(g))}
+              for gi, (group, g, g2) in enumerate(zip(groups, gammas, doubled))]
+    _write_json(out_dir / "holonomy.json", {"levels": levels, "reverse": reverse})
     print(f"wrote holonomy.json with {len(levels)} levels")
     return 0
 

@@ -283,6 +283,8 @@ def load_config(path: str | Path) -> RunConfig:
     phase_steps = _int("phase", "steps", _get(cp, "phase", "steps", default="2000"))
     if phase_steps < 2:
         raise ConfigError(f"[phase] steps must be at least 2, got {phase_steps}")
+    if phase_steps > MAX_STEPS:
+        raise ConfigError(f"[phase] steps = {phase_steps} exceeds {MAX_STEPS}")
     phase_reverse = _bool(cp, "phase", "reverse")
     propagate_level = _get(cp, "propagate", "level", default="auto")
 

@@ -23,14 +23,15 @@ Maps of t (Hamiltonians, frames) are called with arrays of times and return
 (n, d, d) stacks, or one matrix when they are constant. Grids are
 evaluated chunk by chunk (:func:`susyinv.operators.chunks`); only the product
 of step unitaries runs step by step. A holonomy takes every level of a frame
-from one frame stack: the overlaps are taken once, unitarized level by level,
-and multiplied pairwise (:func:`_ordered_product`), so the Wilson product
-costs about log2(n) stacked matmuls per chunk instead of n. Each level's
-overlaps are unitarized by :func:`susyinv.operators.polar_unitary`, in closed
-form for levels of size 1 and 2 and by SVD above; an overlap that is singular
-to rounding (the frame jumps to an orthogonal subspace between two steps)
-raises :class:`susyinv.operators.SingularMatrixError`, naming the loop step and
-the level, rather than taking an arbitrary unitary.
+from one frame stack: the overlaps are taken once, the blocks of the levels
+of one size are cut out of them as one stack, unitarized together and
+multiplied pairwise (:func:`_ordered_product`), so the Wilson product costs
+about log2(n) stacked matmuls per chunk and level size instead of n per
+level. The blocks are unitarized by :func:`susyinv.operators.polar_unitary`,
+in closed form for levels of size 1 and 2 and by SVD above; an overlap that is
+singular to rounding (the frame jumps to an orthogonal subspace between two
+steps) raises :class:`susyinv.operators.SingularMatrixError`, naming the loop
+step and the level, rather than taking an arbitrary unitary.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ import numpy as np
 
 from .operators import (NonFiniteMatrixError, Operator, SingularMatrixError, _mat,
                         check_finite, chunks, dagger, expm_i_hermitian,
-                        first_true, frobenius, over_chunks, polar_unitary, project,
-                        unitarity_defect)
+                        first_true, frobenius, groups_by_size, over_chunks,
+                        polar_unitary, project, unitarity_defect)
 
 FD_STEP = 1e-5
 STEP_NORM_LIMIT = 0.5
@@ -269,23 +270,9 @@ def intertwining_residual(d: np.ndarray, d_dot: np.ndarray, h_minus: np.ndarray,
     return frobenius(project(1j * d_dot - h_minus @ d + d @ h_plus, projector))
 
 
-@dataclass(frozen=True)
-class HolonomyResult:
-    """Path-ordered loop holonomy of an eigenframe: one diagonal block per level."""
-
-    gamma: np.ndarray
-
-    @property
-    def degeneracy(self) -> int:
-        return self.gamma.shape[0]
-
-    def unitarity(self) -> float:
-        return float(np.linalg.norm(self.gamma.conj().T @ self.gamma
-                                    - np.eye(self.degeneracy)))
-
-
 def _ordered_product(stack: np.ndarray) -> np.ndarray:
-    """M_{n-1} ... M_1 M_0 of an (n, k, k) stack, later entries on the left.
+    """M_{n-1} ... M_1 M_0 of an (n, ..., k, k) stack, later entries on the left,
+    per trailing matrix.
 
     Neighbors are multiplied pairwise as one stacked matmul per halving, so
     the product takes about log2(n) matmul calls instead of n.
@@ -298,8 +285,8 @@ def _ordered_product(stack: np.ndarray) -> np.ndarray:
 
 def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int,
                    period: float = 1.0,
-                   groups: Sequence[Sequence[int]] | None = None) -> HolonomyResult:
-    """Discretized path-ordered holonomies of a single-valued closed frame.
+                   groups: Sequence[Sequence[int]] | None = None) -> list[np.ndarray]:
+    """Discretized path-ordered holonomies of a single-valued closed frame, one per level.
 
     ``frame(s)`` must return orthonormal columns and satisfy frame(period) =
     frame(0); it is called with arrays of loop parameters and returns one
@@ -309,11 +296,12 @@ def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int,
     Each level's columns must close to ``CLOSURE_TOL * max(1, ||frame(0)[:, g]||)``.
 
     The overlaps ``frame(s_{k+1})^dag frame(s_k)`` are taken once for the whole
-    frame; each level's block of them is unitarized by its own polar
-    decomposition, and the blocks are multiplied with later times on the left
-    (pairwise, :func:`_ordered_product`). ``gamma`` is block-diagonal, one
-    block per level; the discrete product converges to the continuum holonomy
-    as steps grow.
+    frame, and the blocks of the levels of one size k are cut out of them as
+    one (n, L, k, k) stack (:func:`susyinv.operators.groups_by_size`): one
+    polar decomposition unitarizes them, and one pairwise product
+    (:func:`_ordered_product`) multiplies them with later times on the left.
+    Returns one (k, k) gamma per level, in the order of ``groups``; the
+    discrete product converges to the continuum holonomy as steps grow.
     """
     if steps < 2:
         raise ValueError("at least two steps are required")
@@ -330,8 +318,11 @@ def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int,
                 f"frame is not closed over the loop: ||frame(T) - frame(0)|| = "
                 f"{closure:.3e}")
 
-    # One product per level and chunk, in time order.
-    products = [[] for _ in groups]
+    # Per level size: the level numbers, their (L, k) column indices and, per
+    # chunk in time order, the product of their blocks.
+    by_size = groups_by_size(groups)
+    levels = {k: np.flatnonzero([len(g) == k for g in groups]) for k in by_size}
+    products = {k: [] for k in by_size}
     prev = v0
     interior = period * np.arange(1, steps) / steps
     for sl in chunks(interior.size, v0.shape[0]):
@@ -340,29 +331,33 @@ def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int,
         prev = cur[-1].copy()
         # The chunk's d x d stacks go before the next frame stack is evaluated.
         del cur
-        for level, (product, g) in enumerate(zip(products, groups)):
-            product.append(_ordered_product(_unitarized(
-                overlaps[:, g[:, None], g], level, sl.start + 1, steps, period)))
+        for k, at in by_size.items():
+            products[k].append(_ordered_product(_unitarized(
+                overlaps, at, levels[k], sl.start + 1, steps, period)))
         del overlaps
-    closing = v0.conj().T @ prev
-    gamma = np.zeros((v0.shape[1],) * 2, dtype=complex)
-    for level, (product, g) in enumerate(zip(products, groups)):
-        product.append(_unitarized(closing[g[:, None], g], level, steps, steps, period))
-        gamma[g[:, None], g] = _ordered_product(np.stack(product))
-    return HolonomyResult(gamma)
+    closing = (v0.conj().T @ prev)[None]
+    gammas = [None] * len(groups)
+    for k, at in by_size.items():
+        products[k].append(_unitarized(closing, at, levels[k], steps, steps, period)[0])
+        for level, gamma in zip(levels[k], _ordered_product(np.stack(products[k]))):
+            gammas[level] = gamma
+    return gammas
 
 
-def _unitarized(overlaps: np.ndarray, level: int, first_step: int, steps: int,
-                period: float) -> np.ndarray:
-    """Polar factors of one level's overlaps, from loop step ``first_step`` (1-based) on.
+def _unitarized(overlaps: np.ndarray, at: np.ndarray, levels: np.ndarray, first_step: int,
+                steps: int, period: float) -> np.ndarray:
+    """Polar factors of the level blocks of an (n, d, d) overlap stack, from loop
+    step ``first_step`` (1-based) on, as an (n, L, k, k) stack: ``at`` holds the
+    (L, k) column indices of the levels numbered ``levels``.
 
     A singular overlap is reported by its loop step, its span of the loop
     parameter and its level.
     """
     try:
-        return polar_unitary(overlaps)
+        return polar_unitary(overlaps[:, at[:, :, None], at[:, None, :]])
     except SingularMatrixError as exc:
-        step = first_step + (exc.index or 0)
+        offset, position = divmod(exc.index, len(levels))
+        step = first_step + offset
         span = f"s = {period * (step - 1) / steps:.6g} to {period * step / steps:.6g}"
         raise SingularMatrixError(exc.s_min, exc.limit, where=f"loop step {step} of "
-                                  f"{steps}, {span}, level {level}") from None
+                                  f"{steps}, {span}, level {levels[position]}") from None

@@ -86,6 +86,8 @@ class TestConfig:
         ("spin_default", "verify", "[checks]\n", "[checks]\ncross_check_wrong_h = ture\n",
          "[checks] cross_check_wrong_h = 'ture' is not a boolean; "
          "use one of 1, yes, true, on, 0, no, false, off"),
+        ("phase_loop", "phase", "steps = 2000", "steps = 1000000000000",
+         "[phase] steps = 1000000000000 exceeds 10000000\n"),
         ("phase_loop", "phase", "steps = 2000", "steps = 2000\nreverse = ture",
          "[phase] reverse = 'ture' is not a boolean; "
          "use one of 1, yes, true, on, 0, no, false, off"),
@@ -104,8 +106,9 @@ class TestConfig:
     ], ids=["half_integer_j", "integer_phase_steps", "buffer_range", "zero_step_grid",
             "non_finite_t_final", "non_finite_b", "overflowing_b", "overflowing_f",
             "f_without_antiderivative", "f_antiderivative_divides_by_zero",
-            "misspelt_cross_check_wrong_h", "misspelt_phase_reverse", "oversized_n",
-            "oversized_j", "percent_in_a_value", "percent_in_a_sweep_value"])
+            "misspelt_cross_check_wrong_h", "oversized_phase_steps",
+            "misspelt_phase_reverse", "oversized_n", "oversized_j", "percent_in_a_value",
+            "percent_in_a_sweep_value"])
     def test_static_error_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
                                                config, command, old, new, message):
         text = (config_dir / f"{config}.ini").read_text()
@@ -764,6 +767,22 @@ class TestPhase:
         gamma = complex(float(positive["gamma"]["real"][0][0]),
                         float(positive["gamma"]["imag"][0][0]))
         assert abs(gamma - np.exp(-1j * np.pi * (1 - 0.5))) < 1e-5
+
+    def test_oscillator_loop_holonomy(self, tmp_path, config_dir):
+        # N = 32: 32 levels of size 1, one stack in berry_holonomy.
+        text = (config_dir / "oscillator_default.ini").read_text()
+        edits = (('theta = "0.01*sin(t)"', 'theta = "0.01"'),
+                 ('phi = "0.4*t"', 'phi = "2*pi*t"'), ("t_final = 3.0", "t_final = 1.0"))
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "loop.ini"
+        cfg.write_text(text + "\n[phase]\nsteps = 200\n")
+        out = tmp_path / "out"
+        assert run(["phase", "--config", cfg, "--out", out]) == 0
+        levels = json.loads((out / "holonomy.json").read_text())["levels"]
+        assert [level["degeneracy"] for level in levels] == [1] * 32
+        assert max(float(level["unitarity_defect"]) for level in levels) < 1e-9
 
     def test_open_loop_exit_2(self, tmp_path, config_dir):
         text = (config_dir / "phase_loop.ini").read_text()

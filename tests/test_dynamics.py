@@ -3,12 +3,12 @@ import pytest
 
 from susyinv import dynamics, operators
 from susyinv import timefunc as tf
-from susyinv.construction import run_prescription, spin_supersystem
+from susyinv.construction import oscillator_supersystem, run_prescription, spin_supersystem
 from susyinv.dynamics import (NonClosedLoopError, StepSizeError, berry_holonomy,
                               lvn_residual, propagate, propagate_unitary)
 from susyinv.operators import (NonFiniteMatrixError, Operator, SingularMatrixError, dagger,
                                eigh)
-from susyinv.representations import make_spin
+from susyinv.representations import make_oscillator, make_spin
 
 from fd_reference import d_map, fd_intertwining_residual, fd_lvn_residual
 
@@ -402,8 +402,8 @@ class TestIntertwining:
 class TestBerryHolonomy:
     def test_constant_frame_identity(self):
         v = np.eye(4)[:, :2]
-        res = berry_holonomy(lambda s: v, 100)
-        assert np.linalg.norm(res.gamma - np.eye(2)) < 1e-12
+        gamma, = berry_holonomy(lambda s: v, 100)
+        assert np.linalg.norm(gamma - np.eye(2)) < 1e-12
 
     def test_spin_half_loop_phase(self):
         # Closed-form oracle: Gamma = exp(-i pi (1 - cos theta)) for the
@@ -416,12 +416,12 @@ class TestBerryHolonomy:
         es0 = eigh(out.invariant.Iminus)
         v0 = es0.vectors[:, list(es0.degeneracy_groups[1])]
         frame = lambda s: out.system.w_minus.value(s) @ v0
-        res = berry_holonomy(frame, 400)
-        fine = berry_holonomy(frame, 4000)
+        res, = berry_holonomy(frame, 400)
+        fine, = berry_holonomy(frame, 4000)
         expected = np.exp(-1j * np.pi * (1 - np.cos(theta0)))
-        assert abs(res.gamma[0, 0] - expected) < 1e-4
-        assert abs(fine.gamma[0, 0] - expected) < 1e-6
-        assert abs(abs(res.gamma[0, 0]) - 1.0) < 1e-10
+        assert abs(res[0, 0] - expected) < 1e-4
+        assert abs(fine[0, 0] - expected) < 1e-6
+        assert abs(abs(res[0, 0]) - 1.0) < 1e-10
 
     def test_reversed_loop_conjugates(self):
         spin = make_spin(1)
@@ -431,8 +431,8 @@ class TestBerryHolonomy:
         v0 = es0.vectors[:, list(es0.degeneracy_groups[-1])]
         frame = lambda s: out.system.w_minus.value(s) @ v0
         reverse = lambda s: frame(1.0 - s)
-        forward = berry_holonomy(frame, 800).gamma
-        backward = berry_holonomy(reverse, 800).gamma
+        forward, = berry_holonomy(frame, 800)
+        backward, = berry_holonomy(reverse, 800)
         assert np.linalg.norm(backward - forward.conj().T) < 1e-8
 
     def test_gauge_covariance(self):
@@ -446,8 +446,8 @@ class TestBerryHolonomy:
         rng = np.random.default_rng(2)
         g = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
         rotated = lambda s: frame(s) @ g
-        base = berry_holonomy(frame, 600).gamma
-        got = berry_holonomy(rotated, 600).gamma
+        base, = berry_holonomy(frame, 600)
+        got, = berry_holonomy(rotated, 600)
         assert np.linalg.norm(got - g.conj().T @ base @ g) < 1e-8
         assert np.allclose(np.sort(np.angle(np.linalg.eigvals(got))),
                            np.sort(np.angle(np.linalg.eigvals(base))), atol=1e-8)
@@ -478,6 +478,21 @@ class TestBerryHolonomy:
         with pytest.raises(SingularMatrixError, match=r"\(loop step 2000 of 4000, "):
             berry_holonomy(frame, 4000, groups=groups)
 
+    def test_singular_level_named_within_its_size_stack(self):
+        # Levels 0 and 2 are one stack of size 1; only level 2's column jumps.
+        near, far = np.eye(5)[:, :4], np.eye(5)[:, [0, 1, 2, 4]]
+
+        def frame(s):
+            return np.where((np.asarray(s) == 0.5)[..., None, None], far, near)
+
+        groups = [[0], [1, 2], [3]]
+        with pytest.raises(SingularMatrixError, match=r"\(loop step 2 of 4, s = 0.25 to "
+                                                      r"0.5, level 2\)"):
+            berry_holonomy(frame, 4, groups=groups)
+        with pytest.raises(SingularMatrixError,
+                           match=r"\(loop step 2000 of 4000, .*level 2\)"):
+            berry_holonomy(frame, 4000, groups=groups)
+
     def test_coarse_loop_near_singular_overlap_runs(self):
         # perfbench's loop_sweep seed-0 loop at [phase] steps = 3: the overlaps
         # of the (1, 2) level are far from unitary but not singular.
@@ -493,9 +508,9 @@ class TestBerryHolonomy:
         overlaps = (dagger(frames[1:]) @ frames[:-1])[:, 1:3, 1:3]
         s_min = np.linalg.svd(overlaps, compute_uv=False)[:, -1].min()
         assert 1e-3 < s_min < 0.05
-        res = berry_holonomy(frame, 3, groups=groups)
-        assert res.unitarity() < 1e-13
-        assert np.isfinite(res.gamma).all()
+        gammas = berry_holonomy(frame, 3, groups=groups)
+        assert np.linalg.norm([operators.unitarity_defect(g) for g in gammas]) < 1e-13
+        assert all(np.isfinite(g).all() for g in gammas)
 
 
 class TestOrderedProduct:
@@ -511,6 +526,88 @@ class TestOrderedProduct:
         assert np.max(np.abs(dynamics._ordered_product(stack) - sequential)) < 1e-13
 
 
+def _exp_i(h: np.ndarray, c: float) -> np.ndarray:
+    """e^{i c H} of a Hermitian matrix, from its eigenbasis."""
+    values, vectors = np.linalg.eigh(h)
+    return (vectors * np.exp(1j * c * values)) @ vectors.conj().T
+
+
+class TestClosedFormHolonomy:
+    """Constant theta and phi(s) = 2 pi w s, with integer w, and d0 = J+ or a^dag.
+
+    Each level of I_-(0) is spanned by D3 eigenvectors whose eigenvalues m
+    differ by integers. In the frame that co-rotates with e^{-i phi D3} the
+    connection of W(s) V is constant, so the holonomy is
+
+        Gamma = e^{-2 pi i w m} exp(2 pi i w V^dag R^T D3 R V),  R = e^{-i theta D2},
+
+    with V the level's columns of eigh(I_-(0)). The discrete product has an
+    O(h^2) error, so the Richardson combination (4 Gamma_2n - Gamma_n) / 3
+    (L. F. Richardson, Phil. Trans. R. Soc. A 210 (1911) 307) is held to it.
+    """
+
+    @staticmethod
+    def errors(system, theta: float, w: int, resolutions, trusted=None):
+        """Per resolution n, the largest entry of (4 Gamma_2n - Gamma_n) / 3 - Gamma
+        over the levels below ``trusted``; and the oracle's levels of size 2."""
+        out = run_prescription(system)
+        es0 = eigh(out.invariant.Iminus)
+        gauge = out.system.w_minus
+        d3, d2 = gauge.d3.entries, gauge.d2.entries
+        r = _exp_i(d2, -theta)
+        frame = lambda s: gauge.value(s) @ es0.vectors
+        groups = [list(g) for g in es0.degeneracy_groups]
+        gammas = {n: berry_holonomy(frame, n, groups=groups)
+                  for n in sorted({*resolutions, *(2 * n for n in resolutions)})}
+        errors, pairs = [0.0] * len(resolutions), []
+        for level, g in enumerate(groups):
+            if trusted is not None and max(g) >= trusted:
+                continue
+            v = es0.vectors[:, g]
+            m = float(np.real(v[:, 0].conj() @ d3 @ v[:, 0]))
+            assert np.linalg.norm(d3 @ v - v @ (v.conj().T @ d3 @ v)) < 1e-12
+            oracle = np.exp(-2j * np.pi * w * m) * _exp_i(v.conj().T @ r.T @ d3 @ r @ v,
+                                                        2 * np.pi * w)
+            if len(g) == 2:
+                pairs.append(oracle)
+            for i, n in enumerate(resolutions):
+                rich = (4 * gammas[2 * n][level] - gammas[n][level]) / 3
+                errors[i] = max(errors[i], float(np.max(np.abs(rich - oracle))))
+        return errors, pairs
+
+    @pytest.mark.parametrize("j, w, resolutions, bounds", [
+        (0.5, 1, [400], [4e-10]),
+        (1, 1, [400], [1e-9]),
+        (2.5, 2, [400], [4e-7]),
+        (5, 1, [400], [3e-6]),
+        (20, 1, [1000, 2000], [2e-4, 1.5e-5]),
+    ], ids=["j_half", "j1", "j5half_w2", "j5", "j20"])
+    def test_spin_levels(self, j, w, resolutions, bounds):
+        theta = np.pi / 3
+        system = spin_supersystem(make_spin(j), tf.const(theta), tf.linear(2 * np.pi * w),
+                                  tf.const(0.5))
+        errors, pairs = self.errors(system, theta, w, resolutions)
+        assert all(e < b for e, b in zip(errors, bounds)), errors
+        if j == int(j):
+            # The m = 1, 0 pair mixes: the holonomy is not Abelian there.
+            assert max(float(np.min(np.abs(p[[0, 1], [1, 0]]))) for p in pairs) > 0.5
+
+    def test_j_half_is_the_solid_angle(self):
+        theta = np.pi / 3
+        spin = make_spin(0.5)
+        v = np.eye(2)[:, [0]]
+        r = _exp_i(spin.J2.entries, -theta)
+        oracle = -_exp_i(v.T @ r.T @ spin.J3.entries @ r @ v, 2 * np.pi)
+        assert abs(oracle[0, 0] - np.exp(-1j * np.pi * (1 - np.cos(theta)))) < 1e-14
+
+    def test_oscillator_interior_levels(self):
+        # N = 32 with an edge buffer of 8: the 24 trusted levels, each of size 1.
+        system = oscillator_supersystem(make_oscillator(32, 8), tf.const(0.01),
+                                        tf.linear(2 * np.pi), tf.const(0.5))
+        errors, _ = self.errors(system, 0.01, 1, [400], trusted=24)
+        assert errors[0] < 2e-12
+
+
 @pytest.fixture(scope="module")
 def j2_loop():
     """The full invariant eigenframe of j = 2 over a closed loop, and its levels."""
@@ -522,18 +619,31 @@ def j2_loop():
     return (lambda s: out.system.w_minus.value(s) @ es0.vectors), es0.degeneracy_groups
 
 
+@pytest.fixture(scope="module")
+def osc_loop():
+    """The full invariant eigenframe of an N = 32 oscillator over a closed loop, and
+    its levels."""
+    out = run_prescription(oscillator_supersystem(
+        make_oscillator(32, 8), tf.parse("0.01 + 0.005*sin(2*pi*t)"),
+        tf.parse("2*pi*t + 0.2*sin(2*pi*t)"), tf.const(0.5)))
+    es0 = eigh(out.invariant.Iminus)
+    return (lambda s: out.system.w_minus.value(s) @ es0.vectors), es0.degeneracy_groups
+
+
 class TestGroupedHolonomy:
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_matches_per_level_calls(self, j2_loop, reverse):
-        full, groups = j2_loop
-        assert sorted(len(g) for g in groups) == [1, 2, 2]
+    @pytest.mark.parametrize("loop, sizes",
+                             [("j2_loop", [1, 2, 2]), ("osc_loop", [1] * 32)],
+                             ids=["j2", "oscillator"])
+    def test_matches_per_level_calls(self, request, loop, sizes, reverse):
+        full, groups = request.getfixturevalue(loop)
+        assert sorted(len(g) for g in groups) == sizes
         frame = (lambda s: full(1.0 - s)) if reverse else full
-        gamma = berry_holonomy(frame, 500, groups=groups).gamma
-        for g in groups:
-            level = berry_holonomy(lambda s, g=list(g): frame(s)[..., g], 500).gamma
-            assert np.max(np.abs(gamma[np.ix_(g, g)] - level)) < 1e-13
-            rest = [c for c in range(gamma.shape[0]) if c not in g]
-            assert not np.any(gamma[np.ix_(g, rest)])
+        gammas = berry_holonomy(frame, 500, groups=groups)
+        assert len(gammas) == len(groups)
+        for gamma, g in zip(gammas, groups):
+            level, = berry_holonomy(lambda s, g=list(g): frame(s)[..., g], 500)
+            assert np.max(np.abs(gamma - level)) < 1e-13
 
     def test_one_open_level_rejected(self, j2_loop):
         # One column of the 1x1 level fails to close by 1.5e-12: within the

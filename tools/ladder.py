@@ -12,7 +12,9 @@ Run from the root of a source checkout. The rungs edit the shipped configs:
 - oscillator N = 32, 128: ``oscillator_default.ini`` with ``n`` edited, and
   ``buffer = 16`` at N = 128 (1 501 grid points), for ``build``,
   ``propagate`` and ``verify``; at N = 128 also ``propagate`` with
-  ``[propagate] level = kernel``, whose state touches both parity sectors.
+  ``[propagate] level = kernel``, whose state touches both parity sectors,
+  and ``phase`` over a closed loop (``theta = "0.01"``, ``phi = "2*pi*t"``,
+  ``t_final = 1.0``, ``[phase] steps = 200``): 128 levels of size 1.
 
 Each command is timed once around ``susyinv.cli.main`` in this process, with
 OpenBLAS on one thread as in perfbench. Then
@@ -74,6 +76,11 @@ def rungs() -> list[tuple[str, str, str]]:
     kernel = _edited("oscillator_default.ini", {"n = 32": "n = 128", "buffer = 8": "buffer = 16",
                                                 "level = 0": "level = kernel"})
     calls.append(("oscillator N = 128, level = kernel", "propagate", kernel))
+    loop = _edited("oscillator_default.ini", {"n = 32": "n = 128", "buffer = 8": "buffer = 16",
+                                              'theta = "0.01*sin(t)"': 'theta = "0.01"',
+                                              'phi = "0.4*t"': 'phi = "2*pi*t"',
+                                              "t_final = 3.0": "t_final = 1.0"})
+    calls.append(("oscillator N = 128", "phase", loop + "\n[phase]\nsteps = 200\n"))
     return calls
 
 
