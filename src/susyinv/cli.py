@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, parse_number
 from .construction import (GeneratorSplitError, NonFiniteHamiltonianError, closed_form_osc_R,
                            closed_form_spin_R, evolution_from_gauge)
 from .dynamics import NonClosedLoopError, StepSizeError, berry_holonomy
@@ -148,13 +148,7 @@ def _resolve_level(cfg: RunConfig, out) -> tuple[int | None, str]:
         return None, "kernel"
     if text == "auto":
         return 0, "auto"
-    if "/" in text:
-        num, den = (float(part) for part in text.split("/"))
-        if den == 0:
-            raise ValueError("zero denominator")
-        value = num / den
-    else:
-        value = float(text)
+    value = parse_number(text)
     if not np.isfinite(value):
         raise ValueError("the level must be finite")
     if cfg.family == "spin":

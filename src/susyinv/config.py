@@ -134,6 +134,21 @@ def _parse_timefunc(section: str, key: str, text: str, grid: np.ndarray,
     return fn
 
 
+def parse_number(text: str) -> float:
+    """The value of ``text``, a number or a fraction ``a/b`` of two numbers.
+
+    ValueError for any other text, naming the a/b form, and for b = 0.
+    """
+    num, slash, den = text.partition("/")
+    try:
+        num, den = float(num), float(den) if slash else 1.0
+    except ValueError:
+        raise ValueError(f"{text!r} is not a number or a fraction a/b") from None
+    if den == 0:
+        raise ValueError("zero denominator")
+    return num / den
+
+
 def _int(section: str, key: str, text: str) -> int:
     try:
         return int(text)
@@ -193,12 +208,8 @@ def load_config(path: str | Path) -> RunConfig:
     if family == "spin":
         j_text = _get(cp, "system", "j", required=True)
         try:
-            if "/" in j_text:
-                num, den = j_text.split("/")
-                j = float(num) / float(den)
-            else:
-                j = float(j_text)
-        except Exception as exc:
+            j = parse_number(j_text)
+        except ValueError as exc:
             raise ConfigError(f"[system] j = {j_text!r} is not a number") from exc
         try:
             dim = check_half_integer(j) + 1
@@ -271,14 +282,16 @@ def load_config(path: str | Path) -> RunConfig:
     unknown = [s for s in suites if s not in KNOWN_SUITES]
     if unknown:
         raise ConfigError(f"unknown check suites {unknown}; known: {list(KNOWN_SUITES)}")
+    repeated = sorted({s for s in suites if suites.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"[checks] suites names {', '.join(repeated)} more than once")
     cross = _bool(cp, "checks", "cross_check_wrong_h")
 
     out_dir = _get(cp, "output", "dir", default="out")
     formats_text = _get(cp, "output", "formats", default="csv, json")
     formats = tuple(s.strip().lower() for s in formats_text.split(",") if s.strip())
-    bad = [x for x in formats if x not in ("csv", "json")]
-    if bad:
-        raise ConfigError(f"[output] formats must be within csv, json; got {bad}")
+    if not formats or not set(formats) <= {"csv", "json"}:
+        raise ConfigError(f"[output] formats = {formats_text!r} must name csv, json or both")
 
     phase_steps = _int("phase", "steps", _get(cp, "phase", "steps", default="2000"))
     if phase_steps < 2:

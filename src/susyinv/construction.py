@@ -19,12 +19,13 @@ Every map of t takes a scalar or an array of times. An array gives an
 of theta, phi, f, g and their derivatives and antiderivatives; a scalar gives
 the same numbers as an Operator.
 
-A :class:`Block` holds the gauge, Y, I_-(0), the diagonal of H+ and the levels
-on the whole space, or their blocks on a sector (:mod:`susyinv.sectors`).
-:attr:`PartnerOutput.sectors` finds the sectors on first use, and the whole
-space is their one-sector case. ``build``, ``propagate`` and the verify suites
-take the sectors; ``phase`` and the maps of t ``h_minus`` and ``u_minus`` take
-the whole space.
+A :class:`Block` holds the gauge, Y, I_-(0), the diagonal of H+, the levels,
+the representation's closed-form generators and trusted projector on the whole
+space, or their blocks on a sector (:mod:`susyinv.sectors`), cut in one place
+(:meth:`Block.restricted`). :attr:`PartnerOutput.sectors` finds the sectors on
+first use, and the whole space is their one-sector case. ``build``,
+``propagate`` and the verify suites take the sectors; ``phase`` and the maps of
+t ``h_minus`` and ``u_minus`` take the whole space.
 """
 
 from __future__ import annotations
@@ -337,8 +338,9 @@ class Levels:
 class Block:
     """The minus side on the indices ``rows`` of a sector, or on the whole space
     (``rows`` None): the gauge, Y, I_-(0), the diagonal of H+ and the levels, their
-    minus vectors restricted to ``rows``. Every level lives in one sector, where its
-    minus vector is nonzero (:meth:`holds`)."""
+    minus vectors restricted to ``rows``, with the closed-form generators and the
+    trusted projector (None where every state is trusted) of the representation.
+    Every level lives in one sector, where its minus vector is nonzero (:meth:`holds`)."""
 
     rows: np.ndarray | None
     gauge: GaugeCurve
@@ -346,6 +348,8 @@ class Block:
     i_ref: np.ndarray
     plus_energies: np.ndarray
     levels: Levels
+    generators: tuple[np.ndarray, ...]
+    projector: np.ndarray | None
 
     @property
     def dim(self) -> int:
@@ -353,13 +357,15 @@ class Block:
 
     def restricted(self, rows: np.ndarray) -> Block:
         """The blocks of this whole-space block on ``rows``, indices that D2, D3, Y's
-        generator and I_-(0) do not couple to the rest."""
+        generator, I_-(0) and the closed-form generators do not couple to the rest."""
         ix = np.ix_(rows, rows)
         return Block(rows, replace(self.gauge, d3=Operator(self.gauge.d3.entries[ix]),
                                    d2=Operator(self.gauge.d2.entries[ix])),
                      replace(self.y, D=Operator(self.y.D.entries[ix])), self.i_ref[ix],
                      self.plus_energies[rows],
-                     replace(self.levels, v_minus=self.levels.v_minus[rows]))
+                     replace(self.levels, v_minus=self.levels.v_minus[rows]),
+                     tuple(g[ix] for g in self.generators),
+                     None if self.projector is None else self.projector[ix])
 
     def holds(self, index: np.ndarray) -> np.ndarray:
         """Which of the levels ``index`` live here."""
@@ -402,10 +408,11 @@ class PartnerOutput:
     @cached_property
     def sectors(self) -> tuple[Block, ...]:
         """The sectors of D2, I_-(0), the closed-form generators and the minus vectors
-        (:func:`susyinv.sectors.split`), each holding the blocks of the whole's on its
-        indices: ``whole`` itself where there is one."""
+        (:func:`susyinv.sectors.find_sectors`), each holding the blocks of the whole's
+        on its indices: ``whole`` itself where there is one."""
         w = self.whole
-        parts = sectors.split(self.system.rep, w.gauge.d2.entries, w.i_ref, w.levels.v_minus)
+        parts = sectors.find_sectors([w.gauge.d2.entries, w.i_ref, *w.generators],
+                                     w.levels.v_minus)
         return (w,) if len(parts) == 1 else tuple(map(w.restricted, parts))
 
     def assemble(self, blocks: list[np.ndarray]) -> np.ndarray:
@@ -510,9 +517,13 @@ def run_prescription(system: SuperSystem) -> PartnerOutput:
     order = np.lexsort((mu, lam))
     v_minus = np.concatenate([np.empty((d0.shape[0], 0)), *vms], axis=1)[:, order]
     levels = Levels(lam[order], mu[order], v_minus)
+    rep = system.rep
     return PartnerOutput(system, invariant, pairing,
                          Block(None, system.w_minus, system.y_minus, invariant.Iminus.entries,
-                               system.plus_energies, levels))
+                               system.plus_energies, levels,
+                               tuple(g.entries for g in rep.generators),
+                               None if rep.projector_interior is None
+                               else rep.projector_interior.entries))
 
 
 def spin_supersystem(rep: SpinRep, theta: TimeFunction, phi: TimeFunction,
@@ -569,10 +580,9 @@ def quadrupole_partner(spin: SpinRep, f: TimeFunction, g: TimeFunction,
                        theta: TimeFunction, phi: TimeFunction, t):
     """H'_-(t) = sum_i R^i J_i + g(t) (sum_i Rtilde^i J_i)^2 for Y = f J3 + g J3^2."""
     def stack(ts):
-        generators = (spin.J1, spin.J2, spin.J3)
-        linear = closed_form_operator(closed_form_spin_R(f, theta, phi, ts), generators)
+        linear = closed_form_operator(closed_form_spin_R(f, theta, phi, ts), spin.generators)
         th, ph = theta(ts), phi(ts)
         tilde = closed_form_operator((np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
-                                      np.cos(th)), generators)
+                                      np.cos(th)), spin.generators)
         return linear + g(ts)[:, None, None] * (tilde @ tilde)
     return per_time(t, stack)

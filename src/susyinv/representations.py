@@ -1,8 +1,11 @@
 """Concrete generator matrices: spin-j su(2) and truncated-Fock su(1,1).
 
-Spin matrices are exact. Oscillator operators live in a truncated Fock space;
-the top ``buffer`` states are declared untrusted and every oscillator-family
-check projects onto the interior below them.
+Each representation gives its algebra's closed-form generators
+(``generators``) and the projector onto the states its checks trust
+(``projector_interior``). Spin matrices are exact: spin has no projector.
+Oscillator operators live in a truncated Fock space; the top ``buffer``
+states are declared untrusted and every oscillator-family check projects onto
+the interior below them.
 """
 
 from __future__ import annotations
@@ -35,6 +38,16 @@ class SpinRep:
     @property
     def dim(self) -> int:
         return self.J3.dim
+
+    @property
+    def generators(self) -> tuple[Operator, Operator, Operator]:
+        """The su(2) generators of the closed form, (J1, J2, J3)."""
+        return self.J1, self.J2, self.J3
+
+    @property
+    def projector_interior(self) -> None:
+        """None: spin matrices are exact, so every check reads the whole space."""
+        return None
 
     def m_values(self) -> np.ndarray:
         return self.j - np.arange(self.dim)
@@ -78,6 +91,11 @@ class OscillatorRep:
     @property
     def dim(self) -> int:
         return self.N
+
+    @property
+    def generators(self) -> tuple[Operator, Operator, Operator]:
+        """The su(1,1) generators of the closed form, (K1, K2, K3)."""
+        return self.K1, self.K2, self.K3
 
 
 def default_buffer(n: int) -> int:

@@ -9,23 +9,14 @@ States and Their Applications*, 1986, ch. 5). So with d0 = a^dag the
 oscillator splits into its even and odd Fock states, and W, H_-, U_- and I_-
 are block diagonal, with two blocks of about N/2. J1 couples every m, so spin
 is one sector, and so is a d0 whose I_-(0) couples the parities.
-:attr:`susyinv.construction.PartnerOutput.sectors` finds them on first use
-(:func:`split`); one sector is the whole space, with no copy.
+:attr:`susyinv.construction.PartnerOutput.sectors` finds them on first use,
+from the matrices its whole-space :class:`~susyinv.construction.Block` holds;
+one sector is the whole space, with no copy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .operators import Operator
-from .representations import SpinRep
-
-
-def generators(rep) -> tuple[Operator, Operator, Operator]:
-    """The closed-form generators: (J1, J2, J3) or (K1, K2, K3)."""
-    if isinstance(rep, SpinRep):
-        return rep.J1, rep.J2, rep.J3
-    return rep.K1, rep.K2, rep.K3
 
 
 def find_sectors(matrices, vectors: np.ndarray) -> list[np.ndarray]:
@@ -50,11 +41,3 @@ def find_sectors(matrices, vectors: np.ndarray) -> list[np.ndarray]:
             return [np.flatnonzero(labels == first) for first in index[labels == index]]
         labels = hooked
 
-
-def split(rep, d2: np.ndarray, i_ref: np.ndarray, v_minus: np.ndarray) -> list[np.ndarray]:
-    """The index sets of the sectors of D2, I_-(0), the closed-form generators of
-    ``rep`` and the minus vectors (:func:`find_sectors`). J1 couples every m, so
-    spin is one sector, whatever d0, and is not searched."""
-    if isinstance(rep, SpinRep):
-        return [np.arange(rep.dim)]
-    return find_sectors([d2, i_ref, *(g.entries for g in generators(rep))], v_minus)

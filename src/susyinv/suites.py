@@ -17,9 +17,10 @@ a NaN fails; Python's max drops a NaN that is not its first argument.
 
 Every suite takes the output's sectors (:attr:`PartnerOutput.sectors`): the
 oscillator's even and odd Fock states, as su(1,1) conserves Fock parity, and
-one sector, the whole space, for spin or a d0 that couples the parities. The
-projector, the closed-form generators and the checkable levels are cut to
-each (:class:`_Cut`). The Frobenius norms of all sectors at one time combine
+one sector, the whole space, for spin or a d0 that couples the parities. Each
+sector's :class:`Block` holds the projector and the closed-form generators cut
+to it; the checkable levels are split among the sectors once
+(:attr:`_Run.checkable`). The Frobenius norms of all sectors at one time combine
 by hypot, before the max over times, as the squared norm of a block-diagonal
 matrix is the sum of its blocks'. The solutions suite and the propagate
 command step whole-space states in the sectors, with the step guard on the
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .construction import (Block, PartnerOutput, closed_form_operator, closed_fo
 from .dynamics import central_difference, check_step, lvn_residual, propagate
 from .operators import dagger, frobenius, over_chunks, project, unitarity_defect
 from .representations import OscillatorRep, SpinRep
-from .sectors import generators
 from .susy import SuperCharge, check_superalgebra, pairing_residuals
 
 SPIN_TOLS = {"superalgebra": 1e-12, "pairing": 1e-10, "gauge": 1e-9,
@@ -89,18 +88,6 @@ def _tols(cfg: RunConfig, scale: float) -> dict[str, float]:
     return {k: v * scale for k, v in base.items()}
 
 
-def _cut(m: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """The block of a (d, d) matrix on ``rows``; the matrix itself for the whole space."""
-    return m if rows is None else m[np.ix_(rows, rows)]
-
-
-def _projector(rep, rows: np.ndarray | None = None) -> np.ndarray | None:
-    """The oscillator's interior projector, cut to ``rows``; None for spin."""
-    if isinstance(rep, OscillatorRep):
-        return _cut(rep.projector_interior.entries, rows)
-    return None
-
-
 def stepped_states(out: PartnerOutput, dt: float, psi0: np.ndarray, times: np.ndarray,
                    **options) -> np.ndarray:
     """The states from ``psi0`` on ``times`` under H_-, stepped in the sectors of ``out``
@@ -113,57 +100,44 @@ def stepped_states(out: PartnerOutput, dt: float, psi0: np.ndarray, times: np.nd
     return propagate(h, psi0, times, sectors=[s.rows for s in out.sectors], **options).states
 
 
-class _Cut(NamedTuple):
-    """A sector of the output, with the run's projector, closed-form generators and
-    checkable levels cut to it."""
-
-    sector: Block
-    projector: np.ndarray | None
-    generators: tuple[np.ndarray, ...]
-    checkable: np.ndarray
-
-
-def _gauge_residuals(run: _Run, cut: _Cut, at, origin) -> tuple:
+def _gauge_residuals(run: _Run, sector: Block, at, origin) -> tuple:
     """Closed-form coefficients against the independent matrix gauge route."""
-    cfg, rep, ts = run.cfg, run.rep, at.ts
-    if isinstance(rep, SpinRep):
-        if cfg.g is not None:  # spin is one sector
-            h_closed = quadrupole_partner(rep, cfg.f, cfg.g, cfg.theta, cfg.phi, ts)
-        else:
-            h_closed = closed_form_operator(closed_form_spin_R(cfg.f, cfg.theta, cfg.phi, ts),
-                                            cut.generators)
+    cfg, ts = run.cfg, at.ts
+    if cfg.g is not None:  # only spin takes g, as one sector
+        h_closed = quadrupole_partner(run.rep, cfg.f, cfg.g, cfg.theta, cfg.phi, ts)
     else:
-        h_closed = closed_form_operator(
-            closed_form_osc_R(cfg.f, cfg.theta, cfg.phi, ts), cut.generators)
-    return (frobenius(project(at.h_minus - h_closed, cut.projector)),)
+        closed_form = closed_form_spin_R if cfg.family == "spin" else closed_form_osc_R
+        h_closed = closed_form_operator(closed_form(cfg.f, cfg.theta, cfg.phi, ts),
+                                        sector.generators)
+    return (frobenius(project(at.h_minus - h_closed, sector.projector)),)
 
 
-def _lvn_residuals(run: _Run, cut: _Cut, at, origin) -> tuple:
-    return (lvn_residual(at.i_minus, at.h_minus, at.i_dot, cut.projector),)
+def _lvn_residuals(run: _Run, sector: Block, at, origin) -> tuple:
+    return (lvn_residual(at.i_minus, at.h_minus, at.i_dot, sector.projector),)
 
 
-def _lvn_wrong_h_residuals(run: _Run, cut: _Cut, at, origin) -> tuple:
+def _lvn_wrong_h_residuals(run: _Run, sector: Block, at, origin) -> tuple:
     """The cross-check: the LvN residual of I_- against H+ in place of H_-."""
-    h_plus = np.diag(cut.sector.plus_energies).astype(complex)
-    return (lvn_residual(at.i_minus, h_plus, at.i_dot, cut.projector),)
+    h_plus = np.diag(sector.plus_energies).astype(complex)
+    return (lvn_residual(at.i_minus, h_plus, at.i_dot, sector.projector),)
 
 
-def _w_dot_residuals(run: _Run, cut: _Cut, at, origin) -> tuple:
+def _w_dot_residuals(run: _Run, sector: Block, at, origin) -> tuple:
     """The exact dW/dt's distance from its central difference, and its norm: the
     bound under lvn is their ratio, relative to max(1, ||dW/dt||_F) as the
     difference's own error grows with W's derivatives."""
     w_dot = at.w_dot
-    return (frobenius(w_dot - central_difference(cut.sector.gauge.value, at.ts)),
+    return (frobenius(w_dot - central_difference(sector.gauge.value, at.ts)),
             frobenius(w_dot))
 
 
-def _unitarity_residuals(run: _Run, cut: _Cut, at, origin) -> tuple:
+def _unitarity_residuals(run: _Run, sector: Block, at, origin) -> tuple:
     """U_-(t) unitarity and the invariant transport U I(0) U^dag = I(t), where
     U = U_-(t) U_-(0)^dag: for offset starts (theta(0) != 0) U_-(t) alone does not."""
     u0, i0 = origin
     u = at.u_minus @ u0.conj().T
     return (unitarity_defect(at.u_minus),
-            frobenius(project(u @ i0 @ dagger(u) - at.i_minus, cut.projector)))
+            frobenius(project(u @ i0 @ dagger(u) - at.i_minus, sector.projector)))
 
 
 def _origin(sector: Block) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +145,7 @@ def _origin(sector: Block) -> tuple[np.ndarray, np.ndarray]:
     return at.u_minus[0], at.i_minus[0]
 
 
-# Residual -> its Frobenius norms at one chunk of one sector, f(run, cut, sample
+# Residual -> its Frobenius norms at one chunk of one sector, f(run, sector, sample
 # there, the sector's (U_-(0), I_-(0)) or None): one part, or two that FOLDS joins.
 SAMPLED = {"gauge": _gauge_residuals, "lvn": _lvn_residuals, "w_dot": _w_dot_residuals,
            "unitarity": _unitarity_residuals, "lvn_wrong_h": _lvn_wrong_h_residuals}
@@ -186,8 +160,8 @@ READS = {"gauge": ("gauge",), "lvn": ("lvn", "w_dot"), "unitarity": ("unitarity"
 @dataclass
 class _Run:
     """What the suites of one run_suites call share, each computed when a suite first
-    needs it: the configured system, the cuts of its sectors, and the worst of each
-    SAMPLED residual that a selected suite reads."""
+    needs it: the configured system, the checkable levels of each of its sectors, and
+    the worst of each SAMPLED residual that a selected suite reads."""
 
     cfg: RunConfig
     rep: SpinRep | OscillatorRep
@@ -199,30 +173,28 @@ class _Run:
         return self.cfg.suites + (("lvn_wrong_h",) if self.cfg.cross_check_wrong_h else ())
 
     @cached_property
-    def cuts(self) -> list[_Cut]:
-        checkable = np.asarray(_checkable_levels(self.rep, self.out), dtype=int)
-        return [_Cut(s, _projector(self.rep, s.rows),
-                     tuple(_cut(g.entries, s.rows) for g in generators(self.rep)),
-                     checkable[s.holds(checkable)])
-                for s in self.out.sectors]
+    def checkable(self) -> list[np.ndarray]:
+        """The checkable levels (:func:`_checkable_levels`) that live in each sector."""
+        levels = np.asarray(_checkable_levels(self.out), dtype=int)
+        return [levels[s.holds(levels)] for s in self.out.sectors]
 
     @cached_property
     def sampled(self) -> dict[str, float]:
         names = [n for n in SAMPLED if any(n in READS.get(s, ()) for s in self.selected)]
         times = _sample_times(self.cfg)
 
-        def parts(cut: _Cut) -> np.ndarray:
-            origin = _origin(cut.sector) if "unitarity" in names else None
+        def parts(sector: Block) -> np.ndarray:
+            origin = _origin(sector) if "unitarity" in names else None
 
             def per_chunk(ts):  # one W for every residual, one chunk at a time
-                at = cut.sector.sample(ts)
-                return np.stack([p for n in names for p in SAMPLED[n](self, cut, at, origin)],
+                at = sector.sample(ts)
+                return np.stack([p for n in names for p in SAMPLED[n](self, sector, at, origin)],
                                 axis=1)
 
-            return over_chunks(times, cut.sector.dim, per_chunk)
+            return over_chunks(times, sector.dim, per_chunk)
 
         # The parts of all sectors at one time combine by hypot, before the max over times.
-        whole = iter(reduce(np.hypot, map(parts, self.cuts)).T)
+        whole = iter(reduce(np.hypot, map(parts, self.out.sectors)).T)
         values = [next(whole) if n not in FOLDS else FOLDS[n](next(whole), next(whole))
                   for n in names]
         return dict(zip(names, map(float, np.max(values, axis=1))))
@@ -293,7 +265,7 @@ def _suite_intertwining(run: _Run, lvn_tol) -> CheckResult:
     w, w_dot, h = (out.assemble([getattr(at, name) for at in samples])
                    for name in ("w", "w_dot", "h_minus"))
     res_inter = float(frobenius(project(1j * out.d_stack(ts, w_dot) - h @ out.d_stack(ts, w),
-                                        _projector(run.rep)))[0])
+                                        out.whole.projector))[0])
     invariant = _suite_lvn(run, lvn_tol).passed
     y_d0 = float(np.linalg.norm(out.system.y_minus.diagonal(1.0)[:, None]
                                 * out.system.d0.entries))
@@ -303,15 +275,18 @@ def _suite_intertwining(run: _Run, lvn_tol) -> CheckResult:
     return CheckResult("intertwining", res_inter, INTERTWINING_FLOOR, passed)
 
 
-def _checkable_levels(rep, out: PartnerOutput) -> list[int]:
+def _checkable_levels(out: PartnerOutput) -> list[int]:
     """Indices of the levels whose minus state keeps off the oscillator's edge.
 
     An oscillator level is checkable when its ``v_minus`` puts a weight below
-    ``EDGE_WEIGHT_TOL`` on the top ``buffer`` Fock states; every spin level is.
+    ``EDGE_WEIGHT_TOL`` on the edge: the top ``buffer`` Fock states, the zero
+    diagonal of the interior projector. Every spin level is, as spin has no projector.
     """
-    if not isinstance(rep, OscillatorRep):
+    projector = out.whole.projector
+    if projector is None:
         return list(range(len(out.levels)))
-    edge_weight = np.sum(np.abs(out.levels.v_minus[rep.N - rep.buffer:]) ** 2, axis=0)
+    edge = np.diagonal(projector) == 0
+    edge_weight = np.sum(np.abs(out.levels.v_minus[edge]) ** 2, axis=0)
     return np.flatnonzero(edge_weight < EDGE_WEIGHT_TOL).tolist()
 
 
@@ -339,28 +314,28 @@ def _suite_solutions(run: _Run, tol) -> CheckResult:
     bar. A config with no checkable level propagates nothing. Each level lives
     in one sector, where its residual is taken and its state stepped.
     """
-    cfg, cuts = run.cfg, run.cuts
-    active = [c for c in cuts if c.checkable.size]
+    cfg = run.cfg
+    active = [(s, levels) for s, levels in zip(run.out.sectors, run.checkable) if levels.size]
     if not active:
         return CheckResult("solutions", 0.0, tol, True)
 
-    def schrodinger_residuals(cut: _Cut) -> np.ndarray:
+    def schrodinger_residuals(sector: Block, levels: np.ndarray) -> np.ndarray:
         # Schrodinger residual of the closed form, per level, with its exact rate.
         def per_chunk(ts):
-            at = cut.sector.sample(ts)
-            psi, dpsi = cut.sector.mapped_with_rate(cut.checkable, at)
+            at = sector.sample(ts)
+            psi, dpsi = sector.mapped_with_rate(levels, at)
             res = 1j * dpsi - at.h_minus @ psi
-            return np.linalg.norm(res if cut.projector is None else cut.projector @ res,
+            return np.linalg.norm(res if sector.projector is None else sector.projector @ res,
                                   axis=-2)
-        return np.max(over_chunks(_sample_times(cfg, count=5), cut.sector.dim, per_chunk))
+        return np.max(over_chunks(_sample_times(cfg, count=5), sector.dim, per_chunk))
 
-    worst = float(np.max([schrodinger_residuals(c) for c in active]))
+    worst = float(np.max([schrodinger_residuals(*a) for a in active]))
     grid = cfg.grid()
     checks = grid[[grid.size // 2, grid.size - 1]]
     # 0 < t_mid <= t_final: the check times coincide on a one-step grid.
     bounds = np.append(0.0, checks if checks[0] < checks[1] else checks[1:])
     segments = bounds.size - 1
-    levels = np.concatenate([c.checkable for c in active])
+    levels = np.concatenate([levels for _, levels in active])
     psi0 = run.out.mapped_solution(levels, 0.0)
 
     def numeric(steps):

@@ -188,7 +188,7 @@ def test_criterion_6_solution_map(precessing_outputs):
     p = osc.projector_interior.entries
     worst_res_osc = worst_inf_osc = 0.0
     # The levels whose minus state keeps off the edge buffer.
-    levels = _checkable_levels(osc, out)
+    levels = _checkable_levels(out)
     for level in levels:
         psi0 = out.mapped_solution(level, 0.0)
         for t in (1.5, 4.0):

@@ -103,12 +103,18 @@ class TestConfig:
          "[y] f = '\"1 % 2\"': unexpected character '%' in '1 % 2'\n"),
         ("sweep_example", "sweep", '"1.0 + 0.2*sin(t)"', '"50%"',
          "[y] f = '\"50%\"': unexpected character '%' in '50%'\n"),
+        # build would write no file and still report its outputs.
+        ("spin_default", "build", "formats = csv, json", "formats =",
+         "[output] formats = '' must name csv, json or both\n"),
+        # A suite named twice would run twice and give two rows.
+        ("spin_default", "verify", "suites = superalgebra,", "suites = lvn, lvn, superalgebra,",
+         "[checks] suites names lvn more than once\n"),
     ], ids=["half_integer_j", "integer_phase_steps", "buffer_range", "zero_step_grid",
             "non_finite_t_final", "non_finite_b", "overflowing_b", "overflowing_f",
             "f_without_antiderivative", "f_antiderivative_divides_by_zero",
             "misspelt_cross_check_wrong_h", "oversized_phase_steps",
             "misspelt_phase_reverse", "oversized_n", "oversized_j", "percent_in_a_value",
-            "percent_in_a_sweep_value"])
+            "percent_in_a_sweep_value", "empty_formats", "repeated_suite"])
     def test_static_error_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
                                                config, command, old, new, message):
         text = (config_dir / f"{config}.ini").read_text()
@@ -298,8 +304,7 @@ class TestVerify:
     @pytest.mark.parametrize("names", ["superalgebra, pairing, lvn",
                                        "pairing, lvn, superalgebra, lvn",
                                        "lvn, superalgebra"])
-    def test_supercharge_built_once_per_call(self, tmp_path, config_dir, monkeypatch,
-                                             names):
+    def test_supercharge_built_once_per_call(self, config_dir, monkeypatch, names):
         # superalgebra and pairing share the one supercharge, invariant and
         # spectral pairing that run_prescription builds. Each name is counted
         # on every susyinv module that binds it.
@@ -310,11 +315,10 @@ class TestVerify:
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name,
                                         **kw: calls.append(_name) or _real(*a, **kw))
-        text = (config_dir / "spin_default.ini").read_text()
-        all_suites = "superalgebra, pairing, gauge, lvn, unitarity, intertwining, solutions"
-        cfg = tmp_path / "suites.ini"
-        cfg.write_text(text.replace(all_suites, names))
-        suites.run_suites(load_config(cfg))
+        # load_config refuses a repeated name; run_suites takes the list it is given.
+        cfg = replace(load_config(config_dir / "spin_default.ini"),
+                      suites=tuple(name.strip() for name in names.split(",")))
+        suites.run_suites(cfg)
         assert sorted(calls) == ["build_invariant", "build_supercharge", "pair_spectra"]
 
     def test_superalgebra_checks_the_identities_after_t0(self, config_dir, monkeypatch):
@@ -577,7 +581,7 @@ class TestSolutionsSuite:
         rep = make_oscillator(n, buffer)
         out = run_prescription(oscillator_supersystem(
             rep, tf.parse("0.007*sin(1.1*t)"), tf.parse("0.4*t"), tf.const(0.55)))
-        levels = suites._checkable_levels(rep, out)
+        levels = suites._checkable_levels(out)
         assert len(out.levels) == n - 1
         assert n - 2 not in levels
         assert levels == list(range(n - buffer - 1))
@@ -1128,7 +1132,8 @@ class TestLevelAndFamilyGuards:
     @pytest.mark.parametrize("level, message", [("1/0", "zero denominator"),
                                                 ("inf", "must be finite"),
                                                 ("nan", "must be finite"),
-                                                ("1e308/1e-10", "must be finite")])
+                                                ("1e308/1e-10", "must be finite"),
+                                                ("1/2/3", "not a number or a fraction a/b")])
     def test_bad_level_number_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
                                                    level, message):
         text = (config_dir / "spin_default.ini").read_text()

@@ -101,6 +101,30 @@ def test_traced_verify_calls_time_functions(verify_metrics):
     assert_required(verify_metrics, "timefunc.calls")
 
 
+# spin_grid's counts that its verify call makes: u_minus is build's alone, and
+# cli.bytes_written is measured by the worker, not the tracer.
+@pytest.mark.parametrize("name", [
+    n for n in tracing.REQUIRED_COUNTS["spin_grid"]
+    if n not in ("construction.u_minus_calls", "cli.bytes_written")])
+def test_traced_verify_makes_spin_grid_count(verify_metrics, name):
+    assert_required(verify_metrics, name)
+
+
+@pytest.fixture(scope="module")
+def osc_verify_metrics(tmp_path_factory, config_dir):
+    """One traced ``verify`` of oscillator_default.ini, in its parity sectors."""
+    out = tmp_path_factory.mktemp("osc_verify")
+    return traced(["verify", "--config", str(config_dir / "oscillator_default.ini"),
+                   "--out", str(out)])
+
+
+@pytest.mark.parametrize("name", tracing.REQUIRED_COUNTS["osc_verify"])
+def test_traced_oscillator_verify_makes_osc_verify_count(osc_verify_metrics, name):
+    # The closed form, selected by family at call time, must stay a call the
+    # tracer sees: a reference to it held elsewhere would zero closed_form_calls.
+    assert osc_verify_metrics[name] > 0, name
+
+
 def test_selftest_generator_holds(tmp_path, monkeypatch):
     # check_generator reads out.h_minus(t).entries at scalar t, so a scalar
     # time must still give an Operator. It writes its configs under the cwd.

@@ -38,19 +38,25 @@ class TestFindSectors:
         assert np.array_equal(odd, np.arange(1, 33, 2))
         assert (even.size, odd.size) == (17, 16)
 
-    def test_spin_is_one_sector(self, config_dir):
-        cfg = replace(load_config(config_dir / "spin_default.ini"), j=5.0)
-        rep, out = suites.build_system(cfg)
-        # J1 couples every m: the finder joins all 11, and the run takes spin as
-        # one sector without searching.
-        matrices = [out.system.w_minus.d2.entries, out.invariant.Iminus.entries,
-                    rep.J1.entries, rep.J2.entries, rep.J3.entries]
-        assert [p.size for p in sectors.find_sectors(matrices, out.levels.v_minus)] == [11]
-        # One sector is the whole space, with the system's own objects.
-        [sector] = out.sectors
-        assert sector is out.whole and sector.rows is None
-        assert sector.gauge is out.system.w_minus
-        assert sector.i_ref is out.invariant.Iminus.entries
+    def test_spin_is_one_sector(self, config_dir, monkeypatch):
+        # J1 couples every m: the search itself joins all of them, whatever j, and
+        # one sector is the whole space, with the system's own objects.
+        found = []
+        real = sectors.find_sectors
+
+        def spy(matrices, vectors):
+            found.append(real(matrices, vectors))
+            return found[-1]
+
+        monkeypatch.setattr(sectors, "find_sectors", spy)
+        for j in (0.5, 5.0):
+            rep, out = suites.build_system(
+                replace(load_config(config_dir / "spin_default.ini"), j=j))
+            assert out.sectors == (out.whole,)
+            assert [p.size for p in found.pop()] == [rep.dim]
+            assert out.whole.rows is None and out.whole.projector is None
+            assert out.whole.gauge is out.system.w_minus
+            assert out.whole.i_ref is out.invariant.Iminus.entries
 
     def test_d0_file_that_couples_parities_is_one_sector(self, tmp_path, config_dir):
         # I_-(0) = d0 d0^dag / 2 of d0 = a^dag + a^dag^2 holds a^dag a^dag a, which
@@ -100,6 +106,20 @@ class TestAgainstDense:
         for name, value in run.sampled.items():
             bound = floor / 10 if name == "w_dot" else 1e-12
             assert abs(value - dense[name]) <= bound, name
+
+    def test_sectors_hold_the_whole_cut_to_their_rows(self, config_dir, n, buffer):
+        # The closed-form generators and the interior projector, cut in one place.
+        rep, out = suites.build_system(oscillator(config_dir, n, buffer))
+        whole = out.whole
+        assert all(np.array_equal(g, r.entries)
+                   for g, r in zip(whole.generators, rep.generators, strict=True))
+        assert np.array_equal(whole.projector, rep.projector_interior.entries)
+        assert len(out.sectors) == 2
+        for sector in out.sectors:
+            ix = np.ix_(sector.rows, sector.rows)
+            assert all(np.array_equal(g, w[ix])
+                       for g, w in zip(sector.generators, whole.generators, strict=True))
+            assert np.array_equal(sector.projector, whole.projector[ix])
 
     def test_solutions(self, config_dir, n, buffer):
         cfg = oscillator(config_dir, n, buffer, suites=("solutions",))
