@@ -143,7 +143,7 @@ def parse_number(text: str) -> float:
     try:
         num, den = float(num), float(den) if slash else 1.0
     except ValueError:
-        raise ValueError(f"{text!r} is not a number or a fraction a/b") from None
+        raise ValueError("not a number or a fraction a/b") from None
     if den == 0:
         raise ValueError("zero denominator")
     return num / den
