@@ -185,7 +185,12 @@ def cmd_propagate(cfg: RunConfig, out_override: str | None) -> int:
 
     if level is None:
         print(f"warning: {label} has no superpartner; writing numeric-only columns")
-        numeric = stepped_states(out, cfg.dt, eigh(out.i_minus(0.0)).vectors[:, 0], grid)
+        # I_-(0)'s lowest eigenvector in the first sector that holds its smallest eigenvalue.
+        sector, es = min(((s, eigh(s.sample(np.zeros(1)).i_minus[0])) for s in out.sectors),
+                         key=lambda pair: pair[1].values[0])
+        psi0 = np.zeros(rep.dim, dtype=complex)
+        psi0[... if sector.rows is None else sector.rows] = es.vectors[:, 0]
+        numeric = stepped_states(out, cfg.dt, psi0, grid)
         _write_csv(out_dir / "solution.csv", *_state_columns(grid, {"num": numeric}))
         return 0
 
@@ -200,7 +205,9 @@ def cmd_propagate(cfg: RunConfig, out_override: str | None) -> int:
 
 
 def cmd_phase(cfg: RunConfig, out_override: str | None, reverse_flag: bool) -> int:
-    """Holonomies of the transported invariant eigenframes over the closed loop."""
+    """Holonomies of the transported invariant eigenframes over the closed loop, taken
+    per sector. The levels of all sectors are listed by invariant eigenvalue, equal ones
+    in sector order: an eigenvalue that two sectors share is two levels."""
     out_dir = _out_dir(cfg, out_override)
     rep, out = build_system(cfg)
     T = cfg.t_final
@@ -214,25 +221,20 @@ def cmd_phase(cfg: RunConfig, out_override: str | None, reverse_flag: bool) -> i
     reverse = reverse_flag or cfg.phase_reverse
     steps = cfg.phase_steps
 
-    es0 = eigh(out.invariant.Iminus)
-    groups = es0.degeneracy_groups
+    found = []  # per level of each sector: its eigenvalue, its gammas at steps and 2 * steps
+    for sector in out.sectors:
+        es0 = eigh(sector.i_ref)
 
-    def frame(s):
-        time = T - s if reverse else s
-        return out.system.w_minus.value(time) @ es0.vectors
-
-    gammas = berry_holonomy(frame, steps, period=T, groups=groups)
-    doubled = berry_holonomy(frame, 2 * steps, period=T, groups=groups)
-
-    def rows(part: np.ndarray) -> list:
-        return [[_fmt(x) for x in row] for row in part.tolist()]
-
-    levels = [{"degeneracy": len(group),
-               "gamma": {"imag": rows(g.imag), "real": rows(g.real)},
-               "invariant_eigenvalue": _fmt(es0.values[list(group)].mean()), "level": gi,
+        def frame(s, gauge=sector.gauge, vectors=es0.vectors):
+            return gauge.value(T - s if reverse else s) @ vectors
+        found += zip([es0.values[list(g)].mean() for g in es0.degeneracy_groups],
+                     *(berry_holonomy(frame, n, period=T, groups=es0.degeneracy_groups)
+                       for n in (steps, 2 * steps)))
+    levels = [{"degeneracy": len(g), "gamma": json.loads(_json_complex(g)),
+               "invariant_eigenvalue": _fmt(value), "level": gi,
                "resolution_doubling_delta": _fmt(np.linalg.norm(g - g2)), "steps": steps,
                "unitarity_defect": _fmt(unitarity_defect(g))}
-              for gi, (group, g, g2) in enumerate(zip(groups, gammas, doubled))]
+              for gi, (value, g, g2) in enumerate(sorted(found, key=lambda lv: lv[0]))]
     _write_json(out_dir / "holonomy.json", {"levels": levels, "reverse": reverse})
     print(f"wrote holonomy.json with {len(levels)} levels")
     return 0

@@ -7,7 +7,7 @@ Sections and keys::
     [y]        f = "timefunc" ; g = "timefunc"   (g optional)
     [d0]       named = Jplus | adag   or   file = path to a matrix .json
     [grid]     t_final = float ; dt = float
-    [checks]   suites = comma list ; cross_check_wrong_h = bool (optional)
+    [checks]   suites = comma list (all seven when absent) ; cross_check_wrong_h = bool (optional)
     [output]   dir = path ; formats = csv, json
     [phase]    steps = int ; reverse = bool (optional)
     [propagate] level = half-integer | kernel
@@ -32,7 +32,6 @@ from .representations import (OscillatorRep, SpinRep, check_half_integer, check_
 
 KNOWN_SUITES = ("superalgebra", "pairing", "gauge", "lvn", "unitarity",
                 "intertwining", "solutions")
-DEFAULT_SUITES = KNOWN_SUITES
 MAX_STEPS = 10 ** 7
 # Complex (d, d) matrices that a command holds at its peak, from traced peaks on
 # a d = 128 oscillator with a 201-point grid: `verify` held 33.7 of them when the
@@ -277,8 +276,11 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"[d0] file = {d0_file!r}: expected a {dim}x{dim} matrix "
                               f"for this representation, got shape {shape}")
 
-    suites_text = _get(cp, "checks", "suites", default="")
-    suites = tuple(s.strip() for s in suites_text.split(",") if s.strip()) or DEFAULT_SUITES
+    suites_text = _get(cp, "checks", "suites", default=", ".join(KNOWN_SUITES))
+    suites = tuple(s.strip() for s in suites_text.split(",") if s.strip())
+    if not suites:
+        raise ConfigError(f"[checks] suites = {suites_text!r} must name a suite; "
+                          "leave the key out to run all seven")
     unknown = [s for s in suites if s not in KNOWN_SUITES]
     if unknown:
         raise ConfigError(f"unknown check suites {unknown}; known: {list(KNOWN_SUITES)}")

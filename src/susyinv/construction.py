@@ -23,9 +23,9 @@ A :class:`Block` holds the gauge, Y, I_-(0), the diagonal of H+, the levels,
 the representation's closed-form generators and trusted projector on the whole
 space, or their blocks on a sector (:mod:`susyinv.sectors`), cut in one place
 (:meth:`Block.restricted`). :attr:`PartnerOutput.sectors` finds the sectors on
-first use, and the whole space is their one-sector case. ``build``,
-``propagate`` and the verify suites take the sectors; ``phase`` and the maps of
-t ``h_minus`` and ``u_minus`` take the whole space.
+first use, and the whole space is their one-sector case. Every command takes
+the sectors; only the maps of t ``h_minus`` and ``u_minus`` take the whole
+space.
 """
 
 from __future__ import annotations
@@ -430,10 +430,6 @@ class PartnerOutput:
 
     def u_minus(self, t):
         return evolution_from_gauge(self.whole.gauge, self.whole.y, t)
-
-    def i_minus(self, t):
-        """I-(t) = W(t) I-(0) W(t)^dag."""
-        return per_time(t, lambda ts: self.assemble([s.sample(ts).i_minus for s in self.sectors]))
 
     def d_stack(self, ts: np.ndarray, w: np.ndarray) -> np.ndarray:
         """d = W d0 U+^dag at the times ``ts`` from W there, or with W' in place of W its

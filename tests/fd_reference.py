@@ -33,3 +33,13 @@ def d_map(out):
         return (_mat(system.w_minus.value(t)) @ system.d0.entries) \
             * phases.conj()[..., None, :]
     return d
+
+
+def i_minus_map(out):
+    """t -> I_-(t) = W(t) I_-(0) W(t)^dag on the whole space (``Block.sample``), for a
+    scalar t or an array of times."""
+    def i_minus(t):
+        ts = np.asarray(t, dtype=float)
+        stack = out.whole.sample(np.atleast_1d(ts)).i_minus
+        return stack if ts.ndim else stack[0]
+    return i_minus

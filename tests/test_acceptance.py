@@ -20,7 +20,7 @@ from susyinv.representations import make_oscillator, make_spin
 from susyinv.suites import _checkable_levels
 from susyinv.susy import build_invariant, build_supercharge, check_superalgebra
 
-from fd_reference import d_map, fd_intertwining_residual, fd_lvn_residual
+from fd_reference import d_map, fd_intertwining_residual, fd_lvn_residual, i_minus_map
 
 
 def report(number: int, passed: bool, detail: str):
@@ -116,14 +116,14 @@ def test_criterion_3_closed_form_vs_gauge(spin_draws, spin_systems, osc_draws,
 
 def test_criterion_4_invariance(spin_systems, osc_systems, precessing_outputs):
     times = np.arange(0.0, 10.01, 0.1)
-    worst_spin = max(fd_lvn_residual(out.i_minus, out.h_minus, t)
+    worst_spin = max(fd_lvn_residual(i_minus_map(out), out.h_minus, t)
                      for out in spin_systems for t in times)
     osc, outs = osc_systems
     p = osc.projector_interior.entries
-    worst_osc = max(fd_lvn_residual(out.i_minus, out.h_minus, t, projector=p)
+    worst_osc = max(fd_lvn_residual(i_minus_map(out), out.h_minus, t, projector=p)
                     for out in outs for t in times)
     out_neg = precessing_outputs[0.5]
-    control = min(fd_lvn_residual(out_neg.i_minus, lambda t: out_neg.system.h_plus, t)
+    control = min(fd_lvn_residual(i_minus_map(out_neg), lambda t: out_neg.system.h_plus, t)
                   for t in times[1:])
     passed = worst_spin < 1e-6 and worst_osc < 1e-4 and control > 0.05
     report(4, passed,
@@ -212,7 +212,7 @@ def test_criterion_6_solution_map(precessing_outputs):
 
 def test_criterion_7_intertwining_generality(precessing_outputs):
     out = precessing_outputs[0.5]
-    res_lvn = max(fd_lvn_residual(out.i_minus, out.h_minus, t)
+    res_lvn = max(fd_lvn_residual(i_minus_map(out), out.h_minus, t)
                   for t in np.arange(0.0, 10.01, 0.5))
     res_inter = fd_intertwining_residual(d_map(out), out.h_minus, out.system.h_plus, 1.0)
     passed = res_lvn < 1e-6 and res_inter > 0.1

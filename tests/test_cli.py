@@ -32,6 +32,15 @@ class TestConfig:
         assert cfg.theta(3.0) == pytest.approx(np.pi / 4)
         assert cfg.grid()[-1] == pytest.approx(5.0)
 
+    def test_absent_suites_run_all_seven(self, tmp_path, config_dir):
+        text = (config_dir / "spin_default.ini").read_text()
+        line = "suites = superalgebra, pairing, gauge, lvn, unitarity, intertwining, solutions\n"
+        assert line in text
+        config = tmp_path / "absent.ini"
+        config.write_text(text.replace(line, ""))
+        assert load_config(config).suites == load_config(config_dir / "spin_default.ini").suites
+        assert len(load_config(config).suites) == 7
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/x.ini")
@@ -109,12 +118,17 @@ class TestConfig:
         # A suite named twice would run twice and give two rows.
         ("spin_default", "verify", "suites = superalgebra,", "suites = lvn, lvn, superalgebra,",
          "[checks] suites names lvn more than once\n"),
+        # Present but empty, where leaving the key out runs all seven suites.
+        ("spin_default", "verify",
+         "suites = superalgebra, pairing, gauge, lvn, unitarity, intertwining, solutions",
+         "suites =", "[checks] suites = '' must name a suite; "
+         "leave the key out to run all seven\n"),
     ], ids=["half_integer_j", "integer_phase_steps", "buffer_range", "zero_step_grid",
             "non_finite_t_final", "non_finite_b", "overflowing_b", "overflowing_f",
             "f_without_antiderivative", "f_antiderivative_divides_by_zero",
             "misspelt_cross_check_wrong_h", "oversized_phase_steps",
             "misspelt_phase_reverse", "oversized_n", "oversized_j", "percent_in_a_value",
-            "percent_in_a_sweep_value", "empty_formats", "repeated_suite"])
+            "percent_in_a_sweep_value", "empty_formats", "repeated_suite", "empty_suites"])
     def test_static_error_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
                                                config, command, old, new, message):
         text = (config_dir / f"{config}.ini").read_text()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dense_reference import one_sector, sampled_residuals, solutions_result
-from susyinv import dynamics, sectors, suites
+from susyinv import cli, dynamics, sectors, suites
 from susyinv.cli import main
 from susyinv.config import load_config
 from susyinv.dynamics import FD_STEP
@@ -152,10 +152,10 @@ class TestAgainstDense:
             assert np.max(np.abs(sectored - dense)) <= 1e-12 * np.max(np.abs(dense)), name
 
     def test_kernel_level_propagate(self, tmp_path, config_dir, monkeypatch, n, buffer):
-        # The kernel state, an eigenvector of the assembled I_-(0), holds rounding
-        # (about 1e-31) on the odd Fock states: each sector steps its own rows, and
-        # no step exponential is N x N. Its solution.csv agrees with the dense
-        # route within 1e-12 of its largest entry.
+        # The kernel state is the lowest eigenvector of the even sector's block of
+        # I_-(0), zero on the odd Fock states: exactly one sector, the even one, is
+        # exponentiated, and no step exponential is N x N. Its solution.csv agrees
+        # with the dense route within 1e-12 of its largest entry.
         text = (config_dir / "oscillator_default.ini").read_text()
         for old, new in (("n = 32", f"n = {n}"), ("buffer = 8", f"buffer = {buffer}"),
                          ("level = 0", "level = kernel")):
@@ -163,18 +163,23 @@ class TestAgainstDense:
             text = text.replace(old, new)
         config = tmp_path / "kernel.ini"
         config.write_text(text)
-        shapes = []
-        real = dynamics.expm_i_hermitian
+        shapes, stepped = [], []
+        real, real_factors = dynamics.expm_i_hermitian, dynamics._step_factors
 
         def spy(h, tau):
             shapes.append(np.shape(h)[-2:])
             return real(h, tau)
 
+        def spy_factors(h, times, dims, sectors, order):
+            stepped.append(list(sectors))
+            return real_factors(h, times, dims, sectors, order)
+
         monkeypatch.setattr(dynamics, "expm_i_hermitian", spy)
+        monkeypatch.setattr(dynamics, "_step_factors", spy_factors)
         assert main(["propagate", "--config", str(config),
                      "--out", str(tmp_path / "sectored")]) == 0
-        assert shapes and (n, n) not in shapes
-        assert set(shapes) == {(n - n // 2, n - n // 2), (n // 2, n // 2)}
+        assert stepped == [[0]]
+        assert set(shapes) == {(n - n // 2, n - n // 2)}
         with one_sector():
             assert main(["propagate", "--config", str(config),
                          "--out", str(tmp_path / "dense")]) == 0
@@ -194,10 +199,25 @@ def numbers(path) -> np.ndarray:
                      for s in samples])
 
 
-def test_verify_builds_no_whole_space_gauge(config_dir, monkeypatch):
-    # Every suite takes W in the sectors, the superalgebra and intertwining
-    # suites as the direct sum of their blocks: the eigenbasis of the whole D2
-    # is never built.
+def closed_loop(config_dir, n: int, buffer: int) -> str:
+    """oscillator_default.ini at N = n as a closed loop of 200 phase steps."""
+    text = (config_dir / "oscillator_default.ini").read_text()
+    for old, new in (("n = 32", f"n = {n}"), ("buffer = 8", f"buffer = {buffer}"),
+                     ('theta = "0.01*sin(t)"', 'theta = "0.01"'),
+                     ('phi = "0.4*t"', 'phi = "2*pi*t"'), ("t_final = 3.0", "t_final = 1.0")):
+        assert old in text
+        text = text.replace(old, new)
+    return text + "\n[phase]\nsteps = 200\n"
+
+
+@pytest.mark.parametrize("command, level", [
+    ("build", "0"), ("verify", "0"), ("propagate", "0"), ("propagate", "kernel"),
+    ("phase", "0")], ids=["build", "verify", "propagate", "propagate_kernel", "phase"])
+def test_no_command_builds_the_whole_space_gauge(tmp_path, config_dir, monkeypatch,
+                                                 command, level):
+    # Every command takes W in the sectors, and build's U_- and the superalgebra
+    # and intertwining suites' W as the direct sum of their blocks: the eigenbasis
+    # of the whole D2 is never built.
     outputs = []
     real = suites.build_system
 
@@ -207,11 +227,28 @@ def test_verify_builds_no_whole_space_gauge(config_dir, monkeypatch):
         return rep, out
 
     monkeypatch.setattr(suites, "build_system", capture)
-    results = suites.run_suites(oscillator(config_dir, 32, 8))
+    monkeypatch.setattr(cli, "build_system", capture)
+    config = tmp_path / "loop.ini"
+    config.write_text(closed_loop(config_dir, 32, 8).replace("level = 0", f"level = {level}"))
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     [out] = outputs
-    assert all(r.passed for r in results) and len(results) == 7
     assert "_d2_basis" not in vars(out.system.w_minus)
     assert len(out.sectors) == 2 and all("_d2_basis" in vars(s.gauge) for s in out.sectors)
+
+
+def test_phase_lists_a_shared_eigenvalue_once_per_sector(tmp_path, config_dir):
+    # With d0 the identity, I_-(0) = 1/2 on all 16 Fock states: each parity sector
+    # holds the eigenvalue 1/2 eight times, and phase writes one level of 8 per
+    # sector, the even one first.
+    path = tmp_path / "d0.json"
+    path.write_text(json.dumps({"real": np.eye(16).tolist(), "imag": np.zeros((16, 16)).tolist()}))
+    config = tmp_path / "identity.ini"
+    config.write_text(closed_loop(config_dir, 16, 4).replace("named = adag", f"file = {path}"))
+    assert main(["phase", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    levels = json.loads((tmp_path / "out" / "holonomy.json").read_text())["levels"]
+    assert [lv["degeneracy"] for lv in levels] == [8, 8]
+    assert levels[0]["invariant_eigenvalue"] == levels[1]["invariant_eigenvalue"]
+    assert all(float(lv["unitarity_defect"]) < 1e-9 for lv in levels)
 
 
 @pytest.mark.parametrize("command", ["verify", "propagate"])
