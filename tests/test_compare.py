@@ -3,20 +3,27 @@ directories. The gate itself runs every CLI call on two trees and stays out of
 the test suite."""
 
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare.py"
 
 
-def load_tool():
+def load_tool(monkeypatch):
+    # The tools set the BLAS thread variables and extend sys.path on import: keep
+    # both to this test.
+    monkeypatch.setattr(os, "environ", os.environ.copy())
+    monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("compare_tool", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def test_compare_dirs_reports_moved_numbers_and_reads_negative_zero_as_zero(tmp_path):
-    compare = load_tool()
+def test_compare_dirs_reports_moved_numbers_and_reads_negative_zero_as_zero(tmp_path,
+                                                                           monkeypatch):
+    compare = load_tool(monkeypatch)
     rev, checkout = tmp_path / "rev", tmp_path / "checkout"
     for d in (rev, checkout):
         d.mkdir()

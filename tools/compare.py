@@ -54,9 +54,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tools")]
 
 import workloads  # noqa: E402
+from ladder import _edited, closed_loop  # noqa: E402
 
 REL_BOUND = 1e-12
 SEEDS = (0, 1, 2)
@@ -109,28 +110,16 @@ def compare_dirs(base: Path, change: Path) -> list[tuple[str, str, bool]]:
     return rows
 
 
-def _edited(name: str, edits: dict[str, str]) -> str:
-    text = (ROOT / "configs" / f"{name}.ini").read_text()
-    for old, new in edits.items():
-        if old not in text:
-            raise ValueError(f"{name}.ini has no line {old!r}")
-        text = text.replace(old, new)
-    return text
-
-
 def calls() -> list[tuple[str, str, tuple[str, ...]]]:
     """(config label, config text, command and flags) for every call."""
     out = []
     for config in SHIPPED:
-        out += [(config, _edited(config, {}), c) for c in COMMANDS]
-    out.append(("phase_loop", _edited("phase_loop", {}), ("phase", "--reverse")))
+        out += [(config, _edited(f"{config}.ini", {}), c) for c in COMMANDS]
+    out.append(("phase_loop", _edited("phase_loop.ini", {}), ("phase", "--reverse")))
     out.append(("oscillator_default, level = kernel",
-                _edited("oscillator_default", {"level = 0": "level = kernel"}), ("propagate",)))
-    loop = _edited("oscillator_default", {'theta = "0.01*sin(t)"': 'theta = "0.01"',
-                                          'phi = "0.4*t"': 'phi = "2*pi*t"',
-                                          "t_final = 3.0": "t_final = 1.0"})
-    loop += "\n[phase]\nsteps = 200\n"
-    out += [("oscillator_default, closed loop", loop, c)
+                _edited("oscillator_default.ini", {"level = 0": "level = kernel"}),
+                ("propagate",)))
+    out += [("oscillator_default, closed loop", closed_loop(32, 8), c)
             for c in (("phase",), ("phase", "--reverse"))]
     for name in workloads.WORKLOADS:
         for seed in SEEDS:

@@ -12,8 +12,8 @@ Run from the root of a source checkout. The rungs edit the shipped configs:
 - oscillator N = 32, 128: ``oscillator_default.ini`` with ``n`` edited, and
   ``buffer = 16`` at N = 128 (1 501 grid points), for ``build``,
   ``propagate`` and ``verify``; at N = 128 also ``propagate`` with
-  ``[propagate] level = kernel``, whose state touches both parity sectors,
-  and ``phase`` over a closed loop (``theta = "0.01"``, ``phi = "2*pi*t"``,
+  ``[propagate] level = kernel``, whose state lives in the even parity
+  sector, and ``phase`` over a closed loop (``theta = "0.01"``, ``phi = "2*pi*t"``,
   ``t_final = 1.0``, ``[phase] steps = 200``): 128 levels of size 1.
 
 Each command is timed once around ``susyinv.cli.main`` in this process, with
@@ -76,12 +76,17 @@ def rungs() -> list[tuple[str, str, str]]:
     kernel = _edited("oscillator_default.ini", {"n = 32": "n = 128", "buffer = 8": "buffer = 16",
                                                 "level = 0": "level = kernel"})
     calls.append(("oscillator N = 128, level = kernel", "propagate", kernel))
-    loop = _edited("oscillator_default.ini", {"n = 32": "n = 128", "buffer = 8": "buffer = 16",
-                                              'theta = "0.01*sin(t)"': 'theta = "0.01"',
-                                              'phi = "0.4*t"': 'phi = "2*pi*t"',
-                                              "t_final = 3.0": "t_final = 1.0"})
-    calls.append(("oscillator N = 128", "phase", loop + "\n[phase]\nsteps = 200\n"))
+    calls.append(("oscillator N = 128", "phase", closed_loop(128, 16)))
     return calls
+
+
+def closed_loop(n: int, buffer: int) -> str:
+    """``oscillator_default.ini`` at N = n as a closed loop of 200 phase steps."""
+    text = _edited("oscillator_default.ini", {
+        "n = 32": f"n = {n}", "buffer = 8": f"buffer = {buffer}",
+        'theta = "0.01*sin(t)"': 'theta = "0.01"', 'phi = "0.4*t"': 'phi = "2*pi*t"',
+        "t_final = 3.0": "t_final = 1.0"})
+    return text + "\n[phase]\nsteps = 200\n"
 
 
 def ladder() -> list[dict]:
