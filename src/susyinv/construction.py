@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import sectors
-from .operators import (Operator, NonHermitianError, _mat, dagger, eigh, first_true,
+from .operators import (Operator, NonHermitianError, _mat, dagger, eigh, first_true, fresh,
                         frobenius, hermiticity_defect, per_time, unitarity_defect)
 from .representations import OscillatorRep, SpinRep
 from .susy import (ZERO_MODE_SCALE, SpectralPairing, SuperInvariant, build_invariant,
@@ -116,6 +116,11 @@ class GaugeCurve:
         return diag
 
     @cached_property
+    def _d3_differences(self) -> np.ndarray:
+        """(d3_j - d3_k), the entries of [D3, M] over those of M."""
+        return np.subtract.outer(self._d3_diag, self._d3_diag)
+
+    @cached_property
     def _d2_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """lam~ and the real bases P = [X Y Z] and P_sw = [Y -X 0] of D2 = iB, P
         checked orthogonal once.
@@ -148,25 +153,29 @@ class GaugeCurve:
     def dim(self) -> int:
         return self.d3.dim
 
-    def _factors(self, t: np.ndarray):
+    def _factors(self, t: np.ndarray, take=fresh, names=("r", "w")):
         """E = e^{-i phi D3} diagonals and (cos, sin) of theta lam~, each (n, d), the
-        real rotations R = e^{-i theta D2} and W = E R E^dag, each (n, d, d)."""
+        real rotations R = e^{-i theta D2} and W = E R E^dag, each (n, d, d), R and W
+        in ``take``'s arrays of ``names``."""
         e = np.exp(-1j * self.phi(t)[:, None] * self._d3_diag)
         angles = self.theta(t)[:, None] * self._d2_basis[0]
         cos_sin = np.cos(angles), np.sin(angles)
-        r = self._rotation(*cos_sin)
-        return e, cos_sin, r, _sandwich(e, r)
+        r = self._rotation(*cos_sin, take, names[0])
+        return e, cos_sin, r, _sandwich(e, r, take(names[1], r.shape))
 
-    def _rotation(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(P diag(x) + P_sw diag(y)) P^T for each row x of a and y of b, (n, d) arrays."""
+    def _rotation(self, a: np.ndarray, b: np.ndarray, take, name: str) -> np.ndarray:
+        """(P diag(x) + P_sw diag(y)) P^T for each row x of a and y of b, (n, d) arrays,
+        into ``take``'s ``name``."""
         _, p, p_sw = self._d2_basis
-        m = p * a[:, None, :]
-        m += p_sw * b[:, None, :]
-        return m @ p.T
+        shape, dtype = (len(a),) + p.shape, np.result_type(p, a, b)
+        m = np.multiply(p, a[:, None, :], out=take("rotation", shape, dtype))
+        m += np.multiply(p_sw, b[:, None, :], out=take(name, shape, dtype))
+        return np.matmul(m, p.T, out=take(name, shape, dtype))
 
-    def value(self, t):
-        """W(t): an Operator for a scalar t, an (n, d, d) stack for an array."""
-        return per_time(t, lambda ts: self._factors(ts)[-1])
+    def value(self, t, take=fresh, name: str = "value"):
+        """W(t): an Operator for a scalar t, an (n, d, d) stack for an array, in
+        ``take``'s array of ``name``."""
+        return per_time(t, lambda ts: self._factors(ts, take, ("rotation_b", name))[-1])
 
     def derivative(self, t):
         """dW/dt by the chain rule on the three exponentials (:attr:`_Sample.w_dot`)."""
@@ -216,24 +225,28 @@ class YSpec:
 class _Sample:
     """W at an array of times, built once (:meth:`GaugeCurve._factors`), and H_-,
     dW/dt, I_- = W I_-(0) W^dag, dI_-/dt and U_- derived from it on first use
-    (``y`` may be None when only W and dW/dt are taken)."""
+    (``y`` may be None when only W and dW/dt are taken), each written to ``take``'s
+    array of its name. Their scratch takes the names ``rotation``, ``rotation_b``,
+    ``dagger``, ``frobenius`` and ``scratch``: code that holds one of these takes
+    the stacks it needs from the sample first."""
 
     def __init__(self, w: GaugeCurve, y: YSpec | None, ts: np.ndarray,
-                 i_ref: np.ndarray | None = None):
-        self._gauge, self._y, self._i_ref, self.ts = w, y, i_ref, ts
-        self._e, self._cos_sin, self._r, self.w = w._factors(ts)
+                 i_ref: np.ndarray | None = None, take=fresh):
+        self._gauge, self._y, self._i_ref, self.ts, self.take = w, y, i_ref, ts, take
+        self._e, self._cos_sin, self._r, self.w = w._factors(ts, take)
 
     @cached_property
     def w_dot(self) -> np.ndarray:
         """dW/dt by the chain rule on the three exponentials:
         W' = E (theta' R' - i phi' [D3, R]) E^dag, with R' = (P_sw lam~ cos - P lam~ sin) P^T
         from the middle factor and [D3, R]_jk = (d3_j - d3_k) R_jk from the outer ones."""
-        g, ts = self._gauge, self.ts
+        g, ts, take = self._gauge, self.ts, self.take
         rate = g.theta.derivative()(ts)[:, None] * g._d2_basis[0]
         cos, sin = self._cos_sin
-        out = np.empty(self.w.shape, complex)
-        out.real = g._rotation(-rate * sin, rate * cos)
-        np.multiply(np.subtract.outer(g._d3_diag, g._d3_diag), self._r, out=out.imag)
+        out = take("w_dot", self.w.shape)
+        out = np.empty(self.w.shape, complex) if out is None else out
+        out.real = g._rotation(-rate * sin, rate * cos, take, "rotation_b")
+        np.multiply(g._d3_differences, self._r, out=out.imag)
         out.imag *= -g.phi.derivative()(ts)[:, None, None]
         return _sandwich(self._e, out, out=out)
 
@@ -244,18 +257,21 @@ class _Sample:
         E = e^{-i phi D3} commutes with D3 and R = e^{-i theta D2} with D2, so
         H = E (R diag(y - phi' d3) R^T + theta' D2) E^dag + phi' D3.
         """
-        g, ts, r = self._gauge, self.ts, self._r
+        g, ts, r, take = self._gauge, self.ts, self._r, self.take
         phi_dot = g.phi.derivative()(ts)[:, None]
-        h = g.theta.derivative()(ts)[:, None, None] * g.d2.entries
-        h += (r * (self._y.diagonal(ts) - phi_dot * g._d3_diag)[:, None, :]) \
-            @ np.swapaxes(r, 1, 2)
+        h = np.multiply(g.theta.derivative()(ts)[:, None, None], g.d2.entries,
+                        out=take("h_minus", r.shape))
+        y = (self._y.diagonal(ts) - phi_dot * g._d3_diag)[:, None, :]
+        dtype = np.result_type(r, y)
+        h += np.matmul(np.multiply(r, y, out=take("rotation", r.shape, dtype)),
+                       np.swapaxes(r, 1, 2), out=take("rotation_b", r.shape, dtype))
         _sandwich(self._e, h, out=h)
         idx = np.arange(g.dim)
         h[:, idx, idx] += phi_dot * g._d3_diag
         # An overflowing or non-finite H is caught by its norm; numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = frobenius(h)
-            relative = hermiticity_defect(h) / np.maximum(1.0, norms)
+            norms = frobenius(h, take)
+            relative = hermiticity_defect(h, take) / np.maximum(1.0, norms)
         finite = np.isfinite(norms)
         k = first_true(~finite | ~(relative <= HERMITICITY_TOL))
         if k is not None:
@@ -266,22 +282,27 @@ class _Sample:
 
     @cached_property
     def _w_i(self) -> np.ndarray:
-        return self.w @ self._i_ref
+        return np.matmul(self.w, self._i_ref, out=self.take("w_i", self.w.shape))
 
     @cached_property
     def i_minus(self) -> np.ndarray:
-        return self._w_i @ dagger(self.w)
+        take = self.take
+        return np.matmul(self._w_i, dagger(self.w, take("dagger", self.w.shape)),
+                         out=take("i_minus", self.w.shape))
 
     @cached_property
     def i_dot(self) -> np.ndarray:
         """dI_-/dt = X + X^dag with X = W' (W I_-(0))^dag, I_-(0) Hermitian."""
-        x = self.w_dot @ dagger(self._w_i)
-        x += dagger(x)
+        take = self.take
+        x = np.matmul(self.w_dot, dagger(self._w_i, take("dagger", self.w.shape)),
+                      out=take("i_dot", self.w.shape))
+        x += dagger(x, take("dagger", self.w.shape))
         return x
 
     @cached_property
     def u_minus(self) -> np.ndarray:
-        return self.w * np.exp(-1j * self._y.integral_diagonal(self.ts))[:, None, :]
+        return np.multiply(self.w, np.exp(-1j * self._y.integral_diagonal(self.ts))[:, None, :],
+                           out=self.take("u_minus", self.w.shape))
 
 
 def hamiltonian_from_gauge(w: GaugeCurve, y: YSpec, t):
@@ -371,9 +392,10 @@ class Block:
         """Which of the levels ``index`` live here."""
         return np.any(self.levels.v_minus[:, index] != 0, axis=0)
 
-    def sample(self, ts: np.ndarray) -> _Sample:
-        """H_-, I_- and U_- at an array of times, from one build of W there."""
-        return _Sample(self.gauge, self.y, ts, self.i_ref)
+    def sample(self, ts: np.ndarray, take=fresh) -> _Sample:
+        """H_-, I_- and U_- at an array of times, from one build of W there, in ``take``'s
+        arrays."""
+        return _Sample(self.gauge, self.y, ts, self.i_ref, take)
 
     def mapped(self, index: np.ndarray, ts, w=None) -> np.ndarray:
         """W(ts), or ``w`` when given, times the minus vectors of the levels ``index``,
@@ -450,10 +472,15 @@ class PartnerOutput:
         if len(self.sectors) == 1:
             psi = self.whole.mapped(flat, ts)
         else:  # each level lives in one sector, zero off its rows
+            # The sectors' blocks side by side on their rows, then one gather puts the
+            # columns back in the requested order.
+            owned = [np.flatnonzero(s.holds(flat)) for s in self.sectors]
             psi = np.zeros(ts.shape + (self.whole.dim, flat.size), dtype=complex)
-            for s in self.sectors:
-                if (mine := np.flatnonzero(s.holds(flat))).size:
-                    psi[..., s.rows[:, None], mine] = s.mapped(flat[mine], ts)
+            start = 0
+            for s, mine in zip(self.sectors, owned):
+                psi[..., s.rows, start:start + mine.size] = s.mapped(flat[mine], ts)
+                start += mine.size
+            psi = psi[..., np.argsort(np.concatenate(owned))]
         return psi if index.ndim else psi[..., 0]
 
     def level_for_label(self, mu: float) -> int:
@@ -567,9 +594,13 @@ def closed_form_osc_R(f: TimeFunction, theta: TimeFunction, phi: TimeFunction, t
     return _closed_form_R(np.sinh, np.cosh, f, theta, phi, t)
 
 
-def closed_form_operator(r, generators) -> np.ndarray:
+def closed_form_operator(r, generators, take=fresh) -> np.ndarray:
     """sum_i R^i G_i: one matrix for scalar coefficients, a stack for arrays."""
-    return sum(np.multiply.outer(ri, _mat(g)) for ri, g in zip(r, generators))
+    shape = np.shape(r[0]) + _mat(generators[0]).shape
+    out = np.multiply.outer(r[0], _mat(generators[0]), out=take("scratch", shape))
+    for ri, g in zip(r[1:], generators[1:]):
+        out += np.multiply.outer(ri, _mat(g), out=take("scratch_b", shape))
+    return out
 
 
 def quadrupole_partner(spin: SpinRep, f: TimeFunction, g: TimeFunction,

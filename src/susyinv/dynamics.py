@@ -46,7 +46,7 @@ import numpy as np
 
 from .operators import (NonFiniteMatrixError, Operator, SingularMatrixError, _mat,
                         check_finite, chunks, dagger, expm_i_hermitian,
-                        first_true, frobenius, groups_by_size, over_chunks,
+                        first_true, fresh, frobenius, groups_by_size, over_chunks,
                         polar_unitary, project, unitarity_defect)
 
 FD_STEP = 1e-5
@@ -247,18 +247,24 @@ def propagate_unitary(h: Callable[[float], Operator], dim: int,
 
 def central_difference(m_map: Callable[[float], Operator], t):
     """(M(t + FD_STEP) - M(t - FD_STEP)) / (2 FD_STEP), for a scalar t or an array."""
-    return (_mat(m_map(t + FD_STEP)) - _mat(m_map(t - FD_STEP))) / (2 * FD_STEP)
+    out = _mat(m_map(t + FD_STEP)) - _mat(m_map(t - FD_STEP))
+    out /= 2 * FD_STEP
+    return out
 
 
 def lvn_residual(i: np.ndarray, h: np.ndarray, i_dot: np.ndarray,
-                 projector: np.ndarray | None = None):
+                 projector: np.ndarray | None = None, take=fresh):
     """|| dI/dt - i [I, H] ||, the defining residual of a dynamical invariant.
 
     I, H and dI/dt are matrices or (n, d, d) stacks (a matrix is broadcast
     against a stack); pass a projector to restrict the residual to a trusted
     subspace. A float for matrices, one residual per time for stacks.
     """
-    return frobenius(project(i_dot - 1j * (i @ h - h @ i), projector))
+    shape = np.broadcast_shapes(np.shape(i), np.shape(h), np.shape(i_dot))
+    c = np.matmul(i, h, out=take("scratch", shape))
+    c -= np.matmul(h, i, out=take("scratch_b", shape))
+    c = np.multiply(1j, c, out=take("scratch", shape))
+    return frobenius(project(np.subtract(i_dot, c, out=c), projector, in_place=True), take)
 
 
 def intertwining_residual(d: np.ndarray, d_dot: np.ndarray, h_minus: np.ndarray,

@@ -41,7 +41,7 @@ from .construction import (Block, PartnerOutput, closed_form_operator, closed_fo
                            closed_form_spin_R, hamiltonian_from_gauge, oscillator_supersystem,
                            quadrupole_partner, run_prescription, spin_supersystem)
 from .dynamics import central_difference, check_step, lvn_residual, propagate
-from .operators import dagger, frobenius, over_chunks, project, unitarity_defect
+from .operators import Buffers, dagger, frobenius, over_chunks, project, unitarity_defect
 from .representations import OscillatorRep, SpinRep
 from .susy import SuperCharge, check_superalgebra, pairing_residuals
 
@@ -102,42 +102,49 @@ def stepped_states(out: PartnerOutput, dt: float, psi0: np.ndarray, times: np.nd
 
 def _gauge_residuals(run: _Run, sector: Block, at, origin) -> tuple:
     """Closed-form coefficients against the independent matrix gauge route."""
-    cfg, ts = run.cfg, at.ts
+    cfg, ts, h, take = run.cfg, at.ts, at.h_minus, at.take
     if cfg.g is not None:  # only spin takes g, as one sector
         h_closed = quadrupole_partner(run.rep, cfg.f, cfg.g, cfg.theta, cfg.phi, ts)
     else:
         closed_form = closed_form_spin_R if cfg.family == "spin" else closed_form_osc_R
         h_closed = closed_form_operator(closed_form(cfg.f, cfg.theta, cfg.phi, ts),
-                                        sector.generators)
-    return (frobenius(project(at.h_minus - h_closed, sector.projector)),)
+                                        sector.generators, take)
+    error = np.subtract(h, h_closed, out=take("scratch", h.shape))
+    return (frobenius(project(error, sector.projector, in_place=True), take),)
 
 
 def _lvn_residuals(run: _Run, sector: Block, at, origin) -> tuple:
-    return (lvn_residual(at.i_minus, at.h_minus, at.i_dot, sector.projector),)
+    return (lvn_residual(at.i_minus, at.h_minus, at.i_dot, sector.projector, at.take),)
 
 
 def _lvn_wrong_h_residuals(run: _Run, sector: Block, at, origin) -> tuple:
     """The cross-check: the LvN residual of I_- against H+ in place of H_-."""
     h_plus = np.diag(sector.plus_energies).astype(complex)
-    return (lvn_residual(at.i_minus, h_plus, at.i_dot, sector.projector),)
+    return (lvn_residual(at.i_minus, h_plus, at.i_dot, sector.projector, at.take),)
 
 
 def _w_dot_residuals(run: _Run, sector: Block, at, origin) -> tuple:
     """The exact dW/dt's distance from its central difference, and its norm: the
     bound under lvn is their ratio, relative to max(1, ||dW/dt||_F) as the
     difference's own error grows with W's derivatives."""
-    w_dot = at.w_dot
-    return (frobenius(w_dot - central_difference(sector.gauge.value, at.ts)),
-            frobenius(w_dot))
+    w_dot, take = at.w_dot, at.take
+    # The difference holds W at t + FD_STEP while it takes W at t - FD_STEP.
+    names = iter(("scratch", "scratch_b"))
+    error = central_difference(lambda t: sector.gauge.value(t, take, next(names)), at.ts)
+    return (frobenius(np.subtract(w_dot, error, out=error), take), frobenius(w_dot, take))
 
 
 def _unitarity_residuals(run: _Run, sector: Block, at, origin) -> tuple:
     """U_-(t) unitarity and the invariant transport U I(0) U^dag = I(t), where
     U = U_-(t) U_-(0)^dag: for offset starts (theta(0) != 0) U_-(t) alone does not."""
     u0, i0 = origin
-    u = at.u_minus @ u0.conj().T
-    return (unitarity_defect(at.u_minus),
-            frobenius(project(u @ i0 @ dagger(u) - at.i_minus, sector.projector)))
+    u_minus, i_minus, take = at.u_minus, at.i_minus, at.take
+    defect = unitarity_defect(u_minus, take)
+    u = np.matmul(u_minus, u0.conj().T, out=take("scratch", u_minus.shape))
+    u_i = np.matmul(u, i0, out=take("scratch_b", u.shape))
+    moved = np.matmul(u_i, dagger(u, take("dagger", u.shape)), out=u)
+    moved -= i_minus
+    return defect, frobenius(project(moved, sector.projector, in_place=True), take)
 
 
 def _origin(sector: Block) -> tuple[np.ndarray, np.ndarray]:
@@ -182,12 +189,13 @@ class _Run:
     def sampled(self) -> dict[str, float]:
         names = [n for n in SAMPLED if any(n in READS.get(s, ()) for s in self.selected)]
         times = _sample_times(self.cfg)
+        take = Buffers()
 
         def parts(sector: Block) -> np.ndarray:
             origin = _origin(sector) if "unitarity" in names else None
 
             def per_chunk(ts):  # one W for every residual, one chunk at a time
-                at = sector.sample(ts)
+                at = sector.sample(ts, take)
                 return np.stack([p for n in names for p in SAMPLED[n](self, sector, at, origin)],
                                 axis=1)
 

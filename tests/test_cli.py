@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susyinv import cli, construction, dynamics, suites, susy
 from susyinv import timefunc as tf
@@ -400,9 +407,9 @@ class TestVerify:
         points = []
         real = construction.GaugeCurve._factors
 
-        def counting(gauge, t):
+        def counting(gauge, t, *rest):
             points.append(np.size(t) * gauge.dim)
-            return real(gauge, t)
+            return real(gauge, t, *rest)
 
         monkeypatch.setattr(construction.GaugeCurve, "_factors", counting)
         cfg = load_config(config_dir / "oscillator_default.ini")
@@ -460,6 +467,42 @@ class TestVerify:
             tracemalloc.stop()
         assert code == 0
         assert peak <= HELD_MATRICES * 16 * 128 ** 2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor page faults as glibc's heap gives them")
+    def test_sampled_chunks_reuse_their_pages(self, tmp_path, config_dir):
+        # The sampled pass makes its buffers on its first chunk and reuses them in
+        # every later one, in both parity sectors: no later chunk pages in its
+        # stacks afresh (about 700 minor faults a chunk when each chunk allocated them).
+        script = """
+import json, resource, sys
+from susyinv import suites
+from susyinv.config import load_config
+cfg = load_config(sys.argv[1])
+suites.run_suites(cfg)
+suites.run_suites(cfg)
+faults, real = [], suites.over_chunks
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def per_chunk_faults(times, dim, per_chunk):
+    def counted(ts):
+        start = minflt()
+        result = per_chunk(ts)
+        faults.append(minflt() - start)
+        return result
+    return real(times, dim, counted)
+suites.over_chunks = per_chunk_faults
+suites._Run(cfg, *suites.build_system(cfg)).sampled
+print(json.dumps(faults))
+"""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(suites.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script,
+                               str(self.osc128(tmp_path, config_dir))],
+                              env=env, capture_output=True, text=True, check=True)
+        faults = json.loads(done.stdout)
+        assert len(faults) == 6  # 9 sample times in chunks of 4, 4 and 1, per sector
+        assert max(faults[1:]) <= 100, faults
 
     def test_planted_term_in_h_raises_exact_lvn_residual(self, config_dir, monkeypatch):
         # A Hermitian term of norm 1e-9 in H_- at N = 128 lifts the exact LvN
@@ -1188,3 +1231,36 @@ def test_cli_import_loads_no_module(top):
     # Top-level packages the CLI path does without: the sweep runs its cells
     # in one serial loop, so concurrent.futures has no user.
     assert loaded_by_cli_import(top) == []
+
+
+# The numeric keys of the shipped spin and oscillator configs ("steps" is
+# [phase] steps, a section they lack), and edge values for them.
+EDITED_KEYS = [("spin_default", key) for key in ("j", "b", "t_final", "dt", "steps", "level")] \
+    + [("oscillator_default", key) for key in ("n", "buffer", "t_final", "dt", "steps", "level")]
+EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-300", "several")
+
+
+@given(edit=st.sampled_from(EDITED_KEYS), value=st.sampled_from(EDGE_VALUES))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_an_edge_value_keeps_the_exit_code_contract(config_dir, edit, value):
+    # Any one numeric key at an edge value: every command exits 0, 1 or 2, an
+    # exit 2 prints one line to stderr, and nothing raises, not even a RuntimeWarning.
+    name, key = edit
+    text = re.sub(r"^t_final = .*$", "t_final = 0.2",
+                  (config_dir / f"{name}.ini").read_text(), flags=re.M)
+    if key == "steps":
+        text += f"\n[phase]\nsteps = {value}\n"
+    else:
+        text, edits = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert edits == 1
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        config = Path(tmp) / "edited.ini"
+        config.write_text(text)
+        for command in ("build", "verify", "propagate", "phase"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(config), "--out", str(Path(tmp) / "out")])
+            assert code in (0, 1, 2), (command, code)
+            if code == 2:
+                assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dense_reference import one_sector, sampled_residuals, solutions_result
-from susyinv import cli, dynamics, sectors, suites
+from susyinv import cli, dynamics, operators, sectors, suites
 from susyinv.cli import main
 from susyinv.config import load_config
 from susyinv.dynamics import FD_STEP
@@ -187,6 +187,44 @@ class TestAgainstDense:
                            for route in ("sectored", "dense"))
         assert sectored.shape == dense.shape
         assert np.max(np.abs(sectored - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n, buffer", [(32, 8), (33, 8)])
+def test_mapped_solution_in_interleaved_sector_order(config_dir, n, buffer):
+    # Levels asked for alternately from the odd and the even sector come back in
+    # the order asked, each equal to the bit to that level asked for alone.
+    rep, out = suites.build_system(oscillator(config_dir, n, buffer))
+    every = np.arange(len(out.levels))
+    even, odd = (every[s.holds(every)] for s in out.sectors)
+    interleaved = [int(level) for pair in zip(odd, even) for level in pair]
+    ts = np.array([0.0, 0.7, 1.9])
+    alone = np.stack([out.mapped_solution(level, ts) for level in interleaved], axis=-1)
+    assert np.array_equal(out.mapped_solution(interleaved, ts), alone)
+    assert np.array_equal(out.mapped_solution(interleaved, 0.7), alone[1])
+
+
+def test_outputs_do_not_depend_on_the_chunks(tmp_path, config_dir, monkeypatch):
+    # The chunk loops reuse one set of buffers from chunk to chunk, shared by the
+    # two 16 x 16 sectors: a view read after a later chunk or the other sector has
+    # overwritten it, or a short last chunk read past its end, would move a number.
+    # The sampled residuals, the verify results and build's three files are the
+    # same with the default chunks (the 9 sample times in one), with 4 points a
+    # chunk (the last one short) and with one.
+    text = (config_dir / "oscillator_default.ini").read_text()
+    assert "t_final = 3.0" in text
+    config = tmp_path / "osc.ini"
+    config.write_text(text.replace("t_final = 3.0", "t_final = 0.5"))
+    cfg = replace(load_config(config), cross_check_wrong_h=True)
+    seen = []
+    for chunk_bytes in (operators.CHUNK_BYTES, 4 * 16 * 16 ** 2, 1):
+        monkeypatch.setattr(operators, "CHUNK_BYTES", chunk_bytes)
+        run = suites._Run(cfg, *suites.build_system(cfg))
+        out = tmp_path / str(chunk_bytes)
+        assert main(["build", "--config", str(config), "--out", str(out)]) == 0
+        seen.append((run.sampled, suites.run_suites(cfg),
+                     {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert len(seen[0][2]) == 3
+    assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
 def numbers(path) -> np.ndarray:

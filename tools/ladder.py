@@ -16,8 +16,11 @@ Run from the root of a source checkout. The rungs edit the shipped configs:
   sector, and ``phase`` over a closed loop (``theta = "0.01"``, ``phi = "2*pi*t"``,
   ``t_final = 1.0``, ``[phase] steps = 200``): 128 levels of size 1.
 
-Each command is timed once around ``susyinv.cli.main`` in this process, with
-OpenBLAS on one thread as in perfbench. Then
+Each command is timed ``REPEATS`` times in a row around ``susyinv.cli.main`` in
+this process, with OpenBLAS on one thread as in perfbench: ``wall_s`` is the
+median of the ``walls``, and ``minor_faults`` the median of the minor page
+faults (``ru_minflt``) of each call. One reading of a rung moves with the
+host, by as much as a third. Then
 ``perfbench/run.py --workload all --seed 0 --seconds 10 --trace 0`` runs, and
 its metrics are kept. The ladder's times are unbounded metrics:
 ``BENCHMARK.json``'s gates stay with perfbench.
@@ -31,6 +34,8 @@ import io
 import json
 import os
 import platform
+import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -49,6 +54,7 @@ from susyinv.cli import main  # noqa: E402
 SPINS = ("1/2", "5", "20")
 OSCILLATORS = (32, 128)
 PERFBENCH_SECONDS = 10
+REPEATS = 3
 
 
 def _edited(name: str, edits: dict[str, str]) -> str:
@@ -89,18 +95,29 @@ def closed_loop(n: int, buffer: int) -> str:
     return text + "\n[phase]\nsteps = 200\n"
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def ladder() -> list[dict]:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for k, (rung, command, text) in enumerate(rungs()):
             config = Path(tmp) / f"rung{k}.ini"
             config.write_text(text)
-            start = time.perf_counter()
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main([command, "--config", str(config), "--out", str(Path(tmp) / "out")])
-            wall = time.perf_counter() - start
-            rows.append({"rung": rung, "command": command, "wall_s": wall, "exit": code})
-            print(f"{rung:34s} {command:10s} {wall:8.3f} s  exit {code}", flush=True)
+            walls, faults = [], []
+            for _ in range(REPEATS):
+                before, start = _minor_faults(), time.perf_counter()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main([command, "--config", str(config),
+                                 "--out", str(Path(tmp) / "out")])
+                walls.append(time.perf_counter() - start)
+                faults.append(_minor_faults() - before)
+            wall = statistics.median(walls)
+            rows.append({"rung": rung, "command": command, "wall_s": wall, "walls": walls,
+                         "minor_faults": statistics.median(faults), "exit": code})
+            print(f"{rung:34s} {command:10s} {wall:8.3f} s  {statistics.median(faults):8.0f} "
+                  f"faults  exit {code}", flush=True)
     return rows
 
 
