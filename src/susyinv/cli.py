@@ -31,10 +31,11 @@ from .susy import PairingAmbiguityError
 
 
 # Numbers of a CSV file formatted per write. build's chunk loop pages its
-# buffers in once at any size, but propagate's stepping loop holds none, and
-# glibc's malloc sets its trim threshold to twice the largest mmapped block a
-# process has freed: at 32 Ki numbers per write spin_grid's propagate read
-# 1 145 minor faults a call, against 245 at 64 Ki.
+# buffers in once at any size (about 510 minor faults a call on spin_grid at 32
+# Ki numbers per write, 250 at 64 Ki), but propagate's stepping loop holds none,
+# and glibc's malloc sets its trim threshold to twice the largest mmapped block
+# a process has freed: spin_grid's propagate read 1 145 faults a call at 32 Ki,
+# against 400 at 64 Ki.
 CSV_CHUNK = 64 * 1024
 
 
