@@ -24,7 +24,7 @@ from .config import ConfigError, RunConfig, load_config, parse_number
 from .construction import (GeneratorSplitError, NonFiniteHamiltonianError, closed_form_osc_R,
                            closed_form_spin_R, evolution_from_gauge)
 from .dynamics import NonClosedLoopError, StepSizeError, berry_holonomy
-from .operators import (Buffers, NonHermitianError, SingularMatrixError, chunks, eigh,
+from .operators import (Buffers, NonHermitianError, SingularMatrixError, _mat, chunks, eigh,
                         eigvalsh, hermiticity_defect, over_chunks, unitarity_defect)
 from .suites import build_system, run_suites, stepped_states
 from .susy import PairingAmbiguityError
@@ -234,10 +234,13 @@ def cmd_phase(cfg: RunConfig, out_override: str | None, reverse_flag: bool) -> i
         es0 = eigh(sector.i_ref)
 
         def frame(s, gauge=sector.gauge, vectors=es0.vectors):
-            return gauge.value(T - s if reverse else s) @ vectors
+            # The W stack times the eigenvectors as one (n d, d) x (d, d) product:
+            # one GEMM call in place of n, with the same numbers.
+            w = _mat(gauge.value(T - s if reverse else s))
+            return (w.reshape(-1, w.shape[-1]) @ vectors).reshape(w.shape)
         found += zip([es0.values[list(g)].mean() for g in es0.degeneracy_groups],
-                     *(berry_holonomy(frame, n, period=T, groups=es0.degeneracy_groups)
-                       for n in (steps, 2 * steps)))
+                     *berry_holonomy(frame, (steps, 2 * steps), period=T,
+                                     groups=es0.degeneracy_groups))
     levels = [{"degeneracy": len(g), "gamma": json.loads(_json_complex(g)),
                "invariant_eigenvalue": _fmt(value), "level": gi,
                "resolution_doubling_delta": _fmt(np.linalg.norm(g - g2)), "steps": steps,

@@ -870,22 +870,92 @@ class TestPhase:
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "holonomy.json").exists()
 
-    def test_one_holonomy_call_per_resolution(self, tmp_path, config_dir, monkeypatch):
-        # Every level comes out of the same two calls, at steps and 2*steps.
-        calls = []
+    def test_coarse_singular_overlap_reported_before_a_finer_one(self, tmp_path, config_dir,
+                                                                 capsys):
+        # On the equator (theta = pi/2) an overlap is singular where phi moves by pi
+        # in one step. phi takes 0, pi, pi/2, pi, 3pi/2, pi, 2pi at s = k/6: at
+        # steps = 3 the walk at 6 steps meets one at its step 1, and the coarse walk
+        # at its step 2, which is the one reported, as if walked first.
+        text = (config_dir / "phase_loop.ini").read_text()
+        edits = (('theta = "1.0471975511965976"', 'theta = "1.5707963267948966"'),
+                 ('phi = "2*pi*t"', 'phi = "2*pi*t + 0.9068996821171089*sin(2*pi*t) + '
+                                    '1.5114994701951814*sin(4*pi*t)"'))
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        for steps, where in ((3, "loop step 2 of 3, s = 0.333333 to 0.666667, level 0"),
+                             (6, "loop step 1 of 6, s = 0 to 0.166667, level 0")):
+            cfg = tmp_path / f"steps{steps}.ini"
+            cfg.write_text(text.replace("steps = 2000", f"steps = {steps}"))
+            assert run(["phase", "--config", cfg, "--out", tmp_path / "out"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: singular matrix has no unique polar factor "
+                                  f"({where}): ")
+            assert err.count("\n") == 1
+
+    def test_one_walk_per_sector_serves_both_resolutions(self, tmp_path, config_dir,
+                                                         monkeypatch):
+        # Every level comes out of one walk per sector at 2*steps, which serves
+        # steps too: 2*steps + 1 frame points, counted through a wrapped frame as
+        # perfbench's tracer counts them.
+        walks = []
         real = cli.berry_holonomy
-        monkeypatch.setattr(cli, "berry_holonomy",
-                            lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
+
+        def counted(frame, steps, **kwargs):
+            walks.append([steps, 0])
+
+            def counted_frame(s):
+                walks[-1][1] += np.size(s)
+                return frame(s)
+            return real(counted_frame, steps, **kwargs)
+
+        monkeypatch.setattr(cli, "berry_holonomy", counted)
         text = (config_dir / "phase_loop.ini").read_text()
         for j, levels in (("1/2", 2), ("2", 3)):
             cfg = tmp_path / f"j{levels}.ini"
             cfg.write_text(text.replace("j = 1/2", f"j = {j}").replace("steps = 2000",
                                                                      "steps = 200"))
             out = tmp_path / f"out{levels}"
-            calls.clear()
+            walks.clear()
             assert run(["phase", "--config", cfg, "--out", out]) == 0
             assert len(json.loads((out / "holonomy.json").read_text())["levels"]) == levels
-            assert calls == [200, 400]
+            assert walks == [[(200, 400), 401]]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("loop", ["j = 1/2", "j = 2", "j = 20", "N = 32"],
+                             ids=["j_half", "j2", "j20", "osc32"])
+    def test_one_walk_matches_single_resolution_walks(self, tmp_path, config_dir,
+                                                      monkeypatch, loop, reverse):
+        # Oracle: each sector's gammas at steps and 2*steps from the one walk equal
+        # those of a walk at each resolution alone. The loops are tools/ladder.py's
+        # phase rungs: phase_loop.ini at j = 1/2, 2, 20 (2 000 steps; one 2 x 2
+        # level among 1 x 1 ones at j = 20) and the N = 32 oscillator closed loop.
+        worst = []
+        real = cli.berry_holonomy
+
+        def checked(frame, steps, **kwargs):
+            coarse, fine = real(frame, steps, **kwargs)
+            for got, n in ((coarse, steps[0]), (fine, steps[1])):
+                alone = real(frame, n, **kwargs)
+                worst.append(max(np.max(np.abs(g - a)) for g, a in zip(got, alone)))
+            return coarse, fine
+
+        monkeypatch.setattr(cli, "berry_holonomy", checked)
+        if loop.startswith("j"):
+            text = (config_dir / "phase_loop.ini").read_text().replace("j = 1/2", loop)
+        else:
+            text = (config_dir / "oscillator_default.ini").read_text()
+            for old, new in (('theta = "0.01*sin(t)"', 'theta = "0.01"'),
+                             ('phi = "0.4*t"', 'phi = "2*pi*t"'),
+                             ("t_final = 3.0", "t_final = 1.0")):
+                assert old in text
+                text = text.replace(old, new)
+            text += "\n[phase]\nsteps = 200\n"
+        cfg = tmp_path / "loop.ini"
+        cfg.write_text(text)
+        argv = ["phase", "--config", cfg, "--out", tmp_path / "out"]
+        assert run(argv + ["--reverse"] * reverse) == 0
+        assert worst and max(worst) < 1e-13
 
     def test_reverse_flag_conjugates(self, tmp_path, config_dir):
         out_f, out_r = tmp_path / "f", tmp_path / "r"

@@ -494,6 +494,27 @@ class TestBerryHolonomy:
                            match=r"\(loop step 2000 of 4000, .*level 2\)"):
             berry_holonomy(frame, 4000, groups=groups)
 
+    def test_pair_reports_the_coarse_singular_overlap(self):
+        # d = 64 puts four points in a chunk. The walk at 16 steps jumps to an
+        # orthogonal column at its points 1 (first chunk) and 12 (third): the
+        # overlaps of fine steps 1 and 12 and of coarse step 6 are singular, and the
+        # coarse one is raised, as if the coarse loop were walked first.
+        near, far = np.eye(64)[:, :1], np.eye(64)[:, 1:2]
+
+        def jumping(points):
+            return lambda s: np.where(
+                np.isin(np.round(16 * np.asarray(s)), points)[..., None, None], far, near)
+
+        with pytest.raises(SingularMatrixError, match=r"\(loop step 6 of 8, s = 0.625 to "
+                                                      r"0.75, level 0\)"):
+            berry_holonomy(jumping([1, 12]), (8, 16))
+        with pytest.raises(SingularMatrixError, match=r"\(loop step 1 of 16, "):
+            berry_holonomy(jumping([1, 12]), 16)
+        # With no singular coarse overlap the fine one is raised, after the walk.
+        with pytest.raises(SingularMatrixError, match=r"\(loop step 1 of 16, "):
+            berry_holonomy(jumping([1]), (8, 16))
+        berry_holonomy(jumping([1]), 8)
+
     def test_coarse_loop_near_singular_overlap_runs(self):
         # perfbench's loop_sweep seed-0 loop at [phase] steps = 3: the overlaps
         # of the (1, 2) level are far from unitary but not singular.
@@ -518,13 +539,16 @@ class TestOrderedProduct:
     @pytest.mark.parametrize("k", [1, 2, 5])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 4001])
     def test_matches_sequential_product(self, n, k):
+        # (n, k, k) stacks, and (n, L, k, k) stacks of L = 3 levels: elementwise
+        # products for k <= 2, stacked matmuls above.
         rng = np.random.default_rng(100 * n + k)
-        z = rng.normal(size=(n, k, k)) + 1j * rng.normal(size=(n, k, k))
-        stack = np.linalg.qr(z)[0]
-        sequential = np.eye(k, dtype=complex)
-        for m in stack:
-            sequential = m @ sequential
-        assert np.max(np.abs(dynamics._ordered_product(stack) - sequential)) < 1e-13
+        for shape in ((n, k, k), (n, 3, k, k)):
+            z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            stack = np.linalg.qr(z)[0]
+            sequential = np.broadcast_to(np.eye(k, dtype=complex), shape[1:])
+            for m in stack:
+                sequential = m @ sequential
+            assert np.max(np.abs(dynamics._ordered_product(stack) - sequential)) < 1e-13
 
 
 def _exp_i(h: np.ndarray, c: float) -> np.ndarray:

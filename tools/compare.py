@@ -18,6 +18,9 @@ one thread, on the same config text: this checkout's. The calls:
 - ``oscillator_default.ini`` (N = 32) with ``[propagate] level = kernel``, and
   as a closed loop (``theta = "0.01"``, ``phi = "2*pi*t"``, ``t_final = 1.0``,
   ``[phase] steps = 200``) with ``phase`` and ``phase --reverse``;
+- ``phase_loop.ini`` edited to ``j = 20`` (the ladder's top ``phase`` rung) with
+  ``phase`` and ``phase --reverse``: its one level of size 2 among levels of
+  size 1 takes the 2 x 2 holonomy path that no shipped loop reaches;
 - every call of every perfbench workload at seeds 0, 1 and 2
   (``perfbench/workloads.py``).
 
@@ -120,6 +123,8 @@ def calls() -> list[tuple[str, str, tuple[str, ...]]]:
                 _edited("oscillator_default.ini", {"level = 0": "level = kernel"}),
                 ("propagate",)))
     out += [("oscillator_default, closed loop", closed_loop(32, 8), c)
+            for c in (("phase",), ("phase", "--reverse"))]
+    out += [("phase_loop, j = 20", _edited("phase_loop.ini", {"j = 1/2": "j = 20"}), c)
             for c in (("phase",), ("phase", "--reverse"))]
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
