@@ -2,8 +2,8 @@
 
 Library layout:
 
-- :mod:`susyinv.operators` dense complex matrices and stacks: the read-only
-  ``Operator``, Hermitian eigensystems, the step exponential, polar factors
+- :mod:`susyinv.operators` dense complex matrices and stacks: read-only stored
+  matrices, Hermitian eigensystems, the step exponential, polar factors
 - :mod:`susyinv.representations` spin-j and truncated-oscillator generators
 - :mod:`susyinv.timefunc` closed family of time functions with exact calculus
 - :mod:`susyinv.susy` supercharges and even invariants as blocks, spectral pairing

@@ -24,8 +24,8 @@ from .config import ConfigError, RunConfig, load_config, parse_number
 from .construction import (GeneratorSplitError, NonFiniteHamiltonianError, closed_form_osc_R,
                            closed_form_spin_R, evolution_from_gauge)
 from .dynamics import NonClosedLoopError, StepSizeError, berry_holonomy
-from .operators import (Buffers, NonHermitianError, SingularMatrixError, _mat, chunks, eigh,
-                        eigvalsh, hermiticity_defect, over_chunks, unitarity_defect)
+from .operators import (Buffers, NonHermitianError, SingularMatrixError, chunks, eigh, eigvalsh,
+                        hermiticity_defect, over_chunks, unitarity_defect)
 from .suites import build_system, run_suites, stepped_states
 from .susy import PairingAmbiguityError
 
@@ -236,7 +236,7 @@ def cmd_phase(cfg: RunConfig, out_override: str | None, reverse_flag: bool) -> i
         def frame(s, gauge=sector.gauge, vectors=es0.vectors):
             # The W stack times the eigenvectors as one (n d, d) x (d, d) product:
             # one GEMM call in place of n, with the same numbers.
-            w = _mat(gauge.value(T - s if reverse else s))
+            w = np.asarray(gauge.value(T - s if reverse else s))
             return (w.reshape(-1, w.shape[-1]) @ vectors).reshape(w.shape)
         found += zip([es0.values[list(g)].mean() for g in es0.degeneracy_groups],
                      *berry_holonomy(frame, (steps, 2 * steps), period=T,

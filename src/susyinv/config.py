@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import timefunc
-from .operators import Operator, first_true, over_chunks
+from .operators import first_true, over_chunks, read_only
 from .representations import (OscillatorRep, SpinRep, check_half_integer, check_truncation,
                               default_buffer, make_oscillator, make_spin)
 
@@ -75,9 +75,9 @@ class RunConfig:
             return make_spin(self.j)
         return make_oscillator(self.n, self.buffer)
 
-    def d0_for(self, rep: SpinRep | OscillatorRep) -> Operator:
+    def d0_for(self, rep: SpinRep | OscillatorRep) -> np.ndarray:
         if self.d0_file is not None:
-            return Operator(_read_d0_file(self.d0_file))
+            return read_only(_read_d0_file(self.d0_file))
         name = self.d0_named or ("Jplus" if self.family == "spin" else "adag")
         if self.family == "spin" and name == "Jplus":
             return rep.Jplus

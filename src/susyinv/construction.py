@@ -17,7 +17,8 @@ solutions.
 Every map of t takes a scalar or an array of times. An array gives an
 (n, d, d) stack built with broadcasting and stacked matmul from one evaluation
 of theta, phi, f, g and their derivatives and antiderivatives; a scalar gives
-the same numbers as an Operator.
+the same numbers as an :class:`~susyinv.operators.Operator`. Stored matrices
+(D3, D2, Y's generator, d0 and their sector cuts) are read-only arrays.
 
 A :class:`Block` holds the gauge, Y, I_-(0), the diagonal of H+, the levels,
 the representation's closed-form generators and trusted projector on the whole
@@ -36,8 +37,8 @@ from functools import cached_property
 import numpy as np
 
 from . import sectors
-from .operators import (Operator, NonHermitianError, _mat, dagger, eigh, first_true, fresh,
-                        frobenius, hermiticity_defect, per_time, unitarity_defect)
+from .operators import (NonHermitianError, dagger, eigh, first_true, fresh, frobenius,
+                        hermiticity_defect, per_time, read_only, unitarity_defect)
 from .representations import OscillatorRep, SpinRep
 from .susy import (ZERO_MODE_SCALE, SpectralPairing, SuperInvariant, build_invariant,
                    build_supercharge, pair_spectra)
@@ -94,8 +95,8 @@ def _real_basis(vectors: np.ndarray) -> np.ndarray:
 class GaugeCurve:
     """Unitary curve W(t) = e^{-i phi D3} e^{-i theta D2} e^{i phi D3}, D3 diagonal."""
 
-    d3: Operator
-    d2: Operator
+    d3: np.ndarray
+    d2: np.ndarray
     theta: TimeFunction
     phi: TimeFunction
 
@@ -110,7 +111,7 @@ class GaugeCurve:
 
     @cached_property
     def _d3_diag(self) -> np.ndarray:
-        diag = _diag_or_none(self.d3.entries)
+        diag = _diag_or_none(self.d3)
         if diag is None:
             raise ValueError("the commuting generator D3 must be diagonal in this basis")
         return diag
@@ -131,7 +132,7 @@ class GaugeCurve:
         (P cos(theta lam~) + P_sw sin(theta lam~)) P^T, and W = E R E^dag is
         unitary at every finite angle wherever P is orthogonal.
         """
-        d2 = self.d2.entries
+        d2 = self.d2
         if np.any(d2.real != 0):
             raise ValueError("the rotation generator D2 must be purely imaginary in this basis")
         es = eigh(self.d2)
@@ -151,7 +152,7 @@ class GaugeCurve:
 
     @property
     def dim(self) -> int:
-        return self.d3.dim
+        return len(self.d3)
 
     def _factors(self, t: np.ndarray, take=fresh, names=("r", "w")):
         """E = e^{-i phi D3} diagonals and (cos, sin) of theta lam~, each (n, d), the
@@ -189,17 +190,17 @@ class YSpec:
     is a plain exponential of the antiderivative.
     """
 
-    D: Operator
+    D: np.ndarray
     f: TimeFunction
     g: TimeFunction | None = None
 
     def __post_init__(self):
-        if _diag_or_none(self.D.entries) is None:
+        if _diag_or_none(self.D) is None:
             raise ValueError("YSpec requires the commuting generator to be diagonal")
 
     @cached_property
     def _d_diag(self) -> np.ndarray:
-        return _diag_or_none(self.D.entries)
+        return _diag_or_none(self.D)
 
     def diagonal(self, t) -> np.ndarray:
         """Diagonal of Y(t): shape (d,) for a scalar t, (n, d) for an array."""
@@ -259,7 +260,7 @@ class _Sample:
         """
         g, ts, r, take = self._gauge, self.ts, self._r, self.take
         phi_dot = g.phi.derivative()(ts)[:, None]
-        h = np.multiply(g.theta.derivative()(ts)[:, None, None], g.d2.entries,
+        h = np.multiply(g.theta.derivative()(ts)[:, None, None], g.d2,
                         out=take("h_minus", r.shape))
         y = (self._y.diagonal(ts) - phi_dot * g._d3_diag)[:, None, :]
         dtype = np.result_type(r, y)
@@ -326,7 +327,7 @@ class SuperSystem:
     held as its energies: H+ = diag(plus_energies), so U+(t) = e^{-i H+ t} is diagonal."""
 
     rep: SpinRep | OscillatorRep
-    d0: Operator
+    d0: np.ndarray
     w_minus: GaugeCurve
     y_minus: YSpec
     plus_energies: np.ndarray
@@ -379,14 +380,14 @@ class Block:
     def restricted(self, rows: np.ndarray) -> Block:
         """The blocks of this whole-space block on ``rows``, indices that D2, D3, Y's
         generator, I_-(0) and the closed-form generators do not couple to the rest."""
-        ix = np.ix_(rows, rows)
-        return Block(rows, replace(self.gauge, d3=Operator(self.gauge.d3.entries[ix]),
-                                   d2=Operator(self.gauge.d2.entries[ix])),
-                     replace(self.y, D=Operator(self.y.D.entries[ix])), self.i_ref[ix],
+        def cut(m):
+            return read_only(m[np.ix_(rows, rows)])
+        return Block(rows, replace(self.gauge, d3=cut(self.gauge.d3), d2=cut(self.gauge.d2)),
+                     replace(self.y, D=cut(self.y.D)), cut(self.i_ref),
                      self.plus_energies[rows],
                      replace(self.levels, v_minus=self.levels.v_minus[rows]),
-                     tuple(g[ix] for g in self.generators),
-                     None if self.projector is None else self.projector[ix])
+                     tuple(map(cut, self.generators)),
+                     None if self.projector is None else cut(self.projector))
 
     def holds(self, index: np.ndarray) -> np.ndarray:
         """Which of the levels ``index`` live here."""
@@ -433,7 +434,7 @@ class PartnerOutput:
         (:func:`susyinv.sectors.find_sectors`), each holding the blocks of the whole's
         on its indices: ``whole`` itself where there is one."""
         w = self.whole
-        parts = sectors.find_sectors([w.gauge.d2.entries, w.i_ref, *w.generators],
+        parts = sectors.find_sectors([w.gauge.d2, w.i_ref, *w.generators],
                                      w.levels.v_minus)
         return (w,) if len(parts) == 1 else tuple(map(w.restricted, parts))
 
@@ -457,7 +458,7 @@ class PartnerOutput:
         """d = W d0 U+^dag at the times ``ts`` from W there, or with W' in place of W its
         gauge rate; dd/dt adds i d H+, as U+^dag solves dU+^dag/dt = i U+^dag H+."""
         # U+ is diagonal, so U+^dag scales the columns of W d0.
-        return (w @ self.system.d0.entries) * self.system.u_plus_phases(ts).conj()[:, None, :]
+        return (w @ self.system.d0) * self.system.u_plus_phases(ts).conj()[:, None, :]
 
     def mapped_solution(self, level, t) -> np.ndarray:
         """Exact minus-sector solution e^{-i int y} W(t) d0 |lam,+;0> / sqrt(2 lam),
@@ -496,7 +497,7 @@ class PartnerOutput:
         samples = [s.sample(ts) for s in self.sectors]
         dm = self.d_stack(ts, self.assemble([at.w for at in samples]))
         # I+(t) = U+ I+(0) U+^dag, with U+ diagonal.
-        i_plus = _sandwich(self.system.u_plus_phases(ts), self.invariant.Iplus.entries)
+        i_plus = _sandwich(self.system.u_plus_phases(ts), self.invariant.Iplus)
         return {"iplus": float(np.max(frobenius(dagger(dm) @ dm / 2 - i_plus))),
                 "iminus": float(np.max(frobenius(
                     dm @ dagger(dm) / 2 - self.assemble([at.i_minus for at in samples]))))}
@@ -511,10 +512,10 @@ def run_prescription(system: SuperSystem) -> PartnerOutput:
     scalar solution phase is exact only in that sub-basis. The levels of one
     size are mapped, split and checked as one stack.
     """
-    d0 = system.d0.entries
-    invariant = build_invariant(build_supercharge(system.d0))
+    d0 = system.d0
+    invariant = build_invariant(build_supercharge(d0))
     pairing = pair_spectra(invariant)
-    generator = system.y_minus.D.entries
+    generator = system.y_minus.D
 
     lams, mus, vms = [], [], []
     for paired in pairing.by_size:
@@ -542,30 +543,28 @@ def run_prescription(system: SuperSystem) -> PartnerOutput:
     levels = Levels(lam[order], mu[order], v_minus)
     rep = system.rep
     return PartnerOutput(system, invariant, pairing,
-                         Block(None, system.w_minus, system.y_minus, invariant.Iminus.entries,
-                               system.plus_energies, levels,
-                               tuple(g.entries for g in rep.generators),
-                               None if rep.projector_interior is None
-                               else rep.projector_interior.entries))
+                         Block(None, system.w_minus, system.y_minus, invariant.Iminus,
+                               system.plus_energies, levels, rep.generators,
+                               rep.projector_interior))
 
 
 def spin_supersystem(rep: SpinRep, theta: TimeFunction, phi: TimeFunction,
                      f: TimeFunction, g: TimeFunction | None = None,
-                     b: float = 1.0, d0: Operator | None = None) -> SuperSystem:
+                     b: float = 1.0, d0: np.ndarray | None = None) -> SuperSystem:
     """Constant dipole plus sector H+ = b J3 with d0 = J+ by default."""
     if d0 is None:
         d0 = rep.Jplus
-    return SuperSystem(rep, d0, GaugeCurve.spin(rep, theta, phi), YSpec(rep.J3, f, g),
+    return SuperSystem(rep, read_only(d0), GaugeCurve.spin(rep, theta, phi), YSpec(rep.J3, f, g),
                        plus_energies=b * rep.m_values())
 
 
 def oscillator_supersystem(rep: OscillatorRep, theta: TimeFunction,
                            phi: TimeFunction, f: TimeFunction,
-                           d0: Operator | None = None) -> SuperSystem:
+                           d0: np.ndarray | None = None) -> SuperSystem:
     """Unit oscillator plus sector H+ = a^dag a + 1/2 with d0 = a^dag by default."""
     if d0 is None:
         d0 = rep.adag
-    return SuperSystem(rep, d0, GaugeCurve.oscillator(rep, theta, phi), YSpec(rep.K3, f),
+    return SuperSystem(rep, read_only(d0), GaugeCurve.oscillator(rep, theta, phi), YSpec(rep.K3, f),
                        plus_energies=np.arange(rep.N) + 0.5)
 
 
@@ -596,10 +595,10 @@ def closed_form_osc_R(f: TimeFunction, theta: TimeFunction, phi: TimeFunction, t
 
 def closed_form_operator(r, generators, take=fresh) -> np.ndarray:
     """sum_i R^i G_i: one matrix for scalar coefficients, a stack for arrays."""
-    shape = np.shape(r[0]) + _mat(generators[0]).shape
-    out = np.multiply.outer(r[0], _mat(generators[0]), out=take("scratch", shape))
+    shape = np.shape(r[0]) + np.shape(generators[0])
+    out = np.multiply.outer(r[0], generators[0], out=take("scratch", shape))
     for ri, g in zip(r[1:], generators[1:]):
-        out += np.multiply.outer(ri, _mat(g), out=take("scratch_b", shape))
+        out += np.multiply.outer(ri, g, out=take("scratch_b", shape))
     return out
 
 

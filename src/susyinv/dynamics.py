@@ -46,10 +46,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import (NonFiniteMatrixError, Operator, SingularMatrixError, _mat,
-                        check_finite, chunks, dagger, expm_i_hermitian,
-                        first_true, fresh, frobenius, groups_by_size, over_chunks,
-                        polar_unitary, project, unitarity_defect)
+from .operators import (NonFiniteMatrixError, SingularMatrixError, check_finite, chunks, dagger,
+                        expm_i_hermitian, first_true, fresh, frobenius, groups_by_size,
+                        over_chunks, polar_unitary, project, unitarity_defect)
 
 FD_STEP = 1e-5
 STEP_NORM_LIMIT = 0.5
@@ -79,7 +78,7 @@ class NonClosedLoopError(ValueError):
 
 def _stack(m, n: int, shape: tuple[int, ...]) -> np.ndarray:
     """A map's value at n times as a stack; a constant map's one matrix is broadcast."""
-    return np.broadcast_to(_mat(m).reshape(-1, *shape), (n, *shape))
+    return np.broadcast_to(np.reshape(m, (-1, *shape)), (n, *shape))
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ def _step_factors(h: Callable, times: np.ndarray, dims: list, stepped: list, ord
         del factors  # before the next chunk's are formed
 
 
-def propagate(h: Callable[[float], Operator], psi0: np.ndarray, times: np.ndarray,
+def propagate(h: Callable, psi0: np.ndarray, times: np.ndarray,
               keep=None, order: int = 2, sectors: Sequence | None = None) -> Trajectory:
     """Propagation of a state or a block of states under H(t).
 
@@ -238,7 +237,7 @@ def propagate(h: Callable[[float], Operator], psi0: np.ndarray, times: np.ndarra
     return Trajectory(times[keep], states=states, norm_drift=drift.max(axis=1))
 
 
-def propagate_unitary(h: Callable[[float], Operator], dim: int,
+def propagate_unitary(h: Callable, dim: int,
                       times: np.ndarray) -> Trajectory:
     """Propagate the full evolution operator from U(0) = 1: the identity block."""
     traj = propagate(h, np.eye(dim, dtype=complex), times)
@@ -247,9 +246,9 @@ def propagate_unitary(h: Callable[[float], Operator], dim: int,
     return Trajectory(traj.times, operators=ops, unitarity_defect=defects)
 
 
-def central_difference(m_map: Callable[[float], Operator], t):
+def central_difference(m_map: Callable, t):
     """(M(t + FD_STEP) - M(t - FD_STEP)) / (2 FD_STEP), for a scalar t or an array."""
-    out = _mat(m_map(t + FD_STEP)) - _mat(m_map(t - FD_STEP))
+    out = np.subtract(m_map(t + FD_STEP), m_map(t - FD_STEP))
     out /= 2 * FD_STEP
     return out
 
@@ -335,8 +334,9 @@ def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int | tuple[int,
     (:func:`_ordered_product`) multiplies them with later times on the left.
     Returns one (k, k) gamma per level, in the order of ``groups``, or for a
     pair one such list per resolution; the discrete product converges to the
-    continuum holonomy as steps grow. A singular overlap raises for the coarse
-    resolution when both have one, numbered by the coarse steps.
+    continuum holonomy as steps grow. A singular overlap raises: a resolution's
+    first, by loop step and then level, and the coarse resolution's when both
+    have one, numbered by the coarse steps.
     """
     pair = not isinstance(steps, (int, np.integer))
     resolutions = tuple(steps) if pair else (steps,)
@@ -371,20 +371,29 @@ def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int | tuple[int,
 
     def take(r: int, frames: np.ndarray, point: int) -> None:
         """Multiply in resolution r's overlaps that end at ``frames``, the first of
-        them at point ``point`` of the fine walk."""
+        them at point ``point`` of the fine walk. Every level size is unitarized
+        before a singular overlap is reported: the first by loop step, then level."""
         if r in failed or not len(frames):
             return
         n = resolutions[r]
         overlaps = dagger(frames) @ np.concatenate([last[r][None], frames[:-1]])
         last[r] = frames[-1].copy()
-        try:
-            for k, at in by_size.items():
-                products[r][k].append(_ordered_product(_unitarized(
-                    overlaps, at, levels[k], point * n // fine, n, period)))
-        except SingularMatrixError as exc:
+        singular = []
+        for k, at in by_size.items():
+            try:
+                products[r][k].append(_ordered_product(polar_unitary(
+                    overlaps[:, at[:, :, None], at[:, None, :]])))
+            except SingularMatrixError as exc:
+                offset, position = divmod(exc.index, len(at))
+                singular.append((point * n // fine + offset, levels[k][position], exc))
+        if singular:
+            step, level, exc = min(singular, key=lambda found: found[:2])
+            span = f"s = {period * (step - 1) / n:.6g} to {period * step / n:.6g}"
+            error = SingularMatrixError(exc.s_min, exc.limit,
+                                        where=f"loop step {step} of {n}, {span}, level {level}")
             if r == 0:  # the coarse walk's error is reported, as if walked first
-                raise
-            failed[r] = exc
+                raise error
+            failed[r] = error
 
     interior = period * np.arange(1, fine) / fine
     for sl in chunks(interior.size, v0.shape[0]):
@@ -408,22 +417,3 @@ def berry_holonomy(frame: Callable[[float], np.ndarray], steps: int | tuple[int,
                 gammas[level] = gamma
         results.append(gammas)
     return tuple(results) if pair else results[0]
-
-
-def _unitarized(overlaps: np.ndarray, at: np.ndarray, levels: np.ndarray, first_step: int,
-                steps: int, period: float) -> np.ndarray:
-    """Polar factors of the level blocks of an (n, d, d) overlap stack, from loop
-    step ``first_step`` (1-based) on, as an (n, L, k, k) stack: ``at`` holds the
-    (L, k) column indices of the levels numbered ``levels``.
-
-    A singular overlap is reported by its loop step, its span of the loop
-    parameter and its level.
-    """
-    try:
-        return polar_unitary(overlaps[:, at[:, :, None], at[:, None, :]])
-    except SingularMatrixError as exc:
-        offset, position = divmod(exc.index, len(levels))
-        step = first_step + offset
-        span = f"s = {period * (step - 1) / steps:.6g} to {period * step / steps:.6g}"
-        raise SingularMatrixError(exc.s_min, exc.limit, where=f"loop step {step} of "
-                                  f"{steps}, {span}, level {levels[position]}") from None

@@ -1,26 +1,26 @@
 """Dense complex matrices and stacks: the substrate every other module builds on.
 
 Every object of the construction is a plain matrix, and the numerics work on
-ndarrays. :class:`Operator` is a read-only square matrix with its dimension and
-Frobenius norm, for the representation generators, ``d0`` and the reference
-invariants; its algebra is numpy's, on ``entries``.
+ndarrays. The matrices the construction stores (the representation generators,
+``d0``, the reference invariants, the gauge generators and their sector cuts)
+are read-only complex arrays (:func:`read_only`).
 
 Conventions: the unqualified norm is Frobenius everywhere; eigenvalue
 degeneracies are clustered with an absolute gap of ``1e-8 * max(1, ||A||)``.
 
 Functions of time evaluate on arrays of times as ``(n, d, d)`` stacks, and
 grids are worked through in chunks whose stacks fit in ``CHUNK_BYTES``
-(:func:`chunks`). A scalar time still gives an :class:`Operator`
-(:func:`per_time`). A loop over chunks writes its stacks into one set of
-:class:`Buffers`, made on its first chunk; code outside such a loop takes
-:func:`fresh`. Either is a ``take(name, shape, dtype)``, whose array (or None)
-is an ``out=``.
+(:func:`chunks`). A scalar time gives an :class:`Operator`, which numpy reads
+as its read-only ``entries`` (:func:`per_time`). A loop over chunks writes its
+stacks into one set of :class:`Buffers`, made on its first chunk; code outside
+such a loop takes :func:`fresh`. Either is a ``take(name, shape, dtype)``,
+whose array (or None) is an ``out=``.
 
 There is one matrix exponential, a truncated Taylor series evaluated by
 Paterson-Stockmeyer with 1-norm degree selection (:func:`_taylor_expm`): its
 backward error stays below the unit roundoff and it needs no linear solve.
-Step exponentials exp(-i tau H) of Hermitian stacks (:func:`expm_i_hermitian`)
-are therefore unitary to rounding.
+Step exponentials exp(-i tau H) of Hermitian stacks (:func:`expm_i_hermitian`),
+diagonal ones included, are therefore unitary to rounding.
 """
 
 from __future__ import annotations
@@ -73,28 +73,29 @@ def check_finite(finite: np.ndarray) -> None:
         raise NonFiniteMatrixError(k)
 
 
+def read_only(m) -> np.ndarray:
+    """A read-only complex view of ``m``, copied only to convert it to complex: how
+    the construction stores its matrices."""
+    view = np.asarray(m, dtype=complex).view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True)
 class Operator:
-    """Immutable dense complex square matrix; ``op @ array`` is ``entries @ array``."""
+    """The value of a map of t at a scalar t (:func:`per_time`): a read-only square
+    matrix, which numpy reads as its ``entries``."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
+        m = read_only(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-    def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        return self.entries @ other
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.entries, dtype=dtype, copy=copy)
 
 
 def chunks(n: int, dim: int, per_point: int = 1) -> list[slice]:
@@ -154,15 +155,6 @@ def first_true(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def diag_stack(diagonals: np.ndarray) -> np.ndarray:
-    """(n, d) diagonals -> (n, d, d) complex diagonal matrices."""
-    n, d = diagonals.shape
-    out = np.zeros((n, d, d), dtype=complex)
-    idx = np.arange(d)
-    out[:, idx, idx] = diagonals
-    return out
-
-
 def dagger(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Conjugate transpose of a matrix or of every matrix in a stack, conjugated into
     ``out`` when given."""
@@ -184,14 +176,9 @@ def one_norm(m: np.ndarray):
     return float(norms) if np.ndim(norms) == 0 else norms
 
 
-def _mat(a) -> np.ndarray:
-    """Accept an Operator or a raw array; return the ndarray."""
-    return a.entries if isinstance(a, Operator) else np.asarray(a, dtype=complex)
-
-
-def unitarity_defect(u: Operator, take=fresh):
+def unitarity_defect(u, take=fresh):
     """Frobenius norm of U^dag U - 1, per matrix for a stack."""
-    m = _mat(u)
+    m = np.asarray(u)
     product = np.matmul(dagger(m, take("dagger", m.shape, m.dtype)), m,
                         out=take("scratch", m.shape, m.dtype))
     product -= np.eye(m.shape[-1])
@@ -199,7 +186,7 @@ def unitarity_defect(u: Operator, take=fresh):
 
 
 def project(m: np.ndarray, projector, in_place: bool = False) -> np.ndarray:
-    """P M P for a diagonal 0/1 projector (an Operator or an array), or M when it is None,
+    """P M P for a diagonal 0/1 projector, or M when it is None,
     written over M ``in_place``.
 
     The kept entries are masked, not multiplied: P M P adds only exact zeros
@@ -207,7 +194,7 @@ def project(m: np.ndarray, projector, in_place: bool = False) -> np.ndarray:
     """
     if projector is None:
         return m
-    keep = np.diagonal(_mat(projector)) != 0
+    keep = np.diagonal(projector) != 0
     kept = keep[:, None] & keep[None, :]
     if not in_place:
         return np.where(kept, m, 0)
@@ -266,7 +253,7 @@ def _hermitian(a, take=fresh) -> tuple[np.ndarray, np.ndarray]:
     Raises NonHermitianError at the first matrix whose relative Hermiticity
     defect exceeds ``HERMITICITY_RTOL``.
     """
-    m = _mat(a)
+    m = np.asarray(a)
     scale = np.maximum(1.0, frobenius(m, take))
     relative = np.atleast_1d(hermiticity_defect(m, take) / scale)
     k = first_true(relative > HERMITICITY_RTOL)
@@ -275,7 +262,7 @@ def _hermitian(a, take=fresh) -> tuple[np.ndarray, np.ndarray]:
     return m, scale
 
 
-def eigh(a: Operator) -> EigenSystem:
+def eigh(a) -> EigenSystem:
     """Hermitian eigendecomposition with degeneracy clustering.
 
     Rejects inputs whose relative Hermiticity defect exceeds ``1e-10``. An
@@ -288,7 +275,7 @@ def eigh(a: Operator) -> EigenSystem:
     return EigenSystem(values, vectors, groups)
 
 
-def eigvalsh(a: Operator, take=fresh) -> np.ndarray:
+def eigvalsh(a, take=fresh) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or per matrix of a stack, with
     the Hermiticity guard of :func:`eigh` (its stacks in ``take``'s arrays) and no
     eigenvectors."""
@@ -407,37 +394,18 @@ def _taylor_expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _is_diagonal(stack: np.ndarray) -> np.ndarray:
-    """Per matrix of an (n, d, d) stack, whether every off-diagonal entry is zero.
-
-    Past the first entry, d*d entries read as d - 1 rows of d + 1 whose last
-    column is the diagonal: the off-diagonal entries as a view, not a copy.
-    """
-    n, d = stack.shape[:2]
-    off = stack.reshape(n, d * d)[:, 1:].reshape(n, d - 1, d + 1)[:, :, :d]
-    return ~np.any(off, axis=(1, 2))
-
-
 def expm_i_hermitian(h: np.ndarray, tau) -> np.ndarray:
     """exp(-1j * tau * H) for Hermitian H, unitary to rounding.
 
-    ``h`` is one matrix or an (n, d, d) stack with one ``tau`` per matrix.
-    Dense matrices go through the truncated Taylor series of A = -i tau H
-    (:func:`_taylor_expm`), whose backward error stays below the unit roundoff:
-    the result is the exact exponential of a skew-Hermitian matrix perturbed
-    at rounding level, so it is unitary to rounding. Diagonal matrices
-    short-circuit to phases. A non-finite matrix raises NonFiniteMatrixError.
+    ``h`` is one matrix or an (n, d, d) stack with one ``tau`` per matrix. The
+    truncated Taylor series of A = -i tau H (:func:`_taylor_expm`) has its
+    backward error below the unit roundoff: the result is the exact exponential
+    of a skew-Hermitian matrix perturbed at rounding level, so it is unitary to
+    rounding. A non-finite matrix raises NonFiniteMatrixError, with no numpy warning.
     """
     h = np.asarray(h, dtype=complex)
     stack = h.reshape(-1, *h.shape[-2:])
     taus = np.broadcast_to(np.asarray(tau, dtype=float), stack.shape[:1])
-    diagonal = _is_diagonal(stack)
-    if diagonal.all():
-        diagonals = np.real(np.diagonal(stack, axis1=1, axis2=2))
-        check_finite(np.isfinite(diagonals).all(axis=1))
-        out = diag_stack(np.exp(-1j * taus[:, None] * diagonals))
-    else:
-        out = _taylor_expm(-1j * taus[:, None, None] * stack)
-        if diagonal.any():
-            out[diagonal] = expm_i_hermitian(stack[diagonal], taus[diagonal])
-    return out.reshape(h.shape)
+    with np.errstate(invalid="ignore", over="ignore"):  # -1j * inf: caught in _taylor_expm
+        a = -1j * taus[:, None, None] * stack
+    return _taylor_expm(a).reshape(h.shape)

@@ -2,7 +2,7 @@
 
 Each representation gives its algebra's closed-form generators
 (``generators``) and the projector onto the states its checks trust
-(``projector_interior``). Spin matrices are exact: spin has no projector.
+(``projector_interior``), all read-only complex arrays. Spin matrices are exact: spin has no projector.
 Oscillator operators live in a truncated Fock space; the top ``buffer``
 states are declared untrusted and every oscillator-family check projects onto
 the interior below them.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Operator
+from .operators import read_only
 
 
 def check_half_integer(j: float) -> int:
@@ -29,18 +29,18 @@ class SpinRep:
     """Spin-j angular momentum matrices in the basis m = j, j-1, ..., -j."""
 
     j: float
-    J1: Operator
-    J2: Operator
-    J3: Operator
-    Jplus: Operator
-    Jminus: Operator
+    J1: np.ndarray
+    J2: np.ndarray
+    J3: np.ndarray
+    Jplus: np.ndarray
+    Jminus: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.J3.dim
+        return len(self.J3)
 
     @property
-    def generators(self) -> tuple[Operator, Operator, Operator]:
+    def generators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The su(2) generators of the closed form, (J1, J2, J3)."""
         return self.J1, self.J2, self.J3
 
@@ -67,8 +67,7 @@ def make_spin(j: float) -> SpinRep:
     j1 = (jplus + jminus) / 2
     j2 = (jplus - jminus) / 2j
     j3 = np.diag(m).astype(complex)
-    return SpinRep(j, Operator(j1), Operator(j2), Operator(j3),
-                   Operator(jplus), Operator(jminus))
+    return SpinRep(j, *map(read_only, (j1, j2, j3, jplus, jminus)))
 
 
 @dataclass(frozen=True)
@@ -81,19 +80,19 @@ class OscillatorRep:
 
     N: int
     buffer: int
-    a: Operator
-    adag: Operator
-    K1: Operator
-    K2: Operator
-    K3: Operator
-    projector_interior: Operator
+    a: np.ndarray
+    adag: np.ndarray
+    K1: np.ndarray
+    K2: np.ndarray
+    K3: np.ndarray
+    projector_interior: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.N
 
     @property
-    def generators(self) -> tuple[Operator, Operator, Operator]:
+    def generators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The su(1,1) generators of the closed form, (K1, K2, K3)."""
         return self.K1, self.K2, self.K3
 
@@ -123,6 +122,5 @@ def make_oscillator(N: int, buffer: int | None = None) -> OscillatorRep:
     k2 = -(x @ p + p @ x) / 4
     k3 = (x @ x + p @ p) / 4
     proj = np.diag((np.arange(N) < N - buffer).astype(complex))
-    return OscillatorRep(N, buffer, Operator(a), Operator(adag), Operator(k1),
-                         Operator(k2), Operator(k3), Operator(proj))
+    return OscillatorRep(N, buffer, *map(read_only, (a, adag, k1, k2, k3, proj)))
 

@@ -224,7 +224,7 @@ def _suite_pairing(run: _Run, tol) -> CheckResult:
     parts = [0.0]
     for levels in pairing.by_size:
         v = levels.v
-        parts += [np.max(pairing_residuals(run.out.invariant.d.entries, levels)),
+        parts += [np.max(pairing_residuals(run.out.invariant.d, levels)),
                   np.max(frobenius(dagger(v) @ v - np.eye(v.shape[-1])))]
     if isinstance(rep, SpinRep) and cfg.d0_named in (None, "Jplus") \
             and cfg.d0_file is None:
@@ -276,7 +276,7 @@ def _suite_intertwining(run: _Run, lvn_tol) -> CheckResult:
                                         out.whole.projector))[0])
     invariant = _suite_lvn(run, lvn_tol).passed
     y_d0 = float(np.linalg.norm(out.system.y_minus.diagonal(1.0)[:, None]
-                                * out.system.d0.entries))
+                                * out.system.d0))
     if y_d0 < 1e-12:
         return CheckResult("intertwining", res_inter, 1e-6, res_inter < 1e-6 and invariant)
     passed = res_inter > INTERTWINING_FLOOR and invariant

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (Operator, SingularMatrixError, cluster_indices, dagger, eigh, first_true,
-                        frobenius, groups_by_size, polar_unitary, stacked_columns)
+from .operators import (SingularMatrixError, cluster_indices, dagger, eigh, first_true, frobenius,
+                        groups_by_size, polar_unitary, read_only, stacked_columns)
 
 ZERO_MODE_SCALE = 1e-9
 
@@ -26,20 +26,20 @@ class PairingAmbiguityError(ValueError):
 class SuperCharge:
     """Odd nilpotent block operator ((0, 0), (d, 0)) on the doubled space, held as d."""
 
-    d: Operator
+    d: np.ndarray
 
 
 @dataclass(frozen=True)
 class SuperInvariant:
     """Even invariant blockdiag(I+, I-) on the doubled space, held as its blocks."""
 
-    Iplus: Operator
-    Iminus: Operator
-    d: Operator
+    Iplus: np.ndarray
+    Iminus: np.ndarray
+    d: np.ndarray
 
     def norm(self) -> float:
         """Frobenius norm of blockdiag(I+, I-)."""
-        return float(np.hypot(self.Iplus.norm(), self.Iminus.norm()))
+        return float(np.hypot(np.linalg.norm(self.Iplus), np.linalg.norm(self.Iminus)))
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,18 @@ def pairing_residuals(d: np.ndarray, levels: PairedLevels) -> np.ndarray:
                      - np.sqrt(2 * levels.lam)[:, None, None] * levels.minus @ levels.v)
 
 
-def build_supercharge(d: Operator) -> SuperCharge:
-    """The supercharge with lower-left block d; Q^2 = 0 holds exactly by its shape."""
+def build_supercharge(d) -> SuperCharge:
+    """The supercharge with lower-left block d, a square matrix, held read-only; Q^2 = 0
+    holds exactly by its shape."""
+    d = read_only(d)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {d.shape}")
     return SuperCharge(d)
 
 
 def build_invariant(q: SuperCharge) -> SuperInvariant:
-    d = q.d.entries
-    return SuperInvariant(Operator(d.conj().T @ d / 2), Operator(d @ d.conj().T / 2), q.d)
+    d = q.d
+    return SuperInvariant(read_only(d.conj().T @ d / 2), read_only(d @ d.conj().T / 2), d)
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,8 @@ def check_superalgebra(q: SuperCharge, inv: SuperInvariant) -> SuperalgebraRepor
     [Q, I] has the one block d I+ - I- d; {Q, Q^dag} - 2I has the blocks
     d^dag d - 2 I+ and d d^dag - 2 I-. Q^2 = 0 holds by the block shape.
     """
-    d, dh = q.d.entries, q.d.entries.conj().T
-    iplus, iminus = inv.Iplus.entries, inv.Iminus.entries
+    d, dh = q.d, q.d.conj().T
+    iplus, iminus = inv.Iplus, inv.Iminus
     invariance = float(np.linalg.norm(d @ iplus - iminus @ d))
     closure = float(np.hypot(np.linalg.norm(dh @ d - 2 * iplus),
                              np.linalg.norm(d @ dh - 2 * iminus)))
@@ -145,7 +149,7 @@ def pair_spectra(inv: SuperInvariant) -> SpectralPairing:
 
     # The groups run over the positive levels in order, so a group's positions
     # in pos_p are its positions in pos_m.
-    d = inv.d.entries
+    d = inv.d
     by_size = []
     for at in groups_by_size(groups).values():
         idx_p, idx_m = pos_p[at], pos_m[at]

@@ -21,7 +21,7 @@ def sampled_residuals(cfg) -> dict[str, float]:
     """The worst of each sampled residual over the sample times, on dense matrices."""
     rep, out = suites.build_system(cfg)
     spin = isinstance(rep, SpinRep)
-    proj = None if spin else rep.projector_interior.entries
+    proj = None if spin else rep.projector_interior
     ts = suites._sample_times(cfg)
     at = out.whole.sample(ts)
     closed_form = closed_form_spin_R if spin else closed_form_osc_R

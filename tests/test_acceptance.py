@@ -15,7 +15,7 @@ from susyinv.construction import (closed_form_osc_R, closed_form_spin_R,
                                   quadrupole_partner, run_prescription,
                                   spin_supersystem)
 from susyinv.dynamics import berry_holonomy, propagate, propagate_unitary
-from susyinv.operators import Operator, eigh, unitarity_defect
+from susyinv.operators import eigh, unitarity_defect
 from susyinv.representations import make_oscillator, make_spin
 from susyinv.suites import _checkable_levels
 from susyinv.susy import build_invariant, build_supercharge, check_superalgebra
@@ -64,7 +64,7 @@ def test_criterion_1_superalgebra():
         worst = max(worst, check_superalgebra(q, build_invariant(q)).max_residual())
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        d = Operator(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        d = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         q = build_supercharge(d)
         worst = max(worst, check_superalgebra(q, build_invariant(q)).max_residual())
     report(1, worst < 1e-12,
@@ -79,7 +79,7 @@ def test_criterion_2_spectrum_formula():
         spin = make_spin(j)
         m = spin.m_values()
         formula = np.sort(j * (j + 1) - m * (m + 1))
-        jmjp = spin.Jminus.entries @ spin.Jplus.entries
+        jmjp = spin.Jminus @ spin.Jplus
         doubled = eigh(jmjp).values
         halved = eigh(jmjp / 2).values
         worst = max(worst, float(np.max(np.abs(doubled - formula))))
@@ -97,16 +97,16 @@ def test_criterion_3_closed_form_vs_gauge(spin_draws, spin_systems, osc_draws,
     for (f, theta, phi), out in zip(spin_draws, spin_systems):
         for t in times:
             r = closed_form_spin_R(f, theta, phi, t)
-            built = r[0] * spin.J1.entries + r[1] * spin.J2.entries + r[2] * spin.J3.entries
+            built = r[0] * spin.J1 + r[1] * spin.J2 + r[2] * spin.J3
             worst_spin = max(worst_spin, float(np.linalg.norm(
                 out.h_minus(t).entries - built)))
     osc, outs = osc_systems
-    p = osc.projector_interior.entries
+    p = osc.projector_interior
     worst_osc = 0.0
     for (f, theta, phi), out in zip(osc_draws, outs):
         for t in times:
             r = closed_form_osc_R(f, theta, phi, t)
-            built = r[0] * osc.K1.entries + r[1] * osc.K2.entries + r[2] * osc.K3.entries
+            built = r[0] * osc.K1 + r[1] * osc.K2 + r[2] * osc.K3
             diff = out.h_minus(t).entries - built
             worst_osc = max(worst_osc, float(np.linalg.norm(p @ diff @ p)))
     report(3, worst_spin < 1e-9 and worst_osc < 1e-6,
@@ -119,7 +119,7 @@ def test_criterion_4_invariance(spin_systems, osc_systems, precessing_outputs):
     worst_spin = max(fd_lvn_residual(i_minus_map(out), out.h_minus, t)
                      for out in spin_systems for t in times)
     osc, outs = osc_systems
-    p = osc.projector_interior.entries
+    p = osc.projector_interior
     worst_osc = max(fd_lvn_residual(i_minus_map(out), out.h_minus, t, projector=p)
                     for out in outs for t in times)
     out_neg = precessing_outputs[0.5]
@@ -134,7 +134,7 @@ def test_criterion_4_invariance(spin_systems, osc_systems, precessing_outputs):
 def test_criterion_5_exact_solvability(precessing_outputs):
     worst_infid = 0.0
     for j, out in precessing_outputs.items():
-        dim = out.system.d0.dim
+        dim = len(out.system.d0)
         psi_ref = np.ones(dim, dtype=complex) / np.sqrt(dim)
         psi0 = out.u_minus(0.0).entries @ psi_ref
         times = grid(10.0, 1e-3)
@@ -165,7 +165,7 @@ def test_criterion_6_solution_map(precessing_outputs):
     worst_res_spin = worst_inf_spin = 0.0
     for j, out in precessing_outputs.items():
         times = grid(10.0, 1e-3)
-        traj = propagate_unitary(out.h_minus, out.system.d0.dim, times)
+        traj = propagate_unitary(out.h_minus, len(out.system.d0), times)
         for level in range(len(out.levels)):
             psi0 = out.mapped_solution(level, 0.0)
             for t in (2.5, 7.0):
@@ -185,7 +185,7 @@ def test_criterion_6_solution_map(precessing_outputs):
         osc, tf.parse("0.02*sin(t)"), tf.parse("0.4*t"), tf.const(0.5)))
     times = grid(5.0, 1e-3)
     traj = propagate_unitary(out.h_minus, 32, times)
-    p = osc.projector_interior.entries
+    p = osc.projector_interior
     worst_res_osc = worst_inf_osc = 0.0
     # The levels whose minus state keeps off the edge buffer.
     levels = _checkable_levels(out)
@@ -236,7 +236,7 @@ def test_criterion_8_quadrupole():
     spin = make_spin(1)
     t = 2.3
     r = closed_form_spin_R(f, theta, phi, t)
-    linear = r[0] * spin.J1.entries + r[1] * spin.J2.entries + r[2] * spin.J3.entries
+    linear = r[0] * spin.J1 + r[1] * spin.J2 + r[2] * spin.J3
     exact_reduction = np.array_equal(
         quadrupole_partner(spin, f, tf.const(0.0), theta, phi, t).entries, linear)
     report(8, worst < 1e-9 and exact_reduction,

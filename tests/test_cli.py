@@ -1196,7 +1196,7 @@ class TestRuntimeInputErrors:
         # j = 3/2 and d0 = diag(logspace(-5, 5, 4)) U^dag, U = exp(-0.7i J2): the
         # pairing relation misses by about 5e-9 at level 1077.2. The pairing
         # suite fails on it (exit 1); pair_spectra does not raise.
-        w, v = np.linalg.eigh(make_spin(1.5).J2.entries)
+        w, v = np.linalg.eigh(make_spin(1.5).J2)
         u = v @ np.diag(np.exp(-0.7j * w)) @ v.conj().T
         d = np.diag(np.logspace(-5, 5, 4)) @ u.conj().T
         d0 = tmp_path / "d0.json"
@@ -1314,7 +1314,8 @@ EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-300", "several")
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_an_edge_value_keeps_the_exit_code_contract(config_dir, edit, value):
     # Any one numeric key at an edge value: every command exits 0, 1 or 2, an
-    # exit 2 prints one line to stderr, and nothing raises, not even a RuntimeWarning.
+    # exit 2 prints one line to stderr, a verdict (exit 0 or 1) of verify writes no
+    # NaN into verify.json, and nothing raises, not even a RuntimeWarning.
     name, key = edit
     text = re.sub(r"^t_final = .*$", "t_final = 0.2",
                   (config_dir / f"{name}.ini").read_text(), flags=re.M)
@@ -1334,3 +1335,7 @@ def test_an_edge_value_keeps_the_exit_code_contract(config_dir, edit, value):
             assert code in (0, 1, 2), (command, code)
             if code == 2:
                 assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            elif command == "verify":
+                checks = json.loads((Path(tmp) / "out" / "verify.json").read_text())["checks"]
+                numbers = [float(c[key]) for c in checks for key in ("max_residual", "tolerance")]
+                assert not np.isnan(numbers).any(), checks

@@ -8,13 +8,18 @@ from susyinv.construction import (GaugeCurve, YSpec, closed_form_osc_R, closed_f
                                   oscillator_supersystem, quadrupole_partner,
                                   run_prescription, spin_supersystem)
 from susyinv.config import load_config
-from susyinv.operators import (EigenSystem, NonHermitianError, Operator, dagger, diag_stack,
-                               eigh, frobenius, hermiticity_defect, unitarity_defect)
+from susyinv.operators import (EigenSystem, NonHermitianError, dagger, eigh,
+                               frobenius, hermiticity_defect, unitarity_defect)
 from susyinv.representations import make_oscillator, make_spin
 from susyinv.suites import build_system
 from susyinv.susy import ZERO_MODE_SCALE
 
 from fd_reference import d_map, i_minus_map
+
+
+def diag_stack(diagonals):
+    """(n, d) diagonals -> (n, d, d) diagonal matrices."""
+    return diagonals[..., None] * np.eye(diagonals.shape[-1])
 
 
 def fd_gauge_hamiltonian(w_of_t, y_of_t, t, h=1e-6):
@@ -26,14 +31,14 @@ def fd_gauge_hamiltonian(w_of_t, y_of_t, t, h=1e-6):
 
 def per_level_prescription(system):
     """The levels of run_prescription found one cluster at a time: (lam, mu, v_minus)."""
-    d0 = system.d0.entries
-    iplus = Operator(d0.conj().T @ d0 / 2)
+    d0 = system.d0
+    iplus = d0.conj().T @ d0 / 2
     es = eigh(iplus)
-    generator = system.y_minus.D.entries
+    generator = system.y_minus.D
     levels = []
     for group in es.degeneracy_groups:
         lam = float(es.values[list(group)].mean())
-        if lam < ZERO_MODE_SCALE * max(1.0, iplus.norm()):
+        if lam < ZERO_MODE_SCALE * max(1.0, np.linalg.norm(iplus)):
             continue
         vm = d0 @ es.vectors[:, list(group)] / np.sqrt(2 * lam)
         block = vm.conj().T @ generator @ vm
@@ -94,8 +99,8 @@ class TestGaugeCurve:
 def complex_route_w(gauge, t):
     """W = E V2 Phi V2^dag E^dag at a scalar t, with V2 the complex eigenbasis of D2:
     the reference for the real rotation."""
-    lam, v2 = np.linalg.eigh(gauge.d2.entries)
-    e = np.exp(-1j * gauge.phi(t) * np.real(np.diag(gauge.d3.entries)))
+    lam, v2 = np.linalg.eigh(gauge.d2)
+    e = np.exp(-1j * gauge.phi(t) * np.real(np.diag(gauge.d3)))
     rotation = (v2 * np.exp(-1j * gauge.theta(t) * lam)) @ v2.conj().T
     return e[:, None] * rotation * e.conj()[None, :]
 
@@ -160,14 +165,14 @@ class TestYSpec:
     def test_commutes_with_reference_invariant(self, spin_setup):
         spin, _, _, f = spin_setup
         y = YSpec(spin.J3, f, tf.parse("0.2*t"))
-        i0 = spin.Jplus.entries @ spin.Jminus.entries / 2
+        i0 = spin.Jplus @ spin.Jminus / 2
         ys = diag_stack(y.diagonal(np.array([0.0, 0.7, 1.3])))
         assert np.max(np.linalg.norm(ys @ i0 - i0 @ ys, axis=(1, 2))) < 1e-12
 
     def test_oscillator_variant_commutes(self):
         osc = make_oscillator(16, 4)
         y = YSpec(osc.K3, tf.const(0.5))
-        i0 = osc.adag.entries @ osc.a.entries / 2
+        i0 = osc.adag @ osc.a / 2
         ys = diag_stack(y.diagonal(np.array([0.0, 0.7, 1.3])))
         assert np.max(np.linalg.norm(ys @ i0 - i0 @ ys, axis=(1, 2))) < 1e-12
 
@@ -189,7 +194,7 @@ class TestHamiltonianFromGauge:
         y = YSpec(spin.J3, f)
         t = 1.9
         assert np.allclose(hamiltonian_from_gauge(gauge, y, t).entries,
-                           f(t) * spin.J3.entries, atol=1e-14)
+                           f(t) * spin.J3, atol=1e-14)
 
     def test_rotation_only_gives_j2(self):
         # theta = t, phi = 0, f = 0: W = exp(-i t J2) so H = J2 exactly.
@@ -198,7 +203,7 @@ class TestHamiltonianFromGauge:
         y = YSpec(spin.J3, tf.const(0.0))
         for t in (0.3, 1.0):
             assert np.allclose(hamiltonian_from_gauge(gauge, y, t).entries,
-                               spin.J2.entries, atol=1e-13)
+                               spin.J2, atol=1e-13)
 
     def test_matches_fd_oracle(self, spin_setup):
         spin, theta, phi, f = spin_setup
@@ -323,7 +328,7 @@ class TestClosedForms:
         y = YSpec(spin.J3, f)
         for t in np.linspace(0.2, 6.0, 8):
             r = closed_form_spin_R(f, theta, phi, t)
-            built = r[0] * spin.J1.entries + r[1] * spin.J2.entries + r[2] * spin.J3.entries
+            built = r[0] * spin.J1 + r[1] * spin.J2 + r[2] * spin.J3
             assert np.linalg.norm(
                 hamiltonian_from_gauge(gauge, y, t).entries - built) < 1e-9
 
@@ -341,10 +346,10 @@ class TestClosedForms:
         f = tf.const(0.5)
         gauge = GaugeCurve.oscillator(osc, theta, phi)
         y = YSpec(osc.K3, f)
-        p = osc.projector_interior.entries
+        p = osc.projector_interior
         for t in (0.9, 2.6):
             r = closed_form_osc_R(f, theta, phi, t)
-            built = r[0] * osc.K1.entries + r[1] * osc.K2.entries + r[2] * osc.K3.entries
+            built = r[0] * osc.K1 + r[1] * osc.K2 + r[2] * osc.K3
             diff = hamiltonian_from_gauge(gauge, y, t).entries - built
             assert np.linalg.norm(p @ diff @ p) < 1e-6
 
@@ -377,7 +382,7 @@ class TestEvolution:
         y = YSpec(spin.J3, f)
         bigF = f.antiderivative()
         t = 1.8
-        j2, j3 = spin.J2.entries, spin.J3.entries
+        j2, j3 = spin.J2, spin.J3
         expected = sexpm(-1j * phi(t) * j3) @ sexpm(-1j * theta(t) * j2) @ \
             sexpm(1j * (phi(t) - bigF(t)) * j3)
         assert np.allclose(evolution_from_gauge(gauge, y, t).entries, expected,
@@ -415,7 +420,7 @@ class TestPrescription:
         spin, _, _, f = spin_setup
         out = run_prescription(spin_supersystem(
             spin, tf.const(0.0), tf.const(0.0), f))
-        assert np.allclose(out.h_minus(1.4).entries, f(1.4) * spin.J3.entries,
+        assert np.allclose(out.h_minus(1.4).entries, f(1.4) * spin.J3,
                            atol=1e-13)
         i_minus = out.whole.sample(np.array([0.0, 2.0])).i_minus
         assert np.allclose(i_minus[1], i_minus[0], atol=1e-13)
@@ -428,9 +433,9 @@ class TestPrescription:
         assert out.levels.lam[0] == pytest.approx(0.5)   # I+ = a a^dag / 2 on |0>
         assert out.levels.mu[0] == pytest.approx(3 / 4)  # K3 eigenvalue of |1>
         r = closed_form_osc_R(f, theta, phi, 1.1)
-        built = r[0] * osc.K1.entries + r[1] * osc.K2.entries + r[2] * osc.K3.entries
+        built = r[0] * osc.K1 + r[1] * osc.K2 + r[2] * osc.K3
         diff = out.h_minus(1.1).entries - built
-        p = osc.projector_interior.entries
+        p = osc.projector_interior
         assert np.linalg.norm(p @ diff @ p) < 1e-8
 
     def test_degenerate_levels_split_by_generator(self):
@@ -507,8 +512,8 @@ class TestPrescription:
         e = np.zeros(16, dtype=complex)
         e[n + 1] = 1.0
         expected = np.exp(1j * (phi(t) - bigF(t)) * (2 * n + 3) / 4) * (
-            sexpm(-1j * phi(t) * osc.K3.entries)
-            @ sexpm(-1j * theta(t) * osc.K2.entries) @ e)
+            sexpm(-1j * phi(t) * osc.K3)
+            @ sexpm(-1j * theta(t) * osc.K2) @ e)
         assert np.allclose(out.mapped_solution(level, t), expected, atol=1e-12)
 
     def test_zero_mode_has_no_solution(self, spin_setup):
@@ -568,7 +573,7 @@ class TestQuadrupole:
         theta, phi, f = tf.parse("0.5*sin(t)"), tf.parse("0.8*t"), tf.const(0.5)
         t = 1.7
         r = closed_form_spin_R(f, theta, phi, t)
-        linear = r[0] * spin.J1.entries + r[1] * spin.J2.entries + r[2] * spin.J3.entries
+        linear = r[0] * spin.J1 + r[1] * spin.J2 + r[2] * spin.J3
         got = quadrupole_partner(spin, f, tf.const(0.0), theta, phi, t).entries
         assert np.array_equal(got, linear)
 
@@ -577,7 +582,7 @@ class TestQuadrupole:
         g = tf.const(0.8)
         got = quadrupole_partner(spin, tf.const(0.3), g, tf.const(0.0),
                                  tf.const(0.0), 1.2).entries
-        j3 = spin.J3.entries
+        j3 = spin.J3
         expected = 0.3 * j3 + 0.8 * (j3 @ j3)
         assert np.allclose(got, expected, atol=1e-14)
 
@@ -585,7 +590,7 @@ class TestQuadrupole:
         spin = make_spin(1)
         got = quadrupole_partner(spin, tf.const(0.0), tf.const(1.0),
                                  tf.const(np.pi / 2), tf.const(0.0), 0.9).entries
-        j1sq = spin.J1.entries @ spin.J1.entries
+        j1sq = spin.J1 @ spin.J1
         assert np.allclose(got, j1sq, atol=1e-14)
 
 

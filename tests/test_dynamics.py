@@ -35,7 +35,7 @@ class TestPropagate:
         # H = b J3 on |j,m>: psi(t) = e^{-i b t m} |j,m>.
         spin = make_spin(1)
         b = 1.7
-        h = Operator(b * spin.J3.entries)
+        h = b * spin.J3
         times = grid(2.0, 1e-3)
         for m in (1.0, 0.0, -1.0):
             traj = propagate(lambda t: h, basis_state(spin, m), times)
@@ -44,7 +44,7 @@ class TestPropagate:
 
     def test_zero_hamiltonian(self):
         spin = make_spin(0.5)
-        h = Operator(np.zeros((2, 2)))
+        h = np.zeros((2, 2))
         traj = propagate(lambda t: h, basis_state(spin, 0.5), grid(1.0, 0.01))
         assert np.array_equal(traj.states[-1], traj.states[0])
 
@@ -110,7 +110,7 @@ class TestPropagate:
 
     def test_step_size_rejected_with_suggestion(self):
         spin = make_spin(0.5)
-        h = Operator(100.0 * spin.J3.entries)
+        h = 100.0 * spin.J3
         with pytest.raises(StepSizeError) as err:
             propagate(lambda t: h, basis_state(spin, 0.5), grid(1.0, 0.1))
         assert err.value.suggested_dt < 0.01
@@ -119,7 +119,7 @@ class TestPropagate:
         # Dim 32 splits the 2 001-point grid into chunks of 16 steps; ||H|| dt
         # first reaches the limit at the midpoint 1.2005 and keeps growing.
         spin = make_spin(15.5)
-        j3 = spin.J3.entries
+        j3 = spin.J3
         h = lambda t: np.multiply.outer(np.where(t > 1.2, 10.0 * t, 1.0), j3)
         with pytest.raises(StepSizeError) as err:
             propagate(h, basis_state(spin, 0.5), grid(2.0, 1e-3))
@@ -197,7 +197,7 @@ class TestBlockAndKeep:
     def test_steps_stop_at_last_kept_index(self):
         # The step at t > 0.5 would exceed the step-size limit.
         spin = make_spin(0.5)
-        h = lambda t: np.multiply.outer(np.where(t > 0.5, 1e4, 1.0), spin.J3.entries)
+        h = lambda t: np.multiply.outer(np.where(t > 0.5, 1e4, 1.0), spin.J3)
         times = grid(1.0, 0.01)
         kept = propagate(h, basis_state(spin, 0.5), times, keep=[10, 40])
         assert kept.states.shape == (2, 2)
@@ -333,7 +333,7 @@ class TestLvnResidual:
     def test_commuting_constants_vanish(self):
         spin = make_spin(1)
         i_map = lambda t: spin.J3
-        h_map = lambda t: Operator(spin.J3.entries * 2.0)
+        h_map = lambda t: spin.J3 * 2.0
         assert fd_lvn_residual(i_map, h_map, 1.0) < 1e-12
 
     def test_prescription_invariant(self, precessing):
@@ -382,7 +382,7 @@ class TestIntertwining:
         # Unitaries preserve Frobenius: residual = ||Y-(t) d0|| for Y+ = 0.
         _, out = precessing
         expected = np.linalg.norm(out.system.y_minus.diagonal(1.0)[:, None]
-                                  * out.system.d0.entries)
+                                  * out.system.d0)
         res = fd_intertwining_residual(d_map(out), out.h_minus, out.system.h_plus, 1.0)
         assert res == pytest.approx(expected, abs=1e-6)
         assert expected == pytest.approx(0.25)
@@ -396,7 +396,7 @@ class TestIntertwining:
 
     def test_constant_commuting_case(self):
         spin = make_spin(1)
-        h_map = lambda t: Operator(1.3 * spin.J3.entries)
+        h_map = lambda t: 1.3 * spin.J3
         assert fd_intertwining_residual(lambda t: spin.J3, h_map, h_map(0.0), 0.7) < 1e-12
 
 
@@ -494,6 +494,22 @@ class TestBerryHolonomy:
                            match=r"\(loop step 2000 of 4000, .*level 2\)"):
             berry_holonomy(frame, 4000, groups=groups)
 
+    @pytest.mark.parametrize("steps", [8, (8, 16)])
+    def test_first_singular_step_reported_across_level_sizes(self, steps):
+        # In C^4, column 2 of the size-2 level [1, 2] jumps to e3 at s = 1/8 and
+        # column 0, a level of size 1, at s = 5/8: loop step 1's overlap is the
+        # first singular one, though the size-1 stack is unitarized first.
+        e = np.eye(4)
+
+        def frame(s):
+            s = np.asarray(s)[..., None, None]
+            return np.where(s == 5 / 8, e[:, [3, 1, 2]],
+                            np.where(s == 1 / 8, e[:, [0, 1, 3]], e[:, :3]))
+
+        with pytest.raises(SingularMatrixError, match=r"\(loop step 1 of 8, s = 0 to "
+                                                      r"0.125, level 1\)"):
+            berry_holonomy(frame, steps, groups=[[0], [1, 2]])
+
     def test_pair_reports_the_coarse_singular_overlap(self):
         # d = 64 puts four points in a chunk. The walk at 16 steps jumps to an
         # orthogonal column at its points 1 (first chunk) and 12 (third): the
@@ -578,7 +594,7 @@ class TestClosedFormHolonomy:
         out = run_prescription(system)
         es0 = eigh(out.invariant.Iminus)
         gauge = out.system.w_minus
-        d3, d2 = gauge.d3.entries, gauge.d2.entries
+        d3, d2 = gauge.d3, gauge.d2
         r = _exp_i(d2, -theta)
         frame = lambda s: gauge.value(s) @ es0.vectors
         groups = [list(g) for g in es0.degeneracy_groups]
@@ -621,8 +637,8 @@ class TestClosedFormHolonomy:
         theta = np.pi / 3
         spin = make_spin(0.5)
         v = np.eye(2)[:, [0]]
-        r = _exp_i(spin.J2.entries, -theta)
-        oracle = -_exp_i(v.T @ r.T @ spin.J3.entries @ r @ v, 2 * np.pi)
+        r = _exp_i(spin.J2, -theta)
+        oracle = -_exp_i(v.T @ r.T @ spin.J3 @ r @ v, 2 * np.pi)
         assert abs(oracle[0, 0] - np.exp(-1j * np.pi * (1 - np.cos(theta)))) < 1e-14
 
     def test_oscillator_interior_levels(self):

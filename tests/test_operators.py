@@ -6,8 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyinv.operators import (TAYLOR_THETA, NonHermitianError, Operator, SingularMatrixError,
-                               _is_diagonal, _taylor_expm, dagger, eigh, eigvalsh,
+from susyinv.operators import (TAYLOR_THETA, NonFiniteMatrixError, NonHermitianError, Operator,
+                               SingularMatrixError, _taylor_expm, dagger, eigh, eigvalsh,
                                expm_i_hermitian, frobenius, polar_unitary, project,
                                unitarity_defect)
 from susyinv.representations import make_oscillator, make_spin
@@ -34,14 +34,14 @@ class TestOperator:
 class TestCommutators:
     def test_spin_half_su2(self):
         spin = make_spin(0.5)
-        j1, j2 = spin.J1.entries, spin.J2.entries
-        assert np.allclose(j1 @ j2 - j2 @ j1, 1j * spin.J3.entries, atol=1e-15)
+        j1, j2 = spin.J1, spin.J2
+        assert np.allclose(j1 @ j2 - j2 @ j1, 1j * spin.J3, atol=1e-15)
 
     def test_truncated_su11_interior(self):
         osc = make_oscillator(16, 4)
-        k2, k3 = osc.K2.entries, osc.K3.entries
-        lhs = k2 @ k3 - k3 @ k2 - 1j * osc.K1.entries
-        p = osc.projector_interior.entries
+        k2, k3 = osc.K2, osc.K3
+        lhs = k2 @ k3 - k3 @ k2 - 1j * osc.K1
+        p = osc.projector_interior
         assert np.linalg.norm(p @ lhs @ p) < 1e-12
 
     def test_pauli_anticommutator_vanishes(self):
@@ -49,9 +49,9 @@ class TestCommutators:
         direct = SIGMA1 @ SIGMA2 + SIGMA2 @ SIGMA1
         assert np.allclose(direct, 0)
         spin = make_spin(0.5)
-        assert np.array_equal(2 * spin.J1.entries, SIGMA1)
-        assert np.array_equal(2 * spin.J2.entries, SIGMA2)
-        j1, j2 = spin.J1.entries, spin.J2.entries
+        assert np.array_equal(2 * spin.J1, SIGMA1)
+        assert np.array_equal(2 * spin.J2, SIGMA2)
+        j1, j2 = spin.J1, spin.J2
         assert np.linalg.norm(j1 @ j2 + j2 @ j1) < 1e-15
 
 
@@ -67,7 +67,7 @@ class TestExpm:
     def test_spin_half_rotation(self):
         # Oracle: closed-form 2x2 rotation exp(-i theta sigma2 / 2).
         spin = make_spin(0.5)
-        got = expm(-1j * np.pi * spin.J2.entries)
+        got = expm(-1j * np.pi * spin.J2)
         assert np.allclose(got, np.array([[0, -1], [1, 0]]), atol=1e-14)
 
     def test_diagonal_case(self):
@@ -160,13 +160,6 @@ class TestExpmIHermitian:
         assert np.searchsorted(list(TAYLOR_THETA.values()), largest) == band
         check_against_scipy(largest, d)
 
-    def test_all_diagonal_stack_is_exact_phases(self):
-        values = np.array([[1.5, -0.5, 0.0], [2.0, 0.25, -3.0]])
-        taus = np.array([0.1, 0.7])
-        got = expm_i_hermitian(np.stack([np.diag(v) for v in values]), taus)
-        expected = np.stack([np.diag(np.exp(-1j * t * v)) for t, v in zip(taus, values)])
-        assert np.array_equal(got, expected)
-
     def test_mixed_diagonal_and_dense_stack(self):
         rng = np.random.default_rng(4)
         h = random_hermitian_stack(rng, 4, 5)
@@ -174,29 +167,18 @@ class TestExpmIHermitian:
         h[3] = np.diag(rng.normal(size=5))
         taus = np.array([0.3, 0.4, 0.05, 1.1])
         got = expm_i_hermitian(h, taus)
-        for k in (1, 3):
-            assert np.array_equal(got[k], np.diag(np.exp(-1j * taus[k] * np.diag(h[k]).real)))
         for k in range(4):
             assert np.max(np.abs(got[k] - scipy.linalg.expm(-1j * taus[k] * h[k]))) < 1e-13
         assert np.max(unitarity_defect(got)) < 1e-13
 
-    @pytest.mark.parametrize("d", [1, 2, 11, 128])
-    def test_diagonal_view_matches_mask(self, d):
-        # The strided view finds the same all-diagonal matrices as a boolean
-        # mask over the off-diagonal entries, down to one entry next to the
-        # last diagonal element.
-        rng = np.random.default_rng(d)
-        diagonal = np.stack([np.diag(v) for v in rng.normal(size=(3, d))]).astype(complex)
-        stacks = [diagonal, random_hermitian_stack(rng, 3, d)]
-        if d > 1:
-            corner = diagonal.copy()
-            corner[1, d - 2, d - 1] = 1e-300
-            stacks.append(corner)
-            assert _is_diagonal(corner).tolist() == [True, False, True]
-        assert _is_diagonal(diagonal).all()
-        for stack in stacks:
-            mask = ~np.any(stack[:, ~np.eye(d, dtype=bool)], axis=1)
-            assert np.array_equal(_is_diagonal(stack), mask)
+    @pytest.mark.parametrize("bad", [[[np.inf, 0.0], [0.0, 1.0]], [[np.inf, 1.0], [1.0, 0.0]],
+                                     [[np.nan, 0.0], [0.0, 1.0]]],
+                             ids=["diagonal-inf", "dense-inf", "diagonal-nan"])
+    def test_non_finite_matrix_raises_with_no_warning(self, bad):
+        # The suite turns RuntimeWarning into an error, so a warning fails here.
+        stack = np.stack([np.eye(2), np.asarray(bad)]).astype(complex)
+        with pytest.raises(NonFiniteMatrixError, match="matrix 1 of the stack"):
+            expm_i_hermitian(stack, 0.1)
 
     def test_single_matrix_and_stack_keep_their_shapes(self):
         rng = np.random.default_rng(9)
@@ -213,27 +195,27 @@ class TestEigh:
     def test_spin_half_invariant_spectrum(self):
         # 2 I+ = J- J+ has spectrum j(j+1) - m(m+1); I+ itself carries half.
         spin = make_spin(0.5)
-        iplus = Operator(spin.Jminus.entries @ spin.Jplus.entries / 2)
+        iplus = spin.Jminus @ spin.Jplus / 2
         es = eigh(iplus)
         assert np.allclose(es.values, [0.0, 0.5], atol=1e-14)
 
     def test_spin_one_invariant_spectrum(self):
         spin = make_spin(1)
-        jmjp = Operator(spin.Jminus.entries @ spin.Jplus.entries)
+        jmjp = spin.Jminus @ spin.Jplus
         assert np.allclose(eigh(jmjp).values, [0.0, 2.0, 2.0], atol=1e-13)
 
     def test_identity_single_group(self):
-        es = eigh(Operator(np.eye(4)))
+        es = eigh(np.eye(4))
         assert np.allclose(es.values, 1.0)
         assert es.degeneracy_groups == ((0, 1, 2, 3),)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(5)
         m = random_complex(rng, 8)
-        h = Operator(m + m.conj().T)
+        h = m + m.conj().T
         es = eigh(h)
         rebuilt = es.vectors @ np.diag(es.values) @ es.vectors.conj().T
-        assert np.linalg.norm(rebuilt - h.entries) < 1e-10 * h.norm()
+        assert np.linalg.norm(rebuilt - h) < 1e-10 * np.linalg.norm(h)
         assert np.linalg.norm(es.vectors.conj().T @ es.vectors - np.eye(8)) < 1e-12
 
     def test_blockdiag_union(self):
@@ -243,19 +225,18 @@ class TestEigh:
         ah, bh = a + a.conj().T, b + b.conj().T
         block = np.zeros((7, 7), dtype=complex)
         block[:3, :3], block[3:, 3:] = ah, bh
-        union = np.sort(np.concatenate([eigh(Operator(ah)).values,
-                                        eigh(Operator(bh)).values]))
-        assert np.allclose(eigh(Operator(block)).values, union, atol=1e-10)
+        union = np.sort(np.concatenate([eigh(ah).values, eigh(bh).values]))
+        assert np.allclose(eigh(block).values, union, atol=1e-10)
 
     def test_non_hermitian_rejected_with_defect(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NonHermitianError) as err:
-            eigh(Operator(m))
+            eigh(m)
         assert err.value.defect > 0.1
 
 
 def test_eigh_stack_rejects_one_non_hermitian_matrix():
-    stack = np.tile(make_spin(1).J1.entries, (50, 1, 1))
+    stack = np.tile(make_spin(1).J1, (50, 1, 1))
     assert eigh(stack).values.shape == (50, 3)
     stack[31, 0, 2] += 1e-3
     with pytest.raises(NonHermitianError):
@@ -263,7 +244,7 @@ def test_eigh_stack_rejects_one_non_hermitian_matrix():
 
 
 def test_eigvalsh_is_eigh_values_with_its_guard():
-    stack = np.tile(make_spin(1).J1.entries, (50, 1, 1))
+    stack = np.tile(make_spin(1).J1, (50, 1, 1))
     assert np.allclose(eigvalsh(stack), eigh(stack).values, rtol=0, atol=1e-15)
     stack[31, 0, 2] += 1e-3
     with pytest.raises(NonHermitianError):
@@ -277,7 +258,7 @@ class TestUnitarityDefect:
     def test_rotation_any_angle(self):
         spin = make_spin(1.5)
         for theta in (0.3, 2.0, 11.0):
-            assert unitarity_defect(expm(-1j * theta * spin.J2.entries)) < 1e-12
+            assert unitarity_defect(expm(-1j * theta * spin.J2)) < 1e-12
 
     def test_scaled_identity(self):
         # Hand computation: ||4*1 - 1||_F = 3 sqrt(2).
@@ -295,8 +276,8 @@ class TestProject:
         if projector == "none":
             assert project(stack, None) is stack
             return
-        expected = p.entries @ stack @ p.entries
-        got = project(stack, p if projector == "interior" else p.entries)
+        expected = p @ stack @ p
+        got = project(stack, p if projector == "interior" else np.array(p))
         assert got.shape == stack.shape
         assert np.array_equal(got, expected)
         assert np.array_equal(frobenius(got), frobenius(expected))

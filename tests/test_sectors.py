@@ -56,14 +56,14 @@ class TestFindSectors:
             assert [p.size for p in found.pop()] == [rep.dim]
             assert out.whole.rows is None and out.whole.projector is None
             assert out.whole.gauge is out.system.w_minus
-            assert out.whole.i_ref is out.invariant.Iminus.entries
+            assert out.whole.i_ref is out.invariant.Iminus
 
     def test_d0_file_that_couples_parities_is_one_sector(self, tmp_path, config_dir):
         # I_-(0) = d0 d0^dag / 2 of d0 = a^dag + a^dag^2 holds a^dag a^dag a, which
         # changes the Fock number by one. (The prescription refuses this d0,
         # as its levels do not split into K3 eigenvectors.)
         rep = make_oscillator(16, 4)
-        adag = rep.adag.entries
+        adag = rep.adag
         d0 = adag + adag @ adag
         path = tmp_path / "d0.json"
         path.write_text(json.dumps({"real": d0.real.tolist(), "imag": d0.imag.tolist()}))
@@ -77,9 +77,9 @@ class TestFindSectors:
         cfg = load_config(config)
 
         def parts(d0):
-            i_minus = build_invariant(build_supercharge(d0)).Iminus.entries
+            i_minus = build_invariant(build_supercharge(d0)).Iminus
             return sectors.find_sectors(
-                [rep.K2.entries, i_minus, rep.K1.entries, rep.K3.entries], np.zeros((16, 0)))
+                [rep.K2, i_minus, rep.K1, rep.K3], np.zeros((16, 0)))
 
         assert [p.size for p in parts(cfg.d0_for(rep))] == [16]
         assert [p.size for p in parts(rep.adag)] == [8, 8]
@@ -89,6 +89,45 @@ class TestFindSectors:
         vectors[[0, 3], 0] = 1.0
         parts = sectors.find_sectors([np.eye(4)], vectors)
         assert [p.tolist() for p in parts] == [[0, 3], [1], [2]]
+
+
+def stored_matrices(rep, out) -> dict[str, np.ndarray]:
+    """Every matrix that a representation and its prescription's output store, the
+    whole block's and each sector's cuts included, by name."""
+    found = {name: m for name, m in vars(rep).items() if isinstance(m, np.ndarray)}
+    found.update(d0=out.system.d0, Iplus=out.invariant.Iplus, Iminus=out.invariant.Iminus,
+                 d=out.invariant.d)
+    for k, block in enumerate((out.whole, *out.sectors)):
+        named = {"d3": block.gauge.d3, "d2": block.gauge.d2, "D": block.y.D,
+                 "i_ref": block.i_ref, "projector": block.projector,
+                 **{f"generator {i}": g for i, g in enumerate(block.generators)}}
+        found.update({f"block {k} {name}": m for name, m in named.items() if m is not None})
+    return found
+
+
+class TestStoredMatrices:
+    @pytest.mark.parametrize("family", ["spin", "spin_d0_file", "oscillator"])
+    def test_every_stored_matrix_is_read_only(self, tmp_path, config_dir, family):
+        if family == "oscillator":
+            cfg, sectors_found = oscillator(config_dir, 33, 8), 2
+        else:
+            cfg, sectors_found = load_config(config_dir / "spin_default.ini"), 1
+        if family == "spin_d0_file":
+            d0 = tmp_path / "d0.json"
+            d0.write_text('{"real": [[0, 1], [0, 0]]}')
+            cfg = replace(cfg, d0_named=None, d0_file=str(d0))
+        rep, out = suites.build_system(cfg)
+        assert len(out.sectors) == sectors_found
+        matrices = stored_matrices(rep, out)
+        assert len(matrices) >= 15
+        assert all(m.dtype == complex for m in matrices.values())
+        assert [name for name, m in matrices.items() if m.flags.writeable] == []
+
+    def test_a_scalar_time_gives_numpy_its_entries(self, config_dir):
+        _, out = suites.build_system(oscillator(config_dir, 33, 8))
+        h = out.h_minus(0.3)
+        assert np.asarray(h) is h.entries
+        assert not h.entries.flags.writeable
 
 
 @pytest.mark.parametrize("n, buffer", [(32, 8), (33, 8)])
@@ -111,9 +150,9 @@ class TestAgainstDense:
         # The closed-form generators and the interior projector, cut in one place.
         rep, out = suites.build_system(oscillator(config_dir, n, buffer))
         whole = out.whole
-        assert all(np.array_equal(g, r.entries)
+        assert all(np.array_equal(g, r)
                    for g, r in zip(whole.generators, rep.generators, strict=True))
-        assert np.array_equal(whole.projector, rep.projector_interior.entries)
+        assert np.array_equal(whole.projector, rep.projector_interior)
         assert len(out.sectors) == 2
         for sector in out.sectors:
             ix = np.ix_(sector.rows, sector.rows)

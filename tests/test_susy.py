@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyinv import susy
-from susyinv.operators import Operator, SingularMatrixError, polar_unitary
+from susyinv.operators import SingularMatrixError, polar_unitary
 from susyinv.representations import make_oscillator, make_spin
 from susyinv.susy import (PairingAmbiguityError, SuperInvariant, build_invariant,
                           build_supercharge, check_superalgebra, pair_spectra)
@@ -12,7 +12,7 @@ from susyinv.susy import (PairingAmbiguityError, SuperInvariant, build_invariant
 
 def random_d(seed, n):
     rng = np.random.default_rng(seed)
-    return Operator(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
 def per_level(pairing):
@@ -23,37 +23,37 @@ def per_level(pairing):
 
 class TestSupercharge:
     def test_zero_d(self):
-        q = build_supercharge(Operator(np.zeros((3, 3))))
+        q = build_supercharge(np.zeros((3, 3)))
         inv = build_invariant(q)
-        assert inv.Iplus.norm() == 0.0 and inv.Iminus.norm() == 0.0
+        assert np.linalg.norm(inv.Iplus) == 0.0 and np.linalg.norm(inv.Iminus) == 0.0
         assert check_superalgebra(q, inv).max_residual() == 0.0
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            build_supercharge(Operator(np.zeros((2, 3))))
+            build_supercharge(np.zeros((2, 3)))
 
     def test_spin_half_blocks(self):
         # {Q, Q^dag} = 2I = blockdiag(J- J+, J+ J-) for d = J+.
         spin = make_spin(0.5)
         inv = build_invariant(build_supercharge(spin.Jplus))
-        jmjp = spin.Jminus.entries @ spin.Jplus.entries
-        jpjm = spin.Jplus.entries @ spin.Jminus.entries
-        assert np.allclose(2 * inv.Iplus.entries, jmjp, atol=1e-15)
-        assert np.allclose(2 * inv.Iminus.entries, jpjm, atol=1e-15)
-        assert np.allclose(inv.Iplus.entries, np.diag([0.0, 0.5]), atol=1e-15)
+        jmjp = spin.Jminus @ spin.Jplus
+        jpjm = spin.Jplus @ spin.Jminus
+        assert np.allclose(2 * inv.Iplus, jmjp, atol=1e-15)
+        assert np.allclose(2 * inv.Iminus, jpjm, atol=1e-15)
+        assert np.allclose(inv.Iplus, np.diag([0.0, 0.5]), atol=1e-15)
 
 
 class TestInvariant:
     def test_identity_d(self):
-        inv = build_invariant(build_supercharge(Operator(np.eye(3))))
-        assert np.allclose(inv.Iplus.entries, np.eye(3) / 2)
-        assert np.allclose(inv.Iminus.entries, np.eye(3) / 2)
+        inv = build_invariant(build_supercharge(np.eye(3)))
+        assert np.allclose(inv.Iplus, np.eye(3) / 2)
+        assert np.allclose(inv.Iminus, np.eye(3) / 2)
 
     def test_spin_one_shared_positive_spectrum(self):
         spin = make_spin(1)
         inv = build_invariant(build_supercharge(spin.Jplus))
-        plus = np.sort(np.linalg.eigvalsh(inv.Iplus.entries))
-        minus = np.sort(np.linalg.eigvalsh(inv.Iminus.entries))
+        plus = np.sort(np.linalg.eigvalsh(inv.Iplus))
+        minus = np.sort(np.linalg.eigvalsh(inv.Iminus))
         assert np.allclose(plus, [0.0, 1.0, 1.0], atol=1e-13)
         assert np.allclose(minus, [0.0, 1.0, 1.0], atol=1e-13)
 
@@ -63,12 +63,12 @@ class TestInvariant:
         # I- = a^dag a / 2 annihilates the ground state.
         ground = np.zeros(16, dtype=complex)
         ground[0] = 1.0
-        assert np.linalg.norm(inv.Iminus.entries @ ground) < 1e-15
+        assert np.linalg.norm(inv.Iminus @ ground) < 1e-15
 
     def test_positive_semidefinite(self):
         inv = build_invariant(build_supercharge(random_d(9, 6)))
-        assert np.linalg.eigvalsh(inv.Iplus.entries).min() >= -1e-12
-        assert np.linalg.eigvalsh(inv.Iminus.entries).min() >= -1e-12
+        assert np.linalg.eigvalsh(inv.Iplus).min() >= -1e-12
+        assert np.linalg.eigvalsh(inv.Iminus).min() >= -1e-12
 
 
 class TestSuperalgebra:
@@ -89,7 +89,7 @@ class TestSuperalgebra:
         spin = make_spin(0.5)
         q = build_supercharge(spin.Jplus)
         inv = build_invariant(q)
-        bad = SuperInvariant(Operator(inv.Iplus.entries + 0.1 * np.eye(2)), inv.Iminus, inv.d)
+        bad = SuperInvariant(inv.Iplus + 0.1 * np.eye(2), inv.Iminus, inv.d)
         report = check_superalgebra(q, bad)
         assert report.closure > 0.1
         assert report.invariance > 0.05
@@ -101,12 +101,12 @@ class TestSuperalgebra:
         n = 6
         d = random_d(seed, n)
         inv = build_invariant(build_supercharge(d))
-        bad = SuperInvariant(Operator(inv.Iplus.entries + random_d(seed + 1, n).entries * 1e-3),
+        bad = SuperInvariant(inv.Iplus + random_d(seed + 1, n) * 1e-3,
                              inv.Iminus, d)
         q = np.zeros((2 * n, 2 * n), dtype=complex)
-        q[n:, :n] = d.entries
+        q[n:, :n] = d
         i = np.zeros((2 * n, 2 * n), dtype=complex)
-        i[:n, :n], i[n:, n:] = bad.Iplus.entries, bad.Iminus.entries
+        i[:n, :n], i[n:, n:] = bad.Iplus, bad.Iminus
         qh = q.conj().T
         report = check_superalgebra(build_supercharge(d), bad)
         assert report.invariance == pytest.approx(np.linalg.norm(q @ i - i @ q), rel=1e-12)
@@ -130,7 +130,7 @@ class TestPairing:
         assert pairing.degeneracies == (2,)
 
     def test_identity_d_single_level(self):
-        inv = build_invariant(build_supercharge(Operator(np.eye(4))))
+        inv = build_invariant(build_supercharge(np.eye(4)))
         pairing = pair_spectra(inv)
         assert pairing.shared_positive_values == pytest.approx([0.5])
         assert pairing.degeneracies == (4,)
@@ -151,7 +151,7 @@ class TestPairing:
         # d |lam,a,+> = sqrt(2 lam) sum_b v_ba |lam,b,->
         inv = build_invariant(build_supercharge(random_d(4, 7)))
         pairing = pair_spectra(inv)
-        d = inv.d.entries
+        d = inv.d
         for lam, vp, vm, v in per_level(pairing):
             assert np.linalg.norm(d @ vp - np.sqrt(2 * lam) * vm @ v) < 1e-10
             assert np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])) < 1e-10
@@ -162,12 +162,12 @@ class TestPairing:
         rng = np.random.default_rng(7)
         u, v = (np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
                 for _ in range(2))
-        d = Operator(u @ np.diag([0.5, 0.5, 0.5, 1.0, 1.0, 2.0, 3.0, 0.0]) @ v.conj().T)
+        d = u @ np.diag([0.5, 0.5, 0.5, 1.0, 1.0, 2.0, 3.0, 0.0]) @ v.conj().T
         pairing = pair_spectra(build_invariant(build_supercharge(d)))
         assert pairing.degeneracies == (3, 2, 1, 1)
         assert [lv.v.shape[1] for lv in pairing.by_size] == [1, 2, 3]
         for lam, vp, vm, factor in per_level(pairing):
-            overlap = vm.conj().T @ d.entries @ vp / np.sqrt(2 * lam)
+            overlap = vm.conj().T @ d @ vp / np.sqrt(2 * lam)
             assert np.array_equal(factor, polar_unitary(overlap))
 
     def test_singular_overlap_names_its_level(self, monkeypatch):
@@ -176,7 +176,7 @@ class TestPairing:
         rng = np.random.default_rng(7)
         u, v = (np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
                 for _ in range(2))
-        d = Operator(u @ np.diag([0.5, 0.5, 0.5, 1.0, 1.0, 2.0, 3.0, 0.0]) @ v.conj().T)
+        d = u @ np.diag([0.5, 0.5, 0.5, 1.0, 1.0, 2.0, 3.0, 0.0]) @ v.conj().T
 
         def singular_second_1x1(stack):
             if stack.shape[1] == 1:
@@ -189,7 +189,7 @@ class TestPairing:
         assert "of the stack" not in str(caught.value)
 
     def test_ambiguous_zero_threshold_rejected(self):
-        d = Operator(np.diag([6e-5, 1.0]).astype(complex))
+        d = np.diag([6e-5, 1.0]).astype(complex)
         with pytest.raises(PairingAmbiguityError):
             pair_spectra(build_invariant(build_supercharge(d)))
 
@@ -204,7 +204,7 @@ class TestSusyMap:
         _, vp, vm, v = per_level(pairing)[0]
         up, down = np.eye(2, dtype=complex)
         assert abs(np.vdot(down, vp[:, 0])) == pytest.approx(1.0)
-        mapped = spin.Jplus.entries @ vp / np.sqrt(2 * 0.5)
+        mapped = spin.Jplus @ vp / np.sqrt(2 * 0.5)
         assert np.allclose(mapped, vm @ v, atol=1e-14)
         assert abs(np.vdot(up, mapped[:, 0])) == pytest.approx(1.0)
 
@@ -217,7 +217,7 @@ class TestSusyMap:
         _, vp, vm, v = per_level(pairing)[k]
         fock_n, fock_n1 = np.eye(16, dtype=complex)[n], np.eye(16, dtype=complex)[n + 1]
         assert abs(np.vdot(fock_n, vp[:, 0])) == pytest.approx(1.0)
-        mapped = osc.adag.entries @ vp / np.sqrt(n + 1)
+        mapped = osc.adag @ vp / np.sqrt(n + 1)
         assert np.allclose(mapped, vm @ v, atol=1e-14)
         assert abs(np.vdot(fock_n1, mapped[:, 0])) == pytest.approx(1.0)
 
@@ -226,8 +226,8 @@ class TestSusyMap:
 @settings(max_examples=60, deadline=None)
 def test_positive_spectra_agree_for_random_d(seed, n):
     d = random_d(seed, n)
-    plus = np.linalg.eigvalsh(d.entries.conj().T @ d.entries / 2)
-    minus = np.linalg.eigvalsh(d.entries @ d.entries.conj().T / 2)
+    plus = np.linalg.eigvalsh(d.conj().T @ d / 2)
+    minus = np.linalg.eigvalsh(d @ d.conj().T / 2)
     scale = max(1.0, plus.max(initial=0.0))
     assert np.allclose(np.sort(plus), np.sort(minus), atol=1e-10 * scale)
 
@@ -242,9 +242,9 @@ def test_adjoint_map_round_trip(seed):
         return
     lam, vp = per_level(pairing)[-1][:2]
     psi = vp[:, 0]
-    mapped = d.entries @ psi / np.sqrt(2 * lam)
+    mapped = d @ psi / np.sqrt(2 * lam)
     assert abs(np.linalg.norm(mapped) - 1.0) < 1e-10
-    back = d.entries.conj().T @ mapped / np.sqrt(2 * lam)
+    back = d.conj().T @ mapped / np.sqrt(2 * lam)
     assert abs(abs(np.vdot(back, psi)) - 1.0) < 1e-10
 
 
@@ -253,8 +253,7 @@ def test_witten_index_count():
     rng = np.random.default_rng(17)
     base = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     base[:, 0] = 0  # one right-kernel direction
-    d = Operator(base)
-    pairing = pair_spectra(build_invariant(build_supercharge(d)))
+    pairing = pair_spectra(build_invariant(build_supercharge(base)))
     rank = np.linalg.matrix_rank(base)
     assert pairing.kernel_dim_plus - pairing.kernel_dim_minus == \
         (5 - rank) - (5 - rank)

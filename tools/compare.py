@@ -21,6 +21,9 @@ one thread, on the same config text: this checkout's. The calls:
 - ``phase_loop.ini`` edited to ``j = 20`` (the ladder's top ``phase`` rung) with
   ``phase`` and ``phase --reverse``: its one level of size 2 among levels of
   size 1 takes the 2 x 2 holonomy path that no shipped loop reaches;
+- ``spin_default.ini`` with ``theta = "0"`` with ``build``, ``verify`` and
+  ``propagate``: W is the identity and ``H_-`` diagonal, so the step
+  exponential runs on diagonal stacks;
 - every call of every perfbench workload at seeds 0, 1 and 2
   (``perfbench/workloads.py``).
 
@@ -126,6 +129,9 @@ def calls() -> list[tuple[str, str, tuple[str, ...]]]:
             for c in (("phase",), ("phase", "--reverse"))]
     out += [("phase_loop, j = 20", _edited("phase_loop.ini", {"j = 1/2": "j = 20"}), c)
             for c in (("phase",), ("phase", "--reverse"))]
+    out += [("spin_default, theta = 0",
+             _edited("spin_default.ini", {'theta = "0.7853981633974483"': 'theta = "0"'}), c)
+            for c in (("build",), ("verify",), ("propagate",))]
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             workload = workloads.make(name, seed)
