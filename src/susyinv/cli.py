@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import json
 import sys
 from dataclasses import replace
@@ -24,19 +25,42 @@ from .config import ConfigError, RunConfig, load_config, parse_number
 from .construction import (GeneratorSplitError, NonFiniteHamiltonianError, closed_form_osc_R,
                            closed_form_spin_R, evolution_from_gauge)
 from .dynamics import NonClosedLoopError, StepSizeError, berry_holonomy
-from .operators import (Buffers, NonHermitianError, SingularMatrixError, chunks, eigh, eigvalsh,
+from .operators import (NonHermitianError, SingularMatrixError, chunks, eigh, eigvalsh,
                         hermiticity_defect, over_chunks, unitarity_defect)
 from .suites import build_system, run_suites, stepped_states
 from .susy import PairingAmbiguityError
 
 
-# Numbers of a CSV file formatted per write. build's chunk loop pages its
-# buffers in once at any size (about 510 minor faults a call on spin_grid at 32
-# Ki numbers per write, 250 at 64 Ki), but propagate's stepping loop holds none,
-# and glibc's malloc sets its trim threshold to twice the largest mmapped block
-# a process has freed: spin_grid's propagate read 1 145 faults a call at 32 Ki,
-# against 400 at 64 Ki.
+# Numbers of a CSV file formatted per write. The bytes are the same at any size;
+# with freed pages kept (keep_freed_pages) spin_grid's build and propagate read
+# 0-2 minor faults a call at 16 Ki to 128 Ki, at wall times the sizes do not
+# separate.
 CSV_CHUNK = 64 * 1024
+
+
+# glibc's malloc unmaps a freed block above its mmap threshold and gives back
+# the freed top of its heap above its trim threshold, both 128 KiB until a large
+# block is freed, so a loop whose chunks allocate and free (k, d, d) stacks
+# pages them in again at every chunk: warm N = 128 build, verify and propagate
+# calls read about 2 040, 2 240 and 680 minor faults. The CLI takes blocks up to
+# MMAP_THRESHOLD (the top of the dynamic threshold on 64-bit) from the heap and
+# keeps up to TRIM_THRESHOLD of freed top, so each chunk reuses the pages of the
+# one before.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # mallopt's parameters, as in malloc.h
+MMAP_THRESHOLD = 32 * 1024 * 1024
+TRIM_THRESHOLD = 512 * 1024 * 1024
+
+
+def keep_freed_pages() -> None:
+    """Set malloc to keep freed pages in the process (see MMAP_THRESHOLD); a C
+    library with no mallopt is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no C library to open, or not glibc
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def _fmt(x: float) -> str:
@@ -88,16 +112,12 @@ def cmd_build(cfg: RunConfig, out_override: str | None) -> int:
     grid = cfg.grid()
     if "csv" in cfg.formats:
         # One W per chunk and sector gives both H_- and I_- there; a chunk is sized by
-        # the largest sector. Sectors of one shape share buffers, so each sector's
-        # numbers are taken before the next sector's sample.
-        take = Buffers()
+        # the largest sector, and each sector's sample is dropped before the next's.
+        def sector_checks(at):
+            return hermiticity_defect(at.h_minus), eigvalsh(at.i_minus)
 
         def per_chunk(ts):
-            defects, spectra = [], []
-            for s in out.sectors:
-                at = s.sample(ts, take)
-                defects.append(hermiticity_defect(at.h_minus, take))
-                spectra.append(eigvalsh(at.i_minus, take))
+            defects, spectra = zip(*[sector_checks(s.sample(ts)) for s in out.sectors])
             spectrum = np.concatenate(spectra, axis=1)
             return np.column_stack([reduce(np.hypot, defects), np.sort(spectrum, axis=1)])
 
@@ -317,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    keep_freed_pages()
     args = build_parser().parse_args(argv)
     scale = args.tolerance_scale
     if args.command in ("verify", "sweep") and not (np.isfinite(scale) and scale > 0):

@@ -35,8 +35,8 @@ KNOWN_SUITES = ("superalgebra", "pairing", "gauge", "lvn", "unitarity",
 MAX_STEPS = 10 ** 7
 # Complex (d, d) matrices that a command holds at its peak, from traced peaks on
 # a d = 128 oscillator with a 201-point grid: `verify` held 33.7 of them when the
-# bound was set; in the parity sectors `verify` holds 28.7, `build` 27.1 and
-# `propagate` 26.4, as both write their files a chunk at a time (make_oscillator
+# bound was set; in the parity sectors `verify` holds 29.0, `build` 24.6 and
+# `propagate` 28.4, as both write their files a chunk at a time (make_oscillator
 # alone builds about ten). propagate's states grow with the grid, as (nt, d).
 HELD_MATRICES = 34
 

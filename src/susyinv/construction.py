@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from . import sectors
-from .operators import (NonHermitianError, dagger, eigh, first_true, fresh, frobenius,
+from .operators import (NonHermitianError, dagger, eigh, first_true, frobenius,
                         hermiticity_defect, per_time, read_only, unitarity_defect)
 from .representations import OscillatorRep, SpinRep
 from .susy import (ZERO_MODE_SCALE, SpectralPairing, SuperInvariant, build_invariant,
@@ -154,29 +154,25 @@ class GaugeCurve:
     def dim(self) -> int:
         return len(self.d3)
 
-    def _factors(self, t: np.ndarray, take=fresh, names=("r", "w")):
+    def _factors(self, t: np.ndarray):
         """E = e^{-i phi D3} diagonals and (cos, sin) of theta lam~, each (n, d), the
-        real rotations R = e^{-i theta D2} and W = E R E^dag, each (n, d, d), R and W
-        in ``take``'s arrays of ``names``."""
+        real rotations R = e^{-i theta D2} and W = E R E^dag, each (n, d, d)."""
         e = np.exp(-1j * self.phi(t)[:, None] * self._d3_diag)
         angles = self.theta(t)[:, None] * self._d2_basis[0]
         cos_sin = np.cos(angles), np.sin(angles)
-        r = self._rotation(*cos_sin, take, names[0])
-        return e, cos_sin, r, _sandwich(e, r, take(names[1], r.shape))
+        r = self._rotation(*cos_sin)
+        return e, cos_sin, r, _sandwich(e, r)
 
-    def _rotation(self, a: np.ndarray, b: np.ndarray, take, name: str) -> np.ndarray:
-        """(P diag(x) + P_sw diag(y)) P^T for each row x of a and y of b, (n, d) arrays,
-        into ``take``'s ``name``."""
+    def _rotation(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(P diag(x) + P_sw diag(y)) P^T for each row x of a and y of b, (n, d) arrays."""
         _, p, p_sw = self._d2_basis
-        shape, dtype = (len(a),) + p.shape, np.result_type(p, a, b)
-        m = np.multiply(p, a[:, None, :], out=take("rotation", shape, dtype))
-        m += np.multiply(p_sw, b[:, None, :], out=take(name, shape, dtype))
-        return np.matmul(m, p.T, out=take(name, shape, dtype))
+        m = p * a[:, None, :]
+        m += p_sw * b[:, None, :]
+        return m @ p.T
 
-    def value(self, t, take=fresh, name: str = "value"):
-        """W(t): an Operator for a scalar t, an (n, d, d) stack for an array, in
-        ``take``'s array of ``name``."""
-        return per_time(t, lambda ts: self._factors(ts, take, ("rotation_b", name))[-1])
+    def value(self, t):
+        """W(t): an Operator for a scalar t, an (n, d, d) stack for an array."""
+        return per_time(t, lambda ts: self._factors(ts)[-1])
 
     def derivative(self, t):
         """dW/dt by the chain rule on the three exponentials (:attr:`_Sample.w_dot`)."""
@@ -225,28 +221,24 @@ class YSpec:
 
 class _Sample:
     """W at an array of times, built once (:meth:`GaugeCurve._factors`), and H_-,
-    dW/dt, I_- = W I_-(0) W^dag, dI_-/dt and U_- derived from it on first use
-    (``y`` may be None when only W and dW/dt are taken), each written to ``take``'s
-    array of its name. Their scratch takes the names ``rotation``, ``rotation_b``,
-    ``dagger``, ``frobenius`` and ``scratch``: code that holds one of these takes
-    the stacks it needs from the sample first."""
+    dW/dt, I_- = W I_-(0) W^dag, dI_-/dt, U_- and dU_-/dt derived from it on first use
+    (``y`` may be None when only W and dW/dt are taken)."""
 
     def __init__(self, w: GaugeCurve, y: YSpec | None, ts: np.ndarray,
-                 i_ref: np.ndarray | None = None, take=fresh):
-        self._gauge, self._y, self._i_ref, self.ts, self.take = w, y, i_ref, ts, take
-        self._e, self._cos_sin, self._r, self.w = w._factors(ts, take)
+                 i_ref: np.ndarray | None = None):
+        self._gauge, self._y, self._i_ref, self.ts = w, y, i_ref, ts
+        self._e, self._cos_sin, self._r, self.w = w._factors(ts)
 
     @cached_property
     def w_dot(self) -> np.ndarray:
         """dW/dt by the chain rule on the three exponentials:
         W' = E (theta' R' - i phi' [D3, R]) E^dag, with R' = (P_sw lam~ cos - P lam~ sin) P^T
         from the middle factor and [D3, R]_jk = (d3_j - d3_k) R_jk from the outer ones."""
-        g, ts, take = self._gauge, self.ts, self.take
+        g, ts = self._gauge, self.ts
         rate = g.theta.derivative()(ts)[:, None] * g._d2_basis[0]
         cos, sin = self._cos_sin
-        out = take("w_dot", self.w.shape)
-        out = np.empty(self.w.shape, complex) if out is None else out
-        out.real = g._rotation(-rate * sin, rate * cos, take, "rotation_b")
+        out = np.empty(self.w.shape, complex)
+        out.real = g._rotation(-rate * sin, rate * cos)
         np.multiply(g._d3_differences, self._r, out=out.imag)
         out.imag *= -g.phi.derivative()(ts)[:, None, None]
         return _sandwich(self._e, out, out=out)
@@ -258,21 +250,18 @@ class _Sample:
         E = e^{-i phi D3} commutes with D3 and R = e^{-i theta D2} with D2, so
         H = E (R diag(y - phi' d3) R^T + theta' D2) E^dag + phi' D3.
         """
-        g, ts, r, take = self._gauge, self.ts, self._r, self.take
+        g, ts, r = self._gauge, self.ts, self._r
         phi_dot = g.phi.derivative()(ts)[:, None]
-        h = np.multiply(g.theta.derivative()(ts)[:, None, None], g.d2,
-                        out=take("h_minus", r.shape))
-        y = (self._y.diagonal(ts) - phi_dot * g._d3_diag)[:, None, :]
-        dtype = np.result_type(r, y)
-        h += np.matmul(np.multiply(r, y, out=take("rotation", r.shape, dtype)),
-                       np.swapaxes(r, 1, 2), out=take("rotation_b", r.shape, dtype))
+        h = g.theta.derivative()(ts)[:, None, None] * g.d2
+        h += (r * (self._y.diagonal(ts) - phi_dot * g._d3_diag)[:, None, :]) \
+            @ np.swapaxes(r, 1, 2)
         _sandwich(self._e, h, out=h)
         idx = np.arange(g.dim)
         h[:, idx, idx] += phi_dot * g._d3_diag
         # An overflowing or non-finite H is caught by its norm; numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = frobenius(h, take)
-            relative = hermiticity_defect(h, take) / np.maximum(1.0, norms)
+            norms = frobenius(h)
+            relative = hermiticity_defect(h) / np.maximum(1.0, norms)
         finite = np.isfinite(norms)
         k = first_true(~finite | ~(relative <= HERMITICITY_TOL))
         if k is not None:
@@ -283,27 +272,32 @@ class _Sample:
 
     @cached_property
     def _w_i(self) -> np.ndarray:
-        return np.matmul(self.w, self._i_ref, out=self.take("w_i", self.w.shape))
+        return self.w @ self._i_ref
 
     @cached_property
     def i_minus(self) -> np.ndarray:
-        take = self.take
-        return np.matmul(self._w_i, dagger(self.w, take("dagger", self.w.shape)),
-                         out=take("i_minus", self.w.shape))
+        return self._w_i @ dagger(self.w)
 
     @cached_property
     def i_dot(self) -> np.ndarray:
         """dI_-/dt = X + X^dag with X = W' (W I_-(0))^dag, I_-(0) Hermitian."""
-        take = self.take
-        x = np.matmul(self.w_dot, dagger(self._w_i, take("dagger", self.w.shape)),
-                      out=take("i_dot", self.w.shape))
-        x += dagger(x, take("dagger", self.w.shape))
+        x = self.w_dot @ dagger(self._w_i)
+        x += dagger(x)
         return x
 
     @cached_property
+    def _phases(self) -> np.ndarray:
+        """e^{-i int_0^t y} as (n, 1, d) rows."""
+        return np.exp(-1j * self._y.integral_diagonal(self.ts))[:, None, :]
+
+    @cached_property
     def u_minus(self) -> np.ndarray:
-        return np.multiply(self.w, np.exp(-1j * self._y.integral_diagonal(self.ts))[:, None, :],
-                           out=self.take("u_minus", self.w.shape))
+        return self.w * self._phases
+
+    @cached_property
+    def u_dot(self) -> np.ndarray:
+        """dU_-/dt = (W' - i W diag(y)) e^{-i int y}, exact from W'."""
+        return (self.w_dot - 1j * self.w * self._y.diagonal(self.ts)[:, None, :]) * self._phases
 
 
 def hamiltonian_from_gauge(w: GaugeCurve, y: YSpec, t):
@@ -393,10 +387,9 @@ class Block:
         """Which of the levels ``index`` live here."""
         return np.any(self.levels.v_minus[:, index] != 0, axis=0)
 
-    def sample(self, ts: np.ndarray, take=fresh) -> _Sample:
-        """H_-, I_- and U_- at an array of times, from one build of W there, in ``take``'s
-        arrays."""
-        return _Sample(self.gauge, self.y, ts, self.i_ref, take)
+    def sample(self, ts: np.ndarray) -> _Sample:
+        """H_-, I_- and U_- at an array of times, from one build of W there."""
+        return _Sample(self.gauge, self.y, ts, self.i_ref)
 
     def mapped(self, index: np.ndarray, ts, w=None) -> np.ndarray:
         """W(ts), or ``w`` when given, times the minus vectors of the levels ``index``,
@@ -593,12 +586,11 @@ def closed_form_osc_R(f: TimeFunction, theta: TimeFunction, phi: TimeFunction, t
     return _closed_form_R(np.sinh, np.cosh, f, theta, phi, t)
 
 
-def closed_form_operator(r, generators, take=fresh) -> np.ndarray:
+def closed_form_operator(r, generators) -> np.ndarray:
     """sum_i R^i G_i: one matrix for scalar coefficients, a stack for arrays."""
-    shape = np.shape(r[0]) + np.shape(generators[0])
-    out = np.multiply.outer(r[0], generators[0], out=take("scratch", shape))
+    out = np.multiply.outer(r[0], generators[0])
     for ri, g in zip(r[1:], generators[1:]):
-        out += np.multiply.outer(ri, g, out=take("scratch_b", shape))
+        out += np.multiply.outer(ri, g)
     return out
 
 

@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import (NonFiniteMatrixError, SingularMatrixError, check_finite, chunks, dagger,
-                        expm_i_hermitian, first_true, fresh, frobenius, groups_by_size,
+                        expm_i_hermitian, first_true, frobenius, groups_by_size,
                         over_chunks, polar_unitary, project, unitarity_defect)
 
 FD_STEP = 1e-5
@@ -254,18 +254,14 @@ def central_difference(m_map: Callable, t):
 
 
 def lvn_residual(i: np.ndarray, h: np.ndarray, i_dot: np.ndarray,
-                 projector: np.ndarray | None = None, take=fresh):
+                 projector: np.ndarray | None = None):
     """|| dI/dt - i [I, H] ||, the defining residual of a dynamical invariant.
 
     I, H and dI/dt are matrices or (n, d, d) stacks (a matrix is broadcast
     against a stack); pass a projector to restrict the residual to a trusted
     subspace. A float for matrices, one residual per time for stacks.
     """
-    shape = np.broadcast_shapes(np.shape(i), np.shape(h), np.shape(i_dot))
-    c = np.matmul(i, h, out=take("scratch", shape))
-    c -= np.matmul(h, i, out=take("scratch_b", shape))
-    c = np.multiply(1j, c, out=take("scratch", shape))
-    return frobenius(project(np.subtract(i_dot, c, out=c), projector, in_place=True), take)
+    return frobenius(project(i_dot - 1j * (i @ h - h @ i), projector))
 
 
 def intertwining_residual(d: np.ndarray, d_dot: np.ndarray, h_minus: np.ndarray,

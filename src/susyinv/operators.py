@@ -10,11 +10,11 @@ degeneracies are clustered with an absolute gap of ``1e-8 * max(1, ||A||)``.
 
 Functions of time evaluate on arrays of times as ``(n, d, d)`` stacks, and
 grids are worked through in chunks whose stacks fit in ``CHUNK_BYTES``
-(:func:`chunks`). A scalar time gives an :class:`Operator`, which numpy reads
-as its read-only ``entries`` (:func:`per_time`). A loop over chunks writes its
-stacks into one set of :class:`Buffers`, made on its first chunk; code outside
-such a loop takes :func:`fresh`. Either is a ``take(name, shape, dtype)``,
-whose array (or None) is an ``out=``.
+(:func:`chunks`). Each chunk allocates its own stacks; the CLI keeps freed
+pages in the process (:func:`susyinv.cli.keep_freed_pages`), so a later chunk
+reuses the pages of the one before instead of paging its stacks in again. A
+scalar time gives an :class:`Operator`, which numpy reads as its read-only
+``entries`` (:func:`per_time`).
 
 There is one matrix exponential, a truncated Taylor series evaluated by
 Paterson-Stockmeyer with 1-norm degree selection (:func:`_taylor_expm`): its
@@ -110,35 +110,6 @@ def over_chunks(times: np.ndarray, dim: int, per_chunk) -> np.ndarray:
     return np.concatenate([per_chunk(times[sl]) for sl in chunks(times.size, dim)])
 
 
-def fresh(name: str, shape: tuple, dtype=complex) -> None:
-    """No buffer, so numpy allocates each result: the ``take`` of code outside a chunk
-    loop."""
-    return None
-
-
-class Buffers:
-    """The stacks of one loop over chunks, made on the first request for each name,
-    trailing shape and dtype and handed out again to every later, no larger chunk as
-    a view of their first k entries, so that the loop pages them in once.
-
-    A view is handed out again by the next request for its name: nothing may hold it
-    past that, nor past the chunk that took it. Temporaries take the names
-    ``scratch`` and ``scratch_b``, so a function that holds one calls no other that
-    takes it. The loop makes the set, shares it only between sectors of one shape,
-    and drops it when it returns.
-    """
-
-    def __init__(self):
-        self._arrays = {}
-
-    def __call__(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
-        key = (name, shape[1:], np.dtype(dtype))
-        array = self._arrays.get(key)
-        if array is None or len(array) < shape[0]:
-            array = self._arrays[key] = np.empty(shape, dtype)
-        return array[:shape[0]]
-
-
 def per_time(t, stack):
     """Evaluate ``stack`` (1-D times -> (n, d, d)) at ``t``.
 
@@ -155,18 +126,15 @@ def first_true(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def dagger(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Conjugate transpose of a matrix or of every matrix in a stack, conjugated into
-    ``out`` when given."""
-    return np.conjugate(m, out=out).swapaxes(-1, -2)
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return np.conjugate(m).swapaxes(-1, -2)
 
 
-def frobenius(m: np.ndarray, take=fresh):
+def frobenius(m: np.ndarray):
     """Frobenius norm of a matrix (a float) or of every matrix in a stack: numpy's
-    matrix norm, sqrt of the sum of conj(M) M, that product taken in a buffer."""
-    square = np.conjugate(m, out=take("frobenius", m.shape, m.dtype))
-    square *= m
-    norms = np.sqrt(np.add.reduce(square.real, axis=(-2, -1)))
+    matrix norm, sqrt of the sum of conj(M) M."""
+    norms = np.sqrt(np.add.reduce((np.conjugate(m) * m).real, axis=(-2, -1)))
     return float(norms) if np.ndim(norms) == 0 else norms
 
 
@@ -176,18 +144,14 @@ def one_norm(m: np.ndarray):
     return float(norms) if np.ndim(norms) == 0 else norms
 
 
-def unitarity_defect(u, take=fresh):
+def unitarity_defect(u):
     """Frobenius norm of U^dag U - 1, per matrix for a stack."""
     m = np.asarray(u)
-    product = np.matmul(dagger(m, take("dagger", m.shape, m.dtype)), m,
-                        out=take("scratch", m.shape, m.dtype))
-    product -= np.eye(m.shape[-1])
-    return frobenius(product, take)
+    return frobenius(dagger(m) @ m - np.eye(m.shape[-1]))
 
 
-def project(m: np.ndarray, projector, in_place: bool = False) -> np.ndarray:
-    """P M P for a diagonal 0/1 projector, or M when it is None,
-    written over M ``in_place``.
+def project(m: np.ndarray, projector) -> np.ndarray:
+    """P M P for a diagonal 0/1 projector, or M when it is None.
 
     The kept entries are masked, not multiplied: P M P adds only exact zeros
     to them, so the result is the same to the bit for finite M.
@@ -195,17 +159,12 @@ def project(m: np.ndarray, projector, in_place: bool = False) -> np.ndarray:
     if projector is None:
         return m
     keep = np.diagonal(projector) != 0
-    kept = keep[:, None] & keep[None, :]
-    if not in_place:
-        return np.where(kept, m, 0)
-    np.copyto(m, 0, where=~kept)
-    return m
+    return np.where(keep[:, None] & keep[None, :], m, 0)
 
 
-def hermiticity_defect(h: np.ndarray, take=fresh):
+def hermiticity_defect(h: np.ndarray):
     """Frobenius norm of H - H^dag, per matrix for a stack."""
-    return frobenius(np.subtract(h, dagger(h, take("dagger", h.shape, h.dtype)),
-                                 out=take("scratch", h.shape, h.dtype)), take)
+    return frobenius(h - dagger(h))
 
 
 def cluster_indices(values: np.ndarray, gap: float) -> tuple[tuple[int, ...], ...]:
@@ -247,15 +206,15 @@ class EigenSystem:
         self.vectors.setflags(write=False)
 
 
-def _hermitian(a, take=fresh) -> tuple[np.ndarray, np.ndarray]:
+def _hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """The matrix or stack of ``a`` and its max(1, ||A||_F) scale, per matrix.
 
     Raises NonHermitianError at the first matrix whose relative Hermiticity
     defect exceeds ``HERMITICITY_RTOL``.
     """
     m = np.asarray(a)
-    scale = np.maximum(1.0, frobenius(m, take))
-    relative = np.atleast_1d(hermiticity_defect(m, take) / scale)
+    scale = np.maximum(1.0, frobenius(m))
+    relative = np.atleast_1d(hermiticity_defect(m) / scale)
     k = first_true(relative > HERMITICITY_RTOL)
     if k is not None:
         raise NonHermitianError(float(relative[k]))
@@ -275,11 +234,10 @@ def eigh(a) -> EigenSystem:
     return EigenSystem(values, vectors, groups)
 
 
-def eigvalsh(a, take=fresh) -> np.ndarray:
+def eigvalsh(a) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or per matrix of a stack, with
-    the Hermiticity guard of :func:`eigh` (its stacks in ``take``'s arrays) and no
-    eigenvectors."""
-    return np.linalg.eigvalsh(_hermitian(a, take)[0])
+    the Hermiticity guard of :func:`eigh` and no eigenvectors."""
+    return np.linalg.eigvalsh(_hermitian(a)[0])
 
 
 def _check_nonsingular(s_min: np.ndarray, norm: np.ndarray) -> None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import islice
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .construction import (Block, PartnerOutput, closed_form_operator, closed_fo
                            closed_form_spin_R, hamiltonian_from_gauge, oscillator_supersystem,
                            quadrupole_partner, run_prescription, spin_supersystem)
 from .dynamics import central_difference, check_step, lvn_residual, propagate
-from .operators import Buffers, dagger, frobenius, over_chunks, project, unitarity_defect
+from .operators import dagger, frobenius, over_chunks, project, unitarity_defect
 from .representations import OscillatorRep, SpinRep
 from .susy import SuperCharge, check_superalgebra, pairing_residuals
 
@@ -102,49 +103,46 @@ def stepped_states(out: PartnerOutput, dt: float, psi0: np.ndarray, times: np.nd
 
 def _gauge_residuals(run: _Run, sector: Block, at, origin) -> tuple:
     """Closed-form coefficients against the independent matrix gauge route."""
-    cfg, ts, h, take = run.cfg, at.ts, at.h_minus, at.take
+    cfg, ts = run.cfg, at.ts
     if cfg.g is not None:  # only spin takes g, as one sector
         h_closed = quadrupole_partner(run.rep, cfg.f, cfg.g, cfg.theta, cfg.phi, ts)
     else:
         closed_form = closed_form_spin_R if cfg.family == "spin" else closed_form_osc_R
         h_closed = closed_form_operator(closed_form(cfg.f, cfg.theta, cfg.phi, ts),
-                                        sector.generators, take)
-    error = np.subtract(h, h_closed, out=take("scratch", h.shape))
-    return (frobenius(project(error, sector.projector, in_place=True), take),)
+                                        sector.generators)
+    return (frobenius(project(at.h_minus - h_closed, sector.projector)),)
 
 
 def _lvn_residuals(run: _Run, sector: Block, at, origin) -> tuple:
-    return (lvn_residual(at.i_minus, at.h_minus, at.i_dot, sector.projector, at.take),)
+    return (lvn_residual(at.i_minus, at.h_minus, at.i_dot, sector.projector),)
 
 
 def _lvn_wrong_h_residuals(run: _Run, sector: Block, at, origin) -> tuple:
     """The cross-check: the LvN residual of I_- against H+ in place of H_-."""
     h_plus = np.diag(sector.plus_energies).astype(complex)
-    return (lvn_residual(at.i_minus, h_plus, at.i_dot, sector.projector, at.take),)
+    return (lvn_residual(at.i_minus, h_plus, at.i_dot, sector.projector),)
 
 
 def _w_dot_residuals(run: _Run, sector: Block, at, origin) -> tuple:
     """The exact dW/dt's distance from its central difference, and its norm: the
     bound under lvn is their ratio, relative to max(1, ||dW/dt||_F) as the
     difference's own error grows with W's derivatives."""
-    w_dot, take = at.w_dot, at.take
-    # The difference holds W at t + FD_STEP while it takes W at t - FD_STEP.
-    names = iter(("scratch", "scratch_b"))
-    error = central_difference(lambda t: sector.gauge.value(t, take, next(names)), at.ts)
-    return (frobenius(np.subtract(w_dot, error, out=error), take), frobenius(w_dot, take))
+    w_dot = at.w_dot
+    return (frobenius(w_dot - central_difference(sector.gauge.value, at.ts)),
+            frobenius(w_dot))
 
 
 def _unitarity_residuals(run: _Run, sector: Block, at, origin) -> tuple:
-    """U_-(t) unitarity and the invariant transport U I(0) U^dag = I(t), where
-    U = U_-(t) U_-(0)^dag: for offset starts (theta(0) != 0) U_-(t) alone does not."""
+    """U_-(t) unitarity, the invariant transport U I(0) U^dag = I(t), where
+    U = U_-(t) U_-(0)^dag (for offset starts, theta(0) != 0, U_-(t) alone does not
+    transport it), and the Schrodinger residual ||i dU_-/dt - H_- U_-|| with the
+    exact dU_-/dt: a diagonal phase on the right of W passes the first two, as it
+    commutes with I_-(0), but not the third."""
     u0, i0 = origin
-    u_minus, i_minus, take = at.u_minus, at.i_minus, at.take
-    defect = unitarity_defect(u_minus, take)
-    u = np.matmul(u_minus, u0.conj().T, out=take("scratch", u_minus.shape))
-    u_i = np.matmul(u, i0, out=take("scratch_b", u.shape))
-    moved = np.matmul(u_i, dagger(u, take("dagger", u.shape)), out=u)
-    moved -= i_minus
-    return defect, frobenius(project(moved, sector.projector, in_place=True), take)
+    u = at.u_minus @ u0.conj().T
+    return (unitarity_defect(at.u_minus),
+            frobenius(project(u @ i0 @ dagger(u) - at.i_minus, sector.projector)),
+            frobenius(project(1j * at.u_dot - at.h_minus @ at.u_minus, sector.projector)))
 
 
 def _origin(sector: Block) -> tuple[np.ndarray, np.ndarray]:
@@ -153,12 +151,13 @@ def _origin(sector: Block) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Residual -> its Frobenius norms at one chunk of one sector, f(run, sector, sample
-# there, the sector's (U_-(0), I_-(0)) or None): one part, or two that FOLDS joins.
+# there, the sector's (U_-(0), I_-(0)) or None): one part, or those that FOLDS joins.
 SAMPLED = {"gauge": _gauge_residuals, "lvn": _lvn_residuals, "w_dot": _w_dot_residuals,
            "unitarity": _unitarity_residuals, "lvn_wrong_h": _lvn_wrong_h_residuals}
-# Residual of two parts -> its values from them, each part combined over the sectors.
-FOLDS = {"w_dot": lambda error, norm: error / np.maximum(1.0, norm),
-         "unitarity": np.maximum}
+# Residual of several parts -> their number and its values from them, each part
+# combined over the sectors.
+FOLDS = {"w_dot": (2, lambda error, norm: error / np.maximum(1.0, norm)),
+         "unitarity": (3, lambda *parts: np.max(parts, axis=0))}
 # Suite -> the SAMPLED residuals its verdict reads.
 READS = {"gauge": ("gauge",), "lvn": ("lvn", "w_dot"), "unitarity": ("unitarity",),
          "intertwining": ("lvn", "w_dot"), "lvn_wrong_h": ("lvn_wrong_h",)}
@@ -189,13 +188,12 @@ class _Run:
     def sampled(self) -> dict[str, float]:
         names = [n for n in SAMPLED if any(n in READS.get(s, ()) for s in self.selected)]
         times = _sample_times(self.cfg)
-        take = Buffers()
 
         def parts(sector: Block) -> np.ndarray:
             origin = _origin(sector) if "unitarity" in names else None
 
             def per_chunk(ts):  # one W for every residual, one chunk at a time
-                at = sector.sample(ts, take)
+                at = sector.sample(ts)
                 return np.stack([p for n in names for p in SAMPLED[n](self, sector, at, origin)],
                                 axis=1)
 
@@ -203,7 +201,7 @@ class _Run:
 
         # The parts of all sectors at one time combine by hypot, before the max over times.
         whole = iter(reduce(np.hypot, map(parts, self.out.sectors)).T)
-        values = [next(whole) if n not in FOLDS else FOLDS[n](next(whole), next(whole))
+        values = [next(whole) if n not in FOLDS else FOLDS[n][1](*islice(whole, FOLDS[n][0]))
                   for n in names]
         return dict(zip(names, map(float, np.max(values, axis=1))))
 

@@ -468,19 +468,28 @@ class TestVerify:
         assert code == 0
         assert peak <= HELD_MATRICES * 16 * 128 ** 2
 
+    @staticmethod
+    def faults_read_by(script: str, *args) -> object:
+        """What ``script`` prints last, as JSON, run with ``args`` in a new process on
+        one BLAS thread: minor faults as the CLI leaves the heap, not as pytest's."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(suites.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                              env=env, capture_output=True, text=True, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="minor page faults as glibc's heap gives them")
     def test_sampled_chunks_reuse_their_pages(self, tmp_path, config_dir):
-        # The sampled pass makes its buffers on its first chunk and reuses them in
-        # every later one, in both parity sectors: no later chunk pages in its
-        # stacks afresh (about 700 minor faults a chunk when each chunk allocated them).
+        # After two warm verify calls, no chunk of the sampled pass after the first
+        # pages its stacks in afresh, in either parity sector (about 700 minor
+        # faults a chunk when glibc gave the freed stacks back between chunks).
         script = """
 import json, resource, sys
-from susyinv import suites
+from susyinv import cli, suites
 from susyinv.config import load_config
-cfg = load_config(sys.argv[1])
-suites.run_suites(cfg)
-suites.run_suites(cfg)
+for _ in range(2):
+    assert cli.main(["verify", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 faults, real = [], suites.over_chunks
 def minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -492,17 +501,38 @@ def per_chunk_faults(times, dim, per_chunk):
         return result
     return real(times, dim, counted)
 suites.over_chunks = per_chunk_faults
+cfg = load_config(sys.argv[1])
 suites._Run(cfg, *suites.build_system(cfg)).sampled
 print(json.dumps(faults))
 """
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=str(Path(suites.__file__).resolve().parents[1]))
-        done = subprocess.run([sys.executable, "-c", script,
-                               str(self.osc128(tmp_path, config_dir))],
-                              env=env, capture_output=True, text=True, check=True)
-        faults = json.loads(done.stdout)
+        faults = self.faults_read_by(script, self.osc128(tmp_path, config_dir),
+                                     tmp_path / "out")
         assert len(faults) == 6  # 9 sample times in chunks of 4, 4 and 1, per sector
         assert max(faults[1:]) <= 100, faults
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor page faults as glibc's heap gives them")
+    def test_warm_commands_reuse_their_pages(self, tmp_path, config_dir):
+        # The CLI keeps freed pages in the process, so a third build, verify or
+        # propagate call on the N = 128 oscillator pages in next to nothing (about
+        # 2 000, 2 200 and 680 minor faults a call when glibc gave them back).
+        script = """
+import contextlib, io, json, resource, sys
+from susyinv import cli
+faults = {}
+for command in ("build", "verify", "propagate"):
+    argv = [command, "--config", sys.argv[1], "--out", sys.argv[2]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for _ in range(2):
+            assert cli.main(argv) == 0
+        start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert cli.main(argv) == 0
+    faults[command] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+print(json.dumps(faults))
+"""
+        faults = self.faults_read_by(script, self.osc128(tmp_path, config_dir),
+                                     tmp_path / "out")
+        assert max(faults.values()) <= 100, faults
 
     def test_planted_term_in_h_raises_exact_lvn_residual(self, config_dir, monkeypatch):
         # A Hermitian term of norm 1e-9 in H_- at N = 128 lifts the exact LvN
@@ -540,6 +570,19 @@ print(json.dumps(faults))
         assert not lvn.passed and lvn.max_residual == honest[0].max_residual
         assert "differs from its central difference" in lvn.note
         assert not intertwining.passed
+
+    @pytest.mark.parametrize("config", ["spin_default", "oscillator_default", "quadrupole",
+                                        "phase_loop", "sweep_example"])
+    def test_flipped_phase_in_u_minus_fails_unitarity(self, config_dir, monkeypatch, config):
+        # U_- = W e^{+i int y} is unitary and transports I_-(0), with which the
+        # phase commutes, but does not solve H_-'s Schrodinger equation.
+        cfg = replace(load_config(config_dir / f"{config}.ini"), suites=("unitarity",))
+        [honest] = suites.run_suites(cfg)
+        monkeypatch.setattr(construction._Sample, "u_minus", property(
+            lambda at: at.w * np.exp(1j * at._y.integral_diagonal(at.ts))[:, None, :]))
+        [flipped] = suites.run_suites(cfg)
+        assert honest.passed and honest.max_residual < 1e-3 * honest.tolerance
+        assert not flipped.passed and flipped.max_residual > 0.1
 
     def test_spin_j20_passes_every_suite(self, tmp_path, config_dir):
         # At j = 20 ||W'||_F is about 116, and the central difference of W
@@ -1301,6 +1344,35 @@ def test_cli_import_loads_no_module(top):
     # Top-level packages the CLI path does without: the sweep runs its cells
     # in one serial loop, so concurrent.futures has no user.
     assert loaded_by_cli_import(top) == []
+
+
+class _LibcWithoutMallopt:
+    """A C library as ctypes opens it, with no mallopt: not glibc."""
+
+    def __init__(self, name):
+        pass
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("libc", [_LibcWithoutMallopt, _no_libc], ids=["no-mallopt", "no-libc"])
+def test_outputs_do_not_depend_on_mallopt(tmp_path, config_dir, monkeypatch, libc):
+    # main sets glibc's allocator through mallopt; without it, the allocator is
+    # left as it is and every call exits and writes as before.
+    calls = [(command, "spin_default") for command in ("build", "verify", "propagate")] \
+        + [("phase", "phase_loop")]
+
+    def outputs(out: Path) -> dict:
+        for command, config in calls:
+            assert run([command, "--config", config_dir / f"{config}.ini",
+                        "--out", out / command]) == 0
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    expected = outputs(tmp_path / "glibc")
+    monkeypatch.setattr(cli.ctypes, "CDLL", libc)
+    assert outputs(tmp_path / "other") == expected
 
 
 # The numeric keys of the shipped spin and oscillator configs ("steps" is

@@ -1,6 +1,6 @@
-"""The file comparison of tools/compare.py, the golden-output gate, on planted
-directories. The gate itself runs every CLI call on two trees and stays out of
-the test suite."""
+"""The file and stream comparisons of tools/compare.py, the golden-output gate, on
+planted directories and printed text. The gate itself runs every CLI call on two
+trees and stays out of the test suite."""
 
 import importlib.util
 import os
@@ -48,3 +48,35 @@ def test_compare_dirs_reports_moved_numbers_and_reads_negative_zero_as_zero(tmp_
     assert rows["renamed.csv"] == ("the text around the numbers differs", False)
     assert rows["infidelity.csv"] == ("max|a - b| / max|a| = inf", False)
     assert rows["rev_only.csv"] == ("only in REV", False)
+
+
+def verify_table(solutions: str, status: str = "pass") -> str:
+    """verify's printed table, with the solutions residual and verdict given."""
+    return ("check         max residual     tolerance  status\n"
+            f"solutions     {solutions}     1.000e-05  {status}\n"
+            "intertwining  7.071068e-01     1.000e-01  pass\n")
+
+
+def test_printed_residual_may_move_within_the_bound(monkeypatch):
+    # A rounding move in a printed residual, as on spin_default with theta = "0",
+    # is bounded by the largest printed number, 0.7071: 1.06e-16 / 0.7071.
+    compare = load_tool(monkeypatch)
+    rows = compare.compare_streams((0, verify_table("3.376612e-16"), ""),
+                                   (0, verify_table("4.440892e-16"), ""))
+    assert rows == [("stdout", "max|a - b| / max|a| = 1.51e-16", True)]
+    assert compare.compare_streams((0, verify_table("3.376612e-16"), ""),
+                                   (0, verify_table("3.376612e-16"), "")) == []
+
+
+def test_printed_verdict_exit_code_and_stderr_must_not_move(monkeypatch):
+    compare = load_tool(monkeypatch)
+    rev = (0, verify_table("3.376612e-16"), "")
+    for checkout, row in [
+            ((1, verify_table("3.376612e-16", "FAIL"), ""),
+             ("stdout", "the text around the numbers differs", False)),
+            ((0, verify_table("3.376612e-10"), ""),
+             ("stdout", "max|a - b| / max|a| = 4.78e-10", False)),
+            ((0, verify_table("3.376612e-16"), "warning\n"), ("stderr", "differs", False))]:
+        rows = compare.compare_streams(rev, checkout)
+        assert row in rows and not all(ok for _, _, ok in rows)
+    assert compare.compare_streams(rev, (1, rev[1], "")) == [("exit code", "differs", False)]
