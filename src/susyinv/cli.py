@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, parse_number
+from .config import ConfigError, RunConfig, load_config, parse_level
 from .construction import (GeneratorSplitError, NonFiniteHamiltonianError, closed_form_osc_R,
                            closed_form_spin_R, evolution_from_gauge)
 from .dynamics import NonClosedLoopError, StepSizeError, berry_holonomy
@@ -170,22 +170,20 @@ def cmd_verify(cfg: RunConfig, out_override: str | None,
 
 
 def _resolve_level(cfg: RunConfig, out) -> tuple[int | None, str]:
-    """Translate the configured level label into a prescription level index."""
-    text = (cfg.propagate_level or "auto").strip().lower()
-    if text == "kernel":
-        return None, "kernel"
-    if text == "auto":
-        return 0, "auto"
-    value = parse_number(text)
-    if not np.isfinite(value):
-        raise ValueError("the level must be finite")
+    """The configured level's prescription index, by its generator eigenvalue, and label."""
+    value = parse_level(cfg.propagate_level)
+    if isinstance(value, str):  # kernel or auto
+        return (None if value == "kernel" else 0), value
     if cfg.family == "spin":
         if abs(value - cfg.j) < 1e-9:
             return None, f"m={value} (zero mode)"
         mu = value + 1.0
     else:
         mu = (2 * value + 3) / 4
-    return out.level_for_label(mu), f"level {text}"
+    try:
+        return out.level_for_label(mu), f"level {cfg.propagate_level.lower()}"
+    except KeyError as exc:  # its message, as str() would quote it
+        raise ConfigError(f"[propagate] level = {cfg.propagate_level!r}: {exc.args[0]}") from None
 
 
 def _state_columns(grid: np.ndarray, states: dict) -> tuple[list[str], list]:
@@ -203,14 +201,7 @@ def cmd_propagate(cfg: RunConfig, out_override: str | None) -> int:
     out_dir = _out_dir(cfg, out_override)
     rep, out = build_system(cfg)
     grid = cfg.grid()
-    try:
-        level, label = _resolve_level(cfg, out)
-    except (ValueError, KeyError) as exc:
-        reason = exc.args[0] if isinstance(exc, KeyError) else exc  # str() would quote it
-        print(f"config error: [propagate] level = {cfg.propagate_level!r}: {reason}",
-              file=sys.stderr)
-        return 2
-
+    level, label = _resolve_level(cfg, out)
     if level is None:
         print(f"warning: {label} has no superpartner; writing numeric-only columns")
         # I_-(0)'s lowest eigenvector in the first sector that holds its smallest eigenvalue.

@@ -56,8 +56,7 @@ class RunConfig:
     phi: timefunc.TimeFunction
     f: timefunc.TimeFunction
     g: timefunc.TimeFunction | None
-    d0_named: str | None
-    d0_file: str | None
+    d0: np.ndarray | None   # a [d0] file's matrix, read-only; None for the family's default
     t_final: float
     dt: float
     suites: tuple[str, ...]
@@ -76,14 +75,8 @@ class RunConfig:
         return make_oscillator(self.n, self.buffer)
 
     def d0_for(self, rep: SpinRep | OscillatorRep) -> np.ndarray:
-        if self.d0_file is not None:
-            return read_only(_read_d0_file(self.d0_file))
-        name = self.d0_named or ("Jplus" if self.family == "spin" else "adag")
-        if self.family == "spin" and name == "Jplus":
-            return rep.Jplus
-        if self.family == "oscillator" and name == "adag":
-            return rep.adag
-        raise ConfigError(f"d0 named {name!r} is not available for family {self.family!r}")
+        return self.d0 if self.d0 is not None else (
+            rep.Jplus if self.family == "spin" else rep.adag)
 
     def grid(self) -> np.ndarray:
         return _grid(self.t_final, self.dt)
@@ -146,6 +139,21 @@ def parse_number(text: str) -> float:
     if den == 0:
         raise ValueError("zero denominator")
     return num / den
+
+
+def parse_level(text: str) -> str | float:
+    """A ``[propagate] level``: ``kernel``, ``auto`` (also for no text) or a finite
+    number or fraction, else ConfigError."""
+    label = (text or "auto").lower()
+    if label in ("kernel", "auto"):
+        return label
+    try:
+        value = parse_number(label)
+        if not math.isfinite(value):
+            raise ValueError("the level must be finite")
+    except ValueError as exc:
+        raise ConfigError(f"[propagate] level = {text!r}: {exc}") from None
+    return value
 
 
 def _int(section: str, key: str, text: str) -> int:
@@ -268,13 +276,15 @@ def load_config(path: str | Path) -> RunConfig:
             "[y] g: the quadratic term is only wired for the spin family "
             "(no closed-form oscillator oracle to verify against)")
 
-    d0_named = _get(cp, "d0", "named")
-    d0_file = _get(cp, "d0", "file")
+    # A file takes precedence over a name, and the only name is the family's intertwiner.
+    d0_file, d0 = _get(cp, "d0", "file"), None
     if d0_file is not None:
-        shape = _read_d0_file(d0_file).shape
-        if shape != (dim, dim):
+        d0 = read_only(_read_d0_file(d0_file))
+        if d0.shape != (dim, dim):
             raise ConfigError(f"[d0] file = {d0_file!r}: expected a {dim}x{dim} matrix "
-                              f"for this representation, got shape {shape}")
+                              f"for this representation, got shape {d0.shape}")
+    elif (name := _get(cp, "d0", "named")) and name != ("Jplus" if family == "spin" else "adag"):
+        raise ConfigError(f"d0 named {name!r} is not available for family {family!r}")
 
     suites_text = _get(cp, "checks", "suites", default=", ".join(KNOWN_SUITES))
     suites = tuple(s.strip() for s in suites_text.split(",") if s.strip())
@@ -302,6 +312,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"[phase] steps = {phase_steps} exceeds {MAX_STEPS}")
     phase_reverse = _bool(cp, "phase", "reverse")
     propagate_level = _get(cp, "propagate", "level", default="auto")
+    parse_level(propagate_level)
 
     sweep_key = _get(cp, "sweep", "key")
     sweep_values_text = _get(cp, "sweep", "values", default="")
@@ -309,6 +320,6 @@ def load_config(path: str | Path) -> RunConfig:
     if sweep_key is not None and "." not in sweep_key:
         raise ConfigError("[sweep] key must look like section.option, e.g. y.f")
 
-    return RunConfig(family, j, n, buffer, b, theta, phi, f, g, d0_named, d0_file,
+    return RunConfig(family, j, n, buffer, b, theta, phi, f, g, d0,
                      t_final, dt, suites, cross, out_dir, formats, phase_steps,
                      phase_reverse, propagate_level, sweep_key, sweep_values)

@@ -1,21 +1,17 @@
 """Independent verification engine: unitary propagation, invariance and
 intertwining residuals, and discretized Berry holonomies.
 
-The propagator has two step rules. The default applies the exponential of the
-midpoint Hamiltonian on each step: second order in the step, unitary to
-rounding by construction, and guarded by ``||H||_F dt < STEP_NORM_LIMIT`` at
-every step. ``order=4`` applies the commutator-free Magnus scheme CF4:2
-(Blanes & Moan, Appl. Numer. Math. 56 (2006) 1519): two exponentials per step
-of H sampled at the two Gauss nodes, fourth order and equally unitary. It has
-no step guard; its caller picks the steps and estimates the error, as the
-``solutions`` suite does by comparing n and 2n steps. Unitarity matters more
-than order here because unitarity defects would masquerade as superalgebra
-violations. The step exponential is the truncated Taylor series of
-:func:`susyinv.operators.expm_i_hermitian`, whose degree keeps the backward
-error below the unit roundoff (the theta_m bounds of Al-Mohy & Higham 2011),
-so each step is unitary to rounding. States are stepped as a block, in the
-sectors of a block-diagonal H (each on its own rows), one chunk of step
-unitaries and one sector at a time, and only the kept grid points are stored.
+The propagator takes both step rules through one path: a rule (:func:`_rule`)
+is its nodes in a step and, per factor in the order the factors apply, the
+weights of H at those nodes. The midpoint rule (default; node 1/2, one factor
+of weight 1) is second order, guarded by ``||H||_F dt < STEP_NORM_LIMIT`` at
+every step. CF4:2 (``order=4``; Blanes & Moan, Appl. Numer. Math. 56 (2006)
+1519; two factors on the two Gauss nodes) is fourth order and unguarded: its
+caller estimates the error, as the ``solutions`` suite does from n and 2n
+steps. Each step exponential is unitary to rounding, as unitarity defects
+would masquerade as superalgebra violations. States are stepped as a block, a
+chunk of steps and a sector of a block-diagonal H at a time, and each sector
+writes its block into the states at the kept points.
 
 The LvN and intertwining residuals take matrices or (n, d, d) stacks, with the
 derivative their caller holds (:meth:`susyinv.construction.Block.sample`).
@@ -114,47 +110,56 @@ def check_step(hs: tuple, dt) -> None:
         raise StepSizeError(float(norms[k]), float(dts[k]))
 
 
+def _rule(order: int) -> tuple:
+    """A step rule: its nodes in a step and, per factor in the order the factors
+    apply, the weights of H at those nodes. CF4_WEIGHTS is read at each call."""
+    return ((0.5,), ((1.0,),)) if order == 2 else (GAUSS_NODES, CF4_WEIGHTS)
+
+
+def _weighted(hs: np.ndarray, weights: tuple) -> np.ndarray:
+    """Each factor's weighted sum of the node-major H stack, as one (factors, steps, d, d)
+    stack, taken on the float view: 1.0 * H is H to the bit (a complex product flips zeros)."""
+    at = np.ascontiguousarray(hs, dtype=complex).view(float)
+    at = at.reshape(len(weights[0]), -1, *at.shape[1:])
+    out = np.empty((len(weights), *at.shape[1:]))
+    for o, ws in zip(out, weights):
+        np.multiply(ws[0], at[0], out=o)
+        for w, a in zip(ws[1:], at[1:]):
+            o += w * a
+    return out.view(complex)
+
+
 def _step_factors(h: Callable, times: np.ndarray, dims: list, stepped: list, order: int):
     """Step unitaries, computed as stacks one chunk of steps at a time.
 
-    ``h`` gives one stack per sector of a block-diagonal H of sector
-    dimensions ``dims``, and only the sectors ``stepped`` are exponentiated:
-    each chunk yields one list per stepped sector of its step unitaries in the
-    order they apply. Chunks are sized by the stepped sectors' dimensions.
-
-    Order 2 gives one midpoint exponential per step, and every step is
-    checked: the first with ||H|| dt >= STEP_NORM_LIMIT raises. Order 4 gives
-    the two CF4:2 exponentials of each step, unchecked. Its chunks hold half
-    as many steps, because each step takes H at both Gauss nodes in one call
-    and both factors in one exponential: a stack of two matrices per step.
-    A non-finite H raises NonFiniteMatrixError naming the first step it enters.
+    ``h`` gives one stack per sector of a block-diagonal H of sector dimensions
+    ``dims``; only the sectors ``stepped`` are exponentiated. Each chunk takes H
+    at every node of its steps in one call and yields, per stepped sector, its
+    step unitaries in the order they apply, as views of one stack. Order 2
+    raises at the first step with ||H|| dt >= STEP_NORM_LIMIT. A non-finite H
+    raises NonFiniteMatrixError naming the first step it enters.
     """
+    nodes, weights = _rule(order)
     dts = np.diff(times)
-    for sl in chunks(dts.size, sum(dims[s] for s in stepped),
-                     per_point=1 if order == 2 else 2):
-        t0, dt = times[:-1][sl], dts[sl]
-        k = dt.size
+    for sl in chunks(dts.size, sum(dims[s] for s in stepped), per_point=len(nodes)):
+        t0, dt, k = times[:-1][sl], dts[sl], sl.stop - sl.start
         try:
-            if order == 2:
-                hs = [_stack(m, k, (d, d)) for m, d in zip(h(t0 + dt / 2), dims)]
-                check_step(hs, dt)
-                yield [list(expm_i_hermitian(hs[s], dt)) for s in stepped]
-                continue
-            ts = np.concatenate([t0 + c * dt for c in GAUSS_NODES])
+            ts = np.concatenate([t0 + c * dt for c in nodes])
             hs = [_stack(m, ts.size, (d, d)) for m, d in zip(h(ts), dims)]
-            # Both exponents first, so that H at the nodes is freed before the
+            if order == 2:
+                check_step(hs, dt)
+            # Every exponent first, so that H at the nodes is freed before the
             # exponential takes its workspace (and catches a non-finite exponent).
             with np.errstate(invalid="ignore", over="ignore"):
-                exponents = [np.concatenate([a * hs[s][:k] + b * hs[s][k:]
-                                             for a, b in CF4_WEIGHTS]) for s in stepped]
+                exponents = [_weighted(hs[s], weights) for s in stepped]
             del hs
-            factors = [expm_i_hermitian(m, np.concatenate([dt, dt])) for m in exponents]
+            factors = [expm_i_hermitian(m, np.concatenate([dt] * len(weights))) for m in exponents]
         except NonFiniteMatrixError as exc:
             step = sl.start + exc.index % k
             raise NonFiniteMatrixError(step, f"H on step {step + 1} of {dts.size}, t = "
                                        f"{times[step]:.6g} to {times[step + 1]:.6g}") from None
-        yield [[u for pair in zip(m[:k], m[k:]) for u in pair] for m in factors]
-        del factors  # before the next chunk's are formed
+        yield [[u for step in zip(*m) for u in step] for m in factors]
+        del exponents, factors  # before the next chunk's are formed
 
 
 def propagate(h: Callable, psi0: np.ndarray, times: np.ndarray,
@@ -168,7 +173,8 @@ def propagate(h: Callable, psi0: np.ndarray, times: np.ndarray,
     steps, under its stack, the columns of ``psi0`` from the first to the last
     that is nonzero on its rows, and one with none is not exponentiated. By
     default the whole space is the one sector and ``h`` gives its stack.
-    ``states`` keep the rows of ``psi0``.
+    ``states`` keep the rows of ``psi0``: each stepped sector writes its block
+    into them at every stored point, and they are zero elsewhere.
     ``keep`` is an optional array of grid indices: only those points are
     stored (``times``, ``states`` and ``norm_drift`` follow its order) and the
     steps stop at the last of them. By default the whole trajectory is
@@ -200,37 +206,30 @@ def propagate(h: Callable, psi0: np.ndarray, times: np.ndarray,
             index[s] = ()
         elif (cols := np.flatnonzero(np.any(nonzero[rows], axis=0))).size:
             index[s] = (rows, slice(cols[0], cols[-1] + 1))[:psi.ndim]
-    parts = [psi[i] for i in index.values()]
-    # Each stepped sector's blocks at the stored points, and how many factors
-    # precede each: a stored start precedes them all.
-    kept = [np.empty((stored.size, *b.shape), dtype=complex) for b in parts]
-    marks = ((1 if order == 2 else len(CF4_WEIGHTS)) * stored).tolist()
+    where = list(index.values())
+    parts = [psi[i] for i in where]
+    # The states at the stored points, and how many factors precede each: a stored
+    # start precedes them all.
+    states = np.zeros((stored.size, *psi.shape), dtype=complex)
+    marks = (len(_rule(order)[1]) * stored).tolist()
     first = int(marks[0] == 0)
-    for blocks, b in zip(kept, parts):
-        blocks[:first] = b
+    for i, b in zip(where, parts):
+        states[(slice(first), *i)] = b
     dims = [psi.shape[0] if rows is None else len(rows) for rows in sectors]
-    factors = _step_factors(h, times[:stored[-1] + 1], dims, list(index), order)
     done = 0
-    for chunk in factors:
+    for chunk in _step_factors(h, times[:stored[-1] + 1], dims, list(index), order):
         last = bisect_right(marks, done + len(chunk[0]))
-        ends = [m - done for m in marks[first:last]]  # the chunk's stored points
-        for s, us in enumerate(chunk):  # each sector through the chunk's steps
-            b, at, blocks = parts[s], 0, kept[s]
-            for n, end in enumerate(ends, first):
-                for u in us[at:end]:
+        for s, (i, us) in enumerate(zip(where, chunk)):  # each sector through the chunk
+            b, at = parts[s], 0
+            for n in range(first, last):
+                for u in us[at:marks[n] - done]:
                     b = u @ b
-                blocks[n], at = b, end
+                states[(n, *i)], at = b, marks[n] - done
             for u in us[at:]:
                 b = u @ b
             parts[s] = b
         done, first = done + len(chunk[0]), last
         del chunk, us  # before the next chunk's factors are formed
-    if sectors[0] is None:  # the whole space's one block: no copy
-        states = kept[0]
-    else:
-        states = np.zeros((stored.size, *psi.shape), dtype=complex)
-        for i, blocks in zip(index.values(), kept):
-            states[(slice(None), *i)] = blocks
     if not np.array_equal(stored, keep):
         states = states[np.cumsum(wanted)[keep] - 1]
     drift = np.abs(np.linalg.norm(states, axis=1) - norm0).reshape(keep.size, -1)

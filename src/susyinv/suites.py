@@ -224,8 +224,7 @@ def _suite_pairing(run: _Run, tol) -> CheckResult:
         v = levels.v
         parts += [np.max(pairing_residuals(run.out.invariant.d, levels)),
                   np.max(frobenius(dagger(v) @ v - np.eye(v.shape[-1])))]
-    if isinstance(rep, SpinRep) and cfg.d0_named in (None, "Jplus") \
-            and cfg.d0_file is None:
+    if isinstance(rep, SpinRep) and cfg.d0 is None:
         # Spectrum of 2 I+ = J- J+ is j(j+1) - m(m+1).
         expected = np.sort([rep.j * (rep.j + 1) - m * (m + 1)
                             for m in rep.m_values() if m < rep.j]) / 2

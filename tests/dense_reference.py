@@ -35,8 +35,9 @@ def sampled_residuals(cfg) -> dict[str, float]:
         "gauge": frobenius(project(at.h_minus - h_closed, proj)),
         "lvn": lvn_residual(at.i_minus, at.h_minus, at.i_dot, proj),
         "w_dot": w_dot_error / np.maximum(1.0, frobenius(at.w_dot)),
-        "unitarity": np.maximum(unitarity_defect(at.u_minus),
-                                frobenius(project(transport, proj))),
+        "unitarity": np.max([unitarity_defect(at.u_minus), frobenius(project(transport, proj)),
+                             frobenius(project(1j * at.u_dot - at.h_minus @ at.u_minus, proj))],
+                            axis=0),
         "lvn_wrong_h": lvn_residual(at.i_minus, out.system.h_plus, at.i_dot, proj),
     }
     return {name: float(np.max(values)) for name, values in residuals.items()}

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from susyinv import cli, construction, dynamics, suites, susy
 from susyinv import timefunc as tf
 from susyinv.cli import main
-from susyinv.config import HELD_MATRICES, ConfigError, load_config
+from susyinv.config import HELD_MATRICES, ConfigError, _read_d0_file, load_config
 from susyinv.construction import oscillator_supersystem, run_prescription
 from susyinv.representations import make_oscillator, make_spin
 from susyinv.susy import SuperalgebraReport
@@ -1033,6 +1033,37 @@ class TestSweep:
 
 
 class TestD0File:
+    def test_one_call_reads_the_file_once(self, tmp_path, config_dir, monkeypatch):
+        # load_config keeps the matrix it checked, and the build takes that one.
+        d0 = tmp_path / "d0.json"
+        d0.write_text(json.dumps({"real": [[0.0, 1.0], [0.0, 0.0]]}))
+        text = (config_dir / "spin_default.ini").read_text()
+        cfg = tmp_path / "file_d0.ini"
+        cfg.write_text(text.replace("named = Jplus", f"file = {d0}")
+                       .replace("t_final = 5.0", "t_final = 1.0"))
+        reads = []
+        monkeypatch.setattr("susyinv.config._read_d0_file",
+                            lambda path: reads.append(path) or _read_d0_file(path))
+        assert run(["build", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        assert reads == [str(d0)]
+        assert not load_config(cfg).d0.flags.writeable
+
+    def test_unknown_name_exit_2_at_load(self, tmp_path, config_dir, capsys):
+        # A name other than the family's intertwiner is refused before the output
+        # directory is made, with the line the build gave; a file takes precedence.
+        text = (config_dir / "spin_default.ini").read_text()
+        cfg = tmp_path / "adag.ini"
+        cfg.write_text(text.replace("named = Jplus", "named = adag"))
+        out = tmp_path / "out"
+        assert run(["build", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == ("config error: d0 named 'adag' is not available "
+                                           "for family 'spin'\n")
+        assert not out.exists()
+        d0 = tmp_path / "d0.json"
+        d0.write_text(json.dumps({"real": [[0.0, 1.0], [0.0, 0.0]]}))
+        cfg.write_text(text.replace("named = Jplus", f"named = adag\nfile = {d0}"))
+        assert load_config(cfg).d0 is not None
+
     def test_explicit_matrix_file(self, tmp_path, config_dir):
         # Supplying J+ through a matrix file must reproduce the named behavior.
         jplus = [[0.0, 1.0], [0.0, 0.0]]
@@ -1306,13 +1337,21 @@ class TestLevelAndFamilyGuards:
                                                 ("1/2/3", "not a number or a fraction a/b")])
     def test_bad_level_number_exit_2_with_one_line(self, tmp_path, config_dir, capsys,
                                                    level, message):
-        text = (config_dir / "spin_default.ini").read_text()
-        bad = tmp_path / "bad.ini"
-        bad.write_text(text.replace("level = -1/2", f"level = {level}"))
-        assert run(["propagate", "--config", bad, "--out", tmp_path / "out"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: [propagate] level = '{level}': ")
-        assert message in err and err.count("\n") == 1
+        # The level is read at load: every command exits 2 on it, not only propagate.
+        spin = (config_dir / "spin_default.ini").read_text()
+        assert "level = -1/2" in spin
+        for command, text in [
+                *((c, spin.replace("level = -1/2", f"level = {level}"))
+                  for c in ("build", "verify", "propagate")),
+                *((c, (config_dir / f"{name}.ini").read_text()
+                   + f"\n[propagate]\nlevel = {level}\n")
+                  for c, name in (("phase", "phase_loop"), ("sweep", "sweep_example")))]:
+            bad = tmp_path / f"{command}.ini"
+            bad.write_text(text)
+            assert run([command, "--config", bad, "--out", tmp_path / "out"]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: [propagate] level = '{level}': "), command
+            assert message in err and err.count("\n") == 1, command
 
     def test_garbled_level_exit_2(self, tmp_path, config_dir):
         text = (config_dir / "spin_default.ini").read_text()

@@ -12,6 +12,7 @@ from susyinv import cli, dynamics, operators, sectors, suites
 from susyinv.cli import main
 from susyinv.config import load_config
 from susyinv.dynamics import FD_STEP
+from susyinv.operators import read_only
 from susyinv.representations import make_oscillator
 from susyinv.susy import build_invariant, build_supercharge
 
@@ -107,15 +108,13 @@ def stored_matrices(rep, out) -> dict[str, np.ndarray]:
 
 class TestStoredMatrices:
     @pytest.mark.parametrize("family", ["spin", "spin_d0_file", "oscillator"])
-    def test_every_stored_matrix_is_read_only(self, tmp_path, config_dir, family):
+    def test_every_stored_matrix_is_read_only(self, config_dir, family):
         if family == "oscillator":
             cfg, sectors_found = oscillator(config_dir, 33, 8), 2
         else:
             cfg, sectors_found = load_config(config_dir / "spin_default.ini"), 1
         if family == "spin_d0_file":
-            d0 = tmp_path / "d0.json"
-            d0.write_text('{"real": [[0, 1], [0, 0]]}')
-            cfg = replace(cfg, d0_named=None, d0_file=str(d0))
+            cfg = replace(cfg, d0=read_only([[0, 1], [0, 0]]))
         rep, out = suites.build_system(cfg)
         assert len(out.sectors) == sectors_found
         matrices = stored_matrices(rep, out)

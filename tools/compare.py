@@ -24,6 +24,10 @@ one thread, on the same config text: this checkout's. The calls:
 - ``spin_default.ini`` with ``theta = "0"`` with ``build``, ``verify`` and
   ``propagate``: W is the identity and ``H_-`` diagonal, so the step
   exponential runs on diagonal stacks;
+- ``spin_default.ini`` and ``oscillator_default.ini`` (N = 32, the two parity
+  sectors) with their named d0 replaced by a ``[d0] file`` that holds the same
+  matrix, J+ of j = 1/2 and a^dag, with ``build``, ``verify`` and ``propagate``:
+  the file is written as JSON beside the call's config;
 - every call of every perfbench workload at seeds 0, 1 and 2
   (``perfbench/workloads.py``).
 
@@ -73,6 +77,7 @@ SHIPPED = ("spin_default", "oscillator_default", "quadrupole", "spin_negative_co
            "phase_loop", "sweep_example")
 COMMANDS = (("build",), ("verify",), ("propagate",), ("phase",), ("sweep",),
             ("verify", "--cross-check-wrong-H"))
+D0_FILE = "{d0}"  # stands for the path of the call's [d0] file in its config text
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 # A number standing alone: not part of a word such as lambda_0 or infidelity.
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)(?![\w.])")
@@ -132,8 +137,9 @@ def compare_streams(rev: tuple, checkout: tuple) -> list[tuple[str, str, bool]]:
     return rows
 
 
-def calls() -> list[tuple[str, str, tuple[str, ...]]]:
-    """(config label, config text, command and flags) for every call."""
+def calls() -> list[tuple[str, str, tuple[str, ...], str | None]]:
+    """(config label, config text, command and flags, the JSON text of the call's
+    [d0] file or None) for every call."""
     out = []
     for config in SHIPPED:
         out += [(config, _edited(f"{config}.ini", {}), c) for c in COMMANDS]
@@ -148,11 +154,17 @@ def calls() -> list[tuple[str, str, tuple[str, ...]]]:
     out += [("spin_default, theta = 0",
              _edited("spin_default.ini", {'theta = "0.7853981633974483"': 'theta = "0"'}), c)
             for c in (("build",), ("verify",), ("propagate",))]
+    out = [(*call, None) for call in out]
+    for config, named, d0 in (("spin_default", "Jplus", np.diag([1.0], 1)),
+                              ("oscillator_default", "adag", np.diag(np.sqrt(range(1, 32)), -1))):
+        text = _edited(f"{config}.ini", {f"named = {named}": f"file = {D0_FILE}"})
+        out += [(f"{config}, [d0] file", text, c, json.dumps({"real": d0.tolist()}))
+                for c in (("build",), ("verify",), ("propagate",))]
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             workload = workloads.make(name, seed)
             out += [(f"perfbench {name}, seed {seed}, {call.config}",
-                     workload.configs[call.config], (call.command, *call.flags))
+                     workload.configs[call.config], (call.command, *call.flags), None)
                     for call in workload.calls]
     return out
 
@@ -195,9 +207,12 @@ def compare_outputs(base: Path, change: Path, tmp: Path) -> bool:
     """Run every call on both trees and print what differs; True when nothing does
     beyond the bound."""
     ok = True
-    for k, (name, text, argv) in enumerate(calls()):
+    for k, (name, text, argv, d0) in enumerate(calls()):
         config = tmp / "configs" / f"call{k:03d}.ini"
         config.parent.mkdir(exist_ok=True)
+        if d0 is not None:
+            config.with_suffix(".json").write_text(d0)
+            text = text.replace(D0_FILE, str(config.with_suffix(".json")))
         config.write_text(text)
         outs = [tmp / "out" / side / f"call{k:03d}" for side in ("rev", "checkout")]
         results = [run_call(tree, config, out, argv) for tree, out in zip((base, change), outs)]
